@@ -10,20 +10,18 @@
 // and received from the rank processes, plus the payload bytes inside
 // them): the wire tax is the whole story of this engine's overhead.
 //
-// Every rank count is timed under BOTH execution placements
-// (docs/DISTRIBUTED.md §6): routing placement ("parent" — ranks are byte
-// routers, the parent merges and dispatches) and actor placement ("rank" —
-// a node actor runs the message handlers inside the rank processes and
-// ships an effect ledger home). The tracked records carry a
-// `handler_placement` field so the two cost profiles stay distinguishable.
+// The distributed pump installs a node actor (docs/DISTRIBUTED.md §2) whose
+// handlers count deliveries and emit no effects, so its time is the price
+// of the wire plus rank-side handler execution and the effect-ledger half
+// of the barrier, with no algorithmic work.
 //
 // Every timed run is also a determinism check: the distributed engine must
 // deliver exactly the sent message count and reproduce the serial engine's
-// energy total bit-for-bit at every rank count and placement. The actor
-// runs additionally harvest the rank-resident handler-invocation counter —
-// it must equal the message count (every handler ran out there, none in the
-// parent). A mismatch exits non-zero — the engine's contract is bitwise
-// equivalence, not approximate agreement.
+// energy total bit-for-bit at every rank count, and the harvested
+// rank-resident handler-invocation counter must equal the message count
+// (every handler ran out there, none in the parent). A mismatch exits
+// non-zero — the engine's contract is bitwise equivalence, not approximate
+// agreement.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -81,21 +79,19 @@ struct Sample {
   std::uint64_t wire_sent = 0;      ///< frame bytes parent -> ranks
   std::uint64_t wire_received = 0;  ///< frame bytes ranks -> parent
   std::uint64_t payload_bytes = 0;  ///< codec bytes inside the frames
-  std::uint64_t rank_invocations = 0;  ///< harvested handler count (actor)
+  std::uint64_t rank_invocations = 0;  ///< harvested handler count
 };
 
 using Clock = std::chrono::steady_clock;
 
-/// The perf_sim steady-state pump: send over kSendRounds rounds, collecting
-/// each round, then drain. Construction is timed too — for the distributed
-/// engine that includes forking the rank processes.
-template <typename Net, typename... Extra>
-Sample run_pump(const World& w, std::size_t messages, std::uint32_t delay,
-                Extra... extra) {
+/// The perf_sim steady-state pump on the serial engine: send over
+/// kSendRounds rounds, collecting each round, then drain.
+Sample run_pump_serial(const World& w, std::size_t messages,
+                       std::uint32_t delay) {
   const std::size_t per_round = (messages + kSendRounds - 1) / kSendRounds;
   const auto start = Clock::now();
-  Net net(w.topo, {}, /*unbounded_broadcast=*/false,
-          sim::DelayModel{delay, 0xbe7cULL}, {}, nullptr, extra...);
+  sim::Network<Payload> net(w.topo, {}, /*unbounded_broadcast=*/false,
+                            sim::DelayModel{delay, 0xbe7cULL});
   std::size_t sent = 0;
   Sample out;
   while (sent < messages || net.pending()) {
@@ -107,18 +103,11 @@ Sample run_pump(const World& w, std::size_t messages, std::uint32_t delay,
   out.millis =
       std::chrono::duration<double, std::milli>(Clock::now() - start).count();
   out.energy = net.meter().totals().energy;
-  if constexpr (requires { net.bytes_sent(); }) {
-    out.wire_sent = net.bytes_sent();
-    out.wire_received = net.bytes_received();
-    out.payload_bytes = net.payload_bytes_sent();
-  }
   return out;
 }
 
-/// The same pump under actor placement: a node actor whose handlers count
-/// deliveries and emit no effects, so the timed delta against the routing
-/// pump is pure execution placement — rank-side handler execution plus the
-/// effect-ledger half of the barrier, no algorithmic work.
+/// The node actor of the distributed pump: handlers count deliveries and
+/// emit no effects.
 struct PumpActor {
   void on_round_start(std::uint64_t /*round*/) {}
   template <typename Env>
@@ -138,16 +127,18 @@ struct PumpActor {
   std::uint64_t invocations_ = 0;
 };
 
-/// Effect-replay observer for the actor pump: the actor emits nothing, so
-/// every callback is a no-op.
+/// Effect-replay observer for the distributed pump: the actor emits
+/// nothing, so every callback is a no-op.
 struct PumpSink {
   void on_send(std::uint8_t /*dtag*/, double /*reach*/) {}
   void on_step_node(sim::NodeId /*u*/, std::uint8_t /*flag*/) {}
   void on_note(sim::NodeId /*u*/, std::uint32_t /*a*/, std::uint64_t /*b*/) {}
 };
 
-Sample run_pump_actor(const World& w, std::size_t messages,
-                      std::uint32_t delay, std::size_t ranks) {
+/// The same pump on the distributed engine. Construction is timed too — it
+/// includes forking the rank processes.
+Sample run_pump_dist(const World& w, std::size_t messages,
+                     std::uint32_t delay, std::size_t ranks) {
   const std::size_t per_round = (messages + kSendRounds - 1) / kSendRounds;
   const auto start = Clock::now();
   sim::DistributedNetwork<Payload> net(w.topo, {}, /*unbounded_broadcast=*/false,
@@ -186,8 +177,7 @@ struct Timing {
 struct Scenario {
   std::size_t messages = 0;
   Timing serial;
-  std::vector<Timing> dist;   ///< routing placement, one per rank count
-  std::vector<Timing> actor;  ///< actor placement, one per rank count
+  std::vector<Timing> dist;  ///< one per rank count
   double serial_energy = 0.0;
 };
 
@@ -240,40 +230,28 @@ int main(int argc, char** argv) {
     Scenario sc;
     sc.messages = static_cast<std::size_t>(m);
     sc.dist.resize(rank_counts.size());
-    sc.actor.resize(rank_counts.size());
 
     // Untimed warm-up, and the energy reference for the identity check.
-    sc.serial_energy =
-        run_pump<sim::Network<Payload>>(w, sc.messages, delay).energy;
+    sc.serial_energy = run_pump_serial(w, sc.messages, delay).energy;
 
     for (std::size_t t = 0; t < trials; ++t) {
-      const Sample s = run_pump<sim::Network<Payload>>(w, sc.messages, delay);
+      const Sample s = run_pump_serial(w, sc.messages, delay);
       sc.serial.ms.add(s.millis);
       sc.serial.checks_ok &=
           s.delivered == sc.messages && s.energy == sc.serial_energy;
       for (std::size_t ri = 0; ri < rank_counts.size(); ++ri) {
         const auto ranks = static_cast<std::size_t>(rank_counts[ri]);
-        const Sample p = run_pump<sim::DistributedNetwork<Payload>>(
-            w, sc.messages, delay, ranks);
-        sc.dist[ri].ms.add(p.millis);
-        // The whole point: same count, bitwise-same energy, at every width.
-        sc.dist[ri].checks_ok &= p.delivered == sc.messages &&
-                                 p.energy == sc.serial_energy &&
-                                 payload_within_wire(p);
-        sc.dist[ri].wire_sent = p.wire_sent;
-        sc.dist[ri].wire_received = p.wire_received;
-        sc.dist[ri].payload_bytes = p.payload_bytes;
-
-        // Same width, actor placement: handlers execute inside the ranks.
-        const Sample a = run_pump_actor(w, sc.messages, delay, ranks);
-        sc.actor[ri].ms.add(a.millis);
-        sc.actor[ri].checks_ok &= a.delivered == sc.messages &&
-                                  a.energy == sc.serial_energy &&
-                                  a.rank_invocations == sc.messages &&
-                                  payload_within_wire(a);
-        sc.actor[ri].wire_sent = a.wire_sent;
-        sc.actor[ri].wire_received = a.wire_received;
-        sc.actor[ri].payload_bytes = a.payload_bytes;
+        const Sample a = run_pump_dist(w, sc.messages, delay, ranks);
+        sc.dist[ri].ms.add(a.millis);
+        // The whole point: same count, bitwise-same energy, at every width,
+        // with every handler executed rank-side.
+        sc.dist[ri].checks_ok &= a.delivered == sc.messages &&
+                                 a.energy == sc.serial_energy &&
+                                 a.rank_invocations == sc.messages &&
+                                 payload_within_wire(a);
+        sc.dist[ri].wire_sent = a.wire_sent;
+        sc.dist[ri].wire_received = a.wire_received;
+        sc.dist[ri].payload_bytes = a.payload_bytes;
       }
     }
     scenarios.push_back(std::move(sc));
@@ -282,10 +260,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> header = {"messages", "serial_ms"};
   for (const auto r : rank_counts) {
     std::string col = "r";
-    col += std::to_string(r);
-    col += "_slowdown";
-    header.push_back(std::move(col));
-    col = "r";
     col += std::to_string(r);
     col += "_actor_slowdown";
     header.push_back(std::move(col));
@@ -301,14 +275,12 @@ int main(int argc, char** argv) {
     std::vector<support::Cell> row = {
         static_cast<long long>(sc.messages), sc.serial.ms.mean()};
     bool ok = sc.serial.checks_ok;
-    for (std::size_t ri = 0; ri < sc.dist.size(); ++ri) {
-      row.emplace_back(sc.dist[ri].ms.mean() / sc.serial.ms.mean());
-      row.emplace_back(sc.actor[ri].ms.mean() / sc.serial.ms.mean());
+    for (const Timing& timing : sc.dist) {
+      row.emplace_back(timing.ms.mean() / sc.serial.ms.mean());
       row.emplace_back(
-          static_cast<double>(sc.dist[ri].wire_sent +
-                              sc.dist[ri].wire_received) /
+          static_cast<double>(timing.wire_sent + timing.wire_received) /
           (1024.0 * 1024.0));
-      ok &= sc.dist[ri].checks_ok && sc.actor[ri].checks_ok;
+      ok &= timing.checks_ok;
     }
     row.emplace_back(std::string(ok ? "yes" : "NO"));
     all_ok &= ok;
@@ -341,21 +313,17 @@ int main(int argc, char** argv) {
       json.end_object();
       json.key("distributed").begin_array();
       for (std::size_t ri = 0; ri < rank_counts.size(); ++ri) {
-        for (const bool actor_row : {false, true}) {
-          const Timing& timing = actor_row ? sc.actor[ri] : sc.dist[ri];
-          json.begin_object();
-          json.key("ranks").value(static_cast<std::uint64_t>(rank_counts[ri]));
-          json.key("handler_placement")
-              .value(std::string(actor_row ? "rank" : "parent"));
-          json.key("mean_ms").value(timing.ms.mean());
-          json.key("stddev_ms").value(timing.ms.stddev());
-          json.key("slowdown_vs_serial")
-              .value(timing.ms.mean() / sc.serial.ms.mean());
-          json.key("wire_bytes_sent").value(timing.wire_sent);
-          json.key("wire_bytes_received").value(timing.wire_received);
-          json.key("payload_bytes").value(timing.payload_bytes);
-          json.end_object();
-        }
+        const Timing& timing = sc.dist[ri];
+        json.begin_object();
+        json.key("ranks").value(static_cast<std::uint64_t>(rank_counts[ri]));
+        json.key("mean_ms").value(timing.ms.mean());
+        json.key("stddev_ms").value(timing.ms.stddev());
+        json.key("slowdown_vs_serial")
+            .value(timing.ms.mean() / sc.serial.ms.mean());
+        json.key("wire_bytes_sent").value(timing.wire_sent);
+        json.key("wire_bytes_received").value(timing.wire_received);
+        json.key("payload_bytes").value(timing.payload_bytes);
+        json.end_object();
       }
       json.end_array();
       json.end_object();
@@ -365,17 +333,16 @@ int main(int argc, char** argv) {
     os << '\n';
   }
   std::printf("\nwrote %s\n", json_path.c_str());
-  std::printf("\nreading guide: rN_slowdown is the distributed engine's wall "
-              "time at N rank processes divided by the serial engine's — the "
-              "price of a real wire; rN_actor_slowdown is the same width with "
-              "the handlers executing INSIDE the ranks (actor placement, "
-              "docs/DISTRIBUTED.md §6); rN_wire_mb is the routing-placement "
-              "frame traffic both directions. Interpret against "
-              "hardware_concurrency=%u. 'identical' confirms both placements "
-              "reproduced the serial delivery count and energy bit-for-bit at "
-              "every rank count, and that the actor runs executed every "
-              "handler rank-side; a NO is a determinism-contract violation "
-              "and the bench exits non-zero.\n",
+  std::printf("\nreading guide: rN_actor_slowdown is the distributed "
+              "engine's wall time at N rank processes, with the node actor's "
+              "handlers executing INSIDE the ranks (docs/DISTRIBUTED.md §2), "
+              "divided by the serial engine's — the price of a real wire; "
+              "rN_wire_mb is the frame traffic both directions. Interpret "
+              "against hardware_concurrency=%u. 'identical' confirms every "
+              "rank count reproduced the serial delivery count and energy "
+              "bit-for-bit and executed every handler rank-side; a NO is a "
+              "determinism-contract violation and the bench exits "
+              "non-zero.\n",
               hw);
   if (!all_ok) {
     std::fprintf(stderr, "error: distributed engine diverged from the serial "

@@ -114,7 +114,6 @@ def check_dist(path: str, doc: dict) -> str:
     if not doc["scenarios"]:
         fail(path, "no scenarios")
     rank_runs = 0
-    placements = set()
     for scenario in doc["scenarios"]:
         require(path, scenario, ("messages", "serial_ms", "distributed"),
                 where="scenario")
@@ -123,17 +122,12 @@ def check_dist(path: str, doc: dict) -> str:
                        "recorded")
         for run in scenario["distributed"]:
             require(path, run,
-                    ("ranks", "handler_placement", "mean_ms",
-                     "slowdown_vs_serial", "wire_bytes_sent",
-                     "wire_bytes_received", "payload_bytes"),
+                    ("ranks", "mean_ms", "slowdown_vs_serial",
+                     "wire_bytes_sent", "wire_bytes_received",
+                     "payload_bytes"),
                     where=f"messages={scenario['messages']} rank record")
             where = (f"messages={scenario['messages']} "
-                     f"ranks={run.get('ranks', '?')} "
-                     f"placement={run.get('handler_placement', '?')}")
-            if run["handler_placement"] not in ("parent", "rank"):
-                fail(path, f"{where}: handler_placement must be 'parent' "
-                           "(routing mode) or 'rank' (actor mode)")
-            placements.add(run["handler_placement"])
+                     f"ranks={run.get('ranks', '?')}")
             if run["ranks"] < 1:
                 fail(path, f"{where}: ranks must be >= 1")
             if run["mean_ms"] <= 0:
@@ -153,12 +147,8 @@ def check_dist(path: str, doc: dict) -> str:
             if run["wire_bytes_received"] <= 0:
                 fail(path, f"{where}: wire_bytes_received must be positive")
             rank_runs += 1
-    if placements != {"parent", "rank"}:
-        fail(path, "tracked record must time BOTH handler placements "
-                   f"(saw {sorted(placements)}) — routing mode and the "
-                   "rank-resident actor runtime")
-    return (f"{len(doc['scenarios'])} scenarios x {rank_runs} rank runs "
-            "across both placements, bitwise identical")
+    return (f"{len(doc['scenarios'])} scenarios x {rank_runs} rank runs, "
+            "bitwise identical")
 
 
 def check_faults(path: str, doc: dict) -> str:

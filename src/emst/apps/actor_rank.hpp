@@ -1,20 +1,19 @@
-// Actor-mode rank worker loop (docs/DISTRIBUTED.md §6).
+// Rank worker loop for the distributed engine (docs/DISTRIBUTED.md).
 //
-// In actor placement a rank process is not a byte router: it owns a replica
-// of the NodeActor state for its node slice and EXECUTES the message
-// handlers and choreographed steps locally. Everything externally visible a
-// handler does is captured by `sim::RankActorEnv` as a fixed-layout effect
-// record and shipped home in the ACTOR_DRAINED / ACTOR_STEPPED ledger; the
-// parent replays that ledger in the serial global order against its own
-// meter, fault clock and staging queues, so the accounting stream stays
-// bitwise-identical to the in-process engines while the computation itself
-// runs out here.
+// `sim::DistributedNetwork::install_actor` forks one of these per rank. A
+// rank process owns a replica of the NodeActor state for its node slice and
+// EXECUTES the message handlers and choreographed steps locally.
+// Everything externally visible a handler does is captured by
+// `sim::RankActorEnv` as a fixed-layout effect record and shipped home in
+// the ACTOR_DRAINED / ACTOR_STEPPED ledger; the parent replays that ledger
+// in the serial global order against its own meter, fault clock and
+// staging queues, so the accounting stream stays bitwise-identical to the
+// in-process engines while the computation itself runs out here.
 //
-// The loop shares the routing rank's transport skeleton (rank_detail.hpp):
-// serve-framed chunks, fingerprint-verify-before-parse, the D+1-bucket
-// calendar ring with the per-link FIFO clamp, and by-receiver ordering of
-// the due bucket. On top of that it keeps two pieces of protocol state the
-// routing rank never needed:
+// The transport skeleton: serve-framed chunks, fingerprint-verify-before-
+// parse, the D+1-bucket calendar ring with the per-link FIFO clamp, and
+// by-receiver ordering of the due bucket. On top of that the rank keeps two
+// pieces of protocol state:
 //
 //  - a local deferred FIFO holding the raw payload bytes of deliveries the
 //    handler deferred — the parent's deferred-queue model reproduces its
@@ -26,8 +25,10 @@
 //    authoritative clock and asserts agreement.
 #pragma once
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <csignal>
@@ -36,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "emst/apps/rank_detail.hpp"
 #include "emst/proto/dist_wire.hpp"
 #include "emst/serve/framing.hpp"
 #include "emst/sim/actor.hpp"
@@ -64,8 +64,142 @@ struct ActorRankCtx {
 
 namespace detail {
 
-/// Reconstruct the in-memory delivery from its wire image — the same codec
-/// and size assertion the parent's routing-mode merge applies.
+static_assert(proto::kDistMaxFramePayloadBytes == serve::kMaxFramePayloadBytes,
+              "dist chunk budget must match the serve frame cap");
+
+// Child exit codes beyond 0 (clean EOF). The parent reports these verbatim
+// in its teardown diagnostic, so keep them distinct per failure mode.
+inline constexpr int kExitDesync = 3;    // fingerprint mismatch (after reporting)
+inline constexpr int kExitCorrupt = 4;   // FrameBuffer latched corrupt
+inline constexpr int kExitBadFrame = 5;  // wrong version / opcode / truncated body
+
+/// One ingested message waiting in the rank's calendar ring. Distance rides
+/// as its raw bit image — the rank hands it to the handler unchanged and
+/// never does float arithmetic on it, so nothing here can perturb the
+/// parent's accounting.
+struct Item {
+  std::uint32_t from;
+  std::uint32_t to;
+  std::uint64_t distance_bits;
+  std::uint32_t bits;
+  std::vector<std::uint8_t> payload;
+};
+
+/// Write all of `data` to the socket `fd`; false on any error but EINTR.
+/// Shared by both ends of a rank channel. MSG_NOSIGNAL: a dead peer must
+/// surface as a reported error (EPIPE), never as a SIGPIPE kill.
+inline bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
+  while (len > 0) {
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += static_cast<std::size_t>(n);
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+inline void frame_and_send(int fd, const std::vector<std::uint8_t>& body) {
+  std::vector<std::uint8_t> out;
+  out.reserve(serve::kFrameHeaderBytes + body.size());
+  out.push_back(static_cast<std::uint8_t>(proto::kDistProtocolVersion >> 8));
+  out.push_back(static_cast<std::uint8_t>(proto::kDistProtocolVersion));
+  const auto len = static_cast<std::uint32_t>(body.size());
+  out.push_back(static_cast<std::uint8_t>(len >> 24));
+  out.push_back(static_cast<std::uint8_t>(len >> 16));
+  out.push_back(static_cast<std::uint8_t>(len >> 8));
+  out.push_back(static_cast<std::uint8_t>(len));
+  out.insert(out.end(), body.begin(), body.end());
+  (void)write_all(fd, out.data(), out.size());
+}
+
+/// Same three-strategy by-receiver ordering as the in-process engines
+/// (Network / ShardedNetwork drain_by_receiver): append order within the
+/// bucket is global sequence order, so a stable by-receiver order yields
+/// the (receiver, sequence) contract for this rank's slice.
+inline constexpr std::size_t kSmallBucket = 48;
+
+inline void order_by_receiver(const std::vector<Item>& bucket,
+                              std::vector<std::uint32_t>& order,
+                              std::vector<std::uint32_t>& recv_slot,
+                              std::vector<std::uint32_t>& touched) {
+  const std::size_t b = bucket.size();
+  order.resize(b);
+  bool in_order = true;
+  for (std::size_t i = 1; i < b; ++i) {
+    if (bucket[i - 1].to > bucket[i].to) {
+      in_order = false;
+      break;
+    }
+  }
+  if (in_order) {
+    for (std::size_t i = 0; i < b; ++i)
+      order[i] = static_cast<std::uint32_t>(i);
+    return;
+  }
+  if (b <= kSmallBucket) {
+    for (std::size_t i = 0; i < b; ++i)
+      order[i] = static_cast<std::uint32_t>(i);
+    std::stable_sort(order.begin(), order.end(),
+                     [&bucket](std::uint32_t a, std::uint32_t c) {
+                       return bucket[a].to < bucket[c].to;
+                     });
+    return;
+  }
+  // Counting scatter over the receivers this bucket touches (the slot table
+  // is sized by the max receiver seen, not by the node count).
+  std::uint32_t max_to = 0;
+  for (const Item& item : bucket) max_to = std::max(max_to, item.to);
+  if (recv_slot.size() <= max_to) recv_slot.resize(max_to + 1, 0);
+  touched.clear();
+  for (const Item& item : bucket) {
+    if (recv_slot[item.to]++ == 0) touched.push_back(item.to);
+  }
+  std::sort(touched.begin(), touched.end());
+  std::uint32_t offset = 0;
+  for (const std::uint32_t r : touched) {
+    const std::uint32_t count = recv_slot[r];
+    recv_slot[r] = offset;
+    offset += count;
+  }
+  for (std::size_t i = 0; i < b; ++i)
+    order[recv_slot[bucket[i].to]++] = static_cast<std::uint32_t>(i);
+  for (const std::uint32_t r : touched) recv_slot[r] = 0;
+}
+
+/// Start a chunk body for any round-scoped opcode; flags and count (bytes
+/// 1 and 10..13) are patched at finish.
+inline void begin_chunk(std::vector<std::uint8_t>& body, std::uint8_t opcode,
+                        std::uint64_t round) {
+  body.clear();
+  body.push_back(opcode);
+  body.push_back(0);  // flags, patched at finish
+  proto::dist_put_u64(body, round);
+  proto::dist_put_u32(body, 0);  // count, patched at finish
+}
+
+inline void patch_chunk(std::vector<std::uint8_t>& body, std::uint8_t flags,
+                        std::uint32_t count) {
+  body[1] = flags;
+  body[10] = static_cast<std::uint8_t>(count >> 24);
+  body[11] = static_cast<std::uint8_t>(count >> 16);
+  body[12] = static_cast<std::uint8_t>(count >> 8);
+  body[13] = static_cast<std::uint8_t>(count);
+}
+
+/// Mix the finished chunk into the collective chain, append the trailer and
+/// put it on the wire — the send half every rank reply shares.
+inline void seal_and_send(int fd, std::vector<std::uint8_t>& body,
+                          std::uint64_t& chain) {
+  chain = proto::dist_mix(chain, proto::dist_hash(body.data(), body.size()));
+  proto::dist_put_u64(body, chain);
+  frame_and_send(fd, body);
+}
+
+/// Reconstruct the in-memory delivery from its wire image, asserting the
+/// decode consumed exactly the accounted size.
 template <typename Msg>
 [[nodiscard]] inline sim::Delivery<Msg> decode_item(
     const Item& item, const sim::WireFormat<Msg>& wf) {
@@ -82,8 +216,8 @@ template <typename Msg>
 }  // namespace detail
 
 /// The child entry point installed by `DistributedNetwork::install_actor`.
-/// Returns the exit status (0 = clean EOF shutdown; rank_detail.hpp codes
-/// otherwise). `actor` is this rank's replica; `mirror` the crash-schedule
+/// Returns the exit status (0 = clean EOF shutdown; the detail::kExit*
+/// codes otherwise). `actor` is this rank's replica; `mirror` the crash-schedule
 /// mirror described above.
 template <typename Msg, typename Actor>
 int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
@@ -91,8 +225,8 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
   serve::FrameBuffer in;
   std::uint64_t chain = proto::kDistFingerprintSeed;
 
-  // Calendar ring + FIFO clamp: identical to the routing rank. Actor mode is
-  // crash-only by contract (asserted at install), so there are no loss draws.
+  // Calendar ring + FIFO clamp. The engine is crash-only by contract
+  // (asserted at construction), so there are no loss draws.
   std::vector<std::vector<detail::Item>> buckets(ctx.max_extra_delay + 1);
   std::size_t head = 0;
   support::FlatMap64 last_due;
@@ -132,7 +266,11 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
     const bool last_chunk = (p[1] & proto::kDistFlagLast) != 0;
     const std::uint64_t round = proto::dist_get_u64(p.data() + 2);
 
-    // -- Collective fingerprint: verify BEFORE parsing (rank_runner.cpp) -----
+    // -- Collective fingerprint: verify BEFORE parsing ------------------------
+    // The chain mixes the body of every frame in both directions; the
+    // parent's trailer is ITS chain after sending this chunk. A mismatch
+    // means a corrupted frame or a skipped/extra collective — report it
+    // (rank, round, expected vs actual) and exit; never parse, never hang.
     const std::size_t body_len = p.size() - proto::kDistFingerprintBytes;
     chain = proto::dist_mix(chain, proto::dist_hash(p.data(), body_len));
     const std::uint64_t expected = proto::dist_get_u64(p.data() + body_len);
@@ -158,12 +296,12 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
         for (std::uint32_t i = 0; i < count; ++i) {
           if (off + proto::kDistRoundRecordBytes > body_len)
             return detail::kExitBadFrame;
-          std::uint64_t due = proto::dist_get_u64(&p[off + 8]);
-          const std::uint32_t from = proto::dist_get_u32(&p[off + 16]);
-          const std::uint32_t to = proto::dist_get_u32(&p[off + 20]);
-          const std::uint64_t distance_bits = proto::dist_get_u64(&p[off + 24]);
-          const std::uint32_t bits = proto::dist_get_u32(&p[off + 32]);
-          const std::uint32_t plen = proto::dist_get_u32(&p[off + 36]);
+          std::uint64_t due = proto::dist_get_u64(&p[off]);
+          const std::uint32_t from = proto::dist_get_u32(&p[off + 8]);
+          const std::uint32_t to = proto::dist_get_u32(&p[off + 12]);
+          const std::uint64_t distance_bits = proto::dist_get_u64(&p[off + 16]);
+          const std::uint32_t bits = proto::dist_get_u32(&p[off + 24]);
+          const std::uint32_t plen = proto::dist_get_u32(&p[off + 28]);
           off += proto::kDistRoundRecordBytes;
           if (off + plen > body_len) return detail::kExitBadFrame;
           if (ctx.max_extra_delay > 0) {
@@ -179,7 +317,7 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
           std::size_t idx = head + static_cast<std::size_t>(due - round);
           if (idx >= buckets.size()) idx -= buckets.size();
           buckets[idx].push_back(
-              {from, to, distance_bits, bits, false,
+              {from, to, distance_bits, bits,
                std::vector<std::uint8_t>(
                    p.begin() + static_cast<std::ptrdiff_t>(off),
                    p.begin() + static_cast<std::ptrdiff_t>(off + plen))});

@@ -163,7 +163,7 @@ class ClassicGhsRun {
     return harvest();
   }
 
-  /// Rank-resident execution (docs/DISTRIBUTED.md §6): the actor is
+  /// Rank-resident execution (docs/DISTRIBUTED.md §2): the actor is
   /// installed inside the rank processes, the choreography below mirrors
   /// run_serial step for step, and every handler runs in the rank that owns
   /// its receiver — the parent replays the effect ledgers. The fail-stop

@@ -1,13 +1,12 @@
-// Classic GHS as a node actor (docs/DISTRIBUTED.md §6).
+// Classic GHS as a node actor (docs/DISTRIBUTED.md §2).
 //
 // The 1983 protocol's per-node handler logic — the seven message procedures,
 // spontaneous wakeup and the fail-stop reset — extracted out of the driver
 // into a NodeActor so the same handler code runs in two placements:
 //
 //  - serially, inside the driver process, against an env that tallies and
-//    stages each send immediately (all in-process engines, and the
-//    distributed engine's routing mode), byte-identical to the pre-actor
-//    inline driver;
+//    stages each send immediately (every in-process engine), byte-identical
+//    to the pre-actor inline driver;
 //  - rank-resident, inside the forked rank that owns the receiving node,
 //    against a `sim::RankActorEnv` that records each send as an effect
 //    ledger record for the parent to replay.

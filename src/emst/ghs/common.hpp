@@ -102,7 +102,7 @@ struct MstRunResult {
   /// order — replaying them as a static `FaultModel::crashes` schedule
   /// reproduces the adversarial run.
   std::vector<sim::CrashWindow> injected_crashes;
-  /// Execution-placement witnesses (docs/DISTRIBUTED.md §6): handler
+  /// Execution-placement witnesses (docs/DISTRIBUTED.md §2): handler
   /// invocations performed by THIS process's actor vs the sum shipped home
   /// by the rank processes. Serial runs have invocations here and zero in
   /// the ranks; rank-resident runs the exact inverse — asserted in the

@@ -137,7 +137,7 @@ CoNntResult run_connt_actor_impl(const Topo& topo,
   const std::size_t max_epochs = faulty ? n + 2 : 1;
 
   if constexpr (sim::DistributedEngine<Engine>) {
-    // Rank-resident execution (docs/DISTRIBUTED.md §6): handlers and step
+    // Rank-resident execution (docs/DISTRIBUTED.md §2): handlers and step
     // sweeps run inside the ranks; the choreography below mirrors the
     // serial branch phase for phase, with each sweep shipped as an
     // ACTOR_STEP collective and each delivery round as an effect-ledger

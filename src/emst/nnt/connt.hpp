@@ -56,7 +56,7 @@ struct CoNntResult {
   std::size_t epochs = 1;
   /// Chaos-controller injections, in injection order (replayable).
   std::vector<sim::CrashWindow> injected_crashes;
-  /// Execution-placement witnesses (docs/DISTRIBUTED.md §6): handler/step
+  /// Execution-placement witnesses (docs/DISTRIBUTED.md §2): handler/step
   /// invocations performed by this process's actor vs the sum shipped home
   /// by the rank processes. Zero/zero on the choreographed fast path (it
   /// has no actor).

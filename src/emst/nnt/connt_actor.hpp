@@ -1,4 +1,4 @@
-// Co-NNT as a node actor (docs/DISTRIBUTED.md §6).
+// Co-NNT as a node actor (docs/DISTRIBUTED.md §2).
 //
 // The per-node half of the coordinate-based O(1)-energy spanning tree
 // (paper §VI): the REQUEST/REPLY message handlers plus the choreographed

@@ -16,7 +16,7 @@
 //    `WireContext`, exactly the encoding `encoded_bits()` measures.
 //
 // This header also pins the rank-channel frame protocol shared by the
-// parent engine and the rank-runner child processes: the 6-byte
+// parent engine and its rank processes (apps/actor_rank.hpp): the 6-byte
 // [u16 version | u32 length] header layout is serve's (serve/framing.hpp —
 // the parent and children reassemble streams with `serve::FrameBuffer`),
 // with a distinct version word so a dist frame can never be mistaken for a
@@ -41,17 +41,11 @@ namespace emst::proto {
 /// 6-byte layout). Distinct from kServeProtocolVersion by construction.
 inline constexpr std::uint16_t kDistProtocolVersion = 0x4401;
 
-/// Frame opcodes (first payload byte).
-inline constexpr std::uint8_t kDistOpRound = 1;    ///< parent → rank
-inline constexpr std::uint8_t kDistOpDrained = 2;  ///< rank → parent
-inline constexpr std::uint8_t kDistOpDesync = 3;   ///< rank → parent: abort
-
-/// Actor-mode opcodes (docs/DISTRIBUTED.md §6). In routing mode the ranks
-/// are byte routers and every handler runs in the parent; in actor mode the
-/// handlers themselves run inside the rank that owns the receiving node,
-/// and the rank ships back an *effect ledger* the parent replays. The
-/// opcodes are disjoint from the routing set so a placement mix-up is a
-/// collective desync, not a silent misparse.
+/// Frame opcodes (first payload byte; docs/DISTRIBUTED.md §3). The message
+/// handlers run inside the rank that owns the receiving node, and the rank
+/// ships back an *effect ledger* the parent replays. Any other opcode is a
+/// protocol error.
+inline constexpr std::uint8_t kDistOpDesync = 3;          ///< rank → parent: abort
 inline constexpr std::uint8_t kDistOpActorRound = 6;      ///< parent → rank
 inline constexpr std::uint8_t kDistOpActorDrained = 7;    ///< rank → parent
 inline constexpr std::uint8_t kDistOpActorStep = 8;       ///< parent → rank
@@ -59,20 +53,19 @@ inline constexpr std::uint8_t kDistOpActorStepped = 9;    ///< rank → parent
 inline constexpr std::uint8_t kDistOpActorHarvest = 10;   ///< parent → rank
 inline constexpr std::uint8_t kDistOpActorHarvested = 11; ///< rank → parent
 
-/// Frame flags (second payload byte). A logical ROUND/DRAINED exchange may
-/// span several physical frames (chunks) when a round's mailbox outgrows
-/// the serve frame cap; the final chunk carries kDistFlagLast. Every chunk
-/// is individually fingerprinted, so chunking never weakens the collective
-/// check.
+/// Frame flags (second payload byte). A logical exchange (ACTOR_ROUND,
+/// ACTOR_DRAINED, ...) may span several physical frames (chunks) when it
+/// outgrows the serve frame cap; the final chunk carries kDistFlagLast.
+/// Every chunk is individually fingerprinted, so chunking never weakens the
+/// collective check.
 inline constexpr std::uint8_t kDistFlagLast = 1;
 
-/// Fixed per-message record sizes (bytes, excluding the payload itself).
-/// Round records: seq u64 | due u64 | from u32 | to u32 | distance u64
-/// (bit image) | bits u32 | plen u32. Drained records: from u32 | to u32 |
-/// distance u64 | bits u32 | lost u8 | plen u32.
-inline constexpr std::size_t kDistRoundRecordBytes = 40;
-inline constexpr std::size_t kDistDrainedRecordBytes = 25;
-/// ROUND/DRAINED frame scaffolding: opcode u8 | flags u8 | round u64 |
+/// Fixed ACTOR_ROUND record size (bytes, excluding the payload itself):
+/// due u64 | from u32 | to u32 | distance u64 (bit image) | bits u32 |
+/// plen u32. Records travel in global send order, so the rank's append
+/// order is already the sequence order its by-receiver drain needs.
+inline constexpr std::size_t kDistRoundRecordBytes = 32;
+/// Frame scaffolding (every opcode): opcode u8 | flags u8 | round u64 |
 /// count u32 up front, and the 8-byte fingerprint trailer at the end.
 inline constexpr std::size_t kDistFrameFixedBytes = 14;
 inline constexpr std::size_t kDistFingerprintBytes = 8;
@@ -86,14 +79,14 @@ inline constexpr std::size_t kDistMaxChunkBodyBytes =
 
 // -- Actor effect ledger -----------------------------------------------------
 //
-// When handlers run rank-resident, a handler invocation cannot touch the
-// parent's meter or staging queues directly. Instead the rank records every
-// externally visible thing the handler did as a fixed-layout *effect
-// record*, and the parent replays those records — in the exact order the
-// serial engine would have produced them — against its own meter, fault
-// clock and staging queues. Determinism therefore never depends on the
+// A handler running inside a rank cannot touch the parent's meter or
+// staging queues directly. Instead the rank records every externally
+// visible thing the handler did as a fixed-layout *effect record*, and the
+// parent replays those records — in the exact order the serial engine
+// would have produced them — against its own meter, fault clock and
+// staging queues. Determinism therefore never depends on the
 // rank's own clocks: the parent remains the single owner of energy
-// accounting, loss/crash fates and telemetry.
+// accounting, crash fates and telemetry.
 //
 // Effect records (inside a ledger entry):
 //   unicast   tag u8=0 | kind u8 | dtag u8 | fragment u32 | to u32 |
@@ -120,8 +113,8 @@ inline constexpr std::size_t kDistEffectNoteBytes = 13;
 //             image) | bits u32 | status u8 | neffects u16 | effects
 // Retry entries come first, in the rank-local FIFO order (which the parent
 // reproduces from its own deferred-queue model); delivery entries follow in
-// ascending-receiver order, exactly the per-rank order the routing-mode
-// DRAINED records use, so the parent's min-receiver merge is unchanged.
+// ascending-receiver order, so the parent's min-receiver merge reconstructs
+// the global (receiver, sequence) order.
 inline constexpr std::uint8_t kDistEntryRetry = 0;
 inline constexpr std::uint8_t kDistEntryDelivery = 1;
 inline constexpr std::size_t kDistEntryRetryFixedBytes = 8;
@@ -220,11 +213,12 @@ inline void dist_put_u16(std::vector<std::uint8_t>& out,
 // -- Message payload codec ---------------------------------------------------
 
 /// How a message type crosses the rank boundary. The engine encodes at
-/// route time (parent side — the sender), the payload bytes ride the
-/// frames out to the owning rank's calendar ring and back, and the engine
-/// decodes at the merge (parent side — delivery). The original in-memory
-/// object is dropped at encode time, so a codec bug is a failed
-/// differential test, not a silent fallback.
+/// route time (parent side — the sender; a handler's sends are encoded
+/// rank-side by `sim::RankActorEnv`), the payload bytes ride the frames out
+/// to the owning rank's calendar ring, and that rank decodes right before
+/// the handler runs. The original in-memory object is dropped at encode
+/// time, so a codec bug is a failed differential test, not a silent
+/// fallback.
 ///
 /// The primary template is the byte-image codec for trivially-copyable
 /// payloads; `sim::WireFormat` reports them unmeasured, so their wire cost

@@ -52,25 +52,6 @@ const char* resolved_driver_name(Driver driver,
   }
 }
 
-const char* handler_placement_name(Driver driver,
-                                   const sim::RunConfig& cfg) noexcept {
-  if (cfg.ranks == 0) return "parent";
-  switch (driver) {
-    case Driver::kClassicGhs:
-    case Driver::kClassicGhsCached:
-    case Driver::kCoNnt:
-    case Driver::kCoNntAxis:
-      return "rank";
-    case Driver::kSyncGhs:
-    case Driver::kSyncGhsProbe:
-    case Driver::kEopt:
-      // Choreographed meter-direct drivers: no per-node handlers exist to
-      // place, and `ranks` is a pinned no-op (distributed_determinism_test).
-      return "parent";
-  }
-  return "parent";
-}
-
 bool driver_supports_loss(Driver driver) noexcept {
   switch (driver) {
     case Driver::kSyncGhs:

@@ -70,16 +70,6 @@ enum class Driver {
 [[nodiscard]] const char* resolved_driver_name(Driver driver,
                                                const sim::RunConfig& cfg) noexcept;
 
-/// Where `cfg` places message-handler execution (docs/DISTRIBUTED.md §6):
-/// "rank" when a NodeActor runs its handlers inside forked rank processes
-/// (classic GHS and the Co-NNT actor variant with ranks > 0), "parent" for
-/// every in-process engine — including the phase-synchronous sync/EOPT
-/// drivers, which are choreographed meter-direct sweeps with no per-node
-/// handlers; for them `ranks` is a documented no-op and placement is always
-/// the parent.
-[[nodiscard]] const char* handler_placement_name(
-    Driver driver, const sim::RunConfig& cfg) noexcept;
-
 /// Whether the driver speaks message loss + ARQ (docs/ROBUSTNESS.md):
 /// classic GHS and Co-NNT survive crash-only fault models by epoch restart
 /// but have no loss recovery.

@@ -1,7 +1,7 @@
 // Node-actor runtime: the shared vocabulary between drivers that express
 // their per-node handlers as an actor, the serial engines that dispatch
 // those handlers in-process, and the distributed engine that executes them
-// *inside the rank processes* (docs/DISTRIBUTED.md §6).
+// *inside the rank processes* (docs/DISTRIBUTED.md §2).
 //
 // A NodeActor packages everything a protocol does at a single node:
 //
@@ -78,9 +78,9 @@ concept NodeActorState = requires(A a, const A ca, NodeId u, std::uint64_t round
 
 /// The env the actor rank loop hands to handlers: every verb appends one
 /// effect record to the current ledger entry. Payloads are encoded here —
-/// in the rank, through the same DistMsgAdapter codec the routing engine
-/// uses — so the parent replays opaque bytes and the bits/bytes identity
-/// keeps holding end to end.
+/// in the rank, through the same DistMsgAdapter codec the parent uses for
+/// its own sends — so the parent replays opaque bytes and the bits/bytes
+/// identity keeps holding end to end.
 template <typename Msg>
 class RankActorEnv {
  public:

@@ -6,32 +6,17 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 namespace emst::sim::dist {
 namespace {
 
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    // MSG_NOSIGNAL: a dead rank must surface as a reported error (EPIPE),
-    // never as a SIGPIPE kill of the parent.
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 const char* opcode_name(std::uint8_t op) {
   switch (op) {
-    case proto::kDistOpRound: return "round";
-    case proto::kDistOpDrained: return "drained";
     case proto::kDistOpDesync: return "desync";
     case proto::kDistOpActorRound: return "actor-round";
     case proto::kDistOpActorDrained: return "actor-drained";
@@ -40,6 +25,22 @@ const char* opcode_name(std::uint8_t op) {
     case proto::kDistOpActorHarvest: return "actor-harvest";
     case proto::kDistOpActorHarvested: return "actor-harvested";
     default: return "?";
+  }
+}
+
+/// Reap `pid` into `status`; returns false if it is still running. A rank
+/// whose channel just died, or that just sent DESYNC, closes its end before
+/// it becomes reapable, so when `exiting` the probe repeats for a bounded
+/// time instead of misreporting a dying rank as running.
+bool reap(pid_t pid, int* status, bool exiting) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    const pid_t r = ::waitpid(pid, status, WNOHANG);
+    if (r == pid) return true;
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 || !exiting || Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 
@@ -88,28 +89,16 @@ void ProcessGroup::spawn(std::size_t count, const ChildEntry& entry) {
   }
 }
 
-ProcessGroup::~ProcessGroup() { shutdown(); }
-
-void ProcessGroup::shutdown() noexcept {
+ProcessGroup::~ProcessGroup() {
   // Closing the channel is the shutdown signal: the rank's read loop sees
   // EOF and _exit(0)s. waitpid then reaps it — no zombies survive the
   // engine, and a rank that died early is reaped here too.
-  for (Endpoint& ep : eps_) {
-    if (ep.fd >= 0) {
-      ::close(ep.fd);
-      ep.fd = -1;
-    }
+  for (const Endpoint& ep : eps_) {
+    if (ep.fd >= 0) ::close(ep.fd);
   }
-  for (Endpoint& ep : eps_) {
-    if (ep.pid > 0) {
-      int status = 0;
-      (void)::waitpid(ep.pid, &status, 0);
-      ep.pid = -1;
-    }
+  for (const Endpoint& ep : eps_) {
+    if (ep.pid > 0) (void)::waitpid(ep.pid, nullptr, 0);
   }
-  // Leave the group respawnable: installing a node actor tears the routing
-  // workers down and forks actor workers through the same spawn path.
-  eps_.clear();
 }
 
 void ProcessGroup::send_frame(std::size_t rank,
@@ -126,8 +115,8 @@ void ProcessGroup::send_frame(std::size_t rank,
   out.push_back(static_cast<std::uint8_t>(len >> 8));
   out.push_back(static_cast<std::uint8_t>(len));
   out.insert(out.end(), body.begin(), body.end());
-  if (!write_all(eps_[rank].fd, out.data(), out.size()))
-    fatal(rank, "write to rank failed");
+  if (!apps::detail::write_all(eps_[rank].fd, out.data(), out.size()))
+    fatal(rank, "write to rank failed", /*exiting=*/true);
   bytes_sent_ += out.size();
 }
 
@@ -141,9 +130,9 @@ serve::Frame ProcessGroup::read_frame(std::size_t rank) {
     const ssize_t n = ::read(ep.fd, buf, sizeof buf);
     if (n < 0) {
       if (errno == EINTR) continue;
-      fatal(rank, "read from rank failed");
+      fatal(rank, "read from rank failed", /*exiting=*/true);
     }
-    if (n == 0) fatal(rank, "rank channel closed mid-round");
+    if (n == 0) fatal(rank, "rank channel closed mid-round", /*exiting=*/true);
     ep.in.feed(buf, static_cast<std::size_t>(n));
     bytes_received_ += static_cast<std::uint64_t>(n);
   }
@@ -158,7 +147,8 @@ void ProcessGroup::log_collective(std::size_t rank, std::uint8_t opcode,
   ++ep.log_next;
 }
 
-void ProcessGroup::fatal(std::size_t rank, const std::string& what) {
+void ProcessGroup::fatal(std::size_t rank, const std::string& what,
+                         bool exiting) {
   std::fprintf(stderr,
                "emst distributed engine: rank %zu failed at round %llu: %s\n",
                rank, static_cast<unsigned long long>(round_), what.c_str());
@@ -166,8 +156,7 @@ void ProcessGroup::fatal(std::size_t rank, const std::string& what) {
   // or signal here instead of leaving a silent hang.
   if (rank < eps_.size() && eps_[rank].pid > 0) {
     int status = 0;
-    const pid_t r = ::waitpid(eps_[rank].pid, &status, WNOHANG);
-    if (r == eps_[rank].pid) {
+    if (reap(eps_[rank].pid, &status, exiting)) {
       eps_[rank].pid = -1;
       if (WIFEXITED(status)) {
         std::fprintf(stderr, "emst distributed engine: rank %zu exited with status %d\n",

@@ -1,34 +1,37 @@
 // Process-level distributed simulation engine (docs/DISTRIBUTED.md).
 //
-// `DistributedNetwork<Msg>` is a drop-in replacement for `Network<Msg>`
-// whose message plane runs in separate worker PROCESSES — one rank per
-// grid-partition shard, each forked at construction and connected by a
-// socketpair carrying serve-framed binary messages. It produces
-// BITWISE-identical results to the serial engine — same delivery sequences,
-// same meter totals (float addition order preserved), same telemetry event
-// stream, same fault fates — at every rank count, by the same argument the
-// sharded engine makes (sharded_network.hpp), with the shard moved across a
-// real wire:
+// `DistributedNetwork<Msg>` keeps `Network<Msg>`'s send side (unicast,
+// broadcast, pending, meter, faults, telemetry) but executes the message
+// handlers of a node actor (sim/actor.hpp) inside separate worker
+// PROCESSES — one rank per grid-partition shard, forked by `install_actor`
+// and connected by a socketpair carrying serve-framed binary messages. It
+// produces BITWISE-identical results to the serial engine running the same
+// actor — same delivery sequences, same meter totals (float addition order
+// preserved), same telemetry event stream, same fault fates — at every rank
+// count, by the same argument the sharded engine makes
+// (sharded_network.hpp), with the shard moved across a real wire:
 //
 //  1. Partition. The ShardedNetwork grid: tiles round-robin onto R ranks,
-//     a message lives with its RECEIVER's rank, so per-link state (FIFO
-//     clamp, Gilbert–Elliott chains) is rank-private.
+//     a message lives with its RECEIVER's rank, so per-link state (the FIFO
+//     clamp) and the receiver's actor state are rank-private.
 //  2. Per-rank calendar queues. Each rank process owns a D+1-bucket ring
-//     (apps/rank_runner.cpp). Records arrive in global send-sequence order,
-//     the rank drains its due bucket in stable by-receiver order, and the
-//     parent's receiver-keyed R-way merge reconstructs the global
-//     (receiver, sequence) delivery order tie-free.
+//     (apps/actor_rank.hpp). Records arrive in global send-sequence order,
+//     the rank runs its due bucket through the actor's handlers in stable
+//     by-receiver order, and ships back an effect ledger; the parent's
+//     receiver-keyed R-way merge reconstructs the global (receiver,
+//     sequence) order tie-free.
 //  3. Order-sensitive state stays in the parent. Charges, suppressions,
 //     telemetry, drop events, crash classification, the fault clock, the
 //     chaos controller, and the oracle all run in the parent's serial
-//     sections; sends are staged and replayed through the ONE meter in
-//     issue order. Ranks do only order-insensitive work: ingest, clamp,
-//     counter-based fate draws, by-receiver ordering.
+//     sections; sends — the caller's and the replayed handler effects — are
+//     staged and replayed through the ONE meter in send order. Ranks do
+//     only receiver-local work: ingest, clamp, by-receiver ordering, and the
+//     handlers themselves.
 //  4. The wire is real. Payloads cross the boundary as proto-codec bytes
-//     (`proto::DistMsgAdapter`): encoded at route time, decoded at the
-//     merge — the in-memory object does NOT travel, so for measured
-//     formats the bytes on the wire are the accounted bits rounded up to
-//     bytes (asserted per message, both directions).
+//     (`proto::DistMsgAdapter`): encoded at route time (or rank-side, for
+//     handler effects), decoded by the receiving rank — the in-memory object
+//     does NOT travel, so for measured formats the bytes on the wire are the
+//     accounted bits rounded up to bytes (asserted per message).
 //
 // Every parent↔rank exchange is a collective with a PARCOACH-style
 // fingerprint: both sides chain an FNV-1a hash over every frame body in
@@ -53,7 +56,6 @@
 #include <vector>
 
 #include "emst/apps/actor_rank.hpp"
-#include "emst/apps/rank_runner.hpp"
 #include "emst/proto/dist_wire.hpp"
 #include "emst/sim/actor.hpp"
 #include "emst/serve/framing.hpp"
@@ -79,9 +81,8 @@ struct CollectiveLogEntry {
 
 /// The non-templated process plumbing behind `DistributedNetwork`: rank
 /// lifecycle (socketpair + fork + reap), framed channel IO, and the fatal
-/// diagnostic path. Lives in distributed_network.cpp so the sim library
-/// never references the rank-runner symbol — the engine template injects
-/// the child entry point from its instantiation site.
+/// diagnostic path. The engine template injects the child entry point
+/// (`apps::actor_rank_main` for its actor type) at `install_actor`.
 class ProcessGroup {
  public:
   using ChildEntry = std::function<int(int fd, std::size_t rank)>;
@@ -94,8 +95,6 @@ class ProcessGroup {
   /// Fork `count` rank processes. Each child keeps only its own channel
   /// end, runs `entry(fd, rank)`, and `_exit`s with its return value.
   void spawn(std::size_t count, const ChildEntry& entry);
-  /// Close every channel (ranks see EOF and exit) and reap every child.
-  void shutdown() noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return eps_.size(); }
   [[nodiscard]] int pid(std::size_t rank) const { return eps_[rank].pid; }
@@ -108,7 +107,12 @@ class ProcessGroup {
   void log_collective(std::size_t rank, std::uint8_t opcode,
                       std::uint64_t round, std::uint32_t count,
                       std::uint64_t hash);
-  [[noreturn]] void fatal(std::size_t rank, const std::string& what);
+  /// Report a failure on `rank` and abort. `exiting` marks failures after
+  /// which the rank is on its way out — its channel hit EOF or a reset, or
+  /// it replied DESYNC — so its exit status is waited for (bounded) rather
+  /// than probed once.
+  [[noreturn]] void fatal(std::size_t rank, const std::string& what,
+                          bool exiting = false);
 
   /// Transport totals, frame headers included (the bench's bytes-on-wire).
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
@@ -139,9 +143,10 @@ class ProcessGroup {
 }  // namespace dist
 
 /// Topo is either sim::Topology or sim::ImplicitTopology (topology.hpp).
-/// Ranks never see the topology at all — senders compute every target and
-/// distance, so each rank process is O(in-flight + links seen) regardless
-/// of backend (the n=10^7 implicit-topology path adds no per-rank memory).
+/// The parent computes every target and distance; ranks read the topology
+/// only through the actor replica their handlers consult, inherited as
+/// copy-on-write pages at fork, so the backend choice costs the ranks no
+/// extra memory.
 template <typename Msg, typename Topo = Topology>
 class DistributedNetwork {
  public:
@@ -149,6 +154,9 @@ class DistributedNetwork {
   /// processes, not shard threads.
   static constexpr bool kDistributedEngine = true;
 
+  /// Crash-only fault models only: a rank runs a handler on a delivery
+  /// whose fate it must decide locally, and its fault mirror carries just
+  /// the crash schedule. No rank process exists until `install_actor`.
   DistributedNetwork(const Topo& topo, geometry::PathLoss model = {},
                      bool unbounded_broadcast = false, DelayModel delays = {},
                      FaultModel faults = {}, Telemetry* telemetry = nullptr,
@@ -161,37 +169,20 @@ class DistributedNetwork {
         faults_(faults),
         rank_count_(ranks == 0 ? 1 : ranks),
         mailboxes_(rank_count_),
-        drained_(rank_count_),
-        chains_(rank_count_, proto::kDistFingerprintSeed) {
+        chains_(rank_count_, proto::kDistFingerprintSeed),
+        ledgers_(rank_count_) {
+    EMST_ASSERT_MSG(faults.loss == 0.0 && !faults.use_gilbert,
+                    "the distributed engine supports crash-only fault models");
     meter_.attach_telemetry(telemetry);
     build_partition();
     if (faults_.enabled())
       faults_.set_chaos_env(topo_.node_count(), topo_.points());
-    // Fork the rank processes. Each gets the loss-channel slice of the
-    // fault model (counter-based fates evaluate rank-side); crash windows
-    // and the chaos controller stay here with the fault clock.
-    apps::RankSpec spec;
-    spec.ranks = rank_count_;
-    spec.max_extra_delay = delays_.max_extra_delay;
-    const FaultModel& fm = faults_.model();
-    spec.loss = fm.loss;
-    spec.use_gilbert = fm.use_gilbert;
-    spec.ge_good_to_bad = fm.ge_good_to_bad;
-    spec.ge_bad_to_good = fm.ge_bad_to_good;
-    spec.ge_loss_good = fm.ge_loss_good;
-    spec.ge_loss_bad = fm.ge_loss_bad;
-    spec.fault_seed = fm.seed;
-    group_.spawn(rank_count_, [spec](int fd, std::size_t r) {
-      apps::RankSpec s = spec;
-      s.rank = r;
-      return apps::rank_main(fd, s);
-    });
   }
 
   DistributedNetwork(const DistributedNetwork&) = delete;
   DistributedNetwork& operator=(const DistributedNetwork&) = delete;
 
-  // -- Network facade ------------------------------------------------------
+  // -- Send side (Network-compatible) -------------------------------------
 
   /// Send m from u to v; delivered next round. Charges d(u,v)^α (at the
   /// next round barrier, in issue order — the meter context active NOW is
@@ -217,57 +208,32 @@ class DistributedNetwork {
     return staged_live_ > 0 || inflight_ > 0;
   }
 
-  /// Advance to the next round and return the messages due for delivery,
-  /// sorted by (receiver, global send sequence) — byte-identical to
-  /// `Network::collect_round` on the same schedule, for every rank count.
-  [[nodiscard]] std::vector<Delivery<Msg>> collect_round() {
-    EMST_ASSERT_MSG(!actor_mode_,
-                    "collect_round is the routing-placement barrier; actor "
-                    "installs drive actor_collect_round");
-    flush_staged();
-    begin_round();
-    std::vector<Delivery<Msg>> out;
-    exchange_round(&out);
-    return out;
-  }
-
-  // -- Actor placement: rank-resident execution ----------------------------
+  // -- Rank-resident execution ---------------------------------------------
   //
-  // `install_actor` switches the engine from ROUTING placement (ranks are
-  // byte routers; every handler runs in the parent) to ACTOR placement: the
-  // routing workers are torn down and actor workers are forked in their
-  // place, each owning a replica of the actor's node states. From then on
-  // the barrier verb is `actor_collect_round`: staged sends route exactly
-  // as before, but the due deliveries are EXECUTED rank-side and only a
-  // compact deterministic effect ledger comes home, which the parent
-  // replays in the serial global order (docs/DISTRIBUTED.md §6). Bitwise
-  // identity with the serial engines holds because every order-sensitive
-  // consumer — meter, fault clock, telemetry, chaos controller, oracle —
-  // still runs here, on the replayed stream.
+  // `install_actor` forks the rank processes, each owning a replica of the
+  // actor's node states. The barrier verb is `actor_collect_round`: staged
+  // sends route to the receivers' ranks, the due deliveries are EXECUTED
+  // rank-side, and only a compact deterministic effect ledger comes home,
+  // which the parent replays in the serial global order
+  // (docs/DISTRIBUTED.md §2). Bitwise identity with the serial engines
+  // holds because every order-sensitive consumer — meter, fault clock,
+  // telemetry, chaos controller, oracle — still runs here, on the replayed
+  // stream.
 
-  /// Fork actor workers carrying `actor`'s initial state (copy-on-write via
-  /// fork — nothing topology-sized is serialized). Must run before any
-  /// traffic; the fingerprint chains restart from the seed on both sides.
-  /// Crash-only fault models only: loss fates are counter-draws in routing
-  /// ranks, but an actor rank cannot execute a handler on a message whose
-  /// fate it cannot decide locally without a loss-model mirror.
+  /// Fork the rank processes carrying `actor`'s initial state
+  /// (copy-on-write via fork — nothing topology-sized is serialized). Must
+  /// run once, before any traffic.
   template <typename Actor>
   void install_actor(const Actor& actor, bool faulty) {
     static_assert(NodeActorState<Actor>);
-    EMST_ASSERT_MSG(!actor_mode_, "install_actor: actor already installed");
-    EMST_ASSERT_MSG(now_ == 0 && seq_ == 0 && ops_.empty() && inflight_ == 0,
+    EMST_ASSERT_MSG(!installed(), "install_actor: actor already installed");
+    EMST_ASSERT_MSG(now_ == 0 && ops_.empty() && inflight_ == 0,
                     "install_actor must run before any traffic");
-    const FaultModel& fm = faults_.model();
-    EMST_ASSERT_MSG(fm.loss == 0.0 && !fm.use_gilbert,
-                    "rank-resident actors support crash-only fault models");
-    actor_mode_ = true;
-    actor_drained_.resize(rank_count_);
-    group_.shutdown();
-    std::fill(chains_.begin(), chains_.end(), proto::kDistFingerprintSeed);
     // The rank-side crash mirror: static windows + seed from the model;
     // the chaos controller, stats and the authoritative clock stay here
     // (controller injections ship per round in the final ACTOR_ROUND
     // chunk).
+    const FaultModel& fm = faults_.model();
     FaultModel mirror;
     mirror.crashes = fm.crashes;
     mirror.seed = fm.seed;
@@ -288,25 +254,25 @@ class DistributedNetwork {
                  });
   }
 
-  /// Pre-spawn test hooks for the actor workers (set BEFORE install_actor).
+  /// Pre-spawn test hooks for the rank processes (set BEFORE install_actor).
   void set_actor_test_hooks(const ActorTestHooks& hooks) {
-    EMST_ASSERT(!actor_mode_);
+    EMST_ASSERT(!installed());
     actor_hooks_ = hooks;
   }
 
-  /// The actor-placement round barrier. Flushes the staged sends (charges,
-  /// suppressions, routing — identical to routing placement), ticks the
-  /// round, exchanges ACTOR_ROUND/ACTOR_DRAINED with every rank, and
-  /// replays the returned effect ledger in the serial global order: crash
-  /// classification first (pass A — drop events fire before any of this
-  /// round's effects, like the serial drain), then the retries in the
-  /// parent's deferred-model order (pass B), then the surviving deliveries
-  /// in (receiver, sequence) merge order (pass C). `sink` observes the
-  /// replay: on_send(dtag, reach) per send effect, on_note(node, a, b) per
-  /// note — the driver's tallies, byte-identical to its serial env.
+  /// The round barrier. Flushes the staged sends (charges, suppressions,
+  /// routing), ticks the round, exchanges ACTOR_ROUND/ACTOR_DRAINED with
+  /// every rank, and replays the returned effect ledger in the serial
+  /// global order: crash classification first (pass A — drop events fire
+  /// before any of this round's effects, like the serial drain), then the
+  /// retries in the parent's deferred-model order (pass B), then the
+  /// surviving deliveries in (receiver, sequence) merge order (pass C).
+  /// `sink` observes the replay: on_send(dtag, reach) per send effect,
+  /// on_note(node, a, b) per note — the driver's tallies, byte-identical to
+  /// its serial env.
   template <typename Sink>
   ActorRoundInfo actor_collect_round(Sink& sink) {
-    EMST_ASSERT(actor_mode_);
+    EMST_ASSERT(installed());
     flush_staged();
     begin_round();
     group_.set_round(now_);
@@ -336,7 +302,7 @@ class DistributedNetwork {
   void actor_step(std::uint8_t kind, std::uint64_t param,
                   std::span<const NodeId> wire_list,
                   std::span<const NodeId> expected, Sink& sink) {
-    EMST_ASSERT(actor_mode_);
+    EMST_ASSERT(installed());
     group_.set_round(now_);
     const std::uint64_t fault_round = faults_.round();
     std::size_t idx = 0;
@@ -366,7 +332,7 @@ class DistributedNetwork {
     for (std::size_t r = 0; r < rank_count_; ++r)
       receive_actor_groups(r, proto::kDistOpActorStepped);
     for (const NodeId u : expected) {
-      ActorLedger& lg = actor_drained_[node_rank_[u]];
+      ActorLedger& lg = ledgers_[node_rank_[u]];
       EMST_ASSERT_MSG(lg.cursor < lg.groups.size(),
                       "actor step ledger shorter than the expected order");
       const ActorEntry& g = lg.groups[lg.cursor++];
@@ -374,7 +340,7 @@ class DistributedNetwork {
       sink.on_step_node(u, g.status);
       replay_effects(u, g, sink);
     }
-    for (const ActorLedger& lg : actor_drained_)
+    for (const ActorLedger& lg : ledgers_)
       EMST_ASSERT_MSG(lg.cursor == lg.groups.size(),
                       "actor step ledger longer than the expected order");
   }
@@ -385,7 +351,7 @@ class DistributedNetwork {
   /// parent replica stays at 0).
   template <typename Actor>
   std::uint64_t actor_harvest(Actor& actor) {
-    EMST_ASSERT(actor_mode_);
+    EMST_ASSERT(installed());
     group_.set_round(now_);
     for (std::size_t r = 0; r < rank_count_; ++r) {
       std::vector<std::uint8_t>& body = body_scratch_;
@@ -488,12 +454,12 @@ class DistributedNetwork {
 
   // -- Test hooks (negative tests for the fingerprint contract) ------------
 
-  /// Corrupt one byte of the next ROUND frame sent to `rank`, AFTER the
-  /// parent has mixed its fingerprint — models wire corruption. The rank
+  /// Corrupt one byte of the next ACTOR_ROUND frame sent to `rank`, AFTER
+  /// the parent has mixed its fingerprint — models wire corruption. The rank
   /// detects the mismatch and reports a desync instead of deadlocking.
   void test_corrupt_next_frame(std::size_t rank) { corrupt_rank_ = rank; }
   /// Advance the parent's chain for `rank` by one phantom mix AFTER the
-  /// next ROUND frame is on the wire — models a collective the parent
+  /// next ACTOR_ROUND frame is on the wire — models a collective the parent
   /// recorded but never exchanged (PARCOACH's mismatched-call bug class).
   /// The outgoing trailer is still consistent, so the rank accepts the
   /// frame; the divergence is caught by the PARENT when the rank's reply
@@ -505,6 +471,9 @@ class DistributedNetwork {
   /// Per-chunk record budget: chunk body stays within the serve frame cap.
   static constexpr std::size_t kChunkRecordBudget =
       proto::kDistMaxChunkBodyBytes - proto::kDistFrameFixedBytes;
+
+  /// The rank processes exist from install_actor on.
+  [[nodiscard]] bool installed() const noexcept { return group_.size() > 0; }
 
   struct Target {
     NodeId to;
@@ -532,36 +501,21 @@ class DistributedNetwork {
     bool is_broadcast = false;
     bool suppressed = false;  ///< sender down at issue time (clock-stable)
     Msg msg{};
-    /// Actor-mode replay: the payload already crossed the wire once (encoded
+    /// Effect replay: the payload already crossed the wire once (encoded
     /// rank-side by RankActorEnv), so the replayed send re-stages the exact
     /// bytes instead of re-encoding the in-memory object it never had.
     std::vector<std::uint8_t> raw;
     bool raw_payload = false;
   };
 
-  /// Outgoing mailbox for one rank: concatenated ROUND records, packed into
-  /// one chunk-sized run (records never straddle frames). A run that fills
-  /// goes on the wire IMMEDIATELY (route()), overlapping the barrier's send
-  /// half with the parent's remaining serial work; only the final, partial
-  /// run waits for the barrier.
+  /// Outgoing mailbox for one rank: concatenated ACTOR_ROUND records, packed
+  /// into one chunk-sized run (records never straddle frames). A run that
+  /// fills goes on the wire IMMEDIATELY (route()), overlapping the barrier's
+  /// send half with the parent's remaining serial work; only the final,
+  /// partial run waits for the barrier.
   struct Mailbox {
     std::vector<std::uint8_t> cur;
     std::uint32_t cur_count = 0;
-  };
-
-  /// One record of a rank's drained reply, parsed and awaiting the merge.
-  struct DrainedRec {
-    NodeId from;
-    NodeId to;
-    double distance;
-    std::uint32_t bits;
-    bool lost;
-    std::vector<std::uint8_t> payload;
-  };
-
-  struct DrainedList {
-    std::vector<DrainedRec> items;
-    std::size_t cursor = 0;
   };
 
   /// Node capacity of one ACTOR_STEP chunk (wire lists chunk like records).
@@ -582,8 +536,8 @@ class DistributedNetwork {
     const std::uint8_t* eff_end = nullptr;
   };
 
-  /// One rank's parsed actor reply (drained ledger or step groups), plus
-  /// the owning chunk buffers the entries point into.
+  /// One rank's parsed reply (drained ledger or step groups), plus the
+  /// owning chunk buffers the entries point into.
   struct ActorLedger {
     std::vector<std::vector<std::uint8_t>> chunks;
     std::vector<ActorEntry> retries;     ///< rank-local FIFO order
@@ -809,7 +763,7 @@ class DistributedNetwork {
   }
 
   /// Encode through the DistMsgAdapter — the ONLY representation that
-  /// crosses to the ranks and back; the original object never travels.
+  /// crosses to the ranks; the original object never travels.
   /// For measured formats this is where bits-on-air == bytes-on-wire is
   /// enforced: the codec must produce exactly the accounted bit count.
   [[nodiscard]] const std::vector<std::uint8_t>& encode_payload(
@@ -844,12 +798,8 @@ class DistributedNetwork {
       // order-insensitive) instead of queueing for a send-all at the
       // barrier. flush_staged runs entirely before begin_round's clock
       // tick, so every chunk of this barrier stamps the same round, now_+1.
-      emit_chunk(rank, round_opcode(), /*last=*/false, mb.cur_count, mb.cur,
-                 now_ + 1);
-      mb.cur.clear();
-      mb.cur_count = 0;
+      emit_chunk(rank, /*last=*/false, now_ + 1);
     }
-    proto::dist_put_u64(mb.cur, seq_++);
     proto::dist_put_u64(mb.cur, due);
     proto::dist_put_u32(mb.cur, u);
     proto::dist_put_u32(mb.cur, v);
@@ -874,59 +824,35 @@ class DistributedNetwork {
       for (const CrashWindow& w : faults_.take_new_injections()) {
         meter_.note_event(EventType::kCrashInject, w.node, kNoEventNode, 0.0,
                           w.until);
-        // Actor placement: the rank-side crash mirrors need this window
-        // before they classify the round's due bucket; it ships in the
-        // final ACTOR_ROUND chunk of this same barrier.
-        if (actor_mode_) pending_window_ship_.push_back(w);
+        // The rank-side crash mirrors need this window before they classify
+        // the round's due bucket; it ships in the final ACTOR_ROUND chunk of
+        // this same barrier.
+        pending_window_ship_.push_back(w);
       }
     }
     if (oracle_ != nullptr) oracle_->on_round(now_, meter_);
   }
 
-  // -- The round barrier: mailbox exchange over the wire -------------------
-
-  void exchange_round(std::vector<Delivery<Msg>>* out) {
-    group_.set_round(now_);
-    // Send phase: every rank gets its ROUND frames (even when empty — the
-    // empty frame IS the barrier tick that advances the rank's calendar
-    // ring) before any reply is awaited, so ranks work concurrently.
-    for (std::size_t r = 0; r < rank_count_; ++r) send_round(r);
-    // Receive phase, in rank order (the merge is receiver-keyed, so the
-    // collection order does not affect the output).
-    for (std::size_t r = 0; r < rank_count_; ++r) receive_drained(r);
-    merge_round(out);
-  }
-
-  void send_round(std::size_t rank) {
-    Mailbox& mb = mailboxes_[rank];
-    emit_chunk(rank, proto::kDistOpRound, /*last=*/true, mb.cur_count, mb.cur,
-               now_);
-    mb.cur.clear();
-    mb.cur_count = 0;
-  }
-
-  [[nodiscard]] std::uint8_t round_opcode() const noexcept {
-    return actor_mode_ ? proto::kDistOpActorRound : proto::kDistOpRound;
-  }
-
-  /// Seal one round-scoped chunk (either placement's ROUND opcode) and put
-  /// it on the wire. `extra` is an opcode-specific section appended after
-  /// the records (actor mode: the chaos-window section of the final chunk).
-  void emit_chunk(std::size_t rank, std::uint8_t opcode, bool last,
-                  std::uint32_t count, const std::vector<std::uint8_t>& records,
-                  std::uint64_t round,
+  /// Seal `rank`'s mailbox as one ACTOR_ROUND chunk, put it on the wire and
+  /// empty the mailbox. `extra` is appended after the records (the
+  /// chaos-window section of the final chunk).
+  void emit_chunk(std::size_t rank, bool last, std::uint64_t round,
                   const std::vector<std::uint8_t>* extra = nullptr) {
+    Mailbox& mb = mailboxes_[rank];
     std::vector<std::uint8_t>& body = body_scratch_;
     body.clear();
-    body.push_back(opcode);
+    body.push_back(proto::kDistOpActorRound);
     body.push_back(last ? proto::kDistFlagLast : 0);
     proto::dist_put_u64(body, round);
-    proto::dist_put_u32(body, count);
-    body.insert(body.end(), records.begin(), records.end());
+    proto::dist_put_u32(body, mb.cur_count);
+    body.insert(body.end(), mb.cur.begin(), mb.cur.end());
     if (extra != nullptr) body.insert(body.end(), extra->begin(), extra->end());
     const std::uint64_t h = proto::dist_hash(body.data(), body.size());
     chains_[rank] = proto::dist_mix(chains_[rank], h);
-    group_.log_collective(rank, opcode, round, count, h);
+    group_.log_collective(rank, proto::kDistOpActorRound, round, mb.cur_count,
+                          h);
+    mb.cur.clear();
+    mb.cur_count = 0;
     if (corrupt_rank_ == rank) {
       body[2] ^= 0x01;  // hook: corrupt AFTER hashing — wire damage
       corrupt_rank_ = kNoRank;
@@ -942,7 +868,7 @@ class DistributedNetwork {
 
   /// Read, verify (protocol + fingerprint) and log one rank reply chunk of
   /// the given opcode; hands back the raw frame payload. Shared by every
-  /// rank-to-parent collective in both placements.
+  /// rank-to-parent collective.
   bool read_reply_chunk(std::size_t rank, std::uint8_t opcode,
                         std::vector<std::uint8_t>* payload,
                         std::uint32_t* count) {
@@ -965,7 +891,8 @@ class DistributedNetwork {
                     static_cast<unsigned long long>(round),
                     static_cast<unsigned long long>(expected),
                     static_cast<unsigned long long>(actual));
-      group_.fatal(rank, msg);
+      // The rank exits right after sending DESYNC: wait for its status.
+      group_.fatal(rank, msg, /*exiting=*/true);
     }
     if (p[0] != opcode ||
         p.size() <
@@ -994,40 +921,7 @@ class DistributedNetwork {
     return last;
   }
 
-  void receive_drained(std::size_t rank) {
-    DrainedList& dl = drained_[rank];
-    dl.items.clear();
-    dl.cursor = 0;
-    bool last = false;
-    while (!last) {
-      std::vector<std::uint8_t> p;
-      std::uint32_t count = 0;
-      last = read_reply_chunk(rank, proto::kDistOpDrained, &p, &count);
-      const std::size_t body_len = p.size() - proto::kDistFingerprintBytes;
-      std::size_t off = proto::kDistFrameFixedBytes;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        if (off + proto::kDistDrainedRecordBytes > body_len)
-          group_.fatal(rank, "truncated reply record");
-        DrainedRec rec;
-        rec.from = proto::dist_get_u32(&p[off]);
-        rec.to = proto::dist_get_u32(&p[off + 4]);
-        rec.distance =
-            std::bit_cast<double>(proto::dist_get_u64(&p[off + 8]));
-        rec.bits = proto::dist_get_u32(&p[off + 16]);
-        rec.lost = p[off + 20] != 0;
-        const std::uint32_t plen = proto::dist_get_u32(&p[off + 21]);
-        off += proto::kDistDrainedRecordBytes;
-        if (off + plen > body_len)
-          group_.fatal(rank, "truncated reply payload");
-        rec.payload.assign(p.begin() + static_cast<std::ptrdiff_t>(off),
-                           p.begin() + static_cast<std::ptrdiff_t>(off + plen));
-        off += plen;
-        dl.items.push_back(std::move(rec));
-      }
-    }
-  }
-
-  // -- Actor placement: exchange, parse, replay ----------------------------
+  // -- Exchange, parse, replay ---------------------------------------------
 
   /// Seal the chunk staged in body_scratch_ into the rank's chain and send
   /// it (parent → rank collectives that are not ROUND-record chunks).
@@ -1044,17 +938,11 @@ class DistributedNetwork {
   /// Send the final ACTOR_ROUND chunk (plus the chaos-window section) to
   /// one rank; full chunks already went out eagerly from route().
   void send_actor_round(std::size_t rank) {
-    Mailbox& mb = mailboxes_[rank];
-    if (mb.cur.size() + windows_scratch_.size() > kChunkRecordBudget) {
-      emit_chunk(rank, proto::kDistOpActorRound, /*last=*/false, mb.cur_count,
-                 mb.cur, now_);
-      mb.cur.clear();
-      mb.cur_count = 0;
+    if (mailboxes_[rank].cur.size() + windows_scratch_.size() >
+        kChunkRecordBudget) {
+      emit_chunk(rank, /*last=*/false, now_);
     }
-    emit_chunk(rank, proto::kDistOpActorRound, /*last=*/true, mb.cur_count,
-               mb.cur, now_, &windows_scratch_);
-    mb.cur.clear();
-    mb.cur_count = 0;
+    emit_chunk(rank, /*last=*/true, now_, &windows_scratch_);
   }
 
   /// Parse the effect run of one ledger entry (bounds-asserted) and return
@@ -1071,7 +959,7 @@ class DistributedNetwork {
   /// Receive one rank's ACTOR_DRAINED ledger: retry entries (rank FIFO
   /// order) and delivery entries (ascending-receiver order).
   void receive_actor_ledger(std::size_t rank) {
-    ActorLedger& lg = actor_drained_[rank];
+    ActorLedger& lg = ledgers_[rank];
     lg.reset();
     bool last = false;
     while (!last) {
@@ -1123,7 +1011,7 @@ class DistributedNetwork {
 
   /// Receive one rank's ACTOR_STEPPED groups (rank-local invocation order).
   void receive_actor_groups(std::size_t rank, std::uint8_t opcode) {
-    ActorLedger& lg = actor_drained_[rank];
+    ActorLedger& lg = ledgers_[rank];
     lg.reset();
     bool last = false;
     while (!last) {
@@ -1196,7 +1084,7 @@ class DistributedNetwork {
     ActorRoundInfo info;
     info.retried = defer_fifo_.size();
     std::size_t total = 0;
-    for (const ActorLedger& lg : actor_drained_) total += lg.deliveries.size();
+    for (const ActorLedger& lg : ledgers_) total += lg.deliveries.size();
     inflight_ -= total;
     // Pass A — classification in global (receiver, sequence) order: crash
     // fates and their telemetry events fire HERE, before any of this
@@ -1206,7 +1094,7 @@ class DistributedNetwork {
     survivors_scratch_.clear();
     for (;;) {
       ActorLedger* next = nullptr;
-      for (ActorLedger& lg : actor_drained_) {
+      for (ActorLedger& lg : ledgers_) {
         if (lg.cursor >= lg.deliveries.size()) continue;
         if (next == nullptr ||
             lg.deliveries[lg.cursor].to < next->deliveries[next->cursor].to) {
@@ -1233,7 +1121,7 @@ class DistributedNetwork {
     // serial driver's retry sweep), pulling each rank's stream in step.
     fifo_scratch_.clear();
     for (const NodeId u : defer_fifo_) {
-      ActorLedger& lg = actor_drained_[node_rank_[u]];
+      ActorLedger& lg = ledgers_[node_rank_[u]];
       EMST_ASSERT_MSG(lg.retry_cursor < lg.retries.size(),
                       "actor retry ledger shorter than the deferred model");
       const ActorEntry& e = lg.retries[lg.retry_cursor++];
@@ -1241,7 +1129,7 @@ class DistributedNetwork {
       replay_effects(u, e, sink);
       if (e.status != 0) fifo_scratch_.push_back(u);
     }
-    for (const ActorLedger& lg : actor_drained_)
+    for (const ActorLedger& lg : ledgers_)
       EMST_ASSERT_MSG(lg.retry_cursor == lg.retries.size(),
                       "actor retry ledger longer than the deferred model");
     // Pass C — surviving deliveries replay in merge order; deferred ones
@@ -1259,56 +1147,6 @@ class DistributedNetwork {
     return info;
   }
 
-  // -- Barrier: serial merge -----------------------------------------------
-
-  /// Walk the ranks' drained lists in global (receiver, sequence) order —
-  /// receivers partition across ranks, so a receiver-keyed R-way merge is
-  /// exact and tie-free. Drop events, crash classification (the fault
-  /// clock lives here) and fault stats are emitted in the same interleaved
-  /// order Network's delivery loop produces them; survivors decode from
-  /// their wire bytes.
-  void merge_round(std::vector<Delivery<Msg>>* out) {
-    std::size_t total = 0;
-    for (DrainedList& dl : drained_) total += dl.items.size();
-    inflight_ -= total;
-    out->reserve(total);
-    for (;;) {
-      DrainedList* next = nullptr;
-      for (DrainedList& dl : drained_) {
-        if (dl.cursor >= dl.items.size()) continue;
-        if (next == nullptr ||
-            dl.items[dl.cursor].to < next->items[next->cursor].to) {
-          next = &dl;
-        }
-      }
-      if (next == nullptr) break;
-      DrainedRec& item = next->items[next->cursor++];
-      if (faults_.enabled() && item.lost) {
-        ++faults_.stats().lost;
-        meter_.set_bits(item.bits);
-        meter_.note_event(EventType::kLoss, item.from, item.to,
-                          item.distance);
-        meter_.clear_bits();
-        continue;
-      }
-      if (faults_.enabled() && faults_.crashed(item.to)) {
-        ++faults_.stats().dropped_crashed;
-        meter_.set_bits(item.bits);
-        meter_.note_event(EventType::kCrashDrop, item.from, item.to,
-                          item.distance);
-        meter_.clear_bits();
-        continue;
-      }
-      proto::BitReader rdr(item.payload);
-      Msg m = proto::DistMsgAdapter<Msg>::decode(rdr, wire_);
-      if constexpr (WireFormat<Msg>::kMeasured) {
-        EMST_ASSERT_MSG(rdr.bit_count() == item.bits,
-                        "decode consumed a different size than accounted");
-      }
-      out->push_back({item.from, item.to, item.distance, std::move(m)});
-    }
-  }
-
   const Topo& topo_;
   EnergyMeter meter_;
   WireFormat<Msg> wire_{};
@@ -1321,24 +1159,21 @@ class DistributedNetwork {
   std::vector<std::uint32_t> node_rank_;  ///< node → rank (tile % ranks)
   dist::ProcessGroup group_;
   std::vector<Mailbox> mailboxes_;
-  std::vector<DrainedList> drained_;
   std::vector<std::uint64_t> chains_;  ///< per-rank fingerprint chains
+  std::vector<ActorLedger> ledgers_;   ///< per-rank parsed replies
   // Frontend staging (issue order = replay order).
   std::vector<StagedOp> ops_;
   std::vector<Target> targets_;
   std::vector<std::uint8_t> payload_scratch_;
   std::vector<std::uint8_t> body_scratch_;
   std::size_t staged_live_ = 0;  ///< staged deliveries that will route
-  std::uint64_t seq_ = 0;        ///< global send sequence number
   std::size_t inflight_ = 0;
   std::uint64_t now_ = 0;
   std::uint64_t payload_bytes_ = 0;
   std::size_t corrupt_rank_ = kNoRank;
   std::size_t skip_rank_ = kNoRank;
-  // Actor placement (rank-resident execution).
-  bool actor_mode_ = false;
+  // Rank-resident execution.
   ActorTestHooks actor_hooks_{};
-  std::vector<ActorLedger> actor_drained_;
   std::vector<NodeId> defer_fifo_;  ///< deferred-queue model (receiver ids)
   std::vector<NodeId> fifo_scratch_;
   std::vector<const ActorEntry*> survivors_scratch_;

@@ -3,7 +3,10 @@
 // The drivers (classic GHS, the Co-NNT actor) are templated on the network
 // engine so the calendar-queue `Network`, the `ReferenceNetwork` oracle, the
 // sharded parallel engine and the process-level distributed engine all
-// execute the exact same protocol code. The engines differ in one trailing
+// execute the exact same node-actor code: the in-process engines dispatch it
+// from the driver after each `collect_round`, the distributed engine runs it
+// inside its rank processes after `install_actor` (the drivers branch on
+// `DistributedEngine`, below). The engines differ in one trailing
 // constructor parameter — `ShardedNetwork` takes a thread count,
 // `DistributedNetwork` a rank count — and `make_engine` papers over that:
 // the size argument is forwarded only to engines whose constructor accepts

@@ -127,7 +127,7 @@ class ShardedNetwork {
     begin_round();
     run_shard_phase();
     std::vector<Delivery<Msg>> out;
-    merge_round(&out, /*assign_ranks=*/false);
+    merge_shards(&out, /*assign_ranks=*/false);
     return out;
   }
 
@@ -205,7 +205,7 @@ class ShardedNetwork {
     flush_staged();
     begin_round();
     run_shard_phase();
-    merge_round(nullptr, /*assign_ranks=*/true);
+    merge_shards(nullptr, /*assign_ranks=*/true);
     const SendContext ambient = meter_context();
     const std::size_t delivered = round_deliveries_;
     auto shard_task = [&](std::size_t s) {
@@ -623,7 +623,7 @@ class ShardedNetwork {
   /// receivers partition across shards, so a receiver-keyed S-way merge is
   /// exact and tie-free. Drop events and fault stats are emitted here, in
   /// the same interleaved order Network's delivery loop produces them.
-  void merge_round(std::vector<Delivery<Msg>>* out, bool assign_ranks) {
+  void merge_shards(std::vector<Delivery<Msg>>* out, bool assign_ranks) {
     std::size_t total = 0;
     for (Shard& shard : shards_) {
       shard.cursor = 0;

@@ -161,7 +161,7 @@ void expect_rank_invariant(const char* label, RunFn&& run_at) {
   }
 }
 
-/// Execution-placement witness (docs/DISTRIBUTED.md §6): with ranks the
+/// Execution-placement witness (docs/DISTRIBUTED.md §2): with ranks the
 /// handlers must have executed inside the rank workers and never in the
 /// parent; serially it is exactly the other way around. Kept OUT of the
 /// Observed equality — the counters are placement metadata, not results.

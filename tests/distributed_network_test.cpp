@@ -2,23 +2,28 @@
 // (docs/DISTRIBUTED.md).
 //
 // `DistributedNetwork` promises results bitwise-identical to `Network` for
-// every rank count, with the message plane in forked worker processes and
-// every payload crossing a real socketpair as proto-codec bytes. The
-// differential half replays identical random schedules through both engines
-// — across rank counts, delay models, and fault models — and requires
-// byte-for-byte agreement, the same bar the sharded engine is held to
-// (sharded_network_test.cpp). The negative half proves the collective
-// fingerprint contract: a corrupted frame or a skipped collective is
-// REPORTED (rank, round, expected/actual chain values) instead of
-// deadlocking a barrier, and a killed rank process is reported with its
-// signal. Round-trip tests pin the DistMsgAdapter codecs the wire uses.
+// every rank count, with a node actor's handlers executing in forked worker
+// processes and every payload crossing a real socketpair as proto-codec
+// bytes. The differential half runs a small forwarding actor over identical
+// random schedules — serially on `Network`, and installed into the
+// distributed engine across rank counts, delay models, and crash windows —
+// and requires byte-for-byte agreement of the noted deliveries, handler
+// sends, meter totals, fault stats and telemetry streams, the same bar the
+// sharded engine is held to (sharded_network_test.cpp). The negative half
+// proves the collective fingerprint contract: a corrupted frame or a
+// skipped collective is REPORTED (rank, round, expected/actual chain
+// values) instead of deadlocking a barrier, and a killed rank process is
+// reported with its signal. Round-trip tests pin the DistMsgAdapter codecs
+// the wire uses.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
 
+#include <bit>
 #include <csignal>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "emst/geometry/sampling.hpp"
@@ -43,9 +48,129 @@ void expect_same_events(const MemoryTraceSink& got,
   }
 }
 
-/// Replay an identical random unicast/broadcast schedule through `Network`
-/// and a `DistributedNetwork` with the given rank count; require identical
-/// deliveries, meter totals, fault stats and telemetry streams.
+/// Test node actor: notes every delivery as (sender, payload) and forwards
+/// a deterministic subset, so handler sends cross the effect ledger too.
+/// Payloads = 1 (mod 8) are forwarded by unicast to a neighbor, payloads
+/// = 3 (mod 8) by local broadcast; the forwarded payload is one larger,
+/// which ends the chain.
+class ForwardActor {
+ public:
+  explicit ForwardActor(const Topology& topo) : topo_(&topo) {}
+
+  void on_round_start(std::uint64_t /*round*/) {}
+
+  template <typename Env>
+  void on_message(const Delivery<Msg>& d, Env& env) {
+    ++invocations_;
+    env.note(d.from, d.msg);
+    const auto nbs = topo_->neighbors(d.to);
+    if (nbs.empty()) return;
+    if (d.msg % 8 == 1) {
+      const graph::Neighbor& nb = nbs[d.msg / 8 % nbs.size()];
+      env.unicast(d.to, nb.id, MsgKind::kRequest, 1, d.from, nb.w,
+                  d.msg + 1);
+    } else if (d.msg % 8 == 3) {
+      env.broadcast(d.to, nbs[0].w, MsgKind::kReply, 2, d.from, d.msg + 1);
+    }
+  }
+
+  template <typename LocalPred, typename Env, typename Emit>
+  void step(std::uint8_t /*kind*/, std::uint64_t /*param*/,
+            std::span<const NodeId> /*list*/, const FaultInjector& /*faults*/,
+            bool /*faulty*/, LocalPred&& /*is_local*/, Env& /*env*/,
+            Emit&& /*emit*/) {}
+  void encode_node(NodeId /*u*/, proto::BitWriter& /*w*/) const {}
+  void decode_node(NodeId /*u*/, proto::BitReader& /*r*/) {}
+  [[nodiscard]] std::uint64_t invocations() const { return invocations_; }
+
+ private:
+  const Topology* topo_;
+  std::uint64_t invocations_ = 0;
+};
+
+/// One entry of the stream both placements must agree on: a noted delivery
+/// (node = receiver, a = sender, b = payload) or a handler send (a = the
+/// driver tag, b = the reach's bit image).
+struct Observed {
+  bool send = false;
+  NodeId node = 0;
+  std::uint32_t a = 0;
+  std::uint64_t b = 0;
+  bool operator==(const Observed&) const = default;
+};
+
+/// Runs the actor serially over `Network` — the env tallies and stages
+/// each send immediately, like the drivers' serial envs — and logs what the
+/// distributed replay sink observes.
+struct SerialRun {
+  Network<Msg>& net;
+  ForwardActor& actor;
+  std::vector<Observed> log;
+  NodeId node = 0;
+  std::uint64_t round = 0;
+
+  void unicast(NodeId u, NodeId to, MsgKind kind, std::uint8_t dtag,
+               std::uint32_t fragment, double reach, Msg m) {
+    log.push_back({true, 0, dtag, std::bit_cast<std::uint64_t>(reach)});
+    net.meter().set_kind(kind);
+    net.meter().set_fragment(fragment);
+    net.unicast(u, to, m);
+  }
+  void broadcast(NodeId u, double radius, MsgKind kind, std::uint8_t dtag,
+                 std::uint32_t fragment, Msg m) {
+    log.push_back({true, 0, dtag, std::bit_cast<std::uint64_t>(radius)});
+    net.meter().set_kind(kind);
+    net.meter().set_fragment(fragment);
+    net.broadcast(u, radius, m);
+  }
+  void defer(const Delivery<Msg>& /*d*/) {
+    ADD_FAILURE() << "ForwardActor never defers";
+  }
+  void note(std::uint32_t a, std::uint64_t b) {
+    log.push_back({false, node, a, b});
+  }
+
+  /// One barrier: collect, then dispatch the batch. Returns its size.
+  std::size_t collect_round() {
+    const auto batch = net.collect_round();
+    actor.on_round_start(++round);
+    for (const Delivery<Msg>& d : batch) {
+      node = d.to;
+      actor.on_message(d, *this);
+    }
+    return batch.size();
+  }
+};
+
+/// The distributed side's replay observer, logging the same stream.
+struct RecordingSink {
+  std::vector<Observed> log;
+  void on_send(std::uint8_t dtag, double reach) {
+    log.push_back({true, 0, dtag, std::bit_cast<std::uint64_t>(reach)});
+  }
+  void on_step_node(NodeId /*u*/, std::uint8_t /*flag*/) {}
+  void on_note(NodeId node, std::uint32_t a, std::uint64_t b) {
+    log.push_back({false, node, a, b});
+  }
+};
+
+/// One barrier on both sides; requires the same batch and the same
+/// observed stream.
+void expect_same_round(SerialRun& serial, DistributedNetwork<Msg>& dist,
+                       RecordingSink& sink, int round) {
+  serial.log.clear();
+  sink.log.clear();
+  const std::size_t want = serial.collect_round();
+  const ActorRoundInfo got = dist.actor_collect_round(sink);
+  ASSERT_EQ(got.batch, want) << "round " << round;
+  ASSERT_EQ(sink.log, serial.log) << "round " << round;
+  ASSERT_EQ(dist.pending(), serial.net.pending()) << "round " << round;
+}
+
+/// Replay an identical random unicast/broadcast schedule through the
+/// forwarding actor on `Network` and on a `DistributedNetwork` with the
+/// given rank count; require identical noted deliveries, handler sends,
+/// meter totals, fault stats and telemetry streams.
 void expect_dist_equivalent(std::size_t ranks, std::uint32_t max_extra_delay,
                             const FaultModel& faults = {}) {
   const std::size_t n = 250;
@@ -57,12 +182,16 @@ void expect_dist_equivalent(std::size_t ranks, std::uint32_t max_extra_delay,
 
   MemoryTraceSink serial_sink, dist_sink;
   Telemetry serial_tel(&serial_sink), dist_tel(&dist_sink);
-  Network<Msg> serial(topo, {}, false, delays, faults, &serial_tel);
+  Network<Msg> serial_net(topo, {}, false, delays, faults, &serial_tel);
   DistributedNetwork<Msg> dist(topo, {}, false, delays, faults, &dist_tel,
                                ranks);
+  ForwardActor serial_actor(topo), dist_actor(topo);
+  SerialRun serial{serial_net, serial_actor, {}};
+  dist.install_actor(dist_actor, faults.enabled());
+  RecordingSink sink;
 
   std::uint64_t payload = 0;
-  std::size_t total_delivered = 0;
+  std::size_t total_noted = 0;
   const int schedule_rounds = 50;
   for (int round = 0; round < schedule_rounds + 40; ++round) {
     if (round < schedule_rounds) {
@@ -71,53 +200,48 @@ void expect_dist_equivalent(std::size_t ranks, std::uint32_t max_extra_delay,
         const auto u = static_cast<NodeId>(rng.uniform_int(n));
         if (rng.uniform() < 0.3) {
           const double r = rng.uniform(0.0, radius);
-          serial.broadcast(u, r, payload);
+          serial_net.broadcast(u, r, payload);
           dist.broadcast(u, r, payload);
           ++payload;
         } else {
           const auto nbs = topo.neighbors(u);
           if (nbs.empty()) continue;
           const auto v = nbs[rng.uniform_int(nbs.size())].id;
-          serial.unicast(u, v, payload);
+          serial_net.unicast(u, v, payload);
           dist.unicast(u, v, payload);
           ++payload;
         }
       }
-      ASSERT_EQ(dist.pending(), serial.pending()) << "round " << round;
+      ASSERT_EQ(dist.pending(), serial_net.pending()) << "round " << round;
     }
-    const auto want = serial.collect_round();
-    const auto got = dist.collect_round();
-    ASSERT_EQ(got.size(), want.size()) << "round " << round;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].from, want[i].from) << "round " << round << " pos " << i;
-      ASSERT_EQ(got[i].to, want[i].to) << "round " << round << " pos " << i;
-      ASSERT_EQ(got[i].distance, want[i].distance)  // bit-identical
-          << "round " << round << " pos " << i;
-      ASSERT_EQ(got[i].msg, want[i].msg) << "round " << round << " pos " << i;
-    }
-    total_delivered += got.size();
-    ASSERT_EQ(dist.pending(), serial.pending()) << "round " << round;
-    if (round >= schedule_rounds && !serial.pending()) break;
+    expect_same_round(serial, dist, sink, round);
+    if (testing::Test::HasFatalFailure()) return;
+    total_noted += sink.log.size();
+    if (round >= schedule_rounds && !serial_net.pending()) break;
   }
   EXPECT_FALSE(dist.pending());
-  EXPECT_GT(total_delivered, 0u);
+  EXPECT_GT(total_noted, 0u);
 
-  EXPECT_EQ(dist.meter().totals().energy, serial.meter().totals().energy);
-  EXPECT_EQ(dist.meter().totals().unicasts, serial.meter().totals().unicasts);
-  EXPECT_EQ(dist.meter().totals().broadcasts,
-            serial.meter().totals().broadcasts);
-  EXPECT_EQ(dist.meter().totals().deliveries,
-            serial.meter().totals().deliveries);
-  EXPECT_EQ(dist.meter().totals().rounds, serial.meter().totals().rounds);
-  EXPECT_EQ(dist.fault_stats().lost, serial.fault_stats().lost);
+  const Accounting& got = dist.meter().totals();
+  const Accounting& want = serial_net.meter().totals();
+  EXPECT_EQ(got.energy, want.energy);
+  EXPECT_EQ(got.unicasts, want.unicasts);
+  EXPECT_EQ(got.broadcasts, want.broadcasts);
+  EXPECT_EQ(got.deliveries, want.deliveries);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(dist.fault_stats().lost, serial_net.fault_stats().lost);
   EXPECT_EQ(dist.fault_stats().dropped_crashed,
-            serial.fault_stats().dropped_crashed);
-  EXPECT_EQ(dist.fault_stats().suppressed, serial.fault_stats().suppressed);
+            serial_net.fault_stats().dropped_crashed);
+  EXPECT_EQ(dist.fault_stats().suppressed,
+            serial_net.fault_stats().suppressed);
   expect_same_events(dist_sink, serial_sink);
-  // The wire is real: every routed payload crossed the channel twice
-  // (parent → rank → parent), inside frames with headers and fingerprints.
+  // Placement witness: every handler ran in a rank, none in the parent.
+  EXPECT_EQ(dist.actor_harvest(dist_actor), serial_actor.invocations());
+  EXPECT_EQ(dist_actor.invocations(), 0u);
+  // The wire is real: every routed payload crossed the channel inside
+  // frames with headers and fingerprints, and the ledgers came back.
   EXPECT_GT(dist.bytes_sent(), dist.payload_bytes_sent());
-  EXPECT_GT(dist.bytes_received(), dist.payload_bytes_sent());
+  EXPECT_GT(dist.bytes_received(), 0u);
 }
 
 TEST(DistributedNetwork, SynchronousAcrossRankCounts) {
@@ -132,98 +256,86 @@ TEST(DistributedNetwork, Delay5AcrossRankCounts) {
   for (const std::size_t r : {1u, 2u, 4u}) expect_dist_equivalent(r, 5);
 }
 
-TEST(DistributedNetwork, BernoulliLossAcrossRankCounts) {
-  // Channel fates are drawn INSIDE the rank processes (counter-based, a
-  // pure function of the fault seed and the global send sequence) — this is
-  // the test that the remote draws land exactly where the serial engine's
-  // inline draws do.
-  FaultModel faults;
-  faults.loss = 0.15;
-  for (const std::size_t r : {1u, 2u, 4u}) expect_dist_equivalent(r, 2, faults);
-}
-
-TEST(DistributedNetwork, GilbertElliottAcrossRankCounts) {
-  // Burst chains are per-link *stateful*; each rank keeps them for the
-  // links it owns — receiver-partitioned, so each chain sees every
-  // transmission of its link in global sequence order.
-  FaultModel faults;
-  faults.use_gilbert = true;
-  faults.ge_good_to_bad = 0.2;
-  for (const std::size_t r : {1u, 2u, 4u}) expect_dist_equivalent(r, 3, faults);
-}
-
 TEST(DistributedNetwork, CrashWindowsAcrossRankCounts) {
-  // Suppressions (issue side) and crash drops (merge side) are classified
-  // in the parent, where the fault clock lives; ranks never see crashes.
+  // Suppressions (send side) and the authoritative crash drops (merge
+  // side) are classified in the parent, where the fault clock lives; the
+  // ranks' crash mirrors skip the handlers of crashed receivers, and the
+  // parent asserts the two agree.
   FaultModel faults;
-  faults.loss = 0.05;
   for (NodeId u = 0; u < 40; ++u) {
     faults.crashes.push_back({u, 10 + (u % 7), 30 + (u % 11)});
   }
-  for (const std::size_t r : {1u, 2u, 4u}) expect_dist_equivalent(r, 2, faults);
-}
-
-TEST(DistributedNetwork, MixedFaultsDelay5) {
-  FaultModel faults;
-  faults.loss = 0.1;
-  faults.use_gilbert = true;
-  faults.crashes.push_back({3, 5, 40});
-  faults.crashes.push_back({17, 0, 25});
-  for (const std::size_t r : {1u, 3u, 5u}) expect_dist_equivalent(r, 5, faults);
+  for (const std::uint32_t d : {0u, 1u, 5u}) {
+    for (const std::size_t r : {1u, 2u, 4u}) expect_dist_equivalent(r, d, faults);
+  }
 }
 
 TEST(DistributedNetwork, MoreRanksThanNodes) {
   // Degenerate partition: more rank processes than nodes (some ranks own
   // nothing and only ever exchange empty barrier frames).
   const Topology topo({{0.1, 0.1}, {0.9, 0.1}, {0.1, 0.9}}, 1.5);
-  Network<Msg> serial(topo);
+  Network<Msg> serial_net(topo);
   DistributedNetwork<Msg> dist(topo, {}, false, {}, {}, nullptr, 8);
-  for (int round = 0; round < 5; ++round) {
-    serial.unicast(0, 1, static_cast<Msg>(round));
-    dist.unicast(0, 1, static_cast<Msg>(round));
-    serial.broadcast(2, 1.2, static_cast<Msg>(1000 + round));
-    dist.broadcast(2, 1.2, static_cast<Msg>(1000 + round));
-    const auto want = serial.collect_round();
-    const auto got = dist.collect_round();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].to, want[i].to);
-      EXPECT_EQ(got[i].msg, want[i].msg);
+  ForwardActor serial_actor(topo), dist_actor(topo);
+  SerialRun serial{serial_net, serial_actor, {}};
+  dist.install_actor(dist_actor, /*faulty=*/false);
+  RecordingSink sink;
+  for (int round = 0; round < 8; ++round) {
+    if (round < 5) {
+      serial_net.unicast(0, 1, static_cast<Msg>(round));
+      dist.unicast(0, 1, static_cast<Msg>(round));
+      serial_net.broadcast(2, 1.2, static_cast<Msg>(1000 + round));
+      dist.broadcast(2, 1.2, static_cast<Msg>(1000 + round));
     }
+    expect_same_round(serial, dist, sink, round);
+    if (HasFatalFailure()) return;
   }
-  EXPECT_EQ(dist.meter().totals().energy, serial.meter().totals().energy);
+  EXPECT_FALSE(dist.pending());
+  EXPECT_EQ(dist.meter().totals().energy, serial_net.meter().totals().energy);
+  EXPECT_EQ(dist.actor_harvest(dist_actor), serial_actor.invocations());
 }
 
 TEST(DistributedNetwork, LargeRoundChunksAcrossFrames) {
-  // Force a round whose mailbox exceeds one serve frame: the exchange must
-  // chunk transparently (records never straddle frames, every chunk
+  // Force rounds whose ACTOR_ROUND mailbox and ACTOR_DRAINED ledger each
+  // exceed one serve frame: both exchanges must chunk transparently
+  // (records and ledger entries never straddle frames, every chunk
   // fingerprinted) and still match the serial engine exactly.
   const std::size_t n = 64;
   support::Rng rng(771177);
   const auto points = geometry::uniform_points(n, rng);
   const Topology topo(points, rgg::connectivity_radius(n));
-  Network<Msg> serial(topo);
+  Network<Msg> serial_net(topo);
   DistributedNetwork<Msg> dist(topo, {}, false, {}, {}, nullptr, 2);
-  // ~3000 records × 48 bytes ≈ 140 KiB of mailbox per round — several
-  // chunks at the 64 KiB frame cap.
+  ForwardActor serial_actor(topo), dist_actor(topo);
+  SerialRun serial{serial_net, serial_actor, {}};
+  dist.install_actor(dist_actor, /*faulty=*/false);
+  RecordingSink sink;
+  // 6000 records x 40 bytes is ~234 KiB of mailbox per round, and ~6000
+  // ledger entries of >= 37 bytes come back — at two ranks, more than two
+  // frames' worth in each direction, so some rank chunks both ways.
+  constexpr std::size_t kFrameCap = proto::kDistMaxFramePayloadBytes;
   for (int burst = 0; burst < 3; ++burst) {
-    for (std::uint64_t k = 0; k < 3000; ++k) {
+    for (std::uint64_t k = 0; k < 6000; ++k) {
       const auto u = static_cast<NodeId>(rng.uniform_int(n));
       const auto nbs = topo.neighbors(u);
       if (nbs.empty()) continue;
       const auto v = nbs[rng.uniform_int(nbs.size())].id;
-      serial.unicast(u, v, k);
+      serial_net.unicast(u, v, k);
       dist.unicast(u, v, k);
     }
-    const auto want = serial.collect_round();
-    const auto got = dist.collect_round();
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].to, want[i].to);
-      ASSERT_EQ(got[i].msg, want[i].msg);
-    }
+    const std::uint64_t sent0 = dist.bytes_sent();
+    const std::uint64_t received0 = dist.bytes_received();
+    expect_same_round(serial, dist, sink, burst);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(dist.bytes_sent() - sent0, 2 * kFrameCap);
+    EXPECT_GT(dist.bytes_received() - received0, 2 * kFrameCap);
   }
-  EXPECT_EQ(dist.meter().totals().energy, serial.meter().totals().energy);
+  while (serial_net.pending()) {
+    expect_same_round(serial, dist, sink, 3);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_FALSE(dist.pending());
+  EXPECT_EQ(dist.meter().totals().energy, serial_net.meter().totals().energy);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,19 +353,30 @@ using DistributedNetworkDeathTest = ::testing::Test;
                   rgg::connectivity_radius(60));
 }
 
+/// Effect-replay observer that records nothing — the death tests only care
+/// that the parent REPORTS the failure instead of hanging.
+struct NullActorSink {
+  void on_send(std::uint8_t, double) {}
+  void on_step_node(NodeId, std::uint8_t) {}
+  void on_note(NodeId, std::uint32_t, std::uint64_t) {}
+};
+
 TEST(DistributedNetworkDeathTest, CorruptedFrameIsReportedByRank) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const Topology topo = small_topology();
   EXPECT_DEATH(
       {
         DistributedNetwork<Msg> dist(topo, {}, false, {}, {}, nullptr, 2);
+        ForwardActor actor(topo);
+        dist.install_actor(actor, /*faulty=*/false);
+        NullActorSink sink;
         dist.unicast(0, topo.neighbors(0)[0].id, 1);
-        // Corrupt one byte of rank 0's next ROUND frame after the parent
-        // has mixed its chain — the rank must detect the mismatch, reply
-        // DESYNC with its expected/actual values, and exit; the parent
+        // Corrupt one byte of rank 0's next ACTOR_ROUND frame after the
+        // parent has mixed its chain — the rank must detect the mismatch,
+        // reply DESYNC with its expected/actual values, and exit; the parent
         // surfaces the report.
         dist.test_corrupt_next_frame(0);
-        (void)dist.collect_round();
+        (void)dist.actor_collect_round(sink);
       },
       "collective fingerprint mismatch reported by rank at round "
       "[0-9]+: expected [0-9a-f]{16} actual [0-9a-f]{16}(.|\n)*"
@@ -266,12 +389,15 @@ TEST(DistributedNetworkDeathTest, SkippedCollectiveIsReported) {
   EXPECT_DEATH(
       {
         DistributedNetwork<Msg> dist(topo, {}, false, {}, {}, nullptr, 2);
+        ForwardActor actor(topo);
+        dist.install_actor(actor, /*faulty=*/false);
+        NullActorSink sink;
         dist.unicast(0, topo.neighbors(0)[0].id, 1);
         // Model PARCOACH's bug class — a collective the parent recorded
         // but never exchanged. The frame the rank sees is self-consistent,
         // so detection falls to the PARENT's reply verification.
         dist.test_skip_collective_mix(0);
-        (void)dist.collect_round();
+        (void)dist.actor_collect_round(sink);
       },
       "rank 0 failed at round [0-9]+: collective fingerprint mismatch in "
       "rank reply: expected [0-9a-f]{16} actual [0-9a-f]{16}");
@@ -283,23 +409,35 @@ TEST(DistributedNetworkDeathTest, KilledRankIsReportedWithSignal) {
   EXPECT_DEATH(
       {
         DistributedNetwork<Msg> dist(topo, {}, false, {}, {}, nullptr, 2);
+        ForwardActor actor(topo);
+        dist.install_actor(actor, /*faulty=*/false);
+        NullActorSink sink;
         ::kill(static_cast<pid_t>(dist.rank_pid(1)), SIGKILL);
         for (int round = 0; round < 100; ++round) {
           dist.unicast(0, topo.neighbors(0)[0].id, 1);
-          (void)dist.collect_round();
+          (void)dist.actor_collect_round(sink);
         }
       },
       "rank 1 (failed at round [0-9]+: (rank channel closed mid-round|"
       "write to rank failed)(.|\n)*)?killed by signal 9");
 }
 
-/// Effect-replay observer that records nothing — the mid-handler kill test
-/// only cares that the parent REPORTS the death instead of hanging.
-struct NullActorSink {
-  void on_send(std::uint8_t, double) {}
-  void on_step_node(NodeId, std::uint8_t) {}
-  void on_note(NodeId, std::uint32_t, std::uint64_t) {}
-};
+TEST(DistributedNetworkDeathTest, LossyFaultModelsAreRejected) {
+  // Ranks decide delivery fates with a crash-only mirror, so the engine
+  // refuses loss models at construction, before any rank exists.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Topology topo = small_topology();
+  FaultModel lossy;
+  lossy.loss = 0.1;
+  EXPECT_DEATH(
+      { DistributedNetwork<Msg> dist(topo, {}, false, {}, lossy, nullptr, 2); },
+      "crash-only fault models");
+  FaultModel bursty;
+  bursty.use_gilbert = true;
+  EXPECT_DEATH(
+      { DistributedNetwork<Msg> dist(topo, {}, false, {}, bursty, nullptr, 2); },
+      "crash-only fault models");
+}
 
 TEST(DistributedNetworkDeathTest, KilledRankMidHandlerIsReportedWithoutDeadlock) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -180,21 +180,14 @@ TEST(RunFacade, DriverNamesRoundTrip) {
   EXPECT_EQ(parsed, Driver::kEopt);  // unknown names leave `out` untouched
 }
 
-TEST(RunFacade, ResolvedDriverAndPlacementNames) {
+TEST(RunFacade, ResolvedDriverNames) {
   RunConfig cfg;  // no faults, no ranks
   EXPECT_STREQ(resolved_driver_name(Driver::kCoNnt, cfg), "connt");
-  EXPECT_STREQ(handler_placement_name(Driver::kCoNnt, cfg), "parent");
-  EXPECT_STREQ(handler_placement_name(Driver::kClassicGhs, cfg), "parent");
 
   cfg.ranks = 2;
   EXPECT_STREQ(resolved_driver_name(Driver::kCoNnt, cfg), "connt-actor");
   EXPECT_STREQ(resolved_driver_name(Driver::kCoNntAxis, cfg),
                "connt-axis-actor");
-  EXPECT_STREQ(handler_placement_name(Driver::kCoNnt, cfg), "rank");
-  EXPECT_STREQ(handler_placement_name(Driver::kClassicGhs, cfg), "rank");
-  // Choreographed drivers never ship handlers to the ranks.
-  EXPECT_STREQ(handler_placement_name(Driver::kSyncGhs, cfg), "parent");
-  EXPECT_STREQ(handler_placement_name(Driver::kEopt, cfg), "parent");
   // Classic GHS keeps its name — the actor is the same algorithm, and the
   // trace contract wants serial/ranked headers to differ only where the
   // dispatch actually changes the driver (Co-NNT's fault-path variant).
@@ -204,7 +197,6 @@ TEST(RunFacade, ResolvedDriverAndPlacementNames) {
   // The fault path also forces the actor variant, but serially.
   cfg.faults.crashes.push_back({.node = 0, .from = 2, .until = 4});
   EXPECT_STREQ(resolved_driver_name(Driver::kCoNnt, cfg), "connt-actor");
-  EXPECT_STREQ(handler_placement_name(Driver::kCoNnt, cfg), "parent");
 }
 
 TEST(RunFacade, PlacementWitnessCountersThroughFacade) {
