@@ -32,10 +32,12 @@ Known records (matched by filename):
   BENCH_wire.json       max/mean encoded message size vs c*log2(n);
                         `all_within_bound` must be true and every sweep row
                         must respect its bound
-  BENCH_scale.json      memory/scale sweep of the topology backends; every
+  BENCH_scale.json      memory/scale sweep of the topology backends; the
+                        host's `hardware_concurrency` must be stamped, every
                         completed row must carry peak RSS, the n grid must be
                         strictly increasing per (algo, backend), and where
-                        both backends ran the results must be `identical`
+                        both backends ran the results must be `identical`,
+                        re-checked row by row (equal energy and tree_edges)
   BENCH_serve.json      serve-session mutation throughput;
                         `incremental_exact` must be true (every verified
                         commit equalled kruskal_msf), requests/sec must be
@@ -244,8 +246,8 @@ def check_wire(path: str, doc: dict) -> str:
 
 
 def check_scale(path: str, doc: dict) -> str:
-    require(path, doc, ("bench", "build_type", "seed", "mem_budget_bytes",
-                        "identical", "rows"))
+    require(path, doc, ("bench", "build_type", "hardware_concurrency",
+                        "seed", "mem_budget_bytes", "identical", "rows"))
     if doc["identical"] is not True:
         fail(path, "the two topology backends diverged (identical != true) "
                    "— this record must never be committed")
@@ -254,6 +256,7 @@ def check_scale(path: str, doc: dict) -> str:
         fail(path, "no sweep rows")
     completed = 0
     grids: dict[tuple[str, str], list[int]] = {}
+    results: dict[tuple[str, int], dict[str, tuple]] = {}
     for row in rows:
         require(path, row, ("algo", "backend", "n", "status"),
                 where="sweep row")
@@ -268,6 +271,8 @@ def check_scale(path: str, doc: dict) -> str:
                 fail(path, f"{where}: peak_rss_bytes must be positive")
             if row["wall_ms"] <= 0:
                 fail(path, f"{where}: wall_ms must be positive")
+            results.setdefault((row["algo"], row["n"]), {})[row["backend"]] = \
+                (row["energy"], row["tree_edges"])
             completed += 1
         elif row["status"] == "skipped":
             require(path, row, ("projected_bytes",), where=where)
@@ -279,6 +284,15 @@ def check_scale(path: str, doc: dict) -> str:
                        "must never be committed as a tracked record")
     if completed == 0:
         fail(path, "no completed rows")
+    # Recompute the backend identity from the rows rather than trusting the
+    # flag alone: wherever both backends completed one (algo, n), energy and
+    # tree size must be equal.
+    for (algo, n), by_backend in results.items():
+        mat = by_backend.get("materialized")
+        imp = by_backend.get("implicit")
+        if mat is not None and imp is not None and mat != imp:
+            fail(path, f"{algo} n={n}: materialized (energy, tree_edges) "
+                       f"{mat} != implicit {imp} although identical is true")
     for (algo, backend), ns in grids.items():
         if any(b <= a for a, b in zip(ns, ns[1:])):
             fail(path, f"{algo}/{backend}: n grid {ns} is not strictly "

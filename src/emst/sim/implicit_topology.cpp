@@ -1,12 +1,19 @@
 #include "emst/sim/implicit_topology.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "emst/support/assert.hpp"
 
 namespace emst::sim {
 
 namespace {
+
+// Relative slack on the grid scan radius of a neighbour query (see the
+// sub-radius rule in implicit_topology.hpp). Far above the few-ulp rounding
+// it absorbs, far below anything that widens the scan measurably.
+constexpr double kScanSlack = 1e-9;
 
 // Per-thread neighbour scratch. The sharded engine stages broadcasts from
 // worker threads, so the buffer cannot be a per-topology member without a
@@ -35,18 +42,27 @@ ImplicitTopology::ImplicitTopology(std::vector<geometry::Point2> points,
       std::span<const geometry::Point2>(points_), max_radius_);
 }
 
-std::span<const graph::Neighbor> ImplicitTopology::fill_scratch(
-    NodeId u, double radius, bool filter_by_weight) const {
+std::span<const graph::Neighbor> ImplicitTopology::neighbors(NodeId u) const {
+  // Membership only: sqrt rounding can put a member's w a ulp above
+  // max_radius, and the materialized neighbors(u) keeps such entries.
+  return neighbors_within(u, std::numeric_limits<double>::infinity());
+}
+
+std::span<const graph::Neighbor> ImplicitTopology::neighbors_within(
+    NodeId u, double radius) const {
   EMST_ASSERT(u < points_.size());
   auto& scratch = tls_scratch();
   scratch.clear();
   const geometry::Point2 p = points_[u];
-  // Enumerate at the membership radius; the grid applies the exact
-  // construction predicate distance_sq <= fl(max_radius²).
-  grid_->for_each_within(p, max_radius_, [&](spatial::PointIndex v) {
+  // Scan only the cells the query disc can reach; the two predicates below,
+  // not the scan radius, decide the result.
+  const double scan = std::min(radius * (1.0 + kScanSlack), max_radius_);
+  grid_->for_each_within(p, scan, [&](spatial::PointIndex v) {
     if (v == u) return;
-    const double w = geometry::distance(points_[v], p);
-    if (filter_by_weight && w > radius) return;  // second predicate
+    const double d_sq = geometry::distance_sq(points_[v], p);
+    if (d_sq > rmax_sq_) return;  // membership
+    const double w = std::sqrt(d_sq);  // == geometry::distance(points_[v], p)
+    if (w > radius) return;
     scratch.push_back({v, w, graph::kNoEdgeIndex});
   });
   std::sort(scratch.begin(), scratch.end(),
@@ -58,18 +74,6 @@ std::span<const graph::Neighbor> ImplicitTopology::fill_scratch(
     for (graph::Neighbor& nb : scratch) nb.edge_index = edge_rank(u, nb.id);
   }
   return {scratch.data(), scratch.size()};
-}
-
-std::span<const graph::Neighbor> ImplicitTopology::neighbors(NodeId u) const {
-  // Membership only — no weight filter. sqrt rounding can put a member's w
-  // a ulp above max_radius; the materialized neighbors(u) keeps such
-  // entries, so the implicit walk must too.
-  return fill_scratch(u, max_radius_, /*filter_by_weight=*/false);
-}
-
-std::span<const graph::Neighbor> ImplicitTopology::neighbors_within(
-    NodeId u, double radius) const {
-  return fill_scratch(u, radius, /*filter_by_weight=*/true);
 }
 
 std::vector<NodeId> ImplicitTopology::nodes_within(NodeId u,

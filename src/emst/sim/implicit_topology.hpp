@@ -19,6 +19,17 @@
 //    (membership ∧ w <= r), matching the materialized prefix that
 //    upper-bounds on w. The two-predicate rule matters at the radius
 //    boundary, where sqrt rounding can put w a ulp above max_radius.
+//    The grid is scanned at min(r·(1+κ), max_radius) with κ = 1e-9, so a
+//    query visits only the cells its disc can reach (EOPT's Step-1 radius
+//    is ~0.3·max_radius); neighbors(u) is the r = ∞ case and scans at
+//    max_radius. The scan radius only bounds the candidate set — the two
+//    predicates decide the result — but it must not drop a candidate
+//    that passes them. Scanning at exactly r would: w = fl(√d²) <= r does
+//    not imply d² <= fl(r²) (for about a quarter of random pairs
+//    d² > fl(w²), so a query at r = w loses the neighbour of weight w).
+//    The relative slack κ, orders of magnitude above those few-ulp
+//    errors, also keeps the scan's cell range clear of the rounding in
+//    p ± r at the disc's edge.
 //
 // neighbors()/neighbors_within() return spans into a thread-local scratch
 // buffer: valid until the next neighbour query on the same thread. Every
@@ -103,9 +114,6 @@ class ImplicitTopology {
   mutable std::vector<std::uint64_t> edge_ranks_;  // packed (u<<32)|v, sorted
 
   static constexpr std::size_t kUnknownEdgeCount = static_cast<std::size_t>(-1);
-
-  [[nodiscard]] std::span<const graph::Neighbor> fill_scratch(
-      NodeId u, double radius, bool filter_by_weight) const;
 };
 
 /// Customization point used by drivers that need Neighbor::edge_index.

@@ -13,7 +13,9 @@
 // bitwise), which is what makes the driver-level identity possible at all.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "emst/eopt/eopt.hpp"
@@ -62,24 +64,73 @@ TEST(TopologyBackends, NeighborEnumerationIsIdentical) {
   }
 }
 
+/// neighbors_within(u, r) and nodes_within(u, r) agree between backends:
+/// ids in order, weights bitwise.
+testing::AssertionResult same_within(const sim::Topology& mat,
+                                     const sim::ImplicitTopology& imp,
+                                     sim::NodeId u, double r) {
+  const auto want = mat.neighbors_within(u, r);
+  const auto got = imp.neighbors_within(u, r);
+  if (got.size() != want.size()) {
+    return testing::AssertionFailure()
+           << "node " << u << " r " << r << ": "
+           << got.size() << " neighbours, want " << want.size();
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i].id != want[i].id || got[i].w != want[i].w) {
+      return testing::AssertionFailure()
+             << "node " << u << " r " << r << " slot " << i;
+    }
+  }
+  if (imp.nodes_within(u, r) != mat.nodes_within(u, r)) {
+    return testing::AssertionFailure()
+           << "nodes_within: node " << u << " r " << r;
+  }
+  return testing::AssertionSuccess();
+}
+
 TEST(TopologyBackends, SubRadiusQueriesAreIdentical) {
   // Sub-radius enumeration (the EOPT Step-1 path) and the Co-NNT probe
-  // query must agree too, including exactly at the topology radius.
+  // query must agree too, including at the radius boundaries: exactly at and
+  // one ulp below the topology radius, and at every neighbour's exact weight
+  // and one ulp either side of it. A grid scan at exactly r would lose the
+  // neighbour whose weight is r (w = fl(√d²) <= r does not imply
+  // d² <= fl(r²)); the implicit backend's scan slack must keep it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto points = make_points(3);
   const double radius = rgg::connectivity_radius(kNodes);
   const sim::Topology mat(points, radius);
   const sim::ImplicitTopology imp(points, radius);
-  const double radii[] = {radius / 4, radius / 2, radius * 0.99, radius};
-  for (const double r : radii) {
-    for (sim::NodeId u = 0; u < mat.node_count(); ++u) {
-      const auto want = mat.neighbors_within(u, r);
-      const auto got = imp.neighbors_within(u, r);
-      ASSERT_EQ(got.size(), want.size()) << "node " << u << " r " << r;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].id, want[i].id);
-        EXPECT_EQ(got[i].w, want[i].w);
+  const double radii[] = {radius / 4, radius / 2, radius * 0.99,
+                          std::nextafter(radius, 0.0), radius};
+  for (sim::NodeId u = 0; u < mat.node_count(); ++u) {
+    for (const double r : radii) ASSERT_TRUE(same_within(mat, imp, u, r));
+    for (const graph::Neighbor& nb : mat.neighbors(u)) {
+      for (const double r :
+           {std::nextafter(nb.w, 0.0), nb.w, std::nextafter(nb.w, kInf)}) {
+        ASSERT_TRUE(same_within(mat, imp, u, r));
       }
-      EXPECT_EQ(imp.nodes_within(u, r), mat.nodes_within(u, r));
+    }
+  }
+
+  // EOPT's own Step-1 radius r₁ ≈ 0.3·r₂ at this size, so the query disc
+  // covers a few cells of the r₂-sized grid rather than the whole 3×3
+  // block; again at r₁ and at every weight inside it, each ± one ulp.
+  constexpr std::size_t kWide = 4000;
+  const auto wide_points = make_points(3, kWide);
+  const double r2 = rgg::connectivity_radius(kWide);
+  const double r1 =
+      rgg::percolation_radius(kWide, eopt::EoptOptions{}.step1_factor);
+  ASSERT_LT(r1, 0.35 * r2);
+  const sim::Topology wide_mat(wide_points, r2);
+  const sim::ImplicitTopology wide_imp(wide_points, r2);
+  for (sim::NodeId u = 0; u < wide_mat.node_count(); ++u) {
+    ASSERT_TRUE(same_within(wide_mat, wide_imp, u, r1));
+    for (const graph::Neighbor& nb : wide_mat.neighbors_within(u, r1)) {
+      for (const double r :
+           {std::nextafter(nb.w, 0.0), nb.w, std::nextafter(nb.w, kInf)}) {
+        ASSERT_TRUE(same_within(wide_mat, wide_imp, u, r));
+      }
     }
   }
 }
