@@ -1,14 +1,13 @@
 // Scaling and wire-cost profile of the distributed engine
 // (docs/DISTRIBUTED.md).
 //
-// The parallel_scaling pump workload — fixed message counts on the
-// delayed-collect scenario — timed on the serial calendar engine
-// (`sim::Network`) and on `sim::DistributedNetwork` at rank counts
-// {1, 2, 4}. Unlike the sharded engine, every cross-rank message here
-// crosses a real socketpair as proto-codec bytes, so alongside wall time
-// the tracked BENCH_dist.json records bytes-on-wire (frame bytes sent to
-// and received from the rank processes, plus the payload bytes inside
-// them): the wire tax is the whole story of this engine's overhead.
+// A pump workload — fixed message counts on the delayed-collect scenario —
+// timed on the serial calendar engine (`sim::Network`) and on
+// `sim::DistributedNetwork` at rank counts {1, 2, 4}. Every cross-rank
+// message crosses a real socketpair as proto-codec bytes, so alongside
+// wall time the tracked BENCH_dist.json records bytes-on-wire (frame bytes
+// sent to and received from the rank processes, plus the payload bytes
+// inside them): the wire tax is the whole story of this engine's overhead.
 //
 // The distributed pump installs a node actor (docs/DISTRIBUTED.md §2) whose
 // handlers count deliveries and emit no effects, so its time is the price

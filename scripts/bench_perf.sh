@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Run the simulator-engine microbench and record the result as BENCH_sim.json
-# at the repo root, plus the sharded-engine strong-scaling bench as
-# BENCH_parallel.json, so the perf trajectory is tracked in git from PR to PR.
+# at the repo root, plus the rank-process scaling bench as BENCH_dist.json,
+# so the perf trajectory is tracked in git from PR to PR.
 #
-#   scripts/bench_perf.sh [build_dir] [output_json] [threads] [ranks]
+#   scripts/bench_perf.sh [build_dir] [output_json] [ranks]
 #
-# `threads` is a comma list passed to parallel_scaling (default 1,2,4,8);
-# pick it to match the machine — tracked numbers embed hardware_concurrency
-# so a 1-core CI record is not mistaken for a scaling claim. `ranks` is the
-# comma list passed to dist_scaling (default 1,2,4), which records the
-# process-level distributed engine as BENCH_dist.json the same way.
+# `ranks` is the comma list passed to dist_scaling (default 1,2,4); the
+# record embeds hardware_concurrency so a 1-core record is not mistaken for
+# a scaling claim.
 #
 # BENCH_sim.json is google-benchmark's format: one entry per benchmark run.
 # BM_CalendarPump/BM_LegacyPump are the collect_round-dominated steady-state
@@ -34,15 +32,12 @@ set -- "${ARGS[@]:-}"
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 OUT="${2:-$REPO_ROOT/BENCH_sim.json}"
-THREADS="${3:-1,2,4,8}"
-RANKS="${4:-1,2,4}"
+RANKS="${3:-1,2,4}"
 BIN="$BUILD_DIR/bench/perf_sim"
-SCALING_BIN="$BUILD_DIR/bench/parallel_scaling"
-SCALING_OUT="$REPO_ROOT/BENCH_parallel.json"
 DIST_BIN="$BUILD_DIR/bench/dist_scaling"
 DIST_OUT="$REPO_ROOT/BENCH_dist.json"
 
-for bin in "$BIN" "$SCALING_BIN" "$DIST_BIN"; do
+for bin in "$BIN" "$DIST_BIN"; do
   if [ ! -x "$bin" ]; then
     echo "error: $bin not found or not executable — build first:" >&2
     echo "  cmake -B $BUILD_DIR -S $REPO_ROOT -DCMAKE_BUILD_TYPE=Release && cmake --build $BUILD_DIR -j" >&2
@@ -111,23 +106,11 @@ if command -v python3 >/dev/null 2>&1; then
   python3 "$REPO_ROOT/scripts/validate_bench.py" ${VALIDATE_FLAGS[@]:+"${VALIDATE_FLAGS[@]}"} "$OUT"
 fi
 
-# Strong scaling of the sharded engine: serial Network vs ShardedNetwork at
-# the requested thread counts. The binary exits non-zero if any width fails
-# the bitwise delivery/energy identity check, so a racy engine can't leave a
-# plausible-looking record behind.
-echo
-"$SCALING_BIN" --threads="$THREADS" --json="$SCALING_OUT"
-echo
-echo "wrote $SCALING_OUT"
-stamp_record "$SCALING_OUT"
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$REPO_ROOT/scripts/validate_bench.py" ${VALIDATE_FLAGS[@]:+"${VALIDATE_FLAGS[@]}"} "$SCALING_OUT"
-fi
-
 # Process-level scaling of the distributed engine: serial Network vs
 # DistributedNetwork at the requested rank counts, with bytes-on-wire per
-# scenario. Same contract as parallel_scaling: the binary exits non-zero if
-# any rank count breaks the bitwise delivery/energy identity.
+# scenario. The binary exits non-zero if any rank count breaks the bitwise
+# delivery/energy identity, so a broken engine can't leave a
+# plausible-looking record behind.
 echo
 "$DIST_BIN" --ranks="$RANKS" --json="$DIST_OUT"
 echo

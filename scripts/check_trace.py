@@ -24,10 +24,11 @@ header. Summary "bits" must equal the replayed sum over uni/bcast charges;
 
 Traces from multi-threaded runs (`emst_cli --threads=N`, N > 1) are first-
 class: the header then carries "threads":N, and events may carry an optional
-"shard" id. The sharded engine's contract is that neither changes anything
-observable — replay here deliberately derives every counter and the energy
-sum without looking at "shard", so a trace that only passes *with* shard
-information would be a determinism bug, not a valid trace.
+"shard" id. The determinism contract is that neither changes anything
+observable (thread count changes wall time only, docs/PERF.md) — replay
+here deliberately derives every counter and the energy sum without looking
+at "shard", so a trace that only passes *with* shard information would be
+a determinism bug, not a valid trace.
 
 Exit status 0 iff every file passes. No dependencies beyond the standard
 library, so CI can run it straight after `emst_cli --trace`.

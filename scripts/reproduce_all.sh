@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Regenerate every table/figure of the reproduction and archive the outputs.
 #
-#   scripts/reproduce_all.sh [build_dir] [results_dir] [threads] [ranks]
+#   scripts/reproduce_all.sh [build_dir] [results_dir] [ranks]
 #
 # Runs each bench binary at its default (paper-scale) parameters, teeing the
 # console tables into results/<bench>.txt and CSVs into results/<bench>.csv.
-# `threads` is a comma list forwarded to the parallel_scaling bench (default
-# 1,2,4,8) — set it to the core count of the reproduction machine. `ranks`
-# is the comma list forwarded to the dist_scaling bench (default 1,2,4).
+# `ranks` is the comma list forwarded to the dist_scaling bench (default
+# 1,2,4).
 # Fails loudly (before running anything) if any bench binary named by a
 # bench/*.cpp source is missing from the build tree — a silent skip would
 # produce an incomplete results/ directory that looks complete.
@@ -16,8 +15,7 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-build}"
 RESULTS_DIR="${2:-results}"
-THREADS="${3:-1,2,4,8}"
-RANKS="${4:-1,2,4}"
+RANKS="${3:-1,2,4}"
 
 if [ ! -d "$BUILD_DIR/bench" ]; then
   echo "error: $BUILD_DIR/bench not found — build first:" >&2
@@ -69,15 +67,6 @@ for name in "${benches[@]}"; do
         --json="$REPO_ROOT/BENCH_faults.json" | tee "$RESULTS_DIR/$name.txt"
       validate_json "$REPO_ROOT/BENCH_faults.json"
       cp "$REPO_ROOT/BENCH_faults.json" "$RESULTS_DIR/BENCH_faults.json"
-      ;;
-    parallel_scaling)
-      echo "== $name (threads=$THREADS)"
-      # Refreshes the tracked strong-scaling record; the binary exits
-      # non-zero if the sharded engine diverges bitwise from the serial one.
-      "$bench" --threads="$THREADS" \
-        --json="$REPO_ROOT/BENCH_parallel.json" | tee "$RESULTS_DIR/$name.txt"
-      validate_json "$REPO_ROOT/BENCH_parallel.json"
-      cp "$REPO_ROOT/BENCH_parallel.json" "$RESULTS_DIR/BENCH_parallel.json"
       ;;
     dist_scaling)
       echo "== $name (ranks=$RANKS)"
@@ -134,16 +123,17 @@ if [ -x "$BUILD_DIR/examples/emst_cli" ] && command -v python3 >/dev/null 2>&1; 
       > "$RESULTS_DIR/trace_$algo.run.json"
     python3 "$REPO_ROOT/scripts/check_trace.py" "$RESULTS_DIR/trace_$algo.jsonl"
   done
-  # Multi-threaded trace: same run on the sharded engine. The event lines
-  # (everything after the header) must be byte-identical to the 1-thread
-  # trace — the strongest form of the determinism contract.
+  # Multi-threaded trace: the same sync-GHS run with its fragment views
+  # built on 4 worker threads. The event lines (everything after the
+  # header) must be byte-identical to the 1-thread trace — the strongest
+  # form of the determinism contract.
   "$BUILD_DIR/examples/emst_cli" --algo=sync --n=500 --seed=7 --threads=4 \
     --trace="$RESULTS_DIR/trace_sync_t4.jsonl" --format=json \
     > "$RESULTS_DIR/trace_sync_t4.run.json"
   python3 "$REPO_ROOT/scripts/check_trace.py" "$RESULTS_DIR/trace_sync_t4.jsonl"
   if ! diff <(tail -n +2 "$RESULTS_DIR/trace_sync.jsonl") \
             <(tail -n +2 "$RESULTS_DIR/trace_sync_t4.jsonl") > /dev/null; then
-    echo "error: sharded trace diverged from the single-threaded trace" >&2
+    echo "error: 4-thread trace diverged from the single-threaded trace" >&2
     exit 1
   fi
   # Rank-process trace: the same contract for the distributed engine. The

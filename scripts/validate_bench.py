@@ -16,8 +16,6 @@ Known records (matched by filename):
                         `repo_build_type` (stamped by bench_perf.sh) must be
                         Release — the upstream `context.library_build_type`
                         describes the system libbenchmark, not this repo
-  BENCH_parallel.json   sharded-engine strong scaling; `identical` must be
-                        true (the bitwise-determinism contract)
   BENCH_dist.json       distributed-engine (rank processes) scaling;
                         `identical` must be true and every rank run's
                         bytes-on-wire must strictly exceed its codec
@@ -90,20 +88,6 @@ def check_sim(path: str, doc: dict) -> str:
                 and bench["iterations"] <= 0:
             fail(path, f"benchmark {bench['name']!r} ran 0 iterations")
     return f"{len(benches)} benchmark entries"
-
-
-def check_parallel(path: str, doc: dict) -> str:
-    require(path, doc, ("hardware_concurrency", "nodes", "trials", "seed",
-                        "identical", "scenarios"))
-    if doc["identical"] is not True:
-        fail(path, "sharded engine diverged from the serial engine "
-                   "(identical != true) — this record must never be committed")
-    if not doc["scenarios"]:
-        fail(path, "no scenarios")
-    for scenario in doc["scenarios"]:
-        require(path, scenario, ("messages", "serial_ms", "sharded"),
-                where="scenario")
-    return f"{len(doc['scenarios'])} scenarios, bitwise identical"
 
 
 def check_dist(path: str, doc: dict) -> str:
@@ -339,7 +323,6 @@ def check_serve(path: str, doc: dict) -> str:
 
 CHECKS = {
     "BENCH_sim.json": check_sim,
-    "BENCH_parallel.json": check_parallel,
     "BENCH_dist.json": check_dist,
     "BENCH_faults.json": check_faults,
     "BENCH_chaos.json": check_chaos,

@@ -115,10 +115,10 @@ inline void frame_and_send(int fd, const std::vector<std::uint8_t>& body) {
   (void)write_all(fd, out.data(), out.size());
 }
 
-/// Same three-strategy by-receiver ordering as the in-process engines
-/// (Network / ShardedNetwork drain_by_receiver): append order within the
-/// bucket is global sequence order, so a stable by-receiver order yields
-/// the (receiver, sequence) contract for this rank's slice.
+/// Same three-strategy by-receiver ordering as `Network::drain_by_receiver`:
+/// append order within the bucket is global sequence order, so a stable
+/// by-receiver order yields the (receiver, sequence) contract for this
+/// rank's slice.
 inline constexpr std::size_t kSmallBucket = 48;
 
 inline void order_by_receiver(const std::vector<Item>& bucket,

@@ -10,7 +10,6 @@
 #include "emst/sim/implicit_topology.hpp"
 #include "emst/sim/network.hpp"
 #include "emst/sim/reference_network.hpp"
-#include "emst/sim/sharded_network.hpp"
 #include "emst/support/assert.hpp"
 
 namespace emst::ghs {
@@ -46,8 +45,7 @@ class ClassicGhsRun {
         net_(sim::make_engine<Engine>(topo, options.pathloss,
                                       /*unbounded_broadcast=*/false,
                                       options.delays, options.faults,
-                                      options.telemetry, options.threads,
-                                      options.ranks)),
+                                      options.telemetry, options.ranks)),
         actor_(topo, radius_, moe_),
         starters_(options.spontaneous_wakeups),
         faulty_(options.faults.enabled()) {
@@ -370,10 +368,6 @@ MstRunResult run_classic_ghs(const Topo& topo,
   if (options.ranks > 0) {
     return ClassicGhsRun<sim::DistributedNetwork<GhsMsg, Topo>, Topo>(topo,
                                                                       options)
-        .run();
-  }
-  if (options.threads > 1) {
-    return ClassicGhsRun<sim::ShardedNetwork<GhsMsg, Topo>, Topo>(topo, options)
         .run();
   }
   return ClassicGhsRun<sim::Network<GhsMsg, Topo>, Topo>(topo, options).run();

@@ -13,7 +13,6 @@
 #include "emst/sim/engine_factory.hpp"
 #include "emst/sim/implicit_topology.hpp"
 #include "emst/sim/network.hpp"
-#include "emst/sim/sharded_network.hpp"
 #include "emst/support/assert.hpp"
 #include "emst/support/parallel.hpp"
 
@@ -96,8 +95,7 @@ CoNntResult run_connt_actor_impl(const Topo& topo,
   Engine net(sim::make_engine<Engine>(topo, options.pathloss,
                                       /*unbounded_broadcast=*/true,
                                       /*delays=*/{}, options.faults,
-                                      options.telemetry, options.threads,
-                                      options.ranks));
+                                      options.telemetry, options.ranks));
   if (options.oracle != nullptr) net.attach_oracle(options.oracle);
   // Codec hook: requests and replies carry grid-quantized coordinates, the
   // connect message a bare tag; widths come from the topology size.
@@ -381,10 +379,6 @@ template <typename Topo>
 CoNntResult run_connt_actor(const Topo& topo, const CoNntOptions& options) {
   if (options.ranks > 0) {
     return run_connt_actor_impl<sim::DistributedNetwork<proto::ConntMsg, Topo>,
-                                Topo>(topo, options);
-  }
-  if (options.threads > 1) {
-    return run_connt_actor_impl<sim::ShardedNetwork<proto::ConntMsg, Topo>,
                                 Topo>(topo, options);
   }
   return run_connt_actor_impl<sim::Network<proto::ConntMsg, Topo>, Topo>(

@@ -26,8 +26,10 @@ const std::map<std::string, std::string>& shared_spec() {
                     "(docs/TELEMETRY.md)"},
       {"trace", "write a JSONL telemetry trace to this path (validate with "
                 "scripts/check_trace.py)"},
-      {"threads", "worker threads (default 1); results are bitwise "
-                  "identical for every value (docs/PARALLEL.md)"},
+      {"threads", "worker threads for the fragment views of "
+                  "sync|sync-probe|eopt and the probes of connt|connt-axis "
+                  "(default 1); results are bitwise identical for every "
+                  "value (docs/PERF.md)"},
       {"ranks", "worker processes (default 0 = in-process); ghs|connt run "
                 "over the distributed engine, bitwise identical for every "
                 "value (docs/DISTRIBUTED.md)"},

@@ -3,17 +3,17 @@
 // `DistributedNetwork<Msg>` keeps `Network<Msg>`'s send side (unicast,
 // broadcast, pending, meter, faults, telemetry) but executes the message
 // handlers of a node actor (sim/actor.hpp) inside separate worker
-// PROCESSES — one rank per grid-partition shard, forked by `install_actor`
-// and connected by a socketpair carrying serve-framed binary messages. It
-// produces BITWISE-identical results to the serial engine running the same
-// actor — same delivery sequences, same meter totals (float addition order
-// preserved), same telemetry event stream, same fault fates — at every rank
-// count, by the same argument the sharded engine makes
-// (sharded_network.hpp), with the shard moved across a real wire:
+// PROCESSES — one rank per part of a spatial partition, forked by
+// `install_actor` and connected by a socketpair carrying serve-framed
+// binary messages. It produces BITWISE-identical results to the serial
+// engine running the same actor — same delivery sequences, same meter
+// totals (float addition order preserved), same telemetry event stream,
+// same fault fates — at every rank count, because:
 //
-//  1. Partition. The ShardedNetwork grid: tiles round-robin onto R ranks,
-//     a message lives with its RECEIVER's rank, so per-link state (the FIFO
-//     clamp) and the receiver's actor state are rank-private.
+//  1. Partition. A g×g grid of tiles over the unit square (g = ⌈√R⌉),
+//     tiles round-robin onto R ranks. A message lives with its RECEIVER's
+//     rank, so per-link state (the FIFO clamp) and the receiver's actor
+//     state are rank-private.
 //  2. Per-rank calendar queues. Each rank process owns a D+1-bucket ring
 //     (apps/actor_rank.hpp). Records arrive in global send-sequence order,
 //     the rank runs its due bucket through the actor's handlers in stable
@@ -150,8 +150,8 @@ class ProcessGroup {
 template <typename Msg, typename Topo = Topology>
 class DistributedNetwork {
  public:
-  /// Marker for `make_engine`: the trailing size parameter means rank
-  /// processes, not shard threads.
+  /// Marker for `make_engine`: the trailing constructor parameter is the
+  /// rank count.
   static constexpr bool kDistributedEngine = true;
 
   /// Crash-only fault models only: a rank runs a handler on a delivery
@@ -480,9 +480,9 @@ class DistributedNetwork {
     double distance;
   };
 
-  /// Meter context captured with each staged send (sharded_network.hpp's
-  /// SendContext, minus the Mode-B merge key — the distributed engine only
-  /// fronts the Network facade, where staging order IS issue order).
+  /// Meter context captured with each staged send. Staging order is issue
+  /// order, so replaying the staged sends at the barrier charges the meter
+  /// exactly as `Network` would have at call time.
   struct SendContext {
     MsgKind kind = MsgKind::kData;
     PhaseTag phase = PhaseTag::kRun;
@@ -558,8 +558,8 @@ class DistributedNetwork {
   // -- Construction --------------------------------------------------------
 
   void build_partition() {
-    // Identical to ShardedNetwork::build_partition: g×g tiles round-robin
-    // onto ranks, a pure function of (points, rank count).
+    // g×g tiles round-robin onto ranks, a pure function of (points, rank
+    // count).
     std::size_t g = 1;
     while (g * g < rank_count_) ++g;
     const auto& points = topo_.points();
@@ -576,7 +576,7 @@ class DistributedNetwork {
     }
   }
 
-  // -- Staging (issue side — mirrors ShardedNetwork exactly) ---------------
+  // -- Staging (issue side) ------------------------------------------------
 
   [[nodiscard]] SendContext meter_context() const noexcept {
     return {meter_.kind(), meter_.phase(), meter_.flags(), meter_.fragment(),

@@ -70,19 +70,18 @@ void FaultInjector::poll_controller() {
 }
 
 bool FaultInjector::drop_at(std::uint64_t seq, graph::NodeId u,
-                            graph::NodeId v, support::FlatMap64& ge_state) {
-  if (!enabled_) return false;
+                            graph::NodeId v) {
   // Per-message stream: every draw this transmission needs comes from an
   // independent generator keyed by (seed, seq). No draw here reads or
   // advances shared RNG state, so the fate of transmission k is a pure
-  // function of (model, k, link burst state) — evaluable on any thread.
+  // function of (model, k, link burst state).
   support::Rng draw(support::Rng::stream_seed(model_.seed, seq));
   bool lost = false;
   if (model_.loss > 0.0) lost = draw.uniform() < model_.loss;
   if (model_.use_gilbert) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
-    const auto slot = ge_state.find_or_insert(key, 0);  // links start Good
+    const auto slot = ge_state_.find_or_insert(key, 0);  // links start Good
     const bool bad = *slot.value != 0;
     const double p_loss = bad ? model_.ge_loss_bad : model_.ge_loss_good;
     if (p_loss > 0.0 && draw.uniform() < p_loss) lost = true;

@@ -25,13 +25,13 @@
 // states (in a FlatMap64, keyed by packed directed edge) and the fault
 // clock. Channel fates are *counter-based*: the k-th physical transmission
 // draws from an independent RNG stream derived from (seed, k) rather than
-// from one shared sequential generator. Engines that process sends in
-// global send order (`Network`, `ReferenceNetwork`) simply count calls;
-// the sharded engine (`ShardedNetwork`) assigns the same global sequence
-// numbers at the round barrier and evaluates the fates on worker threads —
-// same (seed, k) pairs, same fates, regardless of thread count. Only the
-// per-link burst chains are stateful, and per-link send order is preserved
-// by every engine (FIFO links), so the chains advance identically too.
+// from one shared sequential generator, so a fate depends only on k and
+// its link's burst state, never on how many draws earlier fates consumed.
+// Callers (`Network`, `ReferenceNetwork`, the ARQ links, the sync-GHS
+// driver) draw in global send order, so `drop` simply counts calls. Only
+// the per-link burst chains are stateful, and per-link send order is
+// preserved by every engine (FIFO links), so the chains advance
+// identically too.
 #pragma once
 
 #include <cstdint>
@@ -191,21 +191,8 @@ class FaultInjector {
   /// happen at delivery time, not send time.
   [[nodiscard]] bool drop(graph::NodeId u, graph::NodeId v) {
     if (!enabled_) return false;
-    return drop_at(seq_++, u, v, ge_state_);
+    return drop_at(seq_++, u, v);
   }
-
-  /// Counter-based form: the fate of global transmission number `seq` on
-  /// link u→v, with the per-link burst state held in `ge_state` (callers
-  /// that partition links across threads pass their own map; every link
-  /// must consistently live in exactly one map). Draws come from an RNG
-  /// stream derived from (model seed, seq), so evaluation only needs the
-  /// sequence number — not the history of other links' draws. Thread-safe
-  /// for concurrent calls with distinct `ge_state` maps.
-  [[nodiscard]] bool drop_at(std::uint64_t seq, graph::NodeId u,
-                             graph::NodeId v, support::FlatMap64& ge_state);
-
-  /// The internal send counter (next sequence number `drop` will consume).
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return seq_; }
 
   FaultStats& stats() noexcept { return stats_; }
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
@@ -214,6 +201,12 @@ class FaultInjector {
   /// Consult the controller for the round the clock just reached (fault.cpp
   /// — needs the ChaosView definition from chaos.hpp).
   void poll_controller();
+
+  /// The fate of global transmission number `seq` on link u→v. Every draw
+  /// comes from an RNG stream derived from (model seed, seq); the link's
+  /// burst state is the only history it reads.
+  [[nodiscard]] bool drop_at(std::uint64_t seq, graph::NodeId u,
+                             graph::NodeId v);
 
   FaultModel model_;
   bool enabled_ = false;

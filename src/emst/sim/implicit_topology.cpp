@@ -15,8 +15,8 @@ namespace {
 // it absorbs, far below anything that widens the scan measurably.
 constexpr double kScanSlack = 1e-9;
 
-// Per-thread neighbour scratch. The sharded engine stages broadcasts from
-// worker threads, so the buffer cannot be a per-topology member without a
+// Per-thread neighbour scratch. Queries are const and may run concurrently
+// on one topology, so the buffer cannot be a per-topology member without a
 // lock on the hottest path in the simulator.
 std::vector<graph::Neighbor>& tls_scratch() {
   static thread_local std::vector<graph::Neighbor> scratch;

@@ -34,9 +34,10 @@
 // neighbors()/neighbors_within() return spans into a thread-local scratch
 // buffer: valid until the next neighbour query on the same thread. Every
 // engine and driver call site either copies the span out (Network's
-// receiver staging) or finishes with it before the next query; the sharded
-// engine stages broadcasts from worker threads, which is why the scratch is
-// thread-local rather than per-topology.
+// receiver staging) or finishes with it before the next query. The scratch
+// is thread-local rather than per-topology because the queries are const:
+// like the CSR backend's, they must stay safe to call from several threads
+// on one shared topology, which a mutable member buffer would break.
 #pragma once
 
 #include <cstddef>

@@ -286,8 +286,8 @@ class EnergyMeter {
 
   /// Raw flag byte (kEventFlagArq | kEventFlagRetransmit). The getter/raw
   /// setter exist for engines that capture the ambient context at send time
-  /// and replay it later (ShardedNetwork's round-barrier charge replay) —
-  /// drivers should keep using set_arq_frame / clear_arq_frame.
+  /// and replay it later (DistributedNetwork's round-barrier charge replay)
+  /// — drivers should keep using set_arq_frame / clear_arq_frame.
   [[nodiscard]] std::uint8_t flags() const noexcept { return flags_; }
   void set_flags(std::uint8_t flags) noexcept { flags_ = flags; }
 

@@ -143,7 +143,7 @@ class Network {
     head_ = head_ + 1 == buckets_.size() ? 0 : head_ + 1;
     if (faults_.enabled()) {
       // The chaos controller sees the pre-drain in-flight count (messages
-      // enqueued and not yet delivered) — the same value ShardedNetwork
+      // enqueued and not yet delivered) — the same value DistributedNetwork
       // reports at its barrier, so strategies inject identically on both.
       faults_.set_in_flight(inflight_count_);
       faults_.advance_to(now_);

@@ -7,9 +7,10 @@
 // from two kinds of hooks:
 //
 //  - engine hooks, called serially at every round barrier (`Network`,
-//    `ShardedNetwork`, `ReferenceNetwork` — and the meter-direct sync-GHS
-//    driver at its ticks): bounded-rounds liveness and meter-internal energy
-//    conservation (breakdown row sums vs the Accounting total);
+//    `ReferenceNetwork`, `DistributedNetwork` — and the meter-direct
+//    sync-GHS driver at its ticks): bounded-rounds liveness and
+//    meter-internal energy conservation (breakdown row sums vs the
+//    Accounting total);
 //  - driver hooks, called at phase boundaries where richer state exists:
 //    fragment-forest acyclicity + DSU/leader agreement over the published
 //    census, and the deep meter-vs-telemetry ledger check (the per-node

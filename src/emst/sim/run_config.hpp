@@ -39,10 +39,12 @@ struct RunConfig {
   /// call its hooks at round/phase barriers. Null = zero cost (one pointer
   /// test per barrier); violations are recorded, never thrown.
   InvariantOracle* oracle = nullptr;
-  /// Worker threads for the run. 0 or 1 = single-threaded. Drivers that run
-  /// over a network engine pick `sim::ShardedNetwork` when threads > 1;
-  /// meter-direct drivers parallelize their pure-compute stages. Results are
-  /// bitwise-identical across thread counts (docs/PARALLEL.md).
+  /// Worker threads for the meter-direct drivers' pure-compute stages: the
+  /// sync-GHS / EOPT fragment views and the choreographed Co-NNT probe
+  /// precompute run under `support::parallel_for` at this width. 0 or 1 =
+  /// single-threaded. The engine-driven drivers (classic GHS, the Co-NNT
+  /// actor) ignore it. Results are bitwise-identical across thread counts
+  /// (docs/PERF.md).
   std::size_t threads = 0;
   /// Worker PROCESSES for the run. 0 (default) = in-process engines. Any
   /// value >= 1 makes the engine-driven drivers (classic GHS, the Co-NNT
@@ -50,8 +52,8 @@ struct RunConfig {
   /// processes and a real serialized wire; results are bitwise-identical to
   /// the serial engine at every rank count (docs/DISTRIBUTED.md). The
   /// choreographed drivers (sync GHS, EOPT) are meter-direct — no network
-  /// engine — so ranks is a documented no-op for them, mirroring `threads`.
-  /// Takes precedence over `threads` when both are set.
+  /// engine — so ranks is a documented no-op for them, as `threads` is for
+  /// the engine-driven ones.
   std::size_t ranks = 0;
 };
 

@@ -49,7 +49,7 @@ struct ReplayTotals {
 /// live counters the replayer must reproduce (scripts/check_trace.py).
 /// `threads` and `ranks` record how the trace was produced; neither affects
 /// replay — thread and rank counts are observationally equivalent
-/// (docs/PARALLEL.md, docs/DISTRIBUTED.md). "threads" only appears when
+/// (docs/PERF.md, docs/DISTRIBUTED.md). "threads" only appears when
 /// > 1 and "ranks" when > 0, so default serial traces are byte-stable.
 /// `driver` records the driver variant that actually executed
 /// (emst::resolved_driver_name) — the Co-NNT drivers silently dispatch to

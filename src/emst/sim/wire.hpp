@@ -10,7 +10,7 @@
 //
 // Layering: this header knows nothing about the codec itself — it only
 // defines the hook. Engines (`Network`, `ReferenceNetwork`,
-// `ShardedNetwork`) hold a `WireFormat<Msg>` instance and stamp
+// `DistributedNetwork`) hold a `WireFormat<Msg>` instance and stamp
 // `meter.set_bits(wire.bits(msg))` before every charge, so the bit count
 // rides the same context channel as the message kind and fragment id and
 // lands in `Accounting::bits`, the breakdown matrix and telemetry events.

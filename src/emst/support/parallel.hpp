@@ -13,11 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -52,98 +48,5 @@ void parallel_for(std::size_t count, Fn&& fn, std::size_t threads = 0) {
     });
   }
 }
-
-/// Persistent fork-join worker pool for per-round parallel sections
-/// (ShardedNetwork runs two per simulated round; spawning threads each time
-/// would dominate small rounds). `run(task, count)` executes task(i) for
-/// i in [0, count) across the workers and blocks until all complete — the
-/// mutex/condvar handoff establishes the happens-before edges between the
-/// serial phases and the parallel section, so worker-written state can be
-/// read by the caller after run() returns (and vice versa) without atomics.
-///
-/// With `workers == 0` the pool owns no threads and run() executes inline —
-/// the single-threaded configuration takes exactly the serial code path.
-class WorkerPool {
- public:
-  explicit WorkerPool(std::size_t workers) {
-    threads_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ~WorkerPool() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return threads_.size();
-  }
-
-  template <typename Fn>
-  void run(Fn&& task, std::size_t count) {
-    if (count == 0) return;
-    if (threads_.empty() || count == 1) {
-      for (std::size_t i = 0; i < count; ++i) task(i);
-      return;
-    }
-    const std::function<void(std::size_t)> erased(std::ref(task));
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_ = &erased;
-      task_count_ = count;
-      next_.store(0, std::memory_order_relaxed);
-      busy_ = threads_.size();
-      ++generation_;
-      cv_.notify_all();
-      done_cv_.wait(lock, [this] { return busy_ == 0; });
-      task_ = nullptr;
-    }
-  }
-
- private:
-  void worker_loop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(std::size_t)>* task = nullptr;
-      std::size_t count = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        task = task_;
-        count = task_count_;
-      }
-      for (;;) {
-        const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        (*task)(i);
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        if (--busy_ == 0) done_cv_.notify_one();
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;       ///< wakes workers on a new generation
-  std::condition_variable done_cv_;  ///< wakes the caller when all are done
-  std::uint64_t generation_ = 0;
-  std::size_t busy_ = 0;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::size_t task_count_ = 0;
-  std::atomic<std::size_t> next_{0};
-  bool stop_ = false;
-  std::vector<std::jthread> threads_;
-};
 
 }  // namespace emst::support

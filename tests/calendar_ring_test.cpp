@@ -1,5 +1,5 @@
-// Ring-wrap audit for the calendar-queue engines (satellite of the sharding
-// work; see the invariant comment in Network::enqueue).
+// Ring-wrap audit for the calendar-queue engine (see the invariant comment
+// in Network::enqueue).
 //
 // The calendar ring has exactly D+1 buckets for max_extra_delay = D. The
 // safety argument: a message sent at clock t draws due ∈ [t+1, t+1+D], and
@@ -11,7 +11,9 @@
 // that wrap the ring many times — against the seed engine, which keeps
 // explicit (seq, due) pairs and a full sort instead of a ring (so it cannot
 // alias by construction). An always-on assert in enqueue/ingest backs this
-// up in every other test and in production runs.
+// up in every other test and in production runs. The rank-side ring of the
+// distributed engine replays the same bursts in
+// distributed_network_test.cpp (CalendarRingBurstsAcrossRankCounts).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +21,6 @@
 
 #include "emst/sim/network.hpp"
 #include "emst/sim/reference_network.hpp"
-#include "emst/sim/sharded_network.hpp"
 #include "emst/support/rng.hpp"
 
 namespace emst::sim {
@@ -41,7 +42,6 @@ void expect_boundary_equivalence(std::uint32_t max_extra_delay,
   const DelayModel delays{max_extra_delay, 0xabcdULL + max_extra_delay};
   Network<Msg> calendar(topo, {}, false, delays);
   ReferenceNetwork<Msg> reference(topo, {}, false, delays);
-  ShardedNetwork<Msg> sharded(topo, {}, false, delays, {}, nullptr, 2);
 
   std::uint64_t payload = 0;
   std::uint64_t last_seen = 0;
@@ -53,21 +53,18 @@ void expect_boundary_equivalence(std::uint32_t max_extra_delay,
       for (std::size_t k = 0; k < burst; ++k) {
         calendar.unicast(0, 1, payload);
         reference.unicast(0, 1, payload);
-        sharded.unicast(0, 1, payload);
         ++payload;
       }
     }
     const auto want = reference.collect_round();
     const auto got = calendar.collect_round();
-    const auto got_sharded = sharded.collect_round();
     ASSERT_EQ(got.size(), want.size()) << "round " << round;
-    ASSERT_EQ(got_sharded.size(), want.size()) << "round " << round;
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].msg, want[i].msg) << "round " << round << " pos " << i;
-      ASSERT_EQ(got_sharded[i].msg, want[i].msg)
-          << "round " << round << " pos " << i;
       // Single-link FIFO: payloads are strictly increasing globally.
-      if (any) ASSERT_GT(got[i].msg, last_seen) << "FIFO violated";
+      if (any) {
+        ASSERT_GT(got[i].msg, last_seen) << "FIFO violated";
+      }
       last_seen = got[i].msg;
       any = true;
     }
@@ -78,7 +75,6 @@ void expect_boundary_equivalence(std::uint32_t max_extra_delay,
   EXPECT_EQ(delivered, payload);
   EXPECT_FALSE(calendar.pending());
   EXPECT_FALSE(reference.pending());
-  EXPECT_FALSE(sharded.pending());
 }
 
 TEST(CalendarRing, SynchronousBurst) { expect_boundary_equivalence(0, 40, 30); }

@@ -8,8 +8,7 @@
 // random schedules — serially on `Network`, and installed into the
 // distributed engine across rank counts, delay models, and crash windows —
 // and requires byte-for-byte agreement of the noted deliveries, handler
-// sends, meter totals, fault stats and telemetry streams, the same bar the
-// sharded engine is held to (sharded_network_test.cpp). The negative half
+// sends, meter totals, fault stats and telemetry streams. The negative half
 // proves the collective fingerprint contract: a corrupted frame or a
 // skipped collective is REPORTED (rank, round, expected/actual chain
 // values) instead of deadlocking a barrier, and a killed rank process is
@@ -336,6 +335,82 @@ TEST(DistributedNetwork, LargeRoundChunksAcrossFrames) {
   }
   EXPECT_FALSE(dist.pending());
   EXPECT_EQ(dist.meter().totals().energy, serial_net.meter().totals().energy);
+}
+
+/// The CalendarRing boundary workload (calendar_ring_test.cpp) on the
+/// rank-side ring (apps/actor_rank.hpp): `burst` messages per round onto
+/// the one link of a two-node topology, far more than the D+1 buckets, so
+/// the FIFO clamp pins dues at the window's upper edge while the head wraps
+/// the ring again and again. The forwarding actor sends some payloads back,
+/// so the reverse link is clamped too. The drain horizon is fixed, as in
+/// CalendarRing: a message aliased into a wrong bucket arrives early, late
+/// or never, and breaks the round-by-round match or the conservation count.
+void expect_ring_bursts_equivalent(std::size_t ranks,
+                                   std::uint32_t max_extra_delay,
+                                   std::size_t burst, int send_rounds) {
+  const Topology topo({{0.25, 0.5}, {0.75, 0.5}}, 1.0);
+  const DelayModel delays{max_extra_delay, 0xabcdULL + max_extra_delay};
+  MemoryTraceSink serial_sink, dist_sink;
+  Telemetry serial_tel(&serial_sink), dist_tel(&dist_sink);
+  Network<Msg> serial_net(topo, {}, false, delays, {}, &serial_tel);
+  DistributedNetwork<Msg> dist(topo, {}, false, delays, {}, &dist_tel,
+                               ranks);
+  ForwardActor serial_actor(topo), dist_actor(topo);
+  SerialRun serial{serial_net, serial_actor, {}};
+  dist.install_actor(dist_actor, /*faulty=*/false);
+  RecordingSink sink;
+
+  std::uint64_t payload = 0;
+  std::uint64_t received = 0;  // deliveries on the 0→1 link
+  std::uint64_t last_seen = 0;
+  const int rounds = send_rounds + 3 * static_cast<int>(max_extra_delay) + 5;
+  for (int round = 0; round < rounds; ++round) {
+    if (round < send_rounds) {
+      for (std::size_t k = 0; k < burst; ++k) {
+        serial_net.unicast(0, 1, payload);
+        dist.unicast(0, 1, payload);
+        ++payload;
+      }
+    }
+    expect_same_round(serial, dist, sink, round);
+    if (testing::Test::HasFatalFailure()) return;
+    for (const Observed& o : sink.log) {
+      if (o.send || o.node != 1) continue;
+      // Single-link FIFO: node 1 hears only node 0's payloads, in order.
+      if (received > 0) {
+        ASSERT_GT(o.b, last_seen) << "round " << round;
+      }
+      last_seen = o.b;
+      ++received;
+    }
+  }
+  EXPECT_EQ(received, payload);
+  EXPECT_FALSE(serial_net.pending());
+  EXPECT_FALSE(dist.pending());
+  EXPECT_EQ(dist.meter().totals().energy, serial_net.meter().totals().energy);
+  EXPECT_EQ(dist.meter().totals().deliveries,
+            serial_net.meter().totals().deliveries);
+  expect_same_events(dist_sink, serial_sink);
+  EXPECT_EQ(dist.actor_harvest(dist_actor), serial_actor.invocations());
+}
+
+TEST(DistributedNetwork, CalendarRingBurstsAcrossRankCounts) {
+  // CalendarRing's SynchronousBurst, TinyRingHeavyClamp and a D = 5 clamp
+  // pile-up; at two ranks the two nodes live in different ranks.
+  struct Burst {
+    std::uint32_t max_extra_delay;
+    std::size_t burst;
+    int send_rounds;
+  };
+  for (const Burst b : {Burst{0, 40, 30}, Burst{1, 24, 60}, Burst{5, 16, 80}}) {
+    for (const std::size_t r : {1u, 2u}) {
+      SCOPED_TRACE(testing::Message() << "D=" << b.max_extra_delay
+                                      << " ranks=" << r);
+      expect_ring_bursts_equivalent(r, b.max_extra_delay, b.burst,
+                                    b.send_rounds);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

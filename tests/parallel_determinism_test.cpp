@@ -1,4 +1,4 @@
-// Cross-shard determinism at the driver level (docs/PARALLEL.md).
+// Thread-count determinism at the driver level (docs/PERF.md).
 //
 // The contract: `RunConfig::threads` changes wall-clock behaviour only.
 // For every driver (classic GHS, sync GHS, EOPT, Co-NNT), every seed, with
@@ -154,8 +154,8 @@ TEST(ParallelDeterminism, ClassicGhs) {
 }
 
 TEST(ParallelDeterminism, ClassicGhsCachedWithDelays) {
-  // Random per-message delays drive the sharded FIFO clamp and multi-bucket
-  // ring; the cached-MOE variant adds local broadcasts (ANNOUNCE).
+  // Random per-message delays drive the FIFO clamp and the multi-bucket
+  // calendar ring; the cached-MOE variant adds local broadcasts (ANNOUNCE).
   expect_thread_invariant(
       "ghs-cached", [](std::uint64_t seed, std::size_t threads) {
         std::vector<geometry::Point2> points;
