@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
         outs[t].p99[a] = support::quantile_sorted(ledger, 0.99);
         outs[t].imbalance[a] = mean > 0.0 ? hottest / mean : 0.0;
       };
-      for (const auto [algo, driver] :
+      for (const auto& [algo, driver] :
            {std::pair{kGhs, Driver::kClassicGhs},
             std::pair{kEopt, Driver::kEopt},
             std::pair{kConnt, Driver::kCoNnt}}) {

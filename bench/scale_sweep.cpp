@@ -79,9 +79,10 @@ double projected_materialized_bytes(std::size_t n, double radius) {
   return m * (24.0 + 2.0 * 16.0) + nn * 48.0;
 }
 
-double algo_radius(const std::string& algo, std::size_t n) {
+double algo_radius(std::size_t n) {
   // EOPT's topology lives at r₂ = 1.6·√(ln n / n); sync GHS runs the plain
-  // connectivity radius (same formula, default factor).
+  // connectivity radius (same formula, default factor), so every algorithm
+  // shares one radius.
   return rgg::connectivity_radius(n);
 }
 
@@ -108,7 +109,7 @@ int run_child(const std::string& algo, const std::string& backend,
               std::size_t n, std::uint64_t seed, const std::string& out_path) {
   support::Rng rng(seed);
   auto points = geometry::uniform_points(n, rng);
-  const double radius = algo_radius(algo, n);
+  const double radius = algo_radius(n);
 
   ChildReport report;
   if (backend == "implicit") {
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
     row.config = config;
     if (config.backend == "materialized") {
       row.projected_bytes =
-          projected_materialized_bytes(config.n, algo_radius(config.algo, config.n));
+          projected_materialized_bytes(config.n, algo_radius(config.n));
       if (row.projected_bytes > budget_bytes) {
         row.status = "skipped";
         std::printf("%-5s %-12s n=%-9zu SKIPPED (projected %.1f GiB > "

@@ -15,8 +15,7 @@
 //
 // Results go to the console table and the tracked BENCH_serve.json.
 //
-//   bench/serve_throughput --n=4000 --batches=200 --ops=4 \
-//       --json=BENCH_serve.json
+//   bench/serve_throughput --n=4000 --batches=200 --ops=4 --json=BENCH_serve.json
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -21,6 +21,7 @@ namespace emst::ghs {
 namespace {
 
 constexpr NodeId kNone = graph::kNoNode;
+constexpr NodeId kUnset = kNone - 1;  // memo entry not computed yet
 constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
 /// Driver for one phase-synchronous GHS run. The protocol choreography is
@@ -30,13 +31,16 @@ constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 /// it (its own fragment id, its neighbor cache, probe replies).
 ///
 /// Templated over the topology backend: the engine only asks for
-/// neighbourhoods (`neighbors_within`), distances and counts, all of which
-/// both the materialized and the implicit topology serve in the same
-/// canonical order — so both backends produce bitwise-identical runs.
+/// neighbourhoods (`neighbors_within`), their order-free reductions
+/// (`reach_within`, `lightest_within`), distances and counts, all of which
+/// both the materialized and the implicit topology answer identically — so
+/// both backends produce bitwise-identical runs.
 ///
 /// Memory model (docs/PERF.md): per-node state is sparse, per the paper's
-/// modified GHS. The fault-free cached flavour holds only the fragment
-/// leader array — a complete, current neighbor cache is semantically
+/// modified GHS. The fault-free cached flavour holds the fragment leader
+/// array plus three O(n) memo arrays, 12 B/node: each node's receiver count
+/// and farthest receiver (its announce reach) and its lightest neighbour
+/// outside its fragment. A complete, current neighbor cache is semantically
 /// identical to "look up the neighbour's leader", so the cache itself is
 /// never materialised. The explicit per-node cache maps exist only under
 /// faults (where entries can go stale) and the per-node rejected sets only
@@ -78,6 +82,12 @@ class SyncGhsEngine {
     // rejected sets only in probe mode.
     if (faulty_ && opts_.neighbor_cache) cache_.assign(n, {});
     if (!opts_.neighbor_cache) rejected_.assign(n, {});
+    if (!faulty_ && opts_.neighbor_cache) {
+      EMST_ASSERT(n < kUnset);
+      reach_count_.assign(n, 0);
+      farthest_.assign(n, kUnset);
+      lightest_out_.assign(n, kUnset);
+    }
     if (fault_->enabled()) was_crashed_.assign(n, false);
     if (seed) {
       EMST_ASSERT(seed->leader.size() == n);
@@ -240,15 +250,26 @@ class SyncGhsEngine {
     batch_.clear();
   }
 
+  /// Charge u's id broadcast to `receivers` nodes. With announce_min_power
+  /// the transmit power shrinks to the farthest receiver's distance —
+  /// identical receiver set, less energy.
+  void charge_announce(NodeId u, std::size_t receivers, double farthest) {
+    const double power = opts_.announce_min_power ? farthest : radius_;
+    meter_.charge_broadcast(u, power, receivers);
+    if (opts_.transmission_log != nullptr) {
+      batch_.push_back({u, u, power, true});
+    }
+  }
+
   /// One local broadcast of u's fragment id; every receiver updates its
-  /// cached entry for u. With announce_min_power the transmit power shrinks
-  /// to the farthest neighbour's distance — identical receiver set, less
-  /// energy (neighbours are sorted ascending, so .back() is the farthest).
-  /// Announcements carry NO ARQ (they are broadcasts): in fault mode each
-  /// receiver independently draws a channel fate, and missed updates are
-  /// repaired lazily by the reliable TEST path in local_moe. Fault-free
-  /// runs skip the receiver bookkeeping entirely (the leader array already
-  /// holds what a complete cache would) — the charges are identical.
+  /// cached entry for u. Announcements carry NO ARQ (they are broadcasts):
+  /// in fault mode each receiver independently draws a channel fate, in
+  /// neighbour order, and missed updates are repaired lazily by the reliable
+  /// TEST path in local_moe. Fault-free runs skip the receiver bookkeeping
+  /// entirely (the leader array already holds what a complete cache would),
+  /// so the charge needs only the receiver count and the farthest receiver
+  /// — a node's reach at a fixed radius never changes, so it is computed
+  /// once per node and remembered.
   void announce(NodeId u) {
     meter_.set_kind(sim::MsgKind::kAnnounce);
     meter_.set_fragment(frags_.leader(u));
@@ -260,14 +281,22 @@ class SyncGhsEngine {
       meter_.clear_bits();
       return;
     }
-    const auto receivers = neighbors_within(topo_, u, radius_);
-    const double power = opts_.announce_min_power
-                             ? (receivers.empty() ? 0.0 : receivers.back().w)
-                             : radius_;
-    meter_.charge_broadcast(u, power, receivers.size());
-    if (opts_.transmission_log != nullptr) {
-      batch_.push_back({u, u, power, true});
+    if (!faulty_) {
+      if (farthest_[u] == kUnset) {
+        const graph::Reach reach = topo_.reach_within(u, radius_);
+        reach_count_[u] = static_cast<std::uint32_t>(reach.count);
+        farthest_[u] = reach.farthest.id;
+      }
+      const NodeId far = farthest_[u];
+      // distance() is bitwise the neighbour weight (distance_sq is symmetric).
+      charge_announce(u, reach_count_[u],
+                      far == kNone ? 0.0 : topo_.distance(u, far));
+      meter_.clear_bits();
+      return;
     }
+    const auto receivers = neighbors_within(topo_, u, radius_);
+    charge_announce(u, receivers.size(),
+                    receivers.empty() ? 0.0 : receivers.back().w);
     if (!cache_.empty()) {
       for (const graph::Neighbor& nb : receivers) {
         if (fault_->enabled()) {
@@ -299,13 +328,8 @@ class SyncGhsEngine {
     meter_.set_fragment(frags_.leader(u));
     meter_.set_bits(bits_of(GhsMsgType::kAnnounce));
     const auto receivers = neighbors_within(topo_, u, radius_);
-    const double power = opts_.announce_min_power
-                             ? (receivers.empty() ? 0.0 : receivers.back().w)
-                             : radius_;
-    meter_.charge_broadcast(u, power, receivers.size());
-    if (opts_.transmission_log != nullptr) {
-      batch_.push_back({u, u, power, true});
-    }
+    charge_announce(u, receivers.size(),
+                    receivers.empty() ? 0.0 : receivers.back().w);
     for (const graph::Neighbor& nb : receivers) {
       if (!fault_->crashed(nb.id)) cache_[nb.id][u] = frags_.leader(u);
     }
@@ -326,7 +350,9 @@ class SyncGhsEngine {
   /// complete, current cache entry for v is by definition v's leader (every
   /// id change re-announces before the next scan), so the lookup answers —
   /// and the messages charged (none) — are identical to a materialised
-  /// cache without storing Θ(n·deg) state.
+  /// cache without storing Θ(n·deg) state. The answer is the lightest
+  /// neighbour in another fragment (lightest_outside), remembered across
+  /// phases.
   ///
   /// Fault mode: a cached id EQUAL to our own is trusted even if stale
   /// (between repairs fragments only merge, and repairs re-announce, so the
@@ -338,15 +364,15 @@ class SyncGhsEngine {
   [[nodiscard]] MoeScan local_moe(NodeId u, std::size_t& probes,
                                   TxBatch& probe_wave) {
     MoeScan scan;
+    if (opts_.neighbor_cache && !faulty_) {
+      EMST_ASSERT_MSG(opts_.announce_initial,
+                      "modified GHS: neighbor cache must be complete");
+      const NodeId v = lightest_outside(u);
+      if (v != kNone) scan.best = {topo_.distance(u, v), u, v};
+      return scan;
+    }
     for (const graph::Neighbor& nb : neighbors_within(topo_, u, radius_)) {
       if (opts_.neighbor_cache) {
-        if (!faulty_) {
-          EMST_ASSERT_MSG(opts_.announce_initial,
-                          "modified GHS: neighbor cache must be complete");
-          if (frags_.leader(nb.id) == frags_.leader(u)) continue;
-          scan.best = {nb.w, u, nb.id};
-          break;  // neighbors ascend by weight: first hit is the minimum
-        }
         const auto it = cache_[u].find(nb.id);
         if (it != cache_[u].end() && it->second == frags_.leader(u)) continue;
         if (fault_->crashed_forever(nb.id)) continue;
@@ -395,6 +421,23 @@ class SyncGhsEngine {
       break;
     }
     return scan;
+  }
+
+  /// u's lightest neighbour, by (weight, id), outside u's fragment at
+  /// radius_, or kNone (fault-free cached flavour). Remembered per node:
+  /// fault-free fragments only merge, so u's set of outside neighbours only
+  /// shrinks. The remembered minimum of a superset stays the minimum while
+  /// it is still outside, and an empty set stays empty; only a neighbour
+  /// that joined u's fragment forces a new sweep.
+  NodeId lightest_outside(NodeId u) {
+    NodeId& memo = lightest_out_[u];
+    const NodeId own = frags_.leader(u);
+    if (memo == kNone || (memo != kUnset && frags_.leader(memo) != own))
+      return memo;
+    const auto nb = topo_.lightest_within(
+        u, radius_, [&](NodeId v) { return frags_.leader(v) != own; });
+    memo = nb ? nb->id : kNone;
+    return memo;
   }
 
   /// Phase-boundary crash repair (docs/ROBUSTNESS.md): drop tree edges
@@ -699,6 +742,12 @@ class SyncGhsEngine {
   std::vector<std::unordered_map<NodeId, NodeId>> cache_;
   /// Per-node rejected neighbors (probe mode only, empty otherwise).
   std::vector<std::unordered_set<NodeId>> rejected_;
+  // Fault-free cached flavour only (empty otherwise), kUnset until first
+  // use: each node's receiver count and farthest receiver at radius_ (kNone
+  // if it has none), and its remembered lightest outside neighbour.
+  std::vector<std::uint32_t> reach_count_;
+  std::vector<NodeId> farthest_;
+  std::vector<NodeId> lightest_out_;
   std::vector<bool> was_crashed_;  // crash state at the last repair
   // Chaos census snapshots: stable storage behind the spans the fault
   // injector hands the controller (refreshed at every phase boundary).

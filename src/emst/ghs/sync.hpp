@@ -135,7 +135,8 @@ struct SyncGhsResult {
 /// Templated over the topology backend (`sim::Topology` or
 /// `sim::ImplicitTopology`); defined in sync.cpp and explicitly
 /// instantiated for both. Results are bitwise-identical across backends —
-/// both enumerate neighbourhoods in the same canonical (weight, id) order.
+/// both enumerate neighbourhoods in the same canonical (weight, id) order
+/// and answer the order-free reductions over them identically.
 template <typename Topo>
 EMST_DEPRECATED("use the emst::run facade (emst/run.hpp)")
 [[nodiscard]] SyncGhsResult run_sync_ghs(

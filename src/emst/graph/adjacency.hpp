@@ -28,6 +28,14 @@ struct Neighbor {
   std::uint32_t edge_index = 0;
 };
 
+/// Order-free summary of a neighbour range (the topologies' reach_within):
+/// its size and its last element, the farthest neighbour — the maximum by
+/// (w, id). `farthest` keeps its {kNoNode, 0} default when the range is empty.
+struct Reach {
+  std::size_t count = 0;
+  Neighbor farthest{kNoNode, 0.0, kNoEdgeIndex};
+};
+
 class AdjacencyList {
  public:
   AdjacencyList() = default;

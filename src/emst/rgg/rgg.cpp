@@ -25,11 +25,13 @@ std::vector<graph::Edge> geometric_edges_unsorted(
   const double expected = 0.5 * n * (n - 1.0) * pair_prob;
   edges.reserve(static_cast<std::size_t>(expected) + 16);
   for (graph::NodeId u = 0; u < points.size(); ++u) {
-    grid.for_each_within(points[u], radius, [&](spatial::PointIndex v) {
-      if (v <= u) return;  // emit each unordered pair once; skip self
-      edges.push_back(
-          {u, v, geometry::distance(points[u], points[v])});
-    });
+    grid.for_each_within(points[u], radius,
+                         [&](spatial::PointIndex v, double d_sq) {
+                           if (v <= u) return;  // each unordered pair once; no self
+                           // distance_sq is bitwise symmetric, so this is
+                           // geometry::distance(points[u], points[v]).
+                           edges.push_back({u, v, std::sqrt(d_sq)});
+                         });
   }
   return edges;
 }

@@ -10,11 +10,6 @@ namespace emst::sim {
 
 namespace {
 
-// Relative slack on the grid scan radius of a neighbour query (see the
-// sub-radius rule in implicit_topology.hpp). Far above the few-ulp rounding
-// it absorbs, far below anything that widens the scan measurably.
-constexpr double kScanSlack = 1e-9;
-
 // Per-thread neighbour scratch. Queries are const and may run concurrently
 // on one topology, so the buffer cannot be a per-topology member without a
 // lock on the hottest path in the simulator.
@@ -50,19 +45,9 @@ std::span<const graph::Neighbor> ImplicitTopology::neighbors(NodeId u) const {
 
 std::span<const graph::Neighbor> ImplicitTopology::neighbors_within(
     NodeId u, double radius) const {
-  EMST_ASSERT(u < points_.size());
   auto& scratch = tls_scratch();
   scratch.clear();
-  const geometry::Point2 p = points_[u];
-  // Scan only the cells the query disc can reach; the two predicates below,
-  // not the scan radius, decide the result.
-  const double scan = std::min(radius * (1.0 + kScanSlack), max_radius_);
-  grid_->for_each_within(p, scan, [&](spatial::PointIndex v) {
-    if (v == u) return;
-    const double d_sq = geometry::distance_sq(points_[v], p);
-    if (d_sq > rmax_sq_) return;  // membership
-    const double w = std::sqrt(d_sq);  // == geometry::distance(points_[v], p)
-    if (w > radius) return;
+  for_each_neighbor_within(u, radius, [&](NodeId v, double w) {
     scratch.push_back({v, w, graph::kNoEdgeIndex});
   });
   std::sort(scratch.begin(), scratch.end(),
@@ -74,6 +59,18 @@ std::span<const graph::Neighbor> ImplicitTopology::neighbors_within(
     for (graph::Neighbor& nb : scratch) nb.edge_index = edge_rank(u, nb.id);
   }
   return {scratch.data(), scratch.size()};
+}
+
+graph::Reach ImplicitTopology::reach_within(NodeId u, double radius) const {
+  graph::Reach out;
+  for_each_neighbor_within(u, radius, [&](NodeId v, double w) {
+    const graph::Neighbor& far = out.farthest;
+    if (out.count++ == 0 || w > far.w || (w == far.w && v > far.id))
+      out.farthest = {v, w, graph::kNoEdgeIndex};
+  });
+  if (out.count > 0 && has_edge_ranks())
+    out.farthest.edge_index = edge_rank(u, out.farthest.id);
+  return out;
 }
 
 std::vector<NodeId> ImplicitTopology::nodes_within(NodeId u,

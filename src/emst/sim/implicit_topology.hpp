@@ -30,6 +30,15 @@
 //    The relative slack κ, orders of magnitude above those few-ulp
 //    errors, also keeps the scan's cell range clear of the rounding in
 //    p ± r at the disc's edge.
+//  * reductions — reach_within(u, r) (count and farthest element) and
+//    lightest_within(u, r, keep) (first element passing keep) equal the
+//    same reductions over the sorted neighbors_within(u, r). They apply the
+//    same two predicates in one unsorted sweep: a count and a (w, id) max
+//    do not depend on the order of the set, and (w, id) is a total order,
+//    so the argmin is unique. No scratch, no sort.
+//
+// Every scan reads d² from the grid's cell-ordered coordinate copy, so
+// candidates are not reloaded from points_ at random.
 //
 // neighbors()/neighbors_within() return spans into a thread-local scratch
 // buffer: valid until the next neighbour query on the same thread. Every
@@ -40,15 +49,19 @@
 // on one shared topology, which a mutable member buffer would break.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "emst/geometry/point.hpp"
 #include "emst/graph/adjacency.hpp"
 #include "emst/spatial/cell_grid.hpp"
+#include "emst/support/assert.hpp"
 
 namespace emst::sim {
 
@@ -85,6 +98,26 @@ class ImplicitTopology {
   [[nodiscard]] std::span<const graph::Neighbor> neighbors_within(
       NodeId u, double radius) const;
 
+  /// Size and last (farthest) element of neighbors_within(u, radius),
+  /// from one unsorted sweep.
+  [[nodiscard]] graph::Reach reach_within(NodeId u, double radius) const;
+
+  /// First element of neighbors_within(u, radius) whose id passes
+  /// keep(NodeId), from one unsorted sweep: the (weight, id) argmin over
+  /// the neighbours keep accepts. keep runs only on candidates lighter than
+  /// the best so far.
+  template <typename Keep>
+  [[nodiscard]] std::optional<graph::Neighbor> lightest_within(
+      NodeId u, double radius, Keep&& keep) const {
+    std::optional<graph::Neighbor> best;
+    for_each_neighbor_within(u, radius, [&](NodeId v, double w) {
+      if (best && (w > best->w || (w == best->w && v > best->id))) return;
+      if (keep(v)) best = graph::Neighbor{v, w, graph::kNoEdgeIndex};
+    });
+    if (best && has_edge_ranks()) best->edge_index = edge_rank(u, best->id);
+    return best;
+  }
+
   /// All nodes (other than u) within Euclidean `radius` of u, in grid
   /// enumeration order — identical to Topology::nodes_within.
   [[nodiscard]] std::vector<NodeId> nodes_within(NodeId u, double radius) const;
@@ -107,10 +140,29 @@ class ImplicitTopology {
   [[nodiscard]] std::uint32_t edge_rank(NodeId u, NodeId v) const;
 
  private:
+  // Relative slack on the grid scan radius of a neighbour query (see the
+  // sub-radius rule above). Far above the few-ulp rounding it absorbs, far
+  // below anything that widens the scan measurably.
+  static constexpr double kScanSlack = 1e-9;
+
+  /// fn(v, w) for every v in neighbors_within(u, radius), in grid order:
+  /// the two predicates over a scan of only the cells the disc can reach.
+  template <typename Fn>
+  void for_each_neighbor_within(NodeId u, double radius, Fn&& fn) const {
+    EMST_ASSERT(u < points_.size());
+    const double scan = std::min(radius * (1.0 + kScanSlack), max_radius_);
+    grid_->for_each_within(
+        points_[u], scan, [&](spatial::PointIndex v, double d_sq) {
+          if (v == u || d_sq > rmax_sq_) return;  // membership
+          const double w = std::sqrt(d_sq);  // == distance(points_[u], points_[v])
+          if (w <= radius) fn(static_cast<NodeId>(v), w);
+        });
+  }
+
   std::vector<geometry::Point2> points_;
   double max_radius_ = 0.0;
   double rmax_sq_ = 0.0;
-  std::unique_ptr<spatial::CellGrid> grid_;  // indexes points_
+  std::unique_ptr<spatial::CellGrid> grid_;  // spatial index over points_
   mutable std::size_t edge_count_ = kUnknownEdgeCount;
   mutable std::vector<std::uint64_t> edge_ranks_;  // packed (u<<32)|v, sorted
 

@@ -15,16 +15,22 @@
 //   node_count() / max_radius() / points() / position(u) / distance(u, v)
 //   neighbors(u)              — ascending (weight, id), all within max radius
 //   neighbors_within(u, r)    — the prefix of neighbors(u) with w <= r
+//   reach_within(u, r)        — size and last element of that prefix
+//   lightest_within(u, r, keep) — first element of that prefix with keep(id)
 //   nodes_within(u, r)        — spatial-index query, any radius, grid order
 //   edge_count()              — |E| at the max radius
 //
 // and the canonical-order guarantee: neighbors(u) is sorted ascending by
 // (weight, id), identically for both backends, so every driver decision that
 // breaks ties by enumeration order is bitwise-reproducible across backends.
+// The two reductions do not depend on enumeration order at all: here they
+// read the sorted prefix, while the implicit backend answers them in one
+// unsorted sweep.
 #pragma once
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "emst/geometry/point.hpp"
@@ -80,6 +86,24 @@ class Topology {
     return nbs.first(static_cast<std::size_t>(end - nbs.begin()));
   }
 
+  /// Size and last (farthest) element of neighbors_within(u, radius).
+  [[nodiscard]] graph::Reach reach_within(NodeId u, double radius) const {
+    const auto nbs = neighbors_within(u, radius);
+    if (nbs.empty()) return {};
+    return {nbs.size(), nbs.back()};
+  }
+
+  /// First element of neighbors_within(u, radius) whose id passes
+  /// keep(NodeId) — the lightest such neighbour by (weight, id).
+  template <typename Keep>
+  [[nodiscard]] std::optional<graph::Neighbor> lightest_within(
+      NodeId u, double radius, Keep&& keep) const {
+    for (const graph::Neighbor& nb : neighbors_within(u, radius)) {
+      if (keep(nb.id)) return nb;
+    }
+    return std::nullopt;
+  }
+
   /// Number of undirected edges at the max radius.
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return graph_.edge_count();
@@ -94,7 +118,7 @@ class Topology {
   std::vector<geometry::Point2> points_;
   double max_radius_ = 0.0;
   graph::AdjacencyList graph_;
-  std::unique_ptr<spatial::CellGrid> grid_;  // indexes points_
+  std::unique_ptr<spatial::CellGrid> grid_;  // spatial index over points_
 };
 
 /// Customization point used by drivers that need Neighbor::edge_index

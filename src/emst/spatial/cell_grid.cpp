@@ -11,7 +11,7 @@ namespace emst::spatial {
 
 CellGrid::CellGrid(std::span<const geometry::Point2> points, double cell_size,
                    geometry::Rect region)
-    : points_(points), region_(region) {
+    : region_(region) {
   EMST_ASSERT(cell_size > 0.0);
   const double extent = std::max(region.width(), region.height());
   EMST_ASSERT(extent > 0.0);
@@ -25,12 +25,16 @@ CellGrid::CellGrid(std::span<const geometry::Point2> points, double cell_size,
   cell_ = extent / side;
 
   offsets_.assign(side_ * side_ + 1, 0);
-  for (const geometry::Point2& p : points_) ++offsets_[cell_of(p) + 1];
+  for (const geometry::Point2& p : points) ++offsets_[cell_of(p) + 1];
   for (std::size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
-  members_.resize(points_.size());
+  members_.resize(points.size());
+  coords_.resize(points.size());
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (PointIndex i = 0; i < points_.size(); ++i)
-    members_[cursor[cell_of(points_[i])]++] = i;
+  for (PointIndex i = 0; i < points.size(); ++i) {
+    const std::size_t s = cursor[cell_of(points[i])]++;
+    members_[s] = i;
+    coords_[s] = points[i];
+  }
 }
 
 CellGrid CellGrid::with_auto_cell(std::span<const geometry::Point2> points,
@@ -64,7 +68,7 @@ std::vector<PointIndex> CellGrid::within(geometry::Point2 p, double r) const {
   if (area > 0.0) {
     const double frac = std::min(1.0, std::numbers::pi * r * r / area);
     out.reserve(static_cast<std::size_t>(
-                    frac * static_cast<double>(points_.size()) * 1.25) +
+                    frac * static_cast<double>(coords_.size()) * 1.25) +
                 8);
   }
   for_each_within(p, r, [&](PointIndex i) { out.push_back(i); });
@@ -74,7 +78,7 @@ std::vector<PointIndex> CellGrid::within(geometry::Point2 p, double r) const {
 std::vector<PointIndex> CellGrid::k_nearest(geometry::Point2 p, std::size_t k,
                                             PointIndex exclude) const {
   std::vector<PointIndex> result;
-  if (k == 0 || points_.empty()) return result;
+  if (k == 0 || coords_.empty()) return result;
   // Expanding-radius search: start at one-cell scale and double until k
   // candidates are inside the *verified* radius (candidates beyond the scan
   // radius r may be incomplete, so require dist <= r before accepting).
@@ -84,9 +88,9 @@ std::vector<PointIndex> CellGrid::k_nearest(geometry::Point2 p, std::size_t k,
   candidates.reserve(2 * k + 16);
   for (;;) {
     candidates.clear();
-    for_each_within(p, r, [&](PointIndex i) {
+    for_each_within(p, r, [&](PointIndex i, double d_sq) {
       if (i == exclude) return;
-      candidates.emplace_back(geometry::distance(points_[i], p), i);
+      candidates.emplace_back(std::sqrt(d_sq), i);  // == distance(points[i], p)
     });
     if (candidates.size() >= k || r > extent) break;
     r *= 2.0;

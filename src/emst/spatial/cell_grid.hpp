@@ -5,6 +5,10 @@
 // reduce to "enumerate points within radius r of p", which the grid answers
 // in expected O(points returned) by scanning the O((r/cell)²) overlapping
 // cells.
+//
+// The grid keeps its own copy of every point's coordinates in CSR member
+// order (16 B per point), so a scan reads candidates contiguously instead
+// of loading points[i] at random.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "emst/geometry/point.hpp"
@@ -23,9 +28,10 @@ using PointIndex = std::uint32_t;
 
 class CellGrid {
  public:
-  /// Index `points` (not owned; must outlive the grid) with cells of side
-  /// `cell_size` over `region`. cell_size is clamped so the grid has at
-  /// least one and at most ~4·|points| + 64 cells per dimension squared.
+  /// Index `points` with cells of side `cell_size` over `region`. The grid
+  /// copies the coordinates, so `points` need not outlive it. cell_size is
+  /// clamped so the grid has at least one and at most ~4·|points| + 64
+  /// cells per dimension squared.
   CellGrid(std::span<const geometry::Point2> points, double cell_size,
            geometry::Rect region = geometry::unit_square());
 
@@ -34,7 +40,10 @@ class CellGrid {
                                  geometry::Rect region = geometry::unit_square());
 
   /// Invoke fn(index) for every indexed point with distance(p, point) <= r
-  /// (Euclidean). Includes the query point itself if it is indexed.
+  /// (Euclidean). Includes the query point itself if it is indexed. A
+  /// callable taking (index, d²) also receives the squared distance,
+  /// bitwise equal to distance_sq(points[index], p). The visit order is the
+  /// same for both forms.
   /// Templated on the callable so the per-point distance test inlines: this
   /// is the hot path of every implicit neighbor walk, where a std::function
   /// hop per candidate would dominate the scan.
@@ -59,8 +68,13 @@ class CellGrid {
       const std::size_t begin = offsets_[row + x_lo];
       const std::size_t end = offsets_[row + x_hi + 1];
       for (std::size_t s = begin; s < end; ++s) {
-        const PointIndex i = members_[s];
-        if (geometry::distance_sq(points_[i], p) <= r_sq) fn(i);
+        const double d_sq = geometry::distance_sq(coords_[s], p);
+        if (d_sq > r_sq) continue;
+        if constexpr (std::is_invocable_v<Fn&, PointIndex, double>) {
+          fn(members_[s], d_sq);
+        } else {
+          fn(members_[s]);
+        }
       }
     }
   }
@@ -74,7 +88,7 @@ class CellGrid {
   [[nodiscard]] std::vector<PointIndex> k_nearest(geometry::Point2 p, std::size_t k,
                                                   PointIndex exclude) const;
 
-  [[nodiscard]] std::size_t point_count() const noexcept { return points_.size(); }
+  [[nodiscard]] std::size_t point_count() const noexcept { return coords_.size(); }
   [[nodiscard]] std::size_t cells_per_side() const noexcept { return side_; }
   [[nodiscard]] double cell_size() const noexcept { return cell_; }
 
@@ -85,12 +99,12 @@ class CellGrid {
  private:
   [[nodiscard]] std::size_t cell_of(geometry::Point2 p) const noexcept;
 
-  std::span<const geometry::Point2> points_;
   geometry::Rect region_;
   double cell_ = 0.0;
   std::size_t side_ = 0;
   std::vector<std::size_t> offsets_;      // CSR over cells
   std::vector<PointIndex> members_;
+  std::vector<geometry::Point2> coords_;  // coordinates of members_[s]
 };
 
 }  // namespace emst::spatial

@@ -326,8 +326,9 @@ TEST(ChaosReplay, InjectedScheduleReplaysAsAStaticCrashList) {
     }
     EXPECT_EQ(replay_static.energy, original.energy) << driver;
     EXPECT_EQ(replay_static.tree, original.tree) << driver;
-    if (driver == "classic_ghs")
+    if (driver == "classic_ghs") {
       EXPECT_EQ(replay_static.epochs, original.epochs);
+    }
 
     // (b) The same schedule through the controller interface.
     sim::ReplaySchedule replayer(original.injected);

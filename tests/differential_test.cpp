@@ -83,11 +83,15 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EveryEngineAgrees,
                          ::testing::ValuesIn(scenarios()),
                          [](const ::testing::TestParamInfo<Scenario>& info) {
                            const Scenario& sc = info.param;
-                           std::string name =
-                               "n" + std::to_string(sc.n) + "_f" +
-                               std::to_string(static_cast<int>(
-                                   sc.radius_factor * 100)) +
-                               "_" + geometry::deployment_name(sc.deployment);
+                           // Appended piecewise: GCC 12 misreports
+                           // "literal" + std::string&& as -Wrestrict.
+                           std::string name = "n";
+                           name += std::to_string(sc.n);
+                           name += "_f";
+                           name += std::to_string(
+                               static_cast<int>(sc.radius_factor * 100));
+                           name += "_";
+                           name += geometry::deployment_name(sc.deployment);
                            for (char& ch : name) {
                              if (!std::isalnum(static_cast<unsigned char>(ch)))
                                ch = '_';

@@ -4,8 +4,8 @@
 // identical to a direct call with equivalently-wired options.
 //
 // This TU is the equivalence harness for the deprecated entry points, so it
-// is allowed to call them directly.
-#define EMST_NO_DEPRECATE
+// calls them directly (tests/CMakeLists.txt defines EMST_NO_DEPRECATE for
+// every test target).
 #include <cstdint>
 #include <vector>
 

@@ -126,6 +126,32 @@ TEST(CellGrid, ForEachWithinVisitsEachOnce) {
   for (const PointIndex i : seen) EXPECT_EQ(seen.count(i), 1u);
 }
 
+TEST(CellGrid, SquaredDistanceCallbackMatchesIndexOnlyScan) {
+  // The (index, d²) form reads the grid's own coordinate copy; it must visit
+  // exactly what the index-only form visits, in the same order, and hand
+  // over d² bitwise equal to distance_sq against the caller's points.
+  support::Rng rng(83);
+  const auto points = geometry::uniform_points(2000, rng);
+  for (const double cell : {0.02, 0.05, 0.2}) {
+    const CellGrid grid(points, cell);
+    for (int q = 0; q < 40; ++q) {
+      const geometry::Point2 p =
+          q % 2 == 0 ? points[static_cast<std::size_t>(q) * 37]
+                     : geometry::Point2{rng.uniform(), rng.uniform()};
+      for (const double r : {cell / 3, cell, 2.5 * cell}) {
+        std::vector<PointIndex> plain;
+        grid.for_each_within(p, r, [&](PointIndex i) { plain.push_back(i); });
+        std::vector<PointIndex> with_d;
+        grid.for_each_within(p, r, [&](PointIndex i, double d_sq) {
+          with_d.push_back(i);
+          EXPECT_EQ(d_sq, geometry::distance_sq(points[i], p)) << "index " << i;
+        });
+        EXPECT_EQ(with_d, plain) << "cell " << cell << " r " << r;
+      }
+    }
+  }
+}
+
 TEST(CellGrid, DuplicatePointsAllReturned) {
   const std::vector<geometry::Point2> points(5, geometry::Point2{0.3, 0.3});
   const CellGrid grid(points, 0.1);

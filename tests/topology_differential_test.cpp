@@ -10,12 +10,17 @@
 //
 // The enumeration layer is pinned separately: `neighbors`, `neighbors_within`
 // and `nodes_within` must yield identical sequences (ids in order, weights
-// bitwise), which is what makes the driver-level identity possible at all.
+// bitwise), and `reach_within` / `lightest_within` must equal the same
+// reductions over the sorted span — which is what makes the driver-level
+// identity possible at all.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "emst/eopt/eopt.hpp"
@@ -133,6 +138,107 @@ TEST(TopologyBackends, SubRadiusQueriesAreIdentical) {
       }
     }
   }
+}
+
+/// reach_within and lightest_within on `topo` equal the same reductions over
+/// the sorted span the CSR returns for neighbors_within(u, r): the count and
+/// last element bitwise, and the first element that passes each predicate.
+template <typename Topo, typename KeepSet>
+testing::AssertionResult reductions_match(const sim::Topology& mat,
+                                          const Topo& topo, sim::NodeId u,
+                                          double r, const KeepSet& keeps) {
+  const auto span = mat.neighbors_within(u, r);
+  const graph::Reach reach = topo.reach_within(u, r);
+  const graph::Neighbor last =
+      span.empty() ? graph::Reach{}.farthest : span.back();
+  if (reach.count != span.size() || reach.farthest.id != last.id ||
+      std::bit_cast<std::uint64_t>(reach.farthest.w) !=
+          std::bit_cast<std::uint64_t>(last.w)) {
+    return testing::AssertionFailure()
+           << "reach_within: node " << u << " r " << r << ": {"
+           << reach.count << ", " << reach.farthest.id << "}, want {"
+           << span.size() << ", " << last.id << "}";
+  }
+  for (std::size_t k = 0; k < keeps.size(); ++k) {
+    const auto& keep = keeps[k];
+    const graph::Neighbor* want = nullptr;
+    for (const graph::Neighbor& nb : span) {
+      if (keep(nb.id)) {
+        want = &nb;
+        break;
+      }
+    }
+    const auto got = topo.lightest_within(u, r, keep);
+    const bool same =
+        want == nullptr
+            ? !got.has_value()
+            : got.has_value() && got->id == want->id &&
+                  std::bit_cast<std::uint64_t>(got->w) ==
+                      std::bit_cast<std::uint64_t>(want->w);
+    if (!same) {
+      return testing::AssertionFailure()
+             << "lightest_within: node " << u << " r " << r << " keep #" << k
+             << ": got " << (got ? static_cast<long long>(got->id) : -1)
+             << ", want "
+             << (want != nullptr ? static_cast<long long>(want->id) : -1);
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(TopologyBackends, ReductionsMatchTheSortedSpan) {
+  // The order-free reductions behind fault-free sync GHS: on both backends,
+  // for every node, at the radii SubRadiusQueriesAreIdentical sweeps, under
+  // keep predicates that accept everything, nothing, one id parity and one
+  // side of a random fragment labelling.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto check_instance = [&](std::size_t n, std::uint64_t seed,
+                            auto&& radii_for) {
+    const auto points = make_points(seed, n);
+    const double radius = rgg::connectivity_radius(n);
+    const sim::Topology mat(points, radius);
+    const sim::ImplicitTopology imp(points, radius);
+    support::Rng rng(seed * 977 + n);
+    std::vector<std::uint32_t> label(n);
+    for (auto& l : label) l = static_cast<std::uint32_t>(rng.uniform() * 8.0);
+    for (sim::NodeId u = 0; u < n; ++u) {
+      const std::vector<std::function<bool(sim::NodeId)>> keeps = {
+          [](sim::NodeId) { return true; },
+          [](sim::NodeId) { return false; },
+          [](sim::NodeId v) { return v % 2 == 0; },
+          [&](sim::NodeId v) { return label[v] != label[u]; },
+      };
+      for (const double r : radii_for(mat, u, radius)) {
+        ASSERT_TRUE(reductions_match(mat, mat, u, r, keeps));
+        ASSERT_TRUE(reductions_match(mat, imp, u, r, keeps));
+      }
+    }
+  };
+  auto with_weights = [&](std::vector<double> radii,
+                          std::span<const graph::Neighbor> nbs) {
+    for (const graph::Neighbor& nb : nbs) {
+      radii.push_back(std::nextafter(nb.w, 0.0));
+      radii.push_back(nb.w);
+      radii.push_back(std::nextafter(nb.w, kInf));
+    }
+    return radii;
+  };
+  check_instance(kNodes, 3,
+                 [&](const sim::Topology& mat, sim::NodeId u, double radius) {
+                   return with_weights(
+                       {radius / 4, radius / 2, radius * 0.99,
+                        std::nextafter(radius, 0.0), radius, kInf},
+                       mat.neighbors(u));
+                 });
+  // EOPT's Step-1 radius r₁ on the 4000-node instance, and every weight
+  // inside it ± one ulp.
+  constexpr std::size_t kWide = 4000;
+  const double r1 =
+      rgg::percolation_radius(kWide, eopt::EoptOptions{}.step1_factor);
+  check_instance(kWide, 3,
+                 [&](const sim::Topology& mat, sim::NodeId u, double) {
+                   return with_weights({r1}, mat.neighbors_within(u, r1));
+                 });
 }
 
 TEST(TopologyBackends, EdgeRanksMatchTheCsrEdgeIndex) {
