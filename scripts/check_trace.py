@@ -22,13 +22,9 @@ charged frame that *is* measured can never be smaller than the 17-bit ARQ
 header. Summary "bits" must equal the replayed sum over uni/bcast charges;
 "data_bits"/"ack_bits" must equal the replayed split over ARQ frames.
 
-Traces from multi-threaded runs (`emst_cli --threads=N`, N > 1) are first-
-class: the header then carries "threads":N, and events may carry an optional
-"shard" id. The determinism contract is that neither changes anything
-observable (thread count changes wall time only, docs/PERF.md) — replay
-here deliberately derives every counter and the energy sum without looking
-at "shard", so a trace that only passes *with* shard information would be
-a determinism bug, not a valid trace.
+Traces from multi-threaded runs (`emst_cli --threads=N`, N > 1) carry
+"threads":N in the header and are otherwise identical (thread count changes
+wall time only, docs/PERF.md).
 
 Exit status 0 iff every file passes. No dependencies beyond the standard
 library, so CI can run it straight after `emst_cli --trace`.
@@ -139,9 +135,6 @@ def check_file(path: str) -> None:
             fail(path, lineno, f"unknown message kind {event['kind']!r}")
         if event["phase"] not in PHASES:
             fail(path, lineno, f"unknown phase {event['phase']!r}")
-        if "shard" in event and (not isinstance(event["shard"], int)
-                                 or event["shard"] < 0):
-            fail(path, lineno, f"invalid shard id {event['shard']!r}")
         bits = event.get("bits", 0)
         if not isinstance(bits, int) or bits < 0:
             fail(path, lineno, f"invalid bits value {bits!r}")

@@ -17,7 +17,10 @@
 //
 //  - a local deferred FIFO holding the raw payload bytes of deliveries the
 //    handler deferred — the parent's deferred-queue model reproduces its
-//    order exactly, entry for entry;
+//    order exactly, entry for entry. For a `sim::VersionedActor` each entry
+//    also records its receiver's version, and a retry whose receiver still
+//    has it is re-parked without a handler call (the ledger entry is the
+//    same zero-effect redeferral the handler would have produced);
 //  - a mirrored FaultInjector carrying the crash schedule (static windows
 //    from the model at install time; chaos injections arrive per round in
 //    the final ACTOR_ROUND chunk). The rank classifies crash drops with the
@@ -83,6 +86,13 @@ struct Item {
   std::uint64_t distance_bits;
   std::uint32_t bits;
   std::vector<std::uint8_t> payload;
+};
+
+/// A deferred delivery in the rank's FIFO and its receiver's version when
+/// it was parked (always 0 for actors without `version`).
+struct Parked {
+  Item item;
+  std::uint32_t version = 0;
 };
 
 /// Write all of `data` to the socket `fd`; false on any error but EINTR.
@@ -231,7 +241,7 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
   std::size_t head = 0;
   support::FlatMap64 last_due;
 
-  std::vector<detail::Item> fifo;  ///< deferred deliveries, local FIFO order
+  std::vector<detail::Parked> fifo;  ///< deferred deliveries, FIFO order
   std::vector<std::uint32_t> steplist;  ///< accumulated step wire list
   sim::RankActorEnv<Msg> env(*ctx.wire);
 
@@ -243,6 +253,13 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
   const bool kill_armed = ctx.hooks.kill_rank == ctx.rank;
   auto is_local = [&ctx](std::uint32_t u) {
     return ctx.node_rank[u] == ctx.rank;
+  };
+  auto version_of = [&actor](std::uint32_t u) -> std::uint32_t {
+    if constexpr (sim::VersionedActor<Actor>) {
+      return actor.version(u);
+    } else {
+      return 0;
+    }
   };
 
   for (;;) {
@@ -345,7 +362,7 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
         // due bucket in by-receiver order — the exact per-rank projection of
         // the serial driver's retry-then-batch sweep.
         actor.on_round_start(round);
-        std::vector<detail::Item> retry = std::move(fifo);
+        std::vector<detail::Parked> retry = std::move(fifo);
         fifo = {};
         detail::begin_chunk(body, proto::kDistOpActorDrained, round);
         std::uint32_t chunk_count = 0;
@@ -363,13 +380,21 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
           if (kill_armed && round >= ctx.hooks.kill_round)
             std::raise(SIGKILL);
         };
-        for (detail::Item& item : retry) {
-          maybe_kill();
+        for (detail::Parked& parked : retry) {
           env.begin_entry();
-          const std::uint32_t node = item.to;
-          const sim::Delivery<Msg> d = detail::decode_item(item, *ctx.wire);
-          actor.on_message(d, env);
-          const bool redeferred = env.deferred();
+          const std::uint32_t node = parked.item.to;
+          // A receiver still at the version the delivery was parked at would
+          // defer it again: keep its FIFO slot without running the handler.
+          const bool unchanged =
+              sim::VersionedActor<Actor> && version_of(node) == parked.version;
+          bool redeferred = true;
+          if (!unchanged) {
+            maybe_kill();
+            const sim::Delivery<Msg> d =
+                detail::decode_item(parked.item, *ctx.wire);
+            actor.on_message(d, env);
+            redeferred = env.deferred();
+          }
           flush_if_needed(proto::kDistEntryRetryFixedBytes +
                           env.effects().size());
           body.push_back(proto::kDistEntryRetry);
@@ -378,7 +403,8 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
           proto::dist_put_u16(body, env.effect_count());
           body.insert(body.end(), env.effects().begin(), env.effects().end());
           ++chunk_count;
-          if (redeferred) fifo.push_back(std::move(item));
+          if (redeferred)
+            fifo.push_back({std::move(parked.item), version_of(node)});
         }
         std::vector<detail::Item>& bucket = buckets[head];
         head = head + 1 == buckets.size() ? 0 : head + 1;
@@ -409,8 +435,10 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
           proto::dist_put_u16(body, env.effect_count());
           body.insert(body.end(), env.effects().begin(), env.effects().end());
           ++chunk_count;
-          if (status == proto::kDistDeliveryDeferred)
-            fifo.push_back(std::move(item));
+          if (status == proto::kDistDeliveryDeferred) {
+            const std::uint32_t version = version_of(item.to);
+            fifo.push_back({std::move(item), version});
+          }
         }
         bucket.clear();
         detail::patch_chunk(body, proto::kDistFlagLast, chunk_count);

@@ -108,7 +108,9 @@ class ClassicGhsRun {
       run->net_.meter().set_fragment(fragment);
       run->net_.broadcast(u, radius, std::move(msg));
     }
-    void defer(const Delivery& d) { run->deferred_.push_back(d); }
+    void defer(const Delivery& d) {
+      run->deferred_.push_back({d, run->actor_.version(d.to)});
+    }
     void note(std::uint32_t, std::uint64_t) {}
   };
 
@@ -230,13 +232,21 @@ class ClassicGhsRun {
                       "classic GHS exceeded round cap");
       auto batch = net_.collect_round();
       actor_.on_round_start(rounds_);
-      // Retry messages deferred in earlier rounds first (they are older).
-      auto retry = std::move(deferred_);
+      // Retry messages deferred in earlier rounds first (they are older). A
+      // receiver still at the version its message was parked at would defer
+      // it again, so the message keeps its FIFO slot without a handler call.
+      std::swap(retry_, deferred_);
       deferred_.clear();
-      for (auto& d : retry) actor_.on_message(d, env);
+      for (Parked& p : retry_) {
+        if (actor_.version(p.d.to) == p.version) {
+          deferred_.push_back(std::move(p));
+        } else {
+          actor_.on_message(p.d, env);
+        }
+      }
       for (auto& d : batch) actor_.on_message(d, env);
       if (faulty_ && batch.empty() && !net_.pending() &&
-          deferred_.size() == retry.size()) {
+          deferred_.size() == retry_.size()) {
         return;  // stalled: only re-deferred messages remain
       }
     }
@@ -339,6 +349,13 @@ class ClassicGhsRun {
     return result;
   }
 
+  /// A delivery a handler deferred, with its receiver's dispatch version at
+  /// that moment (ClassicGhsActor::version).
+  struct Parked {
+    Delivery d;
+    std::uint32_t version;
+  };
+
   const Topo& topo_;
   double radius_;
   MoeStrategy moe_;
@@ -346,7 +363,8 @@ class ClassicGhsRun {
   Actor actor_;
   std::vector<NodeId> starters_;
   bool faulty_ = false;
-  std::vector<Delivery> deferred_;
+  std::vector<Parked> deferred_;
+  std::vector<Parked> retry_;  // this round's retries (reused buffer)
   std::vector<NodeId> restart_wakeups_;
   std::size_t max_rounds_ = 0;
   std::size_t rounds_ = 0;

@@ -15,6 +15,15 @@
 // the read-only topology); that receiver-locality is the entire correctness
 // argument for rank residency, so keep it when editing: a handler that
 // peeks at another node's state would silently diverge across placements.
+//
+// Each node also carries a dispatch version (`version(u)`), raised by every
+// handler invocation that does not end in a deferral, by wakeups and by
+// epoch restarts. The three deferral branches (CONNECT at a level not below
+// the receiver's over a Basic edge, TEST from a higher level, REPORT over
+// the core edge while in Find) read only the receiver's state and write
+// nothing, so a parked delivery whose receiver still has the version it was
+// parked at would defer again: both retry loops re-park it in its FIFO slot
+// without calling the handler (docs/PERF.md, "Classic GHS dispatch").
 #pragma once
 
 #include <cstdint>
@@ -66,9 +75,14 @@ class ClassicGhsActor {
   };
 
   ClassicGhsActor(const Topo& topo, double radius, MoeStrategy moe)
-      : topo_(&topo), radius_(radius), moe_(moe), nodes_(topo.node_count()) {
+      : topo_(&topo),
+        radius_(radius),
+        moe_(moe),
+        nodes_(topo.node_count()),
+        versions_(topo.node_count(), 0) {
     for (NodeId u = 0; u < topo.node_count(); ++u) {
-      nodes_[u].edge_state.assign(neighbors(u).size(), EdgeState::kBasic);
+      nodes_[u].edge_state.assign(neighbors_within(topo, u, radius).size(),
+                                  EdgeState::kBasic);
     }
   }
 
@@ -86,28 +100,30 @@ class ClassicGhsActor {
     // A sleeping node is awakened by any incoming message (all nodes wake in
     // round 0 here, but keep the guard for partial-start configurations).
     if (nodes_[u].state == NodeState::kSleeping) wakeup_locked(u, env);
-    std::visit(
+    const bool parked = std::visit(
         [&](const auto& msg) {
           using T = std::decay_t<decltype(msg)>;
           if constexpr (std::is_same_v<T, proto::GhsConnect>) {
-            on_connect(u, j, msg, d, env);
+            return on_connect(u, j, msg, d, env);
           } else if constexpr (std::is_same_v<T, proto::GhsInitiate>) {
             on_initiate(u, j, msg, env);
           } else if constexpr (std::is_same_v<T, proto::GhsTest>) {
-            on_test(u, j, msg, d, env);
+            return on_test(u, j, msg, d, env);
           } else if constexpr (std::is_same_v<T, proto::GhsAccept>) {
             on_accept(u, j, env);
           } else if constexpr (std::is_same_v<T, proto::GhsReject>) {
             on_reject(u, j, env);
           } else if constexpr (std::is_same_v<T, proto::GhsReport>) {
-            on_report(u, j, msg, d, env);
+            return on_report(u, j, msg, d, env);
           } else if constexpr (std::is_same_v<T, proto::GhsAnnounce>) {
             nodes_[u].cache[d.from] = msg.frag;
           } else {
             change_root(u, env);
           }
+          return false;  // only CONNECT, TEST and REPORT can park
         },
         d.msg);
+    if (!parked) ++versions_[u];
   }
 
   /// (2) Spontaneous wakeup: mark the minimum-weight edge Branch and send
@@ -127,13 +143,14 @@ class ClassicGhsActor {
   void restart(const sim::FaultInjector& faults) {
     for (NodeId u = 0; u < node_count(); ++u) {
       NodeCtx& n = nodes_[u];
-      const auto nbs = neighbors(u);
+      const auto nbs = neighbors(u);  // before the reset: it reads edge_state
       n = NodeCtx{};
       n.edge_state.assign(nbs.size(), EdgeState::kBasic);
       for (std::size_t i = 0; i < nbs.size(); ++i) {
         if (faults.crashed_forever(nbs[i].id))
           n.edge_state[i] = EdgeState::kRejected;
       }
+      ++versions_[u];
     }
   }
 
@@ -180,7 +197,14 @@ class ClassicGhsActor {
     return static_cast<NodeId>(nodes_.size());
   }
   [[nodiscard]] const NodeCtx& node(NodeId u) const { return nodes_[u]; }
+  /// Handler executions (deliveries, retries that reached a handler, and
+  /// wakeups); a retry re-parked on an unchanged version is not one.
   [[nodiscard]] std::uint64_t invocations() const { return invocations_; }
+  /// Dispatch version of u (see the header comment): a parked delivery
+  /// records it, and a retry finding it unchanged skips the handler. 4 B per
+  /// node; wrapping is harmless unless exactly 2^32 state changes fall
+  /// between a park and its retry.
+  [[nodiscard]] std::uint32_t version(NodeId u) const { return versions_[u]; }
 
   /// Node-state codec for the harvest collective. The announcement cache is
   /// deliberately not shipped: it is a pure message-saving optimization that
@@ -223,8 +247,10 @@ class ClassicGhsActor {
     return image == 0xFFFFFFFFu ? kNoSlot : static_cast<std::size_t>(image);
   }
 
+  /// u's radius-filtered neighbour span: the prefix of neighbors(u) whose
+  /// length edge_state already holds, so no radius search.
   [[nodiscard]] std::span<const graph::Neighbor> neighbors(NodeId u) const {
-    return neighbors_within(*topo_, u, radius_);
+    return topo_->neighbors(u).first(nodes_[u].edge_state.size());
   }
   [[nodiscard]] std::size_t slot_of(NodeId u, NodeId v) const {
     return neighbor_slot(*topo_, u, v);
@@ -246,6 +272,7 @@ class ClassicGhsActor {
   void wakeup_locked(NodeId u, Env& env) {
     NodeCtx& n = nodes_[u];
     if (n.state != NodeState::kSleeping) return;
+    ++versions_[u];
     n.state = NodeState::kFound;
     n.level = 0;
     n.find_count = 0;
@@ -264,9 +291,10 @@ class ClassicGhsActor {
     send(u, first, proto::GhsConnect{0}, env);
   }
 
-  /// (3) Receiving CONNECT(L) on edge j.
+  /// (3) Receiving CONNECT(L) on edge j. Returns true iff it parked `d`;
+  /// the deferral test reads u's state only and writes nothing.
   template <typename Env>
-  void on_connect(NodeId u, std::size_t j, const proto::GhsConnect& m,
+  bool on_connect(NodeId u, std::size_t j, const proto::GhsConnect& m,
                   const Delivery& d, Env& env) {
     NodeCtx& n = nodes_[u];
     if (m.level < n.level) {
@@ -276,11 +304,13 @@ class ClassicGhsActor {
       if (n.state == NodeState::kFind) ++n.find_count;
     } else if (n.edge_state[j] == EdgeState::kBasic) {
       env.defer(d);  // equal level but j not yet known to be the mutual MOE
+      return true;
     } else {
       // Merge: j is the core of the new fragment, named by its edge index.
       const EdgeIndex core = neighbors(u)[j].edge_index;
       send(u, j, proto::GhsInitiate{n.level + 1, core, NodeState::kFind}, env);
     }
+    return false;
   }
 
   /// (4) Receiving INITIATE(L, F, S) on edge j.
@@ -336,18 +366,18 @@ class ClassicGhsActor {
     report(u, env);
   }
 
-  /// (6) Receiving TEST(L, F) on edge j.
+  /// (6) Receiving TEST(L, F) on edge j. Returns true iff it parked `d`.
   template <typename Env>
-  void on_test(NodeId u, std::size_t j, const proto::GhsTest& m,
+  bool on_test(NodeId u, std::size_t j, const proto::GhsTest& m,
                const Delivery& d, Env& env) {
     NodeCtx& n = nodes_[u];
     if (m.level > n.level) {
       env.defer(d);
-      return;
+      return true;
     }
     if (m.frag != n.frag) {
       send(u, j, proto::GhsAccept{}, env);
-      return;
+      return false;
     }
     // Same fragment: internal edge.
     if (n.edge_state[j] == EdgeState::kBasic)
@@ -357,6 +387,7 @@ class ClassicGhsActor {
     } else {
       test(u, env);  // the edge we were testing is internal; try the next
     }
+    return false;
   }
 
   /// (7) Receiving ACCEPT on edge j.
@@ -392,9 +423,9 @@ class ClassicGhsActor {
     }
   }
 
-  /// (10) Receiving REPORT(w) on edge j.
+  /// (10) Receiving REPORT(w) on edge j. Returns true iff it parked `d`.
   template <typename Env>
-  void on_report(NodeId u, std::size_t j, const proto::GhsReport& m,
+  bool on_report(NodeId u, std::size_t j, const proto::GhsReport& m,
                  const Delivery& d, Env& env) {
     NodeCtx& n = nodes_[u];
     if (j != n.in_branch) {
@@ -405,17 +436,20 @@ class ClassicGhsActor {
         n.best_slot = j;
       }
       report(u, env);
-      return;
+      return false;
     }
     // Report arriving over the core edge.
     if (n.state == NodeState::kFind) {
       env.defer(d);
-    } else if (m.best > n.best_edge) {
+      return true;
+    }
+    if (m.best > n.best_edge) {
       change_root(u, env);
     } else if (m.best == kInfEdge && n.best_edge == kInfEdge) {
       n.halted = true;  // the whole fragment has no outgoing edge: done
     }
     // else: the other core node owns the fragment MOE and will change root.
+    return false;
   }
 
   /// (11) Procedure change-root.
@@ -435,6 +469,7 @@ class ClassicGhsActor {
   double radius_;
   MoeStrategy moe_;
   std::vector<NodeCtx> nodes_;
+  std::vector<std::uint32_t> versions_;  // per node, see version()
   std::uint64_t invocations_ = 0;
 };
 

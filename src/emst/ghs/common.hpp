@@ -103,10 +103,12 @@ struct MstRunResult {
   /// reproduces the adversarial run.
   std::vector<sim::CrashWindow> injected_crashes;
   /// Execution-placement witnesses (docs/DISTRIBUTED.md §2): handler
-  /// invocations performed by THIS process's actor vs the sum shipped home
-  /// by the rank processes. Serial runs have invocations here and zero in
+  /// executions performed by THIS process's actor vs the sum shipped home
+  /// by the rank processes. Serial runs have executions here and zero in
   /// the ranks; rank-resident runs the exact inverse — asserted in the
-  /// distributed determinism suite.
+  /// distributed determinism suite, together with the sum being the same
+  /// in every placement. A deferred delivery re-parked without a handler
+  /// call (its receiver unchanged) is not an execution.
   std::uint64_t handler_invocations = 0;
   std::uint64_t rank_handler_invocations = 0;
 

@@ -57,7 +57,7 @@ struct CoNntResult {
   /// Chaos-controller injections, in injection order (replayable).
   std::vector<sim::CrashWindow> injected_crashes;
   /// Execution-placement witnesses (docs/DISTRIBUTED.md §2): handler/step
-  /// invocations performed by this process's actor vs the sum shipped home
+  /// executions performed by this process's actor vs the sum shipped home
   /// by the rank processes. Zero/zero on the choreographed fast path (it
   /// has no actor).
   std::uint64_t handler_invocations = 0;

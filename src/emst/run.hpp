@@ -140,7 +140,7 @@ struct RunResult {
   std::size_t epochs = 1;  ///< fail-stop protocol restarts (1 = clean)
   /// Chaos-controller injections during the run (replayable crash list).
   std::vector<sim::CrashWindow> injected_crashes;
-  /// Execution-placement witnesses: how many NodeActor handler invocations
+  /// Execution-placement witnesses: how many NodeActor handler executions
   /// ran in the driver process vs inside forked rank workers. For the
   /// actor-backed drivers exactly one of the two is non-zero; both stay 0
   /// for the choreographed paths (sync/EOPT, faultless serial Co-NNT).

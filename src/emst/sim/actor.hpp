@@ -16,10 +16,12 @@
 //                                       node's state, used by the harvest
 //                                       collective to ship rank-resident
 //                                       state home;
-//   actor.invocations()               — handler-invocation counter, the
+//   actor.invocations()               — handler-execution counter, the
 //                                       acceptance witness for execution
 //                                       placement (rank-resident runs keep
-//                                       the parent's copy at zero).
+//                                       the parent's copy at zero);
+//   actor.version(u)       (optional) — per-node dispatch version, see
+//                                       `VersionedActor`.
 //
 // The `env` is duck-typed with four verbs — unicast / broadcast / defer /
 // note. Serial engines pass an env that tallies and stages immediately
@@ -72,6 +74,18 @@ concept NodeActorState = requires(A a, const A ca, NodeId u, std::uint64_t round
   ca.encode_node(u, w);
   a.decode_node(u, r);
   { ca.invocations() } -> std::convertible_to<std::uint64_t>;
+};
+
+/// Optional NodeActor hook: a per-node version that changes whenever a
+/// handler may have changed the node's state. The rank loop records the
+/// receiver's version with each deferred delivery and re-parks a retry whose
+/// receiver still has it without running the handler. That is exact only
+/// for actors whose deferring handlers read the receiver's state and write
+/// nothing (classic GHS, ghs/classic_actor.hpp); actors without the hook
+/// retry every deferred delivery.
+template <typename A>
+concept VersionedActor = requires(const A ca, NodeId u) {
+  { ca.version(u) } -> std::convertible_to<std::uint32_t>;
 };
 
 // -- Rank-side effect ledger -------------------------------------------------

@@ -1,8 +1,40 @@
 #include "emst/sim/telemetry.hpp"
 
-#include <cstdio>
+#include <charconv>
+#include <cstring>
 
 namespace emst::sim {
+namespace {
+
+/// One JSONL line under construction in a stack buffer. The longest event
+/// line, with every optional field present at its widest (20-digit 64-bit
+/// counters, 24-character doubles), is under 300 bytes.
+class LineBuffer {
+ public:
+  void text(std::string_view s) {
+    std::memcpy(end_, s.data(), s.size());
+    end_ += s.size();
+  }
+  template <typename Int>
+  void integer(Int value) {
+    end_ = std::to_chars(end_, buf_ + sizeof buf_, value).ptr;
+  }
+  /// chars_format::general at precision 17 is printf's %.17g in the C
+  /// locale, which round-trips every double.
+  void real(double value) {
+    end_ = std::to_chars(end_, buf_ + sizeof buf_, value,
+                         std::chars_format::general, 17)
+               .ptr;
+  }
+  [[nodiscard]] const char* data() const { return buf_; }
+  [[nodiscard]] std::streamsize size() const { return end_ - buf_; }
+
+ private:
+  char buf_[512];
+  char* end_ = buf_;
+};
+
+}  // namespace
 
 std::string_view phase_tag_name(PhaseTag phase) {
   switch (phase) {
@@ -56,47 +88,42 @@ std::string_view event_type_name(EventType type) {
 }
 
 void JsonlTraceSink::on_event(const TelemetryEvent& event) {
-  // One snprintf per event into a stack buffer: optional fields are elided
-  // when at their defaults so idle-heavy traces stay small, and %.17g keeps
-  // doubles exact across a JSONL round-trip (scripts/check_trace.py replays
-  // the file and demands bitwise-equal energy totals).
-  char buf[512];
-  int len = std::snprintf(buf, sizeof(buf),
-                          "{\"ev\":\"%.*s\",\"kind\":\"%.*s\","
-                          "\"phase\":\"%.*s\",\"round\":%llu",
-                          static_cast<int>(event_type_name(event.type).size()),
-                          event_type_name(event.type).data(),
-                          static_cast<int>(msg_kind_name(event.kind).size()),
-                          msg_kind_name(event.kind).data(),
-                          static_cast<int>(phase_tag_name(event.phase).size()),
-                          phase_tag_name(event.phase).data(),
-                          static_cast<unsigned long long>(event.round));
-  auto append = [&](const char* fmt, auto... args) {
-    if (len < 0 || len >= static_cast<int>(sizeof(buf))) return;
-    const int wrote = std::snprintf(buf + len, sizeof(buf) - len, fmt, args...);
-    if (wrote > 0) len += wrote;
+  // Literal copies and std::to_chars into one stack line, then one write:
+  // optional fields are elided when at their defaults so idle-heavy traces
+  // stay small, and doubles print as %.17g would, so they stay exact across
+  // a JSONL round-trip (scripts/check_trace.py replays the file and demands
+  // bitwise-equal energy totals).
+  LineBuffer line;
+  line.text("{\"ev\":\"");
+  line.text(event_type_name(event.type));
+  line.text("\",\"kind\":\"");
+  line.text(msg_kind_name(event.kind));
+  line.text("\",\"phase\":\"");
+  line.text(phase_tag_name(event.phase));
+  line.text("\",\"round\":");
+  line.integer(event.round);
+  auto field = [&line](std::string_view key, auto value) {
+    line.text(key);
+    line.integer(value);
   };
-  if (event.from != kNoEventNode)
-    append(",\"from\":%u", static_cast<unsigned>(event.from));
-  if (event.to != kNoEventNode)
-    append(",\"to\":%u", static_cast<unsigned>(event.to));
-  if (event.receivers != 0)
-    append(",\"receivers\":%u", static_cast<unsigned>(event.receivers));
-  if (event.fragment != kNoEventNode)
-    append(",\"fragment\":%u", static_cast<unsigned>(event.fragment));
+  if (event.from != kNoEventNode) field(",\"from\":", event.from);
+  if (event.to != kNoEventNode) field(",\"to\":", event.to);
+  if (event.receivers != 0) field(",\"receivers\":", event.receivers);
+  if (event.fragment != kNoEventNode) field(",\"fragment\":", event.fragment);
   if (event.flags != 0)
-    append(",\"flags\":%u", static_cast<unsigned>(event.flags));
-  if (event.bits != 0)
-    append(",\"bits\":%u", static_cast<unsigned>(event.bits));
-  if (event.value != 0)
-    append(",\"value\":%llu", static_cast<unsigned long long>(event.value));
-  if (event.reach != 0.0) append(",\"reach\":%.17g", event.reach);
-  if (event.energy != 0.0) append(",\"energy\":%.17g", event.energy);
-  append("}");
-  if (len > 0 && len < static_cast<int>(sizeof(buf))) {
-    out_.write(buf, len);
-    out_.put('\n');
+    field(",\"flags\":", static_cast<unsigned>(event.flags));
+  if (event.bits != 0) field(",\"bits\":", event.bits);
+  if (event.value != 0) field(",\"value\":", event.value);
+  if (event.reach != 0.0) {
+    line.text(",\"reach\":");
+    line.real(event.reach);
   }
+  if (event.energy != 0.0) {
+    line.text(",\"energy\":");
+    line.real(event.energy);
+  }
+  line.text("}\n");
+  out_.write(line.data(), line.size());
 }
 
 void TelemetryAggregate::touch(std::uint32_t node, std::uint64_t round) {

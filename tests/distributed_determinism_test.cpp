@@ -51,10 +51,16 @@ struct Observed {
   sim::EnergyBreakdown breakdown;
   bool hit_phase_cap = false;
   std::vector<sim::TelemetryEvent> events;
+  /// Classic GHS's parent + rank handler executions (0 for other drivers).
+  /// Both retry loops re-park a deferred delivery whose receiver is
+  /// unchanged without calling the handler, so the sum is placement-free;
+  /// it differs if only one of the loops skips stale retries.
+  std::uint64_t executions = 0;
 };
 
 Observed observe(const RunReport& report, const std::vector<graph::Edge>& tree,
-                 const sim::MemoryTraceSink& sink) {
+                 const sim::MemoryTraceSink& sink,
+                 std::uint64_t executions = 0) {
   Observed out;
   out.tree = tree;
   out.totals = report.totals;
@@ -66,6 +72,7 @@ Observed observe(const RunReport& report, const std::vector<graph::Edge>& tree,
   if (report.breakdown != nullptr) out.breakdown = *report.breakdown;
   out.hit_phase_cap = report.hit_phase_cap;
   out.events = sink.events();
+  out.executions = executions;
   return out;
 }
 
@@ -100,6 +107,7 @@ void expect_observed_equal(const Observed& got, const Observed& want,
   EXPECT_EQ(got.per_node, want.per_node);  // element-wise bitwise
   EXPECT_EQ(got.breakdown, want.breakdown);
   EXPECT_EQ(got.hit_phase_cap, want.hit_phase_cap);
+  EXPECT_EQ(got.executions, want.executions);
   ASSERT_EQ(got.events.size(), want.events.size());
   for (std::size_t i = 0; i < got.events.size(); ++i) {
     ASSERT_EQ(got.events[i], want.events[i]) << "event " << i;
@@ -163,8 +171,9 @@ void expect_rank_invariant(const char* label, RunFn&& run_at) {
 
 /// Execution-placement witness (docs/DISTRIBUTED.md §2): with ranks the
 /// handlers must have executed inside the rank workers and never in the
-/// parent; serially it is exactly the other way around. Kept OUT of the
-/// Observed equality — the counters are placement metadata, not results.
+/// parent; serially it is exactly the other way around. The split is
+/// placement metadata and stays OUT of the Observed equality; only the sum
+/// is placement-free (Observed::executions).
 void expect_placement(std::uint64_t parent_invocations,
                       std::uint64_t rank_invocations, std::size_t ranks) {
   if (ranks > 0) {
@@ -187,7 +196,8 @@ TEST(DistributedDeterminism, ClassicGhs) {
     const auto run = ghs::run_classic_ghs(topo, options);
     expect_placement(run.handler_invocations, run.rank_handler_invocations,
                      ranks);
-    return observe(run.report(), run.tree, sink);
+    return observe(run.report(), run.tree, sink,
+                   run.handler_invocations + run.rank_handler_invocations);
   });
 }
 
@@ -248,7 +258,9 @@ TEST(DistributedDeterminism, ClassicGhsCrashWindows) {
         options.faults.seed += seed;
         configure(options, ranks, &telemetry);
         const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(run.report(), run.tree, sink);
+        return observe(
+            run.report(), run.tree, sink,
+            run.handler_invocations + run.rank_handler_invocations);
       });
 }
 
@@ -400,7 +412,9 @@ TEST(DistributedDeterminism, ClassicGhsKillLeaderChaos) {
         const auto run = ghs::run_classic_ghs(topo, options);
         expect_placement(run.handler_invocations,
                          run.rank_handler_invocations, ranks);
-        return observe(run.report(), run.tree, sink);
+        return observe(
+            run.report(), run.tree, sink,
+            run.handler_invocations + run.rank_handler_invocations);
       });
 }
 

@@ -1,13 +1,23 @@
-// Pinned absolute outputs of fault-free sync GHS and EOPT.
+// Pinned absolute outputs of fault-free sync GHS and EOPT, and of classic
+// GHS (both MOE strategies) fault-free and under a fixed fail-stop crash
+// list.
 //
 // The backend differential (topology_differential_test.cpp) compares the
 // two topology backends with each other, so a change that moves both the
 // same way passes it — a wrong per-node memo in the shared sync-GHS driver,
+// or a classic-GHS retry skipped while its receiver had in fact changed,
 // for example. This table pins what the runs actually produce: message,
 // delivery and round counts, phases, an FNV-1a hash of the canonical tree
 // and the energy total as a hexfloat, compared bitwise. Deliveries count
 // every broadcast's receivers, which energy alone does not see. Every row
-// is checked on both backends.
+// is checked on the CSR backend and, except classic GHS at n = 4000, on the
+// implicit one too: classic GHS there regenerates and edge-ranks the whole
+// neighbourhood on every dispatch and send, tens of seconds per run, and
+// BackendDifferential already checks it against the CSR at small n. The
+// crash rows restart at least once (epochs > 1, checked), so they pin the
+// fail-stop epoch path as well. Classic GHS's handler-invocation count is
+// deliberately not pinned: it measures the simulator's dispatch work, not
+// the protocol's behaviour.
 //
 // Energy goes through std::pow(d, α), so the figures belong to the
 // toolchain they were captured with (kToolchain). A mismatch prints the
@@ -22,13 +32,22 @@
 #include <vector>
 
 #include "emst/run.hpp"
+#include "emst/sim/fault.hpp"
 
 namespace emst {
 namespace {
 
 constexpr const char* kToolchain = "GCC 12.2, glibc 2.36, x86-64";
 
-enum class Case { kSync, kSyncMinPower, kEopt };
+enum class Case {
+  kSync,
+  kSyncMinPower,
+  kEopt,
+  kClassicGhs,
+  kClassicGhsCached,
+  kClassicGhsCrashes,
+  kClassicGhsCachedCrashes,
+};
 
 struct Row {
   Case driver;
@@ -62,6 +81,30 @@ constexpr Row kRows[] = {
     {Case::kEopt, 4000, 1, 102480, 500970, 2404, 8, 0xd219a744dcb3b4e8, 0x1.636aeccab6142p+5},
     {Case::kEopt, 4000, 2, 103092, 502712, 2051, 9, 0x4016e1c42d7b151c, 0x1.6364c36ab4076p+5},
     {Case::kEopt, 4000, 3, 90543, 475862, 1779, 7, 0x5d12f6678990b826, 0x1.4d39162ef1b89p+5},
+    {Case::kClassicGhs, 500, 1, 30406, 30406, 425, 5, 0x401f56eab02a178e, 0x1.6b3e5d3e5b502p+8},
+    {Case::kClassicGhs, 500, 2, 30553, 30553, 403, 5, 0x7eb17e20514e067b, 0x1.6f9cc4eafc466p+8},
+    {Case::kClassicGhs, 500, 3, 30140, 30140, 414, 5, 0x363a4db5616be2e4, 0x1.65c0c0de157abp+8},
+    {Case::kClassicGhs, 4000, 1, 346927, 346927, 1912, 7, 0xd219a744dcb3b4e8, 0x1.5f6e2b0e13cb7p+9},
+    {Case::kClassicGhs, 4000, 2, 345629, 345629, 1698, 7, 0x4016e1c42d7b151c, 0x1.5d6bb298905e4p+9},
+    {Case::kClassicGhs, 4000, 3, 337457, 337457, 1379, 6, 0x5d12f6678990b826, 0x1.5f4cd53132827p+9},
+    {Case::kClassicGhsCached, 500, 1, 17576, 123106, 363, 5, 0x401f56eab02a178e, 0x1.4e7a4dc5fa18ap+7},
+    {Case::kClassicGhsCached, 500, 2, 17145, 123505, 336, 5, 0x7eb17e20514e067b, 0x1.3c09f23e6734p+7},
+    {Case::kClassicGhsCached, 500, 3, 17514, 121444, 314, 5, 0x363a4db5616be2e4, 0x1.4abc3437dc50dp+7},
+    {Case::kClassicGhsCached, 4000, 1, 180171, 1911551, 1791, 7, 0xd219a744dcb3b4e8, 0x1.142d475603e1fp+8},
+    {Case::kClassicGhsCached, 4000, 2, 181137, 1892133, 1581, 7, 0x4016e1c42d7b151c, 0x1.16fdcbfd685b8p+8},
+    {Case::kClassicGhsCached, 4000, 3, 165401, 1656065, 1280, 6, 0x5d12f6678990b826, 0x1.f3aa3c6011d08p+7},
+    {Case::kClassicGhsCrashes, 500, 1, 38968, 38968, 524, 5, 0xa8b6cc66f827c51d, 0x1.9064e8ade8888p+8},
+    {Case::kClassicGhsCrashes, 500, 2, 39834, 39834, 518, 5, 0x1dd473db4c86f3b7, 0x1.9b700522e153bp+8},
+    {Case::kClassicGhsCrashes, 500, 3, 39588, 39588, 486, 5, 0x9b509bc5ebf9f608, 0x1.8bef274437f03p+8},
+    {Case::kClassicGhsCrashes, 4000, 1, 502947, 502947, 2242, 7, 0x9e61dbb23e4473c2, 0x1.c0799bcbb0b58p+9},
+    {Case::kClassicGhsCrashes, 4000, 2, 510263, 510263, 2128, 7, 0x4cc87dff4bbfa444, 0x1.cb70ca9ea8dd3p+9},
+    {Case::kClassicGhsCrashes, 4000, 3, 488307, 488307, 1773, 6, 0x6320edd9b02d048d, 0x1.bb3823f76bd77p+9},
+    {Case::kClassicGhsCachedCrashes, 500, 1, 25090, 174774, 427, 5, 0x401f56eab02a178e, 0x1.b13c54f18ebc2p+7},
+    {Case::kClassicGhsCachedCrashes, 500, 2, 26313, 188782, 420, 5, 0x7eb17e20514e067b, 0x1.bbfa3d26cf24bp+7},
+    {Case::kClassicGhsCachedCrashes, 500, 3, 26536, 183431, 401, 5, 0x363a4db5616be2e4, 0x1.c895e7a1ec417p+7},
+    {Case::kClassicGhsCachedCrashes, 4000, 1, 285850, 2935229, 2102, 7, 0xd219a744dcb3b4e8, 0x1.94c169b0fe153p+8},
+    {Case::kClassicGhsCachedCrashes, 4000, 2, 294996, 2996269, 1995, 7, 0x4016e1c42d7b151c, 0x1.a628f51bd8a74p+8},
+    {Case::kClassicGhsCachedCrashes, 4000, 3, 268931, 2661319, 1600, 6, 0x5d12f6678990b826, 0x1.760db4d63d9b1p+8},
 };
 // clang-format on
 
@@ -70,6 +113,10 @@ const char* case_name(Case c) {
     case Case::kSync: return "Case::kSync";
     case Case::kSyncMinPower: return "Case::kSyncMinPower";
     case Case::kEopt: return "Case::kEopt";
+    case Case::kClassicGhs: return "Case::kClassicGhs";
+    case Case::kClassicGhsCached: return "Case::kClassicGhsCached";
+    case Case::kClassicGhsCrashes: return "Case::kClassicGhsCrashes";
+    case Case::kClassicGhsCachedCrashes: return "Case::kClassicGhsCachedCrashes";
   }
   return "?";
 }
@@ -89,12 +136,52 @@ std::uint64_t tree_hash(const std::vector<graph::Edge>& tree) {
   return h;
 }
 
+bool with_crashes(Case c) {
+  return c == Case::kClassicGhsCrashes || c == Case::kClassicGhsCachedCrashes;
+}
+
+bool checked_on_implicit(Case c, std::size_t n) {
+  const bool classic = c == Case::kClassicGhs || c == Case::kClassicGhsCached ||
+                       with_crashes(c);
+  return !classic || n <= 500;
+}
+
+Driver driver_of(Case c) {
+  switch (c) {
+    case Case::kSync:
+    case Case::kSyncMinPower: return Driver::kSyncGhs;
+    case Case::kEopt: return Driver::kEopt;
+    case Case::kClassicGhs:
+    case Case::kClassicGhsCrashes: return Driver::kClassicGhs;
+    case Case::kClassicGhsCached:
+    case Case::kClassicGhsCachedCrashes: return Driver::kClassicGhsCached;
+  }
+  return Driver::kEopt;
+}
+
+/// The fixed fail-stop schedule of the crash rows: nodes that go down at
+/// the start or mid-run and come back, and for plain classic GHS one node
+/// that is down for good. Every epoch a crash touches is discarded and
+/// restarted. The cached variant gets no permanent crash: its fragment-name
+/// announcements keep reaching the dead node, so no epoch is ever clean
+/// and it hits the epoch cap (ROADMAP).
+sim::FaultModel crash_list(Case c) {
+  sim::FaultModel faults;
+  faults.crashes.push_back({7, 4, 18});
+  faults.crashes.push_back({23, 0, 12});
+  faults.crashes.push_back({97, 30, 45});
+  if (c == Case::kClassicGhsCrashes)
+    faults.crashes.push_back({41, 0, sim::kCrashForever});
+  return faults;
+}
+
 RunResult run_case(Case c, std::size_t n, std::uint64_t seed, bool implicit) {
   Instance inst = sample_instance(n, seed);
   inst.implicit_backend = implicit;
   RunConfig cfg;
-  cfg.driver = c == Case::kEopt ? Driver::kEopt : Driver::kSyncGhs;
+  cfg.driver = driver_of(c);
   cfg.sync.announce_min_power = c == Case::kSyncMinPower;
+  if (with_crashes(c)) cfg.faults = crash_list(c);
   return run(inst, cfg);
 }
 
@@ -117,6 +204,7 @@ void expect_rows(Case c) {
   for (const Row& row : kRows) {
     if (row.driver != c) continue;
     for (const bool implicit : {false, true}) {
+      if (implicit && !checked_on_implicit(c, row.n)) continue;
       SCOPED_TRACE(testing::Message()
                    << case_name(c) << " n=" << row.n << " seed=" << row.seed
                    << (implicit ? " implicit" : " csr")
@@ -130,10 +218,14 @@ void expect_rows(Case c) {
                         std::bit_cast<std::uint64_t>(got.totals.energy) ==
                             std::bit_cast<std::uint64_t>(row.energy);
       EXPECT_TRUE(same) << "observed " << as_row(c, row.n, row.seed, got);
+      if (with_crashes(c)) {
+        EXPECT_GT(got.epochs, 1u);
+      }
       ++checked;
     }
   }
-  EXPECT_EQ(checked, 12u) << "want n in {500, 4000} x seeds {1, 2, 3} x 2 backends";
+  // n in {500, 4000} x seeds {1, 2, 3} x the backends named above.
+  EXPECT_EQ(checked, checked_on_implicit(c, 4000) ? 12u : 9u);
 }
 
 TEST(PinnedOutputs, SyncGhs) { expect_rows(Case::kSync); }
@@ -141,6 +233,16 @@ TEST(PinnedOutputs, SyncGhs) { expect_rows(Case::kSync); }
 TEST(PinnedOutputs, SyncGhsAnnounceMinPower) { expect_rows(Case::kSyncMinPower); }
 
 TEST(PinnedOutputs, Eopt) { expect_rows(Case::kEopt); }
+
+TEST(PinnedOutputs, ClassicGhs) { expect_rows(Case::kClassicGhs); }
+
+TEST(PinnedOutputs, ClassicGhsCached) { expect_rows(Case::kClassicGhsCached); }
+
+TEST(PinnedOutputs, ClassicGhsCrashes) { expect_rows(Case::kClassicGhsCrashes); }
+
+TEST(PinnedOutputs, ClassicGhsCachedCrashes) {
+  expect_rows(Case::kClassicGhsCachedCrashes);
+}
 
 }  // namespace
 }  // namespace emst

@@ -21,6 +21,7 @@
 #include "emst/ghs/sync.hpp"
 #include "emst/nnt/connt.hpp"
 #include "emst/rgg/radii.hpp"
+#include "emst/run.hpp"
 #include "emst/sim/meter.hpp"
 #include "emst/sim/reliable.hpp"
 #include "emst/sim/telemetry.hpp"
@@ -495,6 +496,47 @@ TEST(TelemetryJsonl, OneParseableLinePerEventPlusFraming) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
+}
+
+// Absolute bytes of the JSONL event lines for a fixed mix of runs: every
+// field the sink can write (optional fields, ARQ flags, round values,
+// fractional reaches and energies) appears in it. The figures belong to the
+// toolchain they were captured with, as in pinned_outputs_test.cpp: energies
+// go through std::pow, and the line format prints them in full.
+constexpr const char* kJsonlToolchain = "GCC 12.2, glibc 2.36, x86-64";
+constexpr std::uint64_t kJsonlBytes = 6091730;
+constexpr std::uint64_t kJsonlFnv1a = 0xc1c64f3947fd28d9;
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(TelemetryJsonl, PinnedBytesOfAFixedRunMix) {
+  std::ostringstream out;
+  sim::JsonlTraceSink jsonl(out);
+  sim::Telemetry telemetry(&jsonl);
+  const Instance inst = sample_instance(300, 11);
+  for (const Driver driver : {Driver::kSyncGhs, Driver::kEopt,
+                              Driver::kClassicGhsCached, Driver::kCoNnt}) {
+    RunConfig cfg = config_for(driver);
+    cfg.telemetry = &telemetry;
+    if (driver == Driver::kEopt) {
+      cfg.faults.loss = 0.1;
+      cfg.faults.seed = 12;
+      cfg.arq.enabled = true;
+    }
+    (void)run(inst, cfg);
+  }
+  const std::string text = out.str();
+  SCOPED_TRACE(testing::Message() << "pinned on " << kJsonlToolchain);
+  EXPECT_EQ(text.size(), kJsonlBytes);
+  EXPECT_EQ(fnv1a(text), kJsonlFnv1a)
+      << std::hex << "observed 0x" << fnv1a(text);
 }
 
 // --------------------------------------------------------------- run report
