@@ -24,6 +24,13 @@
 // nothing, so a parked delivery whose receiver still has the version it was
 // parked at would defer again: both retry loops re-park it in its FIFO slot
 // without calling the handler (docs/PERF.md, "Classic GHS dispatch").
+//
+// Handlers address edges by slot. Every send goes over a link, so on an
+// engine that carries ports a delivery names its slot at the receiver
+// (sim::Delivery::port), checked against the sender on each use. Deliveries
+// without a port (the implicit backend stores no rows, rank frames carry
+// none) search the receiver's row instead. ANNOUNCE and CHANGE_ROOT act on
+// no edge and resolve no slot.
 #pragma once
 
 #include <cstdint>
@@ -96,34 +103,49 @@ class ClassicGhsActor {
   void on_message(const Delivery& d, Env& env) {
     ++invocations_;
     const NodeId u = d.to;
-    const std::size_t j = slot_of(u, d.from);
     // A sleeping node is awakened by any incoming message (all nodes wake in
     // round 0 here, but keep the guard for partial-start configurations).
     if (nodes_[u].state == NodeState::kSleeping) wakeup_locked(u, env);
     const bool parked = std::visit(
         [&](const auto& msg) {
           using T = std::decay_t<decltype(msg)>;
-          if constexpr (std::is_same_v<T, proto::GhsConnect>) {
-            return on_connect(u, j, msg, d, env);
-          } else if constexpr (std::is_same_v<T, proto::GhsInitiate>) {
-            on_initiate(u, j, msg, env);
-          } else if constexpr (std::is_same_v<T, proto::GhsTest>) {
-            return on_test(u, j, msg, d, env);
-          } else if constexpr (std::is_same_v<T, proto::GhsAccept>) {
-            on_accept(u, j, env);
-          } else if constexpr (std::is_same_v<T, proto::GhsReject>) {
-            on_reject(u, j, env);
-          } else if constexpr (std::is_same_v<T, proto::GhsReport>) {
-            return on_report(u, j, msg, d, env);
-          } else if constexpr (std::is_same_v<T, proto::GhsAnnounce>) {
+          if constexpr (std::is_same_v<T, proto::GhsAnnounce>) {
             nodes_[u].cache[d.from] = msg.frag;
-          } else {
+          } else if constexpr (std::is_same_v<T, proto::GhsChangeRoot>) {
             change_root(u, env);
+          } else {
+            // The six kinds that act on the edge they arrived on.
+            const std::size_t j = slot_of(d);
+            if constexpr (std::is_same_v<T, proto::GhsConnect>) {
+              return on_connect(u, j, msg, d, env);
+            } else if constexpr (std::is_same_v<T, proto::GhsInitiate>) {
+              on_initiate(u, j, msg, env);
+            } else if constexpr (std::is_same_v<T, proto::GhsTest>) {
+              return on_test(u, j, msg, d, env);
+            } else if constexpr (std::is_same_v<T, proto::GhsAccept>) {
+              on_accept(u, j, env);
+            } else if constexpr (std::is_same_v<T, proto::GhsReject>) {
+              on_reject(u, j, env);
+            } else {
+              static_assert(std::is_same_v<T, proto::GhsReport>);
+              return on_report(u, j, msg, d, env);
+            }
           }
           return false;  // only CONNECT, TEST and REPORT can park
         },
         d.msg);
     if (!parked) ++versions_[u];
+  }
+
+  /// Start loading what on_message(d) will read first: the receiver's
+  /// context and version and, for a delivery with a port, its row entry
+  /// there. Reads receiver state only; the serial round loop calls it a few
+  /// deliveries ahead of dispatch.
+  void prefetch(const Delivery& d) const {
+    __builtin_prefetch(&nodes_[d.to]);
+    __builtin_prefetch(&versions_[d.to]);
+    if (d.port != graph::kNoSlot)
+      __builtin_prefetch(topo_->neighbors(d.to).data() + d.port);
   }
 
   /// (2) Spontaneous wakeup: mark the minimum-weight edge Branch and send
@@ -252,20 +274,28 @@ class ClassicGhsActor {
   [[nodiscard]] std::span<const graph::Neighbor> neighbors(NodeId u) const {
     return topo_->neighbors(u).first(nodes_[u].edge_state.size());
   }
-  [[nodiscard]] std::size_t slot_of(NodeId u, NodeId v) const {
-    return neighbor_slot(*topo_, u, v);
+  /// The receiver's slot of the edge `d` arrived on: its port, checked to
+  /// name the sender, or for a delivery without one (the implicit backend,
+  /// the rank engine) a search of the receiver's row.
+  [[nodiscard]] std::size_t slot_of(const Delivery& d) const {
+    if (d.port == graph::kNoSlot)
+      return neighbor_slot(*topo_, d.to, d.from, d.distance);
+    const auto nbs = neighbors(d.to);
+    EMST_ASSERT_MSG(d.port < nbs.size() && nbs[d.port].id == d.from,
+                    "classic GHS: delivery port does not name its sender");
+    return d.port;
   }
 
   /// Unicast `msg` over slot `slot` of `u`: the single chokepoint where a
   /// handler action becomes an env effect (type tally reach = the slot
   /// weight; telemetry context = wire kind + sender's current fragment).
+  /// The link is copied: on the implicit backend the row is scratch.
   template <typename Env>
   void send(NodeId u, std::size_t slot, Msg msg, Env& env) {
     const GhsMsgType type = proto::type_of(msg);
-    const graph::Neighbor& nb = neighbors(u)[slot];
-    env.unicast(u, nb.id, to_msg_kind(type), static_cast<std::uint8_t>(type),
-                static_cast<std::uint32_t>(nodes_[u].frag), nb.w,
-                std::move(msg));
+    const graph::Neighbor link = neighbors(u)[slot];
+    env.unicast(u, link, to_msg_kind(type), static_cast<std::uint8_t>(type),
+                static_cast<std::uint32_t>(nodes_[u].frag), std::move(msg));
   }
 
   template <typename Env>

@@ -140,11 +140,13 @@ template <typename Topo>
 }
 
 /// Position of neighbor v in u's sorted neighbor span (binary search by
-/// (weight, id)). Aborts if (u,v) is not an edge of the topology.
+/// (weight, id)), given w = d(u, v). A delivery's `distance` is exactly
+/// that, since distance_sq is bitwise symmetric. Aborts if (u,v) is not an
+/// edge of the topology.
 template <typename Topo>
-[[nodiscard]] std::size_t neighbor_slot(const Topo& topo, NodeId u, NodeId v) {
+[[nodiscard]] std::size_t neighbor_slot(const Topo& topo, NodeId u, NodeId v,
+                                        double w) {
   const auto all = topo.neighbors(u);
-  const double w = topo.distance(u, v);
   // Find the first neighbor with weight >= w, then scan the (tiny) run of
   // equal weights for the id.
   auto it = std::lower_bound(

@@ -19,6 +19,12 @@ namespace emst::graph {
 /// (classic GHS) must call prepare_edge_indices(topo) first.
 inline constexpr std::uint32_t kNoEdgeIndex = static_cast<std::uint32_t>(-1);
 
+/// Sentinel row position: a Neighbor::twin the backend does not store
+/// (sim::ImplicitTopology), and the port of a delivery that did not arrive
+/// over a link (sim::Delivery::port).
+inline constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
+/// One entry of u's neighbour row: the link from its owner u to `id`.
 struct Neighbor {
   NodeId id = 0;
   double w = 0.0;
@@ -26,7 +32,13 @@ struct Neighbor {
   /// identical for both directions, so per-edge state can live in one array.
   /// kNoEdgeIndex when the producing backend has no edge ranks built.
   std::uint32_t edge_index = 0;
+  /// Position of the owner u in neighbors(id): the entry for the same link
+  /// seen from the other end, so a message sent over this link arrives on a
+  /// known port of its receiver. kNoSlot when the backend stores no rows.
+  std::uint32_t twin = kNoSlot;
 };
+// twin fills what was tail padding: a CSR entry stays 24 B.
+static_assert(sizeof(Neighbor) == 24);
 
 /// Order-free summary of a neighbour range (the topologies' reach_within):
 /// its size and its last element, the farthest neighbour — the maximum by

@@ -136,6 +136,14 @@ class RankActorEnv {
     ++count_;
   }
 
+  /// Unicast over a link of neighbors(from): the same record as the id
+  /// overload with reach link.w. Rank frames carry no port, so the receiving
+  /// rank's delivery has port graph::kNoSlot.
+  void unicast(NodeId from, const graph::Neighbor& link, MsgKind kind,
+               std::uint8_t dtag, std::uint32_t fragment, const Msg& m) {
+    unicast(from, link.id, kind, dtag, fragment, link.w, m);
+  }
+
   void broadcast(NodeId /*from*/, double radius, MsgKind kind,
                  std::uint8_t dtag, std::uint32_t fragment, const Msg& m) {
     proto::BitWriter w;

@@ -3,7 +3,10 @@
 // Semantics:
 //  - Communication happens in discrete rounds. A message sent during round t
 //    is delivered at the beginning of round t+1.
-//  - `unicast(u, v, m)` costs d(u,v)^α and delivers to v only.
+//  - `unicast(u, v, m)` costs d(u,v)^α and delivers to v only. Sent over a
+//    link (`unicast(u, link, m)`, link an entry of neighbors(u)), it also
+//    arrives on a port: the receiver's row position of u (Delivery::port),
+//    which a port-numbered node knows for free (docs/MODEL.md).
 //  - `broadcast(u, ρ, m)` costs ρ^α once and delivers to every node within
 //    Euclidean distance ρ of u (local broadcasting, §II). ρ may exceed the
 //    topology's max radius only if `unbounded_broadcast` is enabled (used by
@@ -56,6 +59,11 @@ struct Delivery {
   NodeId to = 0;
   double distance = 0.0;  ///< d(from, to)
   Msg msg{};
+  /// Position of `from` in neighbors(to) when the message was sent over a
+  /// link of a backend that stores rows; graph::kNoSlot for id unicasts,
+  /// broadcasts, the implicit backend and deliveries rebuilt from rank
+  /// frames.
+  std::uint32_t port = graph::kNoSlot;
 };
 
 /// Message-delay model. The default (max_extra_delay = 0) is the paper's
@@ -92,13 +100,23 @@ class Network {
       faults_.set_chaos_env(topo_.node_count(), topo_.points());
   }
 
-  /// Send m from u to v; delivered next round. Charges d(u,v)^α.
-  /// With `unbounded_broadcast` (power-adaptive radios, e.g. Co-NNT), the
-  /// range check is waived for unicasts too — replies travel back over
-  /// whatever distance the probe reached.
+  /// Send m from u to v; delivered next round, without a port. Charges
+  /// d(u,v)^α. With `unbounded_broadcast` (power-adaptive radios, e.g.
+  /// Co-NNT), the range check is waived for unicasts too — replies travel
+  /// back over whatever distance the probe reached.
   void unicast(NodeId u, NodeId v, Msg m) {
+    EMST_ASSERT(u < topo_.node_count() && v < topo_.node_count());
+    unicast(u, graph::Neighbor{v, topo_.distance(u, v), graph::kNoEdgeIndex},
+            std::move(m));
+  }
+
+  /// Send m from u over `link`, an entry of topology().neighbors(u): charges
+  /// link.w, which is d(u, link.id) on both backends, and delivers on port
+  /// link.twin.
+  void unicast(NodeId u, const graph::Neighbor& link, Msg m) {
+    const NodeId v = link.id;
     EMST_ASSERT(u < topo_.node_count() && v < topo_.node_count() && u != v);
-    const double d = topo_.distance(u, v);
+    const double d = link.w;
     EMST_ASSERT_MSG(unbounded_broadcast_ ||
                         d <= topo_.max_radius() * (1.0 + 1e-12),
                     "unicast beyond the maximum transmission radius");
@@ -115,7 +133,7 @@ class Network {
     }
     meter_.charge_unicast(u, v, d);
     meter_.clear_bits();
-    enqueue(u, v, d, bits, std::move(m));
+    enqueue(u, v, d, bits, std::move(m), link.twin);
   }
 
   /// Locally broadcast m from u at power radius `radius`; every node within
@@ -187,6 +205,7 @@ class Network {
     Msg msg;
     bool lost;  ///< channel fate, drawn at send time (fault layer)
     std::uint32_t bits;  ///< wire size, stamped on delivery-time drop events
+    std::uint32_t port;  ///< Delivery::port
     // No seq / due fields: the bucket index encodes the due round and the
     // append order within a bucket IS the send-sequence order.
   };
@@ -226,13 +245,15 @@ class Network {
     if (receivers_.empty()) return;
     for (std::size_t i = 0; i + 1 < receivers_.size(); ++i) {
       const NodeId v = receivers_[i];
-      enqueue(u, v, topo_.distance(u, v), bits, Msg(m));
+      enqueue(u, v, topo_.distance(u, v), bits, Msg(m), graph::kNoSlot);
     }
     const NodeId v = receivers_.back();
-    enqueue(u, v, topo_.distance(u, v), bits, Msg(std::forward<M>(m)));
+    enqueue(u, v, topo_.distance(u, v), bits, Msg(std::forward<M>(m)),
+            graph::kNoSlot);
   }
 
-  void enqueue(NodeId u, NodeId v, double d, std::uint32_t bits, Msg m) {
+  void enqueue(NodeId u, NodeId v, double d, std::uint32_t bits, Msg m,
+               std::uint32_t port) {
     // Channel fate is drawn here, in global send order — identical between
     // this engine and ReferenceNetwork — but enforced at delivery time.
     const bool lost = faults_.enabled() && faults_.drop(u, v);
@@ -259,7 +280,7 @@ class Network {
     EMST_ASSERT(due > now_ && due - now_ - 1 <= delays_.max_extra_delay);
     std::size_t idx = head_ + static_cast<std::size_t>(due - now_ - 1);
     if (idx >= buckets_.size()) idx -= buckets_.size();
-    buckets_[idx].push_back({u, v, d, std::move(m), lost, bits});
+    buckets_[idx].push_back({u, v, d, std::move(m), lost, bits, port});
     ++inflight_count_;
   }
 
@@ -287,7 +308,8 @@ class Network {
         return;
       }
     }
-    out.push_back({item.from, item.to, item.distance, std::move(item.msg)});
+    out.push_back(
+        {item.from, item.to, item.distance, std::move(item.msg), item.port});
   }
 
   /// Move the bucket's items into `out` ordered by (receiver, send

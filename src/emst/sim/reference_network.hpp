@@ -46,8 +46,17 @@ class ReferenceNetwork {
 
   /// Send m from u to v; delivered next round. Charges d(u,v)^α.
   void unicast(NodeId u, NodeId v, Msg m) {
+    EMST_ASSERT(u < topo_.node_count() && v < topo_.node_count());
+    unicast(u, graph::Neighbor{v, topo_.distance(u, v), graph::kNoEdgeIndex},
+            std::move(m));
+  }
+
+  /// Send m from u over a link of neighbors(u): charges link.w and delivers
+  /// on port link.twin, as Network::unicast does.
+  void unicast(NodeId u, const graph::Neighbor& link, Msg m) {
+    const NodeId v = link.id;
     EMST_ASSERT(u < topo_.node_count() && v < topo_.node_count() && u != v);
-    const double d = topo_.distance(u, v);
+    const double d = link.w;
     EMST_ASSERT_MSG(unbounded_broadcast_ ||
                         d <= topo_.max_radius() * (1.0 + 1e-12),
                     "unicast beyond the maximum transmission radius");
@@ -61,7 +70,7 @@ class ReferenceNetwork {
     }
     meter_.charge_unicast(u, v, d);
     meter_.clear_bits();
-    enqueue(u, v, d, bits, std::move(m));
+    enqueue(u, v, d, bits, std::move(m), link.twin);
   }
 
   /// Locally broadcast m from u at power radius `radius`. Charges radius^α.
@@ -94,7 +103,7 @@ class ReferenceNetwork {
     meter_.charge_broadcast(u, radius, receivers.size());
     meter_.clear_bits();
     for (NodeId v : receivers)
-      enqueue(u, v, topo_.distance(u, v), bits, Msg(m));
+      enqueue(u, v, topo_.distance(u, v), bits, Msg(m), graph::kNoSlot);
   }
 
   [[nodiscard]] bool pending() const noexcept { return !inflight_.empty(); }
@@ -141,7 +150,8 @@ class ReferenceNetwork {
         meter_.clear_bits();
         continue;
       }
-      out.push_back({item.from, item.to, item.distance, std::move(item.msg)});
+      out.push_back({item.from, item.to, item.distance, std::move(item.msg),
+                     item.port});
     }
     inflight_.erase(inflight_.begin(),
                     inflight_.begin() + static_cast<std::ptrdiff_t>(consumed));
@@ -173,9 +183,11 @@ class ReferenceNetwork {
     std::uint64_t due;  ///< round at which the message arrives
     bool lost = false;  ///< channel fate, drawn at send time
     std::uint32_t bits = 0;
+    std::uint32_t port = graph::kNoSlot;
   };
 
-  void enqueue(NodeId u, NodeId v, double d, std::uint32_t bits, Msg m) {
+  void enqueue(NodeId u, NodeId v, double d, std::uint32_t bits, Msg m,
+               std::uint32_t port) {
     const bool lost = faults_.enabled() && faults_.drop(u, v);
     std::uint64_t due = now_ + 1;
     if (delays_.max_extra_delay > 0) {
@@ -190,7 +202,8 @@ class ReferenceNetwork {
         it->second = due;
       }
     }
-    inflight_.push_back({u, v, d, std::move(m), next_seq_++, due, lost, bits});
+    inflight_.push_back(
+        {u, v, d, std::move(m), next_seq_++, due, lost, bits, port});
   }
 
   const Topo& topo_;

@@ -42,9 +42,14 @@ Topology::Topology(std::vector<geometry::Point2> points, double max_radius,
       max_radius_(max_radius),
       graph_(points_.size(), std::move(edges)) {
   EMST_ASSERT(max_radius_ > 0.0);
-  for (const graph::Edge& e : graph_.edges())
+  // A link's weight is what a unicast over it charges (Network::unicast),
+  // so it must be the endpoints' distance, as on the generated graphs.
+  for (const graph::Edge& e : graph_.edges()) {
     EMST_ASSERT_MSG(e.w <= max_radius_ * (1.0 + 1e-12),
                     "explicit edge exceeds the maximum transmission radius");
+    EMST_ASSERT_MSG(e.w == geometry::distance(points_[e.u], points_[e.v]),
+                    "explicit edge weight is not its endpoints' distance");
+  }
   assert_neighbors_weight_sorted(graph_);
   grid_ = std::make_unique<spatial::CellGrid>(
       std::span<const geometry::Point2>(points_), max_radius_);

@@ -67,6 +67,27 @@ TEST(Adjacency, StructureAndSymmetry) {
   const auto n2 = g.neighbors(2);
   EXPECT_EQ(n1[0].edge_index, n2[0].edge_index);
   EXPECT_DOUBLE_EQ(g.edge_weight(n1[0].edge_index), 1.0);
+  // Every entry's twin is the same link seen from the other end: the owner,
+  // with the same weight and edge_index. Checked here and on a random
+  // geometric graph, whose rows are long and interleave many edges.
+  support::Rng rng(61);
+  const auto points = geometry::uniform_points(300, rng);
+  const AdjacencyList rgg_graph(points.size(),
+                                rgg::geometric_edges(points, 0.12));
+  for (const AdjacencyList* graph : {&g, &rgg_graph}) {
+    for (NodeId u = 0; u < graph->node_count(); ++u) {
+      const auto own = graph->neighbors(u);
+      for (std::uint32_t j = 0; j < own.size(); ++j) {
+        const auto row = graph->neighbors(own[j].id);
+        ASSERT_LT(own[j].twin, row.size()) << u << "->" << own[j].id;
+        const Neighbor& twin = row[own[j].twin];
+        EXPECT_EQ(twin.id, u);
+        EXPECT_EQ(twin.w, own[j].w);  // bitwise: one edge, one weight
+        EXPECT_EQ(twin.edge_index, own[j].edge_index);
+        EXPECT_EQ(twin.twin, j);
+      }
+    }
+  }
 }
 
 TEST(Adjacency, EmptyGraph) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "emst/geometry/sampling.hpp"
@@ -24,7 +25,9 @@ namespace {
 using Msg = std::uint64_t;
 
 /// Replay an identical random unicast/broadcast schedule through both
-/// engines and require identical Delivery sequences every round.
+/// engines and require identical Delivery sequences every round. Unicasts
+/// with an even payload go over a link and must arrive on the port naming
+/// their sender in the receiver's row; every other send arrives on none.
 void expect_equivalent_runs(std::uint32_t max_extra_delay) {
   const std::size_t n = 250;
   support::Rng rng(424242 + max_extra_delay);
@@ -37,6 +40,7 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
   ReferenceNetwork<Msg> reference(topo, {}, false, delays);
 
   std::uint64_t payload = 0;
+  std::unordered_set<Msg> by_link;  // payloads sent with unicast(u, link, m)
   std::size_t total_delivered = 0;
   const int schedule_rounds = 60;
   for (int round = 0; round < schedule_rounds + 40; ++round) {
@@ -52,9 +56,15 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
         } else {
           const auto nbs = topo.neighbors(u);
           if (nbs.empty()) continue;
-          const auto v = nbs[rng.uniform_int(nbs.size())].id;
-          calendar.unicast(u, v, payload);
-          reference.unicast(u, v, payload);
+          const graph::Neighbor& link = nbs[rng.uniform_int(nbs.size())];
+          if (payload % 2 == 0) {
+            calendar.unicast(u, link, payload);
+            reference.unicast(u, link, payload);
+            by_link.insert(payload);
+          } else {
+            calendar.unicast(u, link.id, payload);
+            reference.unicast(u, link.id, payload);
+          }
           ++payload;
         }
       }
@@ -68,6 +78,16 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
       ASSERT_EQ(got[i].distance, want[i].distance)  // bit-identical, no EQ_NEAR
           << "round " << round << " pos " << i;
       ASSERT_EQ(got[i].msg, want[i].msg) << "round " << round << " pos " << i;
+      ASSERT_EQ(got[i].port, want[i].port) << "round " << round << " pos " << i;
+      if (by_link.contains(got[i].msg)) {
+        const auto row = topo.neighbors(got[i].to);
+        ASSERT_LT(got[i].port, row.size()) << "round " << round << " pos " << i;
+        EXPECT_EQ(row[got[i].port].id, got[i].from)
+            << "round " << round << " pos " << i;
+      } else {
+        EXPECT_EQ(got[i].port, graph::kNoSlot)
+            << "round " << round << " pos " << i;
+      }
     }
     total_delivered += got.size();
     ASSERT_EQ(calendar.pending(), reference.pending()) << "round " << round;
