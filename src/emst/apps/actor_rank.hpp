@@ -12,7 +12,8 @@
 //
 // The transport skeleton: serve-framed chunks, fingerprint-verify-before-
 // parse, the D+1-bucket calendar ring with the per-link FIFO clamp, and
-// by-receiver ordering of the due bucket. On top of that the rank keeps two
+// by-receiver ordering of the due bucket (sim::ReceiverOrder, the routine
+// sim::Network drains with). On top of that the rank keeps two
 // pieces of protocol state:
 //
 //  - a local deferred FIFO holding the raw payload bytes of deliveries the
@@ -125,60 +126,6 @@ inline void frame_and_send(int fd, const std::vector<std::uint8_t>& body) {
   (void)write_all(fd, out.data(), out.size());
 }
 
-/// Same three-strategy by-receiver ordering as `Network::drain_by_receiver`:
-/// append order within the bucket is global sequence order, so a stable
-/// by-receiver order yields the (receiver, sequence) contract for this
-/// rank's slice.
-inline constexpr std::size_t kSmallBucket = 48;
-
-inline void order_by_receiver(const std::vector<Item>& bucket,
-                              std::vector<std::uint32_t>& order,
-                              std::vector<std::uint32_t>& recv_slot,
-                              std::vector<std::uint32_t>& touched) {
-  const std::size_t b = bucket.size();
-  order.resize(b);
-  bool in_order = true;
-  for (std::size_t i = 1; i < b; ++i) {
-    if (bucket[i - 1].to > bucket[i].to) {
-      in_order = false;
-      break;
-    }
-  }
-  if (in_order) {
-    for (std::size_t i = 0; i < b; ++i)
-      order[i] = static_cast<std::uint32_t>(i);
-    return;
-  }
-  if (b <= kSmallBucket) {
-    for (std::size_t i = 0; i < b; ++i)
-      order[i] = static_cast<std::uint32_t>(i);
-    std::stable_sort(order.begin(), order.end(),
-                     [&bucket](std::uint32_t a, std::uint32_t c) {
-                       return bucket[a].to < bucket[c].to;
-                     });
-    return;
-  }
-  // Counting scatter over the receivers this bucket touches (the slot table
-  // is sized by the max receiver seen, not by the node count).
-  std::uint32_t max_to = 0;
-  for (const Item& item : bucket) max_to = std::max(max_to, item.to);
-  if (recv_slot.size() <= max_to) recv_slot.resize(max_to + 1, 0);
-  touched.clear();
-  for (const Item& item : bucket) {
-    if (recv_slot[item.to]++ == 0) touched.push_back(item.to);
-  }
-  std::sort(touched.begin(), touched.end());
-  std::uint32_t offset = 0;
-  for (const std::uint32_t r : touched) {
-    const std::uint32_t count = recv_slot[r];
-    recv_slot[r] = offset;
-    offset += count;
-  }
-  for (std::size_t i = 0; i < b; ++i)
-    order[recv_slot[bucket[i].to]++] = static_cast<std::uint32_t>(i);
-  for (const std::uint32_t r : touched) recv_slot[r] = 0;
-}
-
 /// Start a chunk body for any round-scoped opcode; flags and count (bytes
 /// 1 and 10..13) are patched at finish.
 inline void begin_chunk(std::vector<std::uint8_t>& body, std::uint8_t opcode,
@@ -247,7 +194,7 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
 
   std::vector<std::uint8_t> rdbuf(1 << 16);
   std::vector<std::uint8_t> body;
-  std::vector<std::uint32_t> order, recv_slot, touched;
+  sim::ReceiverOrder order;
   serve::Frame frame;
 
   const bool kill_armed = ctx.hooks.kill_rank == ctx.rank;
@@ -408,9 +355,7 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
         }
         std::vector<detail::Item>& bucket = buckets[head];
         head = head + 1 == buckets.size() ? 0 : head + 1;
-        detail::order_by_receiver(bucket, order, recv_slot, touched);
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-          detail::Item& item = bucket[order[i]];
+        order.for_each(bucket, ctx.node_rank.size(), [&](detail::Item& item) {
           std::uint8_t status = proto::kDistDeliveryDispatched;
           env.begin_entry();
           if (ctx.faulty && mirror.crashed(item.to)) {
@@ -439,7 +384,7 @@ int actor_rank_main(const ActorRankCtx<Msg>& ctx, Actor& actor,
             const std::uint32_t version = version_of(item.to);
             fifo.push_back({std::move(item), version});
           }
-        }
+        });
         bucket.clear();
         detail::patch_chunk(body, proto::kDistFlagLast, chunk_count);
         detail::seal_and_send(ctx.fd, body, chain);

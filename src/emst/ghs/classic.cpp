@@ -322,11 +322,11 @@ class ClassicGhsRun {
     // endpoint that marked it Branch (usually both), so sort canonically
     // and drop adjacent endpoint duplicates — no global edge list needed.
     for (NodeId u = 0; u < topo_.node_count(); ++u) {
-      const typename Actor::NodeCtx& n = actor_.node(u);
-      max_level = std::max(max_level, n.level);
+      max_level = std::max(max_level, actor_.node(u).level);
       const auto nbs = neighbors(u);
-      for (std::size_t i = 0; i < n.edge_state.size(); ++i) {
-        if (n.edge_state[i] != EdgeState::kBranch) continue;
+      const auto states = actor_.edge_states(u);
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        if (states[i] != EdgeState::kBranch) continue;
         result.tree.push_back(graph::Edge{u, nbs[i].id, nbs[i].w}.canonical());
       }
     }

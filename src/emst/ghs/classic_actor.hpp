@@ -31,8 +31,15 @@
 // without a port (the implicit backend stores no rows, rank frames carry
 // none) search the receiver's row instead. ANNOUNCE and CHANGE_ROOT act on
 // no edge and resolve no slot.
+//
+// A node's whole context is one 64-byte line (NodeCtx): its edge states
+// live in one array shared by all nodes, and ghs-cached's announcement
+// maps in a side table that only that mode allocates. Procedure test
+// resumes from a per-node cursor instead of slot 0: within an epoch an edge
+// only ever leaves Basic, so no Basic edge lies below the last one tested.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -56,41 +63,46 @@ class ClassicGhsActor {
   using Delivery = sim::Delivery<Msg>;
   using NodeState = proto::GhsNodeState;
   enum class EdgeState : std::uint8_t { kBasic, kBranch, kRejected };
+  /// Edges are addressed by "slot": the position in the node's
+  /// radius-filtered neighbor span (ascending weight), which makes
+  /// "minimum-weight basic edge" the first Basic slot.
+  using Slot = std::uint32_t;
 
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  static constexpr Slot kNoSlot = graph::kNoSlot;
   static constexpr EdgeIndex kNoFragName = static_cast<EdgeIndex>(-1);
 
-  /// Per-node protocol state. Edges are addressed by "slot": the position
-  /// in the node's radius-filtered neighbor span (ascending weight), which
-  /// makes "minimum-weight basic edge" a linear scan from slot 0.
-  struct NodeCtx {
+  /// Per-node protocol state, one cache line.
+  struct alignas(64) NodeCtx {
+    std::uint32_t version = 0;  // dispatch version, see version()
     NodeState state = NodeState::kSleeping;
-    std::uint32_t level = 0;
-    EdgeIndex frag = kNoFragName;       // undefined until first Initiate
-    std::vector<EdgeState> edge_state;  // per neighbor slot
-    std::size_t best_slot = kNoSlot;    // candidate MOE (local slot)
-    std::uint64_t best_edge = kInfEdge; // its global edge index
-    std::size_t test_slot = kNoSlot;    // slot currently under TEST
-    std::size_t in_branch = kNoSlot;    // slot toward the core
-    std::uint32_t find_count = 0;
     bool halted = false;
-    /// kCachedConfirm: last fragment name each neighbor announced. Names
-    /// are globally unique over time (a core edge can core only once), so a
-    /// cache hit equal to the node's own name proves the edge internal
-    /// forever.
-    std::unordered_map<NodeId, EdgeIndex> cache;
+    std::uint32_t level = 0;
+    EdgeIndex frag = kNoFragName;        // undefined until first Initiate
+    std::uint32_t first_state = 0;       // slot 0's entry in edge_states_
+    std::uint32_t degree = 0;            // slot count
+    Slot basic_from = 0;                 // no Basic slot below it (cursor)
+    Slot best_slot = kNoSlot;            // candidate MOE (local slot)
+    Slot test_slot = kNoSlot;            // slot currently under TEST
+    Slot in_branch = kNoSlot;            // slot toward the core
+    std::uint32_t find_count = 0;
+    std::uint64_t best_edge = kInfEdge;  // its global edge index
   };
+  static_assert(sizeof(NodeCtx) == 64);
 
   ClassicGhsActor(const Topo& topo, double radius, MoeStrategy moe)
-      : topo_(&topo),
-        radius_(radius),
-        moe_(moe),
-        nodes_(topo.node_count()),
-        versions_(topo.node_count(), 0) {
+      : topo_(&topo), radius_(radius), moe_(moe), nodes_(topo.node_count()) {
+    std::size_t total = 0;
     for (NodeId u = 0; u < topo.node_count(); ++u) {
-      nodes_[u].edge_state.assign(neighbors_within(topo, u, radius).size(),
-                                  EdgeState::kBasic);
+      NodeCtx& n = nodes_[u];
+      n.first_state = static_cast<std::uint32_t>(total);
+      n.degree = static_cast<std::uint32_t>(
+          neighbors_within(topo, u, radius).size());
+      total += n.degree;
     }
+    EMST_ASSERT_MSG(total <= 0xFFFFFFFFu,
+                    "classic GHS: edge states exceed 32-bit offsets");
+    edge_states_.assign(total, EdgeState::kBasic);
+    if (moe_ == MoeStrategy::kCachedConfirm) cache_.resize(topo.node_count());
   }
 
   /// Per-round hook of the NodeActor shape. Classic GHS keeps no per-round
@@ -110,12 +122,12 @@ class ClassicGhsActor {
         [&](const auto& msg) {
           using T = std::decay_t<decltype(msg)>;
           if constexpr (std::is_same_v<T, proto::GhsAnnounce>) {
-            nodes_[u].cache[d.from] = msg.frag;
+            cache_[u][d.from] = msg.frag;
           } else if constexpr (std::is_same_v<T, proto::GhsChangeRoot>) {
             change_root(u, env);
           } else {
             // The six kinds that act on the edge they arrived on.
-            const std::size_t j = slot_of(d);
+            const Slot j = slot_of(d);
             if constexpr (std::is_same_v<T, proto::GhsConnect>) {
               return on_connect(u, j, msg, d, env);
             } else if constexpr (std::is_same_v<T, proto::GhsInitiate>) {
@@ -134,16 +146,15 @@ class ClassicGhsActor {
           return false;  // only CONNECT, TEST and REPORT can park
         },
         d.msg);
-    if (!parked) ++versions_[u];
+    if (!parked) ++nodes_[u].version;
   }
 
   /// Start loading what on_message(d) will read first: the receiver's
-  /// context and version and, for a delivery with a port, its row entry
-  /// there. Reads receiver state only; the serial round loop calls it a few
-  /// deliveries ahead of dispatch.
+  /// context and, for a delivery with a port, its row entry there. Reads
+  /// receiver state only; the serial round loop calls it a few deliveries
+  /// ahead of dispatch.
   void prefetch(const Delivery& d) const {
     __builtin_prefetch(&nodes_[d.to]);
-    __builtin_prefetch(&versions_[d.to]);
     if (d.port != graph::kNoSlot)
       __builtin_prefetch(topo_->neighbors(d.to).data() + d.port);
   }
@@ -158,21 +169,26 @@ class ClassicGhsActor {
     wakeup_locked(u, env);
   }
 
-  /// Fail-stop reset (docs/ROBUSTNESS.md): discard all protocol state and
-  /// pre-Reject edges to permanently dead neighbors — the modeled
-  /// neighbor-timeout failure detector. The wakeups that start the next
-  /// epoch are the driver's (a choreographed step, not a handler).
+  /// Fail-stop reset (docs/ROBUSTNESS.md): discard all protocol state, the
+  /// test cursor and announcement cache included, and pre-Reject edges to
+  /// permanently dead neighbors — the modeled neighbor-timeout failure
+  /// detector. The wakeups that start the next epoch are the driver's (a
+  /// choreographed step, not a handler).
   void restart(const sim::FaultInjector& faults) {
     for (NodeId u = 0; u < node_count(); ++u) {
       NodeCtx& n = nodes_[u];
-      const auto nbs = neighbors(u);  // before the reset: it reads edge_state
-      n = NodeCtx{};
-      n.edge_state.assign(nbs.size(), EdgeState::kBasic);
+      NodeCtx fresh;
+      fresh.version = n.version + 1;
+      fresh.first_state = n.first_state;
+      fresh.degree = n.degree;
+      n = fresh;
+      const auto nbs = neighbors(u);
+      const auto states = writable_states(u);
       for (std::size_t i = 0; i < nbs.size(); ++i) {
-        if (faults.crashed_forever(nbs[i].id))
-          n.edge_state[i] = EdgeState::kRejected;
+        states[i] = faults.crashed_forever(nbs[i].id) ? EdgeState::kRejected
+                                                      : EdgeState::kBasic;
       }
-      ++versions_[u];
+      if (!cache_.empty()) cache_[u].clear();
     }
   }
 
@@ -219,6 +235,10 @@ class ClassicGhsActor {
     return static_cast<NodeId>(nodes_.size());
   }
   [[nodiscard]] const NodeCtx& node(NodeId u) const { return nodes_[u]; }
+  /// u's edge states, one per slot.
+  [[nodiscard]] std::span<const EdgeState> edge_states(NodeId u) const {
+    return {edge_states_.data() + nodes_[u].first_state, nodes_[u].degree};
+  }
   /// Handler executions (deliveries, retries that reached a handler, and
   /// wakeups); a retry re-parked on an unchanged version is not one.
   [[nodiscard]] std::uint64_t invocations() const { return invocations_; }
@@ -226,7 +246,9 @@ class ClassicGhsActor {
   /// records it, and a retry finding it unchanged skips the handler. 4 B per
   /// node; wrapping is harmless unless exactly 2^32 state changes fall
   /// between a park and its retry.
-  [[nodiscard]] std::uint32_t version(NodeId u) const { return versions_[u]; }
+  [[nodiscard]] std::uint32_t version(NodeId u) const {
+    return nodes_[u].version;
+  }
 
   /// Node-state codec for the harvest collective. The announcement cache is
   /// deliberately not shipped: it is a pure message-saving optimization that
@@ -237,12 +259,12 @@ class ClassicGhsActor {
     w.write(static_cast<std::uint64_t>(n.state), 2);
     w.write(n.level, 32);
     w.write(static_cast<std::uint32_t>(n.frag), 32);
-    for (const EdgeState e : n.edge_state)
+    for (const EdgeState e : edge_states(u))
       w.write(static_cast<std::uint64_t>(e), 2);
-    w.write(slot_image(n.best_slot), 32);
+    w.write(n.best_slot, 32);
     w.write(n.best_edge, 64);
-    w.write(slot_image(n.test_slot), 32);
-    w.write(slot_image(n.in_branch), 32);
+    w.write(n.test_slot, 32);
+    w.write(n.in_branch, 32);
     w.write(n.find_count, 32);
     w.write(n.halted ? 1 : 0, 1);
   }
@@ -252,34 +274,33 @@ class ClassicGhsActor {
     n.state = static_cast<NodeState>(r.read(2));
     n.level = static_cast<std::uint32_t>(r.read(32));
     n.frag = static_cast<EdgeIndex>(r.read(32));
-    for (EdgeState& e : n.edge_state) e = static_cast<EdgeState>(r.read(2));
-    n.best_slot = slot_value(static_cast<std::uint32_t>(r.read(32)));
+    for (EdgeState& e : writable_states(u))
+      e = static_cast<EdgeState>(r.read(2));
+    n.basic_from = 0;  // always a valid lower bound
+    n.best_slot = static_cast<Slot>(r.read(32));
     n.best_edge = r.read(64);
-    n.test_slot = slot_value(static_cast<std::uint32_t>(r.read(32)));
-    n.in_branch = slot_value(static_cast<std::uint32_t>(r.read(32)));
+    n.test_slot = static_cast<Slot>(r.read(32));
+    n.in_branch = static_cast<Slot>(r.read(32));
     n.find_count = static_cast<std::uint32_t>(r.read(32));
     n.halted = r.read(1) != 0;
   }
 
  private:
-  [[nodiscard]] static std::uint32_t slot_image(std::size_t slot) {
-    return slot == kNoSlot ? 0xFFFFFFFFu : static_cast<std::uint32_t>(slot);
-  }
-  [[nodiscard]] static std::size_t slot_value(std::uint32_t image) {
-    return image == 0xFFFFFFFFu ? kNoSlot : static_cast<std::size_t>(image);
+  [[nodiscard]] std::span<EdgeState> writable_states(NodeId u) {
+    return {edge_states_.data() + nodes_[u].first_state, nodes_[u].degree};
   }
 
   /// u's radius-filtered neighbour span: the prefix of neighbors(u) whose
-  /// length edge_state already holds, so no radius search.
+  /// length the context already holds, so no radius search.
   [[nodiscard]] std::span<const graph::Neighbor> neighbors(NodeId u) const {
-    return topo_->neighbors(u).first(nodes_[u].edge_state.size());
+    return topo_->neighbors(u).first(nodes_[u].degree);
   }
   /// The receiver's slot of the edge `d` arrived on: its port, checked to
   /// name the sender, or for a delivery without one (the implicit backend,
   /// the rank engine) a search of the receiver's row.
-  [[nodiscard]] std::size_t slot_of(const Delivery& d) const {
+  [[nodiscard]] Slot slot_of(const Delivery& d) const {
     if (d.port == graph::kNoSlot)
-      return neighbor_slot(*topo_, d.to, d.from, d.distance);
+      return static_cast<Slot>(neighbor_slot(*topo_, d.to, d.from, d.distance));
     const auto nbs = neighbors(d.to);
     EMST_ASSERT_MSG(d.port < nbs.size() && nbs[d.port].id == d.from,
                     "classic GHS: delivery port does not name its sender");
@@ -291,7 +312,7 @@ class ClassicGhsActor {
   /// weight; telemetry context = wire kind + sender's current fragment).
   /// The link is copied: on the implicit backend the row is scratch.
   template <typename Env>
-  void send(NodeId u, std::size_t slot, Msg msg, Env& env) {
+  void send(NodeId u, Slot slot, Msg msg, Env& env) {
     const GhsMsgType type = proto::type_of(msg);
     const graph::Neighbor link = neighbors(u)[slot];
     env.unicast(u, link, to_msg_kind(type), static_cast<std::uint8_t>(type),
@@ -302,37 +323,35 @@ class ClassicGhsActor {
   void wakeup_locked(NodeId u, Env& env) {
     NodeCtx& n = nodes_[u];
     if (n.state != NodeState::kSleeping) return;
-    ++versions_[u];
+    ++n.version;
     n.state = NodeState::kFound;
     n.level = 0;
     n.find_count = 0;
-    std::size_t first = kNoSlot;
-    for (std::size_t i = 0; i < n.edge_state.size(); ++i) {
-      if (n.edge_state[i] == EdgeState::kBasic) {
-        first = i;
-        break;
-      }
-    }
-    if (first == kNoSlot) {
+    const auto states = writable_states(u);
+    const auto first =
+        std::find(states.begin(), states.end(), EdgeState::kBasic);
+    if (first == states.end()) {
       n.halted = true;  // isolated node (or all neighbors dead)
       return;
     }
-    n.edge_state[first] = EdgeState::kBranch;
-    send(u, first, proto::GhsConnect{0}, env);
+    *first = EdgeState::kBranch;
+    send(u, static_cast<Slot>(first - states.begin()), proto::GhsConnect{0},
+         env);
   }
 
   /// (3) Receiving CONNECT(L) on edge j. Returns true iff it parked `d`;
   /// the deferral test reads u's state only and writes nothing.
   template <typename Env>
-  bool on_connect(NodeId u, std::size_t j, const proto::GhsConnect& m,
+  bool on_connect(NodeId u, Slot j, const proto::GhsConnect& m,
                   const Delivery& d, Env& env) {
     NodeCtx& n = nodes_[u];
+    EdgeState& edge = writable_states(u)[j];
     if (m.level < n.level) {
       // Absorb the lower-level fragment.
-      n.edge_state[j] = EdgeState::kBranch;
+      edge = EdgeState::kBranch;
       send(u, j, proto::GhsInitiate{n.level, n.frag, n.state}, env);
       if (n.state == NodeState::kFind) ++n.find_count;
-    } else if (n.edge_state[j] == EdgeState::kBasic) {
+    } else if (edge == EdgeState::kBasic) {
       env.defer(d);  // equal level but j not yet known to be the mutual MOE
       return true;
     } else {
@@ -345,8 +364,7 @@ class ClassicGhsActor {
 
   /// (4) Receiving INITIATE(L, F, S) on edge j.
   template <typename Env>
-  void on_initiate(NodeId u, std::size_t j, const proto::GhsInitiate& m,
-                   Env& env) {
+  void on_initiate(NodeId u, Slot j, const proto::GhsInitiate& m, Env& env) {
     NodeCtx& n = nodes_[u];
     n.level = m.level;
     const bool renamed = n.frag != m.frag;
@@ -363,43 +381,48 @@ class ClassicGhsActor {
     n.in_branch = j;
     n.best_slot = kNoSlot;
     n.best_edge = kInfEdge;
-    for (std::size_t i = 0; i < n.edge_state.size(); ++i) {
-      if (i == j || n.edge_state[i] != EdgeState::kBranch) continue;
+    const auto states = edge_states(u);
+    for (Slot i = 0; i < n.degree; ++i) {
+      if (i == j || states[i] != EdgeState::kBranch) continue;
       send(u, i, proto::GhsInitiate{m.level, m.frag, m.state}, env);
       if (m.state == NodeState::kFind) ++n.find_count;
     }
     if (m.state == NodeState::kFind) test(u, env);
   }
 
-  /// (5) Procedure test: probe the minimum-weight basic edge. In cached
-  /// mode, edges whose neighbour announced the node's own fragment name are
-  /// rejected for free; the first remaining candidate is still confirmed
-  /// with one TEST (the cache can be stale in the other direction only).
+  /// (5) Procedure test: probe the minimum-weight basic edge, scanning from
+  /// the cursor. In cached mode, edges whose neighbour announced the node's
+  /// own fragment name are rejected for free; the first remaining candidate
+  /// is still confirmed with one TEST (the cache can be stale in the other
+  /// direction only).
   template <typename Env>
   void test(NodeId u, Env& env) {
     NodeCtx& n = nodes_[u];
-    const auto nbs = neighbors(u);
-    for (std::size_t i = 0; i < n.edge_state.size(); ++i) {
-      if (n.edge_state[i] != EdgeState::kBasic) continue;
+    const auto states = writable_states(u);
+    for (Slot i = n.basic_from; i < n.degree; ++i) {
+      if (states[i] != EdgeState::kBasic) continue;
       if (moe_ == MoeStrategy::kCachedConfirm) {
-        const auto hit = n.cache.find(nbs[i].id);
-        if (hit != n.cache.end() && hit->second == n.frag) {
-          n.edge_state[i] = EdgeState::kRejected;  // proven internal, free
+        const auto& cache = cache_[u];
+        const auto hit = cache.find(neighbors(u)[i].id);
+        if (hit != cache.end() && hit->second == n.frag) {
+          states[i] = EdgeState::kRejected;  // proven internal, free
           continue;
         }
       }
+      n.basic_from = i;
       n.test_slot = i;
       send(u, i, proto::GhsTest{n.level, n.frag}, env);
       return;
     }
+    n.basic_from = n.degree;
     n.test_slot = kNoSlot;
     report(u, env);
   }
 
   /// (6) Receiving TEST(L, F) on edge j. Returns true iff it parked `d`.
   template <typename Env>
-  bool on_test(NodeId u, std::size_t j, const proto::GhsTest& m,
-               const Delivery& d, Env& env) {
+  bool on_test(NodeId u, Slot j, const proto::GhsTest& m, const Delivery& d,
+               Env& env) {
     NodeCtx& n = nodes_[u];
     if (m.level > n.level) {
       env.defer(d);
@@ -410,8 +433,8 @@ class ClassicGhsActor {
       return false;
     }
     // Same fragment: internal edge.
-    if (n.edge_state[j] == EdgeState::kBasic)
-      n.edge_state[j] = EdgeState::kRejected;
+    EdgeState& edge = writable_states(u)[j];
+    if (edge == EdgeState::kBasic) edge = EdgeState::kRejected;
     if (n.test_slot != j) {
       send(u, j, proto::GhsReject{}, env);
     } else {
@@ -422,7 +445,7 @@ class ClassicGhsActor {
 
   /// (7) Receiving ACCEPT on edge j.
   template <typename Env>
-  void on_accept(NodeId u, std::size_t j, Env& env) {
+  void on_accept(NodeId u, Slot j, Env& env) {
     NodeCtx& n = nodes_[u];
     n.test_slot = kNoSlot;
     const std::uint64_t idx = neighbors(u)[j].edge_index;
@@ -435,10 +458,9 @@ class ClassicGhsActor {
 
   /// (8) Receiving REJECT on edge j.
   template <typename Env>
-  void on_reject(NodeId u, std::size_t j, Env& env) {
-    NodeCtx& n = nodes_[u];
-    if (n.edge_state[j] == EdgeState::kBasic)
-      n.edge_state[j] = EdgeState::kRejected;
+  void on_reject(NodeId u, Slot j, Env& env) {
+    EdgeState& edge = writable_states(u)[j];
+    if (edge == EdgeState::kBasic) edge = EdgeState::kRejected;
     test(u, env);
   }
 
@@ -455,7 +477,7 @@ class ClassicGhsActor {
 
   /// (10) Receiving REPORT(w) on edge j. Returns true iff it parked `d`.
   template <typename Env>
-  bool on_report(NodeId u, std::size_t j, const proto::GhsReport& m,
+  bool on_report(NodeId u, Slot j, const proto::GhsReport& m,
                  const Delivery& d, Env& env) {
     NodeCtx& n = nodes_[u];
     if (j != n.in_branch) {
@@ -487,11 +509,12 @@ class ClassicGhsActor {
   void change_root(NodeId u, Env& env) {
     NodeCtx& n = nodes_[u];
     EMST_ASSERT(n.best_slot != kNoSlot);
-    if (n.edge_state[n.best_slot] == EdgeState::kBranch) {
+    EdgeState& edge = writable_states(u)[n.best_slot];
+    if (edge == EdgeState::kBranch) {
       send(u, n.best_slot, proto::GhsChangeRoot{}, env);
     } else {
       send(u, n.best_slot, proto::GhsConnect{n.level}, env);
-      n.edge_state[n.best_slot] = EdgeState::kBranch;
+      edge = EdgeState::kBranch;
     }
   }
 
@@ -499,7 +522,12 @@ class ClassicGhsActor {
   double radius_;
   MoeStrategy moe_;
   std::vector<NodeCtx> nodes_;
-  std::vector<std::uint32_t> versions_;  // per node, see version()
+  std::vector<EdgeState> edge_states_;  // all nodes', see first_state
+  /// kCachedConfirm only, per node: the last fragment name each neighbor
+  /// announced. Names are globally unique over time (a core edge can core
+  /// only once), so a hit equal to the node's own name proves the edge
+  /// internal forever.
+  std::vector<std::unordered_map<NodeId, EdgeIndex>> cache_;
   std::uint64_t invocations_ = 0;
 };
 

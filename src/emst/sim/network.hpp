@@ -28,17 +28,20 @@
 // FIFO clamp can only raise a due to another value in that window), which
 // covers D+1 distinct residues mod D+1, so a ring of D+1 buckets never
 // aliases. Enqueue appends to its bucket in O(1); collect_round() drains
-// exactly one bucket and orders it by receiver with a counting scatter (or a
-// small indexed sort), instead of re-sorting the whole in-flight set every
-// round as the seed engine did (see reference_network.hpp). Messages within
-// a bucket are appended in send-sequence order, so any stable by-receiver
-// ordering reproduces the (receiver, sequence) contract bit-for-bit.
+// exactly one bucket and orders it by receiver (ReceiverOrder below: a
+// counting scatter over a receiver bitmap, or a small indexed sort), instead
+// of re-sorting the whole in-flight set every round as the seed engine did
+// (see reference_network.hpp). Messages within a bucket are appended in
+// send-sequence order, so any stable by-receiver ordering reproduces the
+// (receiver, sequence) contract bit-for-bit.
 //
 // The payload type is a template parameter; each algorithm defines its own
 // message struct or variant.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -76,6 +79,99 @@ struct Delivery {
 struct DelayModel {
   std::uint32_t max_extra_delay = 0;
   std::uint64_t seed = 0x5eedULL;
+};
+
+/// Orders one calendar bucket by (receiver, position in the bucket). Both
+/// message engines share it: Network's drain below and the rank worker loop
+/// (apps/actor_rank.hpp), whose buckets are likewise appended in send order,
+/// so the stable by-receiver order is the (receiver, sequence) contract.
+/// Three strategies, cheapest first:
+///  1. the bucket is already in receiver order (a single sender walking its
+///     sorted neighbour row) → visited as it stands;
+///  2. a small bucket → stable indexed sort;
+///  3. a large bucket → counting scatter. Counting marks each receiver in a
+///     two-level bitmap (one bit per node, one summary bit per 64-bit word
+///     of it), and an ascending countr_zero walk of the marks, clearing
+///     them as it goes, turns the counts into offsets: B items to U
+///     receivers cost O(B + U + words visited), with no comparison sort.
+/// The scratch tables are sized on the first large bucket and reused.
+class ReceiverOrder {
+ public:
+  static constexpr std::size_t kSmallBucket = 48;
+
+  /// Call visit(item) on every item of `bucket` in (receiver, position)
+  /// order. Every receiver must be below `node_count`.
+  template <typename Item, typename Visit>
+  void for_each(std::vector<Item>& bucket, std::size_t node_count,
+                Visit&& visit) {
+    const std::size_t b = bucket.size();
+    bool in_order = true;
+    for (std::size_t i = 1; i < b; ++i) {
+      if (bucket[i - 1].to > bucket[i].to) {
+        in_order = false;
+        break;
+      }
+    }
+    if (in_order) {
+      for (Item& item : bucket) visit(item);
+      return;
+    }
+    order_.resize(b);
+    if (b <= kSmallBucket) {
+      std::iota(order_.begin(), order_.end(), std::uint32_t{0});
+      std::stable_sort(order_.begin(), order_.end(),
+                       [&bucket](std::uint32_t a, std::uint32_t c) {
+                         return bucket[a].to < bucket[c].to;
+                       });
+    } else {
+      scatter(bucket, node_count);
+    }
+    for (const std::uint32_t i : order_) visit(bucket[i]);
+  }
+
+ private:
+  template <typename Item>
+  void scatter(const std::vector<Item>& bucket, std::size_t node_count) {
+    if (count_.size() < node_count) {
+      count_.resize(node_count, 0);
+      marks_.assign((node_count + 63) / 64, 0);
+      summary_.assign((marks_.size() + 63) / 64, 0);
+    }
+    // count_ holds the previous bucket's offsets: a receiver's first item
+    // (its mark still clear) restarts its count at 1.
+    for (const Item& item : bucket) {
+      const std::size_t r = item.to;
+      EMST_ASSERT(r < node_count);
+      std::uint64_t& word = marks_[r / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+      count_[r] = (word & bit) != 0 ? count_[r] + 1 : 1;
+      word |= bit;
+      summary_[r / 4096] |= std::uint64_t{1} << (r / 64 % 64);
+    }
+    std::uint32_t offset = 0;
+    for (std::size_t s = 0; s < summary_.size(); ++s) {
+      for (std::uint64_t words = std::exchange(summary_[s], 0); words != 0;
+           words &= words - 1) {
+        const std::size_t w =
+            s * 64 + static_cast<std::size_t>(std::countr_zero(words));
+        for (std::uint64_t bits = std::exchange(marks_[w], 0); bits != 0;
+             bits &= bits - 1) {
+          const std::size_t r =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          const std::uint32_t count = count_[r];
+          count_[r] = offset;
+          offset += count;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < bucket.size(); ++i)
+      order_[count_[bucket[i].to]++] = static_cast<std::uint32_t>(i);
+  }
+
+  std::vector<std::uint32_t> order_;    ///< bucket positions, visit order
+  std::vector<std::uint32_t> count_;    ///< per receiver: count, then offset
+  std::vector<std::uint64_t> marks_;    ///< one bit per receiver counted
+  std::vector<std::uint64_t> summary_;  ///< one bit per nonzero marks_ word
 };
 
 /// Topo is either sim::Topology (materialized CSR adjacency) or
@@ -173,7 +269,8 @@ class Network {
     if (oracle_ != nullptr) oracle_->on_round(now_, meter_);
     std::vector<Delivery<Msg>> out;
     out.reserve(bucket.size());
-    drain_by_receiver(bucket, out);
+    order_.for_each(bucket, topo_.node_count(),
+                    [&](Item& item) { deliver(item, out); });
     bucket.clear();
     return out;
   }
@@ -203,12 +300,14 @@ class Network {
     NodeId to;
     double distance;
     Msg msg;
-    bool lost;  ///< channel fate, drawn at send time (fault layer)
-    std::uint32_t bits;  ///< wire size, stamped on delivery-time drop events
+    /// Wire size, stamped on delivery-time drop events, with the channel
+    /// fate (drawn at send time, fault layer) in its top bit, kLost.
+    std::uint32_t bits;
     std::uint32_t port;  ///< Delivery::port
     // No seq / due fields: the bucket index encodes the due round and the
     // append order within a bucket IS the send-sequence order.
   };
+  static constexpr std::uint32_t kLost = std::uint32_t{1} << 31;
 
   template <typename M>
   void broadcast_impl(NodeId u, double radius, M&& m) {
@@ -256,6 +355,7 @@ class Network {
                std::uint32_t port) {
     // Channel fate is drawn here, in global send order — identical between
     // this engine and ReferenceNetwork — but enforced at delivery time.
+    EMST_ASSERT_MSG(bits < kLost, "wire size does not fit an engine item");
     const bool lost = faults_.enabled() && faults_.drop(u, v);
     std::uint64_t due = now_ + 1;
     if (delays_.max_extra_delay > 0) {
@@ -280,7 +380,8 @@ class Network {
     EMST_ASSERT(due > now_ && due - now_ - 1 <= delays_.max_extra_delay);
     std::size_t idx = head_ + static_cast<std::size_t>(due - now_ - 1);
     if (idx >= buckets_.size()) idx -= buckets_.size();
-    buckets_[idx].push_back({u, v, d, std::move(m), lost, bits, port});
+    buckets_[idx].push_back(
+        {u, v, d, std::move(m), lost ? bits | kLost : bits, port});
     ++inflight_count_;
   }
 
@@ -292,9 +393,9 @@ class Network {
   /// stable ordering of the survivors).
   void deliver(Item& item, std::vector<Delivery<Msg>>& out) {
     if (faults_.enabled()) {
-      if (item.lost) {
+      if ((item.bits & kLost) != 0) {
         ++faults_.stats().lost;
-        meter_.set_bits(item.bits);
+        meter_.set_bits(item.bits & ~kLost);
         meter_.note_event(EventType::kLoss, item.from, item.to, item.distance);
         meter_.clear_bits();
         return;
@@ -312,58 +413,6 @@ class Network {
         {item.from, item.to, item.distance, std::move(item.msg), item.port});
   }
 
-  /// Move the bucket's items into `out` ordered by (receiver, send
-  /// sequence). Three strategies, cheapest first: the bucket is often
-  /// already in receiver order (single sender walking its neighbor list);
-  /// small buckets use a stable indexed sort; large buckets use a counting
-  /// scatter over the receivers actually touched — O(B + U log U) for U
-  /// distinct receivers, with no comparator at all.
-  void drain_by_receiver(std::vector<Item>& bucket,
-                         std::vector<Delivery<Msg>>& out) {
-    const std::size_t b = bucket.size();
-    if (b == 0) return;
-    bool in_order = true;
-    for (std::size_t i = 1; i < b; ++i) {
-      if (bucket[i - 1].to > bucket[i].to) {
-        in_order = false;
-        break;
-      }
-    }
-    if (in_order) {
-      for (Item& item : bucket) deliver(item, out);
-      return;
-    }
-    order_.resize(b);
-    if (b <= kSmallBucket) {
-      for (std::size_t i = 0; i < b; ++i)
-        order_[i] = static_cast<std::uint32_t>(i);
-      std::stable_sort(order_.begin(), order_.end(),
-                       [&bucket](std::uint32_t a, std::uint32_t c) {
-                         return bucket[a].to < bucket[c].to;
-                       });
-    } else {
-      if (recv_slot_.size() < topo_.node_count())
-        recv_slot_.assign(topo_.node_count(), 0);
-      touched_.clear();
-      for (const Item& item : bucket) {
-        if (recv_slot_[item.to]++ == 0) touched_.push_back(item.to);
-      }
-      std::sort(touched_.begin(), touched_.end());
-      std::uint32_t offset = 0;
-      for (const NodeId r : touched_) {
-        const std::uint32_t count = recv_slot_[r];
-        recv_slot_[r] = offset;
-        offset += count;
-      }
-      for (std::size_t i = 0; i < b; ++i)
-        order_[recv_slot_[bucket[i].to]++] = static_cast<std::uint32_t>(i);
-      for (const NodeId r : touched_) recv_slot_[r] = 0;
-    }
-    for (const std::uint32_t idx : order_) deliver(bucket[idx], out);
-  }
-
-  static constexpr std::size_t kSmallBucket = 48;
-
   const Topo& topo_;
   EnergyMeter meter_;
   WireFormat<Msg> wire_{};
@@ -379,9 +428,7 @@ class Network {
   std::uint64_t now_ = 0;
   // Scratch buffers reused across calls to avoid per-round allocations.
   std::vector<NodeId> receivers_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> recv_slot_;
-  std::vector<NodeId> touched_;
+  ReceiverOrder order_;
 };
 
 }  // namespace emst::sim

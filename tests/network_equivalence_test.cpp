@@ -8,7 +8,10 @@
 // divergence is an engine bug, not a tolerance question.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -25,11 +28,16 @@ namespace {
 using Msg = std::uint64_t;
 
 /// Replay an identical random unicast/broadcast schedule through both
-/// engines and require identical Delivery sequences every round. Unicasts
-/// with an even payload go over a link and must arrive on the port naming
-/// their sender in the receiver's row; every other send arrives on none.
-void expect_equivalent_runs(std::uint32_t max_extra_delay) {
-  const std::size_t n = 250;
+/// engines on n nodes and require identical Delivery sequences every round.
+/// Unicasts with an even payload go over a link and must arrive on the port
+/// naming their sender in the receiver's row; every other send arrives on
+/// none. Each schedule round makes `min_ops` random sends and up to 19
+/// more, then one unicast to each node of `must_hit` from a neighbour of
+/// it, in descending receiver order; each of those receivers must then be
+/// delivered to in some round whose bucket takes the large-bucket path.
+void expect_equivalent_runs(std::uint32_t max_extra_delay, std::size_t n = 250,
+                            std::uint64_t min_ops = 0,
+                            std::span<const NodeId> must_hit = {}) {
   support::Rng rng(424242 + max_extra_delay);
   const auto points = geometry::uniform_points(n, rng);
   const double radius = rgg::connectivity_radius(n);
@@ -41,11 +49,12 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
 
   std::uint64_t payload = 0;
   std::unordered_set<Msg> by_link;  // payloads sent with unicast(u, link, m)
+  std::map<NodeId, std::size_t> large_hits;  // must_hit receiver → rounds
   std::size_t total_delivered = 0;
   const int schedule_rounds = 60;
   for (int round = 0; round < schedule_rounds + 40; ++round) {
     if (round < schedule_rounds) {
-      const std::uint64_t ops = rng.uniform_int(20);
+      const std::uint64_t ops = min_ops + rng.uniform_int(20);
       for (std::uint64_t k = 0; k < ops; ++k) {
         const auto u = static_cast<NodeId>(rng.uniform_int(n));
         if (rng.uniform() < 0.3) {
@@ -68,6 +77,14 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
           ++payload;
         }
       }
+      for (auto it = must_hit.rbegin(); it != must_hit.rend(); ++it) {
+        const auto nbs = topo.neighbors(*it);
+        ASSERT_FALSE(nbs.empty()) << "node " << *it << " is isolated";
+        const NodeId u = nbs[rng.uniform_int(nbs.size())].id;
+        calendar.unicast(u, *it, payload);
+        reference.unicast(u, *it, payload);
+        ++payload;
+      }
     }
     const auto got = calendar.collect_round();
     const auto want = reference.collect_round();
@@ -89,6 +106,13 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
             << "round " << round << " pos " << i;
       }
     }
+    if (got.size() > ReceiverOrder::kSmallBucket) {
+      for (const NodeId v : must_hit) {
+        const bool hit = std::any_of(got.begin(), got.end(),
+                                     [v](const auto& d) { return d.to == v; });
+        large_hits[v] += hit ? 1 : 0;
+      }
+    }
     total_delivered += got.size();
     ASSERT_EQ(calendar.pending(), reference.pending()) << "round " << round;
     if (round >= schedule_rounds && !reference.pending()) break;
@@ -96,6 +120,8 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
   EXPECT_FALSE(calendar.pending());
   EXPECT_FALSE(reference.pending());
   EXPECT_GT(total_delivered, 0u);
+  for (const NodeId v : must_hit)
+    EXPECT_GT(large_hits[v], 0u) << "receiver " << v << " in no large bucket";
 
   // The meters must agree exactly too — both engines charge at the same
   // points with the same inputs.
@@ -112,6 +138,18 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay) {
 TEST(NetworkEquivalence, Synchronous) { expect_equivalent_runs(0); }
 TEST(NetworkEquivalence, Delay1) { expect_equivalent_runs(1); }
 TEST(NetworkEquivalence, Delay5) { expect_equivalent_runs(5); }
+
+// Three summary words of the drain's receiver bitmap (4096 nodes each):
+// large buckets whose receivers sit on both sides of every word and summary
+// boundary, and at both ends of the id range.
+TEST(NetworkEquivalence, ReceiverBitmapAcrossSummaryWords) {
+  constexpr std::size_t n = 9000;
+  constexpr NodeId kEdges[] = {0, 63, 64, 4095, 4096, 8191, 8192, n - 1};
+  for (const std::uint32_t delay : {0u, 5u}) {
+    SCOPED_TRACE(testing::Message() << "max_extra_delay " << delay);
+    expect_equivalent_runs(delay, n, 60, kEdges);
+  }
+}
 
 TEST(NetworkEquivalence, PerEdgeFifoUnderRandomDelays) {
   // Property: on every directed edge, payloads arrive in send order, across

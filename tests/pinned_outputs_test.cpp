@@ -10,14 +10,16 @@
 // delivery and round counts, phases, an FNV-1a hash of the canonical tree
 // and the energy total as a hexfloat, compared bitwise. Deliveries count
 // every broadcast's receivers, which energy alone does not see. Every row
-// is checked on the CSR backend and, except classic GHS at n = 4000, on the
+// is checked on the CSR backend and, except classic GHS above n = 500, on the
 // implicit one too: classic GHS there regenerates and edge-ranks the whole
 // neighbourhood on every dispatch and send, tens of seconds per run, and
 // BackendDifferential already checks it against the CSR at small n. The
 // crash rows restart at least once (epochs > 1, checked), so they pin the
-// fail-stop epoch path as well. Classic GHS's handler-invocation count is
-// deliberately not pinned: it measures the simulator's dispatch work, not
-// the protocol's behaviour.
+// fail-stop epoch path as well. Plain classic GHS has three more rows at
+// n = 10000, whose rounds drain buckets to receivers beyond the first
+// 4096-node summary word of the engine's receiver bitmap (network.hpp).
+// Classic GHS's handler-invocation count is deliberately not pinned: it
+// measures the simulator's dispatch work, not the protocol's behaviour.
 //
 // Energy goes through std::pow(d, α), so the figures belong to the
 // toolchain they were captured with (kToolchain). A mismatch prints the
@@ -87,6 +89,9 @@ constexpr Row kRows[] = {
     {Case::kClassicGhs, 4000, 1, 346927, 346927, 1912, 7, 0xd219a744dcb3b4e8, 0x1.5f6e2b0e13cb7p+9},
     {Case::kClassicGhs, 4000, 2, 345629, 345629, 1698, 7, 0x4016e1c42d7b151c, 0x1.5d6bb298905e4p+9},
     {Case::kClassicGhs, 4000, 3, 337457, 337457, 1379, 6, 0x5d12f6678990b826, 0x1.5f4cd53132827p+9},
+    {Case::kClassicGhs, 10000, 1, 957562, 957562, 2651, 7, 0x8e09d124ebd3fc28, 0x1.bb64840aff799p+9},
+    {Case::kClassicGhs, 10000, 2, 955798, 955798, 2699, 7, 0xc715c3a59e280866, 0x1.b989827881d03p+9},
+    {Case::kClassicGhs, 10000, 3, 977341, 977341, 3611, 8, 0x1ca35ae56539ffa4, 0x1.bb2f0da110aefp+9},
     {Case::kClassicGhsCached, 500, 1, 17576, 123106, 363, 5, 0x401f56eab02a178e, 0x1.4e7a4dc5fa18ap+7},
     {Case::kClassicGhsCached, 500, 2, 17145, 123505, 336, 5, 0x7eb17e20514e067b, 0x1.3c09f23e6734p+7},
     {Case::kClassicGhsCached, 500, 3, 17514, 121444, 314, 5, 0x363a4db5616be2e4, 0x1.4abc3437dc50dp+7},
@@ -224,8 +229,10 @@ void expect_rows(Case c) {
       ++checked;
     }
   }
-  // n in {500, 4000} x seeds {1, 2, 3} x the backends named above.
-  EXPECT_EQ(checked, checked_on_implicit(c, 4000) ? 12u : 9u);
+  // n in {500, 4000} x seeds {1, 2, 3} x the backends named above, plus
+  // the three CSR rows at n = 10000 of plain classic GHS.
+  const std::size_t large = c == Case::kClassicGhs ? 3u : 0u;
+  EXPECT_EQ(checked, (checked_on_implicit(c, 4000) ? 12u : 9u) + large);
 }
 
 TEST(PinnedOutputs, SyncGhs) { expect_rows(Case::kSync); }
