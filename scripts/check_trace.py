@@ -62,9 +62,9 @@ def fail(path: str, lineno: int, message: str) -> None:
 
 
 def count_arq_frame(event: dict, replay: dict) -> None:
-    """One ARQ-flagged frame attempt -> the matching send counter (applies
-    to charged unicasts and to flagged suppress events alike). Frame bits
-    split the same way: ACK frames -> ack_bits, DATA frames -> data_bits."""
+    """One ARQ-flagged unicast charge -> the matching send counter. Frame
+    bits split the same way: ACK frames -> ack_bits, DATA frames ->
+    data_bits."""
     bits = event.get("bits", 0)
     if event.get("flags", 0) & FLAG_RETRANSMIT:
         replay["retransmissions"] += 1
@@ -173,8 +173,6 @@ def check_file(path: str) -> None:
             replay["dropped_crashed"] += 1
         elif ev == "sup":
             replay["suppressed"] += 1
-            if event.get("flags", 0) & FLAG_ARQ:
-                count_arq_frame(event, replay)
         elif ev == "adel":
             replay["delivered"] += 1
         elif ev == "adup":

@@ -302,8 +302,8 @@ class EnergyMeter {
   void clear_bits() noexcept { bits_ = 0; }
 
   /// Tag the next charges as ARQ-managed frames (retransmit = timeout
-  /// re-send rather than first attempt). Only ArqLink / ReliableChannel set
-  /// these; the replay validator keys ArqStats reconstruction off them.
+  /// re-send rather than first attempt). Only ArqLink sets these; the
+  /// replay validator keys ArqStats reconstruction off them.
   void set_arq_frame(bool retransmit) noexcept {
     flags_ = static_cast<std::uint8_t>(
         kEventFlagArq | (retransmit ? kEventFlagRetransmit : 0));

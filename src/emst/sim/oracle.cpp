@@ -1,5 +1,6 @@
 #include "emst/sim/oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -169,22 +170,6 @@ void InvariantOracle::check_energy_deep(std::uint64_t round,
       return;
     }
   }
-}
-
-void InvariantOracle::on_arq_deliver(graph::NodeId from, graph::NodeId to,
-                                     std::uint32_t seq, EnergyMeter* meter) {
-  if (!options_.check_arq) return;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from) << 32) | static_cast<std::uint64_t>(to);
-  const auto slot = arq_next_.find_or_insert(key, 0);
-  if (seq < *slot.value) {
-    note("arq", 0,
-         format("link %u->%u re-delivered seq %u (next expected %llu)", from,
-                to, seq, static_cast<unsigned long long>(*slot.value)),
-         meter);
-    return;
-  }
-  *slot.value = static_cast<std::uint64_t>(seq) + 1;
 }
 
 }  // namespace emst::sim

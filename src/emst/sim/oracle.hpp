@@ -16,10 +16,7 @@
 //    census, and the deep meter-vs-telemetry ledger check (the per-node
 //    energy array and the telemetry aggregate accumulate the *same* cost
 //    sequence in the *same* order, so they must agree bitwise — any
-//    divergence means a charge bypassed the chokepoint);
-//  - the ARQ hook, called by `ReliableChannel` on every application-facing
-//    delivery: per-link exactly-once, in-order (a re-delivered sequence
-//    number is a protocol violation, not bad luck).
+//    divergence means a charge bypassed the chokepoint).
 //
 // Cost model: zero when off. Every hook site tests one pointer; with no
 // oracle attached the engines' round barriers are byte-for-byte the code
@@ -41,14 +38,12 @@
 
 #include "emst/graph/edge.hpp"
 #include "emst/sim/meter.hpp"
-#include "emst/support/flat_map.hpp"
 
 namespace emst::sim {
 
 struct OracleOptions {
   bool check_energy = true;     ///< breakdown/ledger conservation checks
   bool check_fragments = true;  ///< forest acyclicity + leader agreement
-  bool check_arq = true;        ///< per-link exactly-once delivery
   /// Liveness bound: a fault-free run must finish within this many rounds;
   /// 0 disables the bound. Calibrate per deployment (tests use a small
   /// multiple of the fault-free round count).
@@ -59,7 +54,8 @@ struct OracleOptions {
 };
 
 struct OracleViolation {
-  std::string invariant;  ///< "liveness", "energy", "fragments", "arq"
+  /// "liveness", "energy", "fragments", or the name a caller passed to note()
+  std::string invariant;
   std::uint64_t round = 0;
   std::string detail;
 };
@@ -87,12 +83,6 @@ class InvariantOracle {
   /// bitwise per node (identical charge sequences, identical order).
   void check_energy_deep(std::uint64_t round, EnergyMeter& meter);
 
-  /// ReliableChannel hook — called for every payload handed to the
-  /// application. Sequence numbers on a directed link must be strictly
-  /// increasing (exactly-once, in-order).
-  void on_arq_deliver(graph::NodeId from, graph::NodeId to, std::uint32_t seq,
-                      EnergyMeter* meter = nullptr);
-
   /// Record a violation found outside the built-in checks (drivers use this
   /// for the per-component exactness contract).
   void note(std::string_view invariant, std::uint64_t round,
@@ -110,9 +100,6 @@ class InvariantOracle {
  private:
   OracleOptions options_{};
   std::vector<OracleViolation> violations_;
-  /// Per directed link (packed (u<<32)|v): next sequence number the
-  /// application may legally receive.
-  support::FlatMap64 arq_next_;
   bool liveness_tripped_ = false;
 };
 

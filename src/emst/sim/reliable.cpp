@@ -1,13 +1,13 @@
 #include "emst/sim/reliable.hpp"
 
+#include <algorithm>
+
 namespace emst::sim {
 
 ArqOutcome ArqLink::transmit(EnergyMeter& meter, graph::NodeId u,
                              graph::NodeId v, double distance) {
   ArqOutcome out;
   if (injector_ != nullptr && injector_->crashed(u)) {
-    // Flags are clear here, so the replayer does NOT count this toward
-    // data_sent — matching the live stats, which skip the whole session.
     ++injector_->stats().suppressed;  // a dead radio transmits nothing
     meter.note_event(EventType::kSuppress, u, v, distance);
     return out;
@@ -17,10 +17,9 @@ ArqOutcome ArqLink::transmit(EnergyMeter& meter, graph::NodeId u,
   // data_sent / retransmissions / acks_sent from exactly these flags.
   //
   // Bits: the ambient meter value is the *payload* size the driver set for
-  // this logical message. Each physical frame adds the ARQ header on top —
-  // payload+header for DATA, header alone for ACKs — exactly what
-  // ReliableChannel's frame codec bills for the same fate sequence. An
-  // unmeasured payload (0 bits) leaves the whole session unmeasured.
+  // this logical message. Each physical frame adds the ARQ header on top:
+  // payload+header for DATA, header alone for ACKs. An unmeasured payload
+  // (0 bits) leaves the whole session unmeasured.
   const MsgKind payload_kind = meter.kind();
   const std::uint32_t payload_bits = meter.bits();
   const std::uint32_t data_bits =

@@ -1,41 +1,20 @@
 // Reliable delivery over lossy channels (docs/ROBUSTNESS.md).
 //
-// Two faces of the same stop-and-wait ARQ protocol:
-//
-//  - `ReliableChannel<Msg>`: a message-level adapter over `Network<Msg>` for
-//    actor-style drivers. Every logical send opens (or queues behind) a
-//    stop-and-wait session on its directed link: DATA(seq) → ACK(seq), with
-//    a retransmission timeout, exponential backoff, and a bounded retry
-//    budget. Receivers suppress duplicate seqs (at-least-once delivery from
-//    the channel becomes exactly-once toward the application, per link, in
-//    send order). Every physical frame — retransmissions and ACKs included —
-//    goes through the underlying Network, so it is charged to the meter and
-//    exposed to the fault layer like any other transmission.
-//
-//  - `ArqLink`: the closed-form twin for the *driver*-based engines
-//    (phase-synchronous GHS, tree collectives), which charge the meter
-//    directly instead of exchanging real messages. `transmit()` simulates
-//    one complete ARQ session for one logical unicast — drawing channel
-//    fates from the shared `FaultInjector`, charging every DATA attempt and
-//    every ACK at d^α — and reports whether the payload got through. The
-//    per-attempt energy bill is identical to what ReliableChannel would pay
-//    on the same fate sequence.
-//
-// Retry-state bookkeeping keys directed links into a FlatMap64 (same packed
-// (u,v) scheme as the network's FIFO tracker).
+// `ArqLink` simulates stop-and-wait ARQ in closed form for the drivers that
+// recover from message loss (phase-synchronous GHS, EOPT and its census),
+// which charge the meter directly instead of exchanging real messages.
+// `transmit()` plays one complete session for one logical unicast:
+// DATA(seq) → ACK(seq) with a retransmission timeout, exponential backoff
+// and a bounded retry budget. It draws every channel fate from the shared
+// `FaultInjector`, charges every DATA attempt and every ACK at d^α, and
+// reports whether the payload got through.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "emst/sim/fault.hpp"
 #include "emst/sim/meter.hpp"
-#include "emst/sim/network.hpp"
 #include "emst/sim/wire.hpp"
-#include "emst/support/assert.hpp"
-#include "emst/support/flat_map.hpp"
 
 namespace emst::sim {
 
@@ -43,8 +22,8 @@ struct ArqOptions {
   bool enabled = false;
   /// Retransmissions allowed after the first attempt before giving up.
   std::uint32_t max_retries = 10;
-  /// Initial retransmission timeout, in rounds. Must exceed the 2-round
-  /// DATA+ACK round trip of the synchronous model.
+  /// Initial retransmission timeout, in rounds: the wait billed to
+  /// `ArqStats::timeout_rounds` after the first lost attempt.
   std::uint32_t rto_rounds = 3;
   /// Timeout multiplier per retry (capped at kRtoCap).
   std::uint32_t backoff = 2;
@@ -62,8 +41,8 @@ struct ArqStats {
   std::uint64_t timeout_rounds = 0;   ///< rounds spent waiting on lost frames
   /// Wire bits of every DATA frame attempt (first sends and retransmissions;
   /// payload + kArqHeaderBits each) and of every ACK (header only). 0 when
-  /// the payload type has no WireFormat — retry overhead is only measurable
-  /// for messages with a codec.
+  /// the meter's ambient payload size is 0: retry overhead is only
+  /// measurable for messages with a codec.
   std::uint64_t data_bits = 0;
   std::uint64_t ack_bits = 0;
 
@@ -113,239 +92,11 @@ class ArqLink {
   }
 
   [[nodiscard]] const ArqStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] FaultInjector* injector() const noexcept { return injector_; }
-  [[nodiscard]] const ArqOptions& options() const noexcept { return arq_; }
 
  private:
   FaultInjector* injector_ = nullptr;
   ArqOptions arq_{};
   ArqStats stats_;
-};
-
-/// One physical stop-and-wait frame on the wire: a header (ack flag +
-/// sequence number = kArqHeaderBits) plus, for DATA frames, the payload.
-/// Namespace-scope (rather than nested in ReliableChannel) so that
-/// `WireFormat<ArqFrame<Msg>>` can be partially specialized — a nested
-/// class is a non-deduced context.
-template <typename Msg>
-struct ArqFrame {
-  bool ack = false;
-  std::uint32_t seq = 0;
-  Msg payload{};  ///< default-constructed for ACK frames
-};
-
-/// Frames of a measured payload type are measured too: header + payload for
-/// DATA, header alone for ACKs. Unmeasured payloads leave the whole frame
-/// unmeasured (0 bits), so ARQ over codec-less messages stays bit-silent.
-template <typename Msg>
-struct WireFormat<ArqFrame<Msg>> {
-  static constexpr bool kMeasured = WireFormat<Msg>::kMeasured;
-  WireFormat<Msg> payload{};
-
-  [[nodiscard]] std::uint32_t bits(const ArqFrame<Msg>& frame) const noexcept {
-    if constexpr (!kMeasured) {
-      return 0;
-    } else {
-      return kArqHeaderBits + (frame.ack ? 0 : payload.bits(frame.payload));
-    }
-  }
-};
-
-/// Message-level reliable channel over `Network<Msg>`; see the header
-/// comment. The API mirrors Network: send / collect_round / pending, with
-/// `collect_round` returning application payloads (ACK traffic and duplicate
-/// copies are consumed internally).
-template <typename Msg, typename Topo = Topology>
-class ReliableChannel {
- public:
-  using Frame = ArqFrame<Msg>;
-
-  ReliableChannel(const Topo& topo, geometry::PathLoss model = {},
-                  DelayModel delays = {}, FaultModel faults = {},
-                  ArqOptions arq = {}, Telemetry* telemetry = nullptr)
-      : net_(topo, model, /*unbounded_broadcast=*/false, delays, faults,
-             telemetry),
-        arq_(arq) {
-    EMST_ASSERT_MSG(arq.rto_rounds >= 2 + delays.max_extra_delay,
-                    "RTO must exceed the DATA+ACK round trip or every "
-                    "message retransmits spuriously");
-  }
-
-  /// Reliably send m from u to v. Messages on the same directed link are
-  /// delivered in send order; across links no order is guaranteed.
-  void send(graph::NodeId u, graph::NodeId v, Msg m) {
-    Link& link = link_state(u, v);
-    link.queue.push_back(std::move(m));
-    if (!link.in_flight.has_value()) start_next(link);
-  }
-
-  /// Un-ACKed sessions (with remaining budget) or in-flight frames exist.
-  [[nodiscard]] bool pending() const noexcept {
-    return net_.pending() || active_sessions_ > 0;
-  }
-
-  /// Advance one round: pump the underlying network, consume protocol
-  /// frames, fire retransmission timeouts, and return the new application
-  /// deliveries (in the underlying network's deterministic order).
-  [[nodiscard]] std::vector<Delivery<Msg>> collect_round() {
-    ++now_;
-    std::vector<Delivery<Msg>> out;
-    for (Delivery<Frame>& d : net_.collect_round()) {
-      if (d.msg.ack) {
-        on_ack(d.to, d.from, d.msg.seq);
-      } else {
-        on_data(d, out);
-      }
-    }
-    fire_timeouts();
-    return out;
-  }
-
-  [[nodiscard]] const ArqStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] EnergyMeter& meter() noexcept { return net_.meter(); }
-  [[nodiscard]] const EnergyMeter& meter() const noexcept {
-    return net_.meter();
-  }
-  [[nodiscard]] Network<Frame, Topo>& raw() noexcept { return net_; }
-  /// Attach the invariant oracle: the underlying network checks its round
-  /// hooks, and every application-facing delivery here is checked for
-  /// per-link exactly-once (oracle.hpp).
-  void attach_oracle(InvariantOracle* oracle) noexcept {
-    oracle_ = oracle;
-    net_.attach_oracle(oracle);
-  }
-  /// The payload's codec. Configure this (not the frame format) with the
-  /// run's WireContext; the frame format adds the ARQ header on top.
-  [[nodiscard]] WireFormat<Msg>& payload_wire_format() noexcept {
-    return net_.wire_format().payload;
-  }
-
- private:
-  struct Link {
-    graph::NodeId from = 0;
-    graph::NodeId to = 0;
-    // Sender half (frames we originate on this directed link).
-    std::vector<Msg> queue;      ///< not-yet-started messages (FIFO)
-    std::size_t queue_head = 0;
-    std::optional<Msg> in_flight;
-    std::uint32_t send_seq = 0;  ///< seq of the in-flight message
-    std::uint32_t next_seq = 0;  ///< seq to assign to the next message
-    std::uint32_t retries = 0;
-    std::uint32_t rto = 0;
-    std::uint64_t deadline = 0;
-    // Receiver half (frames arriving over this directed link).
-    std::uint32_t next_expected = 0;
-  };
-
-  Link& link_state(graph::NodeId u, graph::NodeId v) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(u) << 32) | static_cast<std::uint64_t>(v);
-    const auto slot = links_index_.find_or_insert(key, links_.size());
-    if (slot.inserted) {
-      links_.emplace_back();
-      links_.back().from = u;
-      links_.back().to = v;
-    }
-    return links_[*slot.value];
-  }
-
-  void start_next(Link& link) {
-    if (link.queue_head >= link.queue.size()) {
-      link.queue.clear();
-      link.queue_head = 0;
-      return;
-    }
-    link.in_flight = std::move(link.queue[link.queue_head++]);
-    link.send_seq = link.next_seq++;
-    link.retries = 0;
-    link.rto = arq_.rto_rounds;
-    link.deadline = now_ + link.rto;
-    ++active_sessions_;
-    ++stats_.data_sent;
-    // Frames are flagged so the replayer can rebuild data_sent /
-    // retransmissions / acks_sent; a suppressed send (crashed sender) still
-    // counts because its kSuppress event carries the same flags (and bits).
-    Frame frame{false, link.send_seq, *link.in_flight};
-    stats_.data_bits += net_.wire_format().bits(frame);
-    net_.meter().set_arq_frame(/*retransmit=*/false);
-    net_.unicast(link.from, link.to, std::move(frame));
-    net_.meter().clear_arq_frame();
-  }
-
-  void finish_session(Link& link) {
-    link.in_flight.reset();
-    EMST_ASSERT(active_sessions_ > 0);
-    --active_sessions_;
-    start_next(link);
-  }
-
-  void on_data(Delivery<Frame>& d, std::vector<Delivery<Msg>>& out) {
-    // The receiver ACKs every copy (the sender may be retrying because the
-    // previous ACK was lost) but hands at most one to the application.
-    Link& link = link_state(d.from, d.to);  // keyed by the DATA direction
-    ++stats_.acks_sent;
-    Frame ack{true, d.msg.seq, Msg{}};
-    stats_.ack_bits += net_.wire_format().bits(ack);
-    EnergyMeter& meter = net_.meter();
-    const MsgKind payload_kind = meter.kind();
-    meter.set_arq_frame(/*retransmit=*/false);
-    meter.set_kind(MsgKind::kArqAck);
-    net_.unicast(d.to, d.from, std::move(ack));
-    meter.set_kind(payload_kind);
-    meter.clear_arq_frame();
-    if (d.msg.seq < link.next_expected) {
-      ++stats_.duplicates;
-      meter.note_event(EventType::kArqDuplicate, d.from, d.to);
-      return;
-    }
-    // seq gaps happen only when the sender gave up on an earlier message;
-    // the survivor is still new — deliver it.
-    link.next_expected = d.msg.seq + 1;
-    ++stats_.delivered;
-    meter.note_event(EventType::kArqDeliver, d.from, d.to);
-    if (oracle_ != nullptr)
-      oracle_->on_arq_deliver(d.from, d.to, d.msg.seq, &meter);
-    out.push_back({d.from, d.to, d.distance, std::move(d.msg.payload)});
-  }
-
-  void on_ack(graph::NodeId at, graph::NodeId from, std::uint32_t seq) {
-    Link& link = link_state(at, from);  // our sender half toward `from`
-    if (!link.in_flight.has_value() || seq != link.send_seq) return;  // stale
-    finish_session(link);
-  }
-
-  void fire_timeouts() {
-    for (Link& link : links_) {
-      if (!link.in_flight.has_value() || now_ < link.deadline) continue;
-      if (link.retries >= arq_.max_retries) {
-        ++stats_.give_ups;
-        net_.meter().note_event(EventType::kArqGiveUp, link.from, link.to);
-        finish_session(link);
-        continue;
-      }
-      ++link.retries;
-      ++stats_.retransmissions;
-      stats_.timeout_rounds += link.rto;
-      net_.meter().note_event(EventType::kArqTimeout, link.from, link.to, 0.0,
-                              link.rto);
-      link.rto = std::min(link.rto * arq_.backoff, ArqOptions::kRtoCap);
-      link.deadline = now_ + link.rto;
-      Frame frame{false, link.send_seq, *link.in_flight};
-      stats_.data_bits += net_.wire_format().bits(frame);
-      net_.meter().set_arq_frame(/*retransmit=*/true);
-      net_.unicast(link.from, link.to, std::move(frame));
-      net_.meter().clear_arq_frame();
-    }
-  }
-
-  Network<Frame, Topo> net_;
-  ArqOptions arq_;
-  ArqStats stats_;
-  InvariantOracle* oracle_ = nullptr;
-  support::FlatMap64 links_index_;  ///< packed directed link → links_ slot
-  std::vector<Link> links_;
-  std::size_t active_sessions_ = 0;
-  std::uint64_t now_ = 0;
 };
 
 }  // namespace emst::sim

@@ -40,7 +40,7 @@ enum class PhaseTag : std::uint8_t { kRun, kStep1, kCensus, kStep2, kCount };
 /// Message class of a charge event. Covers classic/sync GHS (CONNECT …
 /// ANNOUNCE), the census collective, Co-NNT (REQUEST/REPLY/CONNECTION) and
 /// ARQ acknowledgement frames; `kData` is the anonymous default (raw engine
-/// traffic, ReliableChannel payloads).
+/// traffic).
 enum class MsgKind : std::uint8_t {
   kData,
   kConnect,

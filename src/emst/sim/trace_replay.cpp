@@ -7,9 +7,7 @@ namespace emst::sim {
 
 namespace {
 
-/// One ARQ-flagged frame attempt → the matching ArqStats send counter.
-/// Applied to kUnicast charges AND to flagged kSuppress events: a crashed
-/// sender's attempt is uncharged but the live stats still counted it.
+/// One ARQ-flagged unicast charge → the matching ArqStats send counter.
 /// Frame bits split the same way: ACK frames → ack_bits, DATA frames (first
 /// attempts and retransmissions alike) → data_bits.
 void count_arq_frame(const TelemetryEvent& e, ArqStats& arq) {
@@ -67,7 +65,6 @@ ReplayTotals replay_events(std::span<const TelemetryEvent> events) {
         break;
       case EventType::kSuppress:
         ++out.faults.suppressed;
-        if ((e.flags & kEventFlagArq) != 0) count_arq_frame(e, out.arq);
         break;
       case EventType::kArqDeliver:
         ++out.arq.delivered;

@@ -24,10 +24,8 @@
 namespace emst::sim {
 
 /// Wire size of one ARQ framing header: 1 ack/data flag bit + a 16-bit
-/// sequence number. Charged on top of the payload for every DATA frame and
-/// alone for every ACK — by `ArqLink` (closed form) and `ReliableChannel`
-/// (real frames) identically, so the two ARQ faces bill the same bits for
-/// the same fate sequence.
+/// sequence number. `ArqLink` charges it on top of the payload for every
+/// DATA attempt and alone for every ACK.
 inline constexpr std::uint32_t kArqHeaderBits = 17;
 
 /// Customization point: specialize for a message type to teach the engines

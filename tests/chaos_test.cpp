@@ -440,17 +440,6 @@ TEST(InvariantOracle, FlagsLeaderLabelsThatDisagreeWithConnectivity) {
   EXPECT_FALSE(oracle.ok());
 }
 
-TEST(InvariantOracle, ArqRedeliveryIsAViolationAndTripsOnce) {
-  sim::InvariantOracle oracle;
-  oracle.on_arq_deliver(0, 1, 0);
-  oracle.on_arq_deliver(0, 1, 1);
-  oracle.on_arq_deliver(1, 0, 0);  // independent direction: its own stream
-  EXPECT_TRUE(oracle.ok());
-  oracle.on_arq_deliver(0, 1, 1);  // re-delivered sequence number
-  ASSERT_FALSE(oracle.ok());
-  EXPECT_EQ(oracle.violations()[0].invariant, "arq");
-}
-
 TEST(InvariantOracle, LivenessBoundTripsOnceNotPerRound) {
   sim::OracleOptions options;
   options.max_rounds = 5;

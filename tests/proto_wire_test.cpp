@@ -14,7 +14,6 @@
 #include "emst/proto/connt_wire.hpp"
 #include "emst/proto/ghs_wire.hpp"
 #include "emst/proto/wire.hpp"
-#include "emst/sim/reliable.hpp"
 #include "emst/sim/wire.hpp"
 
 namespace emst::proto {
@@ -255,24 +254,6 @@ TEST(WireFormatHook, ConntSpecializationBillsEncodedBits) {
   static_assert(sim::WireFormat<ConntMsg>::kMeasured);
   const ConntMsg m{ConntRequest{3, 4}};
   EXPECT_EQ(fmt.bits(m), encoded_bits(m, fmt.ctx));
-}
-
-TEST(WireFormatHook, ArqFramesAddTheHeader) {
-  sim::WireFormat<sim::ArqFrame<GhsMsg>> fmt;
-  fmt.payload.ctx = ghs_ctx();
-  static_assert(sim::WireFormat<sim::ArqFrame<GhsMsg>>::kMeasured);
-  const GhsMsg payload{GhsReport{42}};
-  const sim::ArqFrame<GhsMsg> data{/*ack=*/false, /*seq=*/7, payload};
-  const sim::ArqFrame<GhsMsg> ack{/*ack=*/true, /*seq=*/7, GhsMsg{}};
-  EXPECT_EQ(fmt.bits(data),
-            sim::kArqHeaderBits + encoded_bits(payload, fmt.payload.ctx));
-  EXPECT_EQ(fmt.bits(ack), sim::kArqHeaderBits);
-}
-
-TEST(WireFormatHook, ArqFramesOfUnmeasuredPayloadStaySilent) {
-  const sim::WireFormat<sim::ArqFrame<int>> fmt;
-  static_assert(!sim::WireFormat<sim::ArqFrame<int>>::kMeasured);
-  EXPECT_EQ(fmt.bits({/*ack=*/false, /*seq=*/0, /*payload=*/9}), 0u);
 }
 
 }  // namespace

@@ -366,40 +366,6 @@ TEST(TelemetryReplay, ClassicGhsCrossEngineStreamsAreIdentical) {
   }
 }
 
-TEST(TelemetryReplay, ReliableChannelRebuildsArqAndFaultStats) {
-  const sim::Topology topo = random_topology(24, 9);
-  sim::MemoryTraceSink sink;
-  sim::Telemetry telemetry(&sink);
-  sim::FaultModel faults = lossy_model(77);
-  faults.loss = 0.25;
-  sim::ReliableChannel<int> channel(topo, {}, {}, faults, arq_on(),
-                                    &telemetry);
-
-  support::Rng rng(3);
-  std::size_t delivered = 0;
-  for (int i = 0; i < 200; ++i) {
-    const auto u = static_cast<graph::NodeId>(rng.uniform_int(24));
-    const std::vector<sim::NodeId> near =
-        topo.nodes_within(u, topo.max_radius());
-    if (near.empty()) continue;  // isolated node: nothing to send along
-    const sim::NodeId v = near[rng.uniform_int(near.size())];
-    channel.send(u, v, i);
-    delivered += channel.collect_round().size();
-  }
-  std::size_t guard = 0;
-  while (channel.pending()) {
-    ASSERT_LT(++guard, 10000u);
-    delivered += channel.collect_round().size();
-  }
-
-  const sim::ReplayTotals replay = sim::replay_events(sink.events());
-  expect_accounting_eq(replay.totals, channel.meter().totals());
-  expect_arq_eq(replay.arq, channel.stats());
-  expect_faults_eq(replay.faults, channel.raw().fault_stats());
-  EXPECT_EQ(delivered, channel.stats().delivered);
-  EXPECT_GT(channel.stats().retransmissions, 0u);
-}
-
 // -------------------------------------------------------------- aggregates
 
 TEST(TelemetryAggregate, NodeLedgerMatchesTheMeterBitForBit) {
