@@ -6,9 +6,6 @@
 // Θ(√(log n/n)) unit-disk bound; the diagonal ranking fixes it. Expect the
 // axis scheme to show larger max probe radii and higher tail energy while
 // both stay O(1)-approximate.
-// Expert surface: this ablation reads CoNntResult::max_connect_distance,
-// which the emst::run facade result does not carry.
-#define EMST_NO_DEPRECATE
 #include <cstdio>
 #include <iostream>
 

@@ -18,10 +18,6 @@
 //               (the price of crash repair / epoch restarts);
 //   kills     — mean nodes the strategy killed;
 //   oracle_violations — runtime invariant failures (must stay 0).
-// The Co-NNT branch stays on the expert surface: the campaign's
-// degradation oracle walks CoNntResult::parent, which the emst::run
-// facade result does not carry.
-#define EMST_NO_DEPRECATE
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -38,7 +34,6 @@
 #include "emst/geometry/sampling.hpp"
 #include "emst/ghs/classic.hpp"
 #include "emst/ghs/sync.hpp"
-#include "emst/graph/mst.hpp"
 #include "emst/graph/tree_utils.hpp"
 #include "emst/nnt/connt.hpp"
 #include "emst/sim/chaos.hpp"
@@ -66,27 +61,6 @@ struct RunOut {
   std::size_t kills = 0;
   std::size_t epochs = 1;
 };
-
-/// Per-node alive mask from a permanent-kill injection record.
-std::vector<char> alive_mask(std::size_t n,
-                             std::span<const sim::CrashWindow> injected) {
-  std::vector<char> alive(n, 1);
-  for (const sim::CrashWindow& w : injected) {
-    if (w.until == sim::kCrashForever && w.node < n) alive[w.node] = 0;
-  }
-  return alive;
-}
-
-/// Survivor-subgraph MSF: Kruskal over the edges with both endpoints alive —
-/// the oracle every MST driver's chaos output is checked against.
-std::vector<graph::Edge> survivor_msf(const sim::Topology& topo,
-                                      const std::vector<char>& alive) {
-  std::vector<graph::Edge> edges;
-  for (const graph::Edge& e : topo.graph().edges()) {
-    if (alive[e.u] && alive[e.v]) edges.push_back(e);
-  }
-  return graph::kruskal_msf(topo.node_count(), std::move(edges));
-}
 
 /// The Co-NNT contract under fail-stop: every survivor connects to its
 /// nearest higher-ranked survivor within the doubling schedule's terminal
@@ -218,7 +192,7 @@ int main(int argc, char** argv) {
         const RunOut out = run_driver(
             kDrivers[di], fields[t], controller.get(),
             support::Rng::stream_seed(seed ^ 0xC4A05ULL, t), &oracle);
-        const std::vector<char> alive = alive_mask(n, out.injected);
+        const std::vector<char> alive = sim::alive_mask(n, out.injected);
         const auto dead =
             static_cast<std::size_t>(std::count(alive.begin(), alive.end(), 0));
         bool exact;
@@ -227,7 +201,8 @@ int main(int argc, char** argv) {
                   survivor_nnt_parents(fields[t].points(), alive,
                                        nnt::RankScheme::kDiagonal);
         } else {
-          exact = graph::same_edge_set(out.tree, survivor_msf(fields[t], alive));
+          exact = graph::same_edge_set(out.tree,
+                                       sim::survivor_msf(fields[t], alive));
         }
         cell.survival.add(static_cast<double>(n - dead) /
                           static_cast<double>(n));

@@ -8,9 +8,6 @@
 // Θ(log n) expected (dominated by the one-time announcement round; the small
 // regions themselves contribute O(log n) in total). Also reported: the
 // Step-1 fragment count and giant size, which drive the Step-2 bound.
-// This bench reads the per-stage accountings (step1/census/step2) that
-// only eopt::EoptResult carries; it stays on the expert surface.
-#define EMST_NO_DEPRECATE
 #include <cmath>
 #include <cstdio>
 #include <iostream>

@@ -4,9 +4,6 @@
 // control (INITIATE/REPORT, once per node per level); this bench prints the
 // measured per-type counts and energies, plus the same anatomy for the
 // §V-A cached variant (discovery collapses into announcements).
-// This bench dissects ghs::GhsMessageBreakdown, which only the direct
-// classic-GHS result carries; it stays on the expert surface.
-#define EMST_NO_DEPRECATE
 #include <cstdio>
 #include <iostream>
 

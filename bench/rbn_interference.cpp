@@ -5,9 +5,6 @@
 //
 // Workload: the modified-GHS announcement round (every node local-broadcasts
 // its fragment id to all neighbours) — the paper's densest single round.
-// This bench wires a ghs::TxLog through SyncGhsOptions, which the
-// emst::run facade does not express; it stays on the expert surface.
-#define EMST_NO_DEPRECATE
 #include <cmath>
 #include <cstdio>
 #include <iostream>

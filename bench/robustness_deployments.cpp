@@ -7,9 +7,6 @@
 //  - clustered fields percolate EARLIER locally but may strand clusters;
 //  - a coverage hole splits the giant or blocks connectivity entirely;
 //  - the density gradient stresses Co-NNT's diagonal ranking geometry.
-// The EOPT call stays on the expert surface: this bench reports the
-// giant-fragment share, which only eopt::EoptResult carries.
-#define EMST_NO_DEPRECATE
 #include <cstdio>
 #include <iostream>
 

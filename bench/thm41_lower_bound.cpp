@@ -10,9 +10,6 @@
 //      packing constant),
 //  (b) L_MST = Σ d² over the exact MST (the trivial Ω(1) floor), and
 //  (c) the measured energies of GHS / EOPT against a·ln n for reference.
-// The KMZ pair-count below needs a ghs::TxLog, which only the direct
-// sync-GHS entry point can populate — that one call stays expert.
-#define EMST_NO_DEPRECATE
 #include <cmath>
 #include <cstdio>
 #include <iostream>

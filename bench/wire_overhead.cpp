@@ -15,9 +15,6 @@
 //
 // Results go to the console table and the tracked BENCH_wire.json; the
 // process exits nonzero if any frame exceeds the bound (CI-enforceable).
-// This bench compares the actor-runtime entry point against the direct
-// drivers bit-for-bit; it stays on the expert surface.
-#define EMST_NO_DEPRECATE
 #include <cmath>
 #include <cstdio>
 #include <fstream>

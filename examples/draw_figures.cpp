@@ -9,10 +9,6 @@
 //   mst_vs_connt.svg — the exact MST (EOPT output) and the Co-NNT
 //       approximation side by side on the same deployment (overlaid colors);
 //   eopt_steps.svg — EOPT Step-1 fragment forest vs the completed MST.
-// Expert surface: the stage-1 fragment snapshot needs a bare sync-GHS
-// run with custom phase caps, below the emst::run facade; direct driver
-// calls are sanctioned in this TU (emst/run.hpp).
-#define EMST_NO_DEPRECATE
 #include <cstdio>
 #include <vector>
 

@@ -14,6 +14,7 @@
 //
 // Algorithms: ghs | ghs-cached | sync | sync-probe | eopt | connt |
 //             connt-axis | kpnnt
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -29,6 +30,7 @@
 #include "emst/rgg/radii.hpp"
 #include "emst/run.hpp"
 #include "emst/run_flags.hpp"
+#include "emst/sim/chaos.hpp"
 #include "emst/sim/trace_replay.hpp"
 #include "emst/support/cli.hpp"
 #include "emst/support/json.hpp"
@@ -62,6 +64,9 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
   Record record;
   record.algo = algo;
   std::vector<graph::Edge> tree;
+  // Permanent kills make the MSF of the surviving subgraph the exact answer
+  // (docs/ROBUSTNESS.md).
+  std::optional<std::vector<graph::Edge>> survivor_reference;
   if (algo == "kpnnt") {
     // KP-NNT predates the facade's driver set: comparison-only baseline,
     // no faults, telemetry, or ledgers.
@@ -101,6 +106,10 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
     record.breakdown_recorded = run.breakdown_recorded;
     record.hit_phase_cap = run.hit_phase_cap;
     record.injected_crashes = run.injected_crashes.size();
+    const std::vector<char> alive =
+        sim::alive_mask(points.size(), run.injected_crashes);
+    if (std::find(alive.begin(), alive.end(), 0) != alive.end())
+      survivor_reference = sim::survivor_msf(topo, alive);
     tree = std::move(run.tree);
   }
   if (flags.per_node && record.per_node.empty() && algo != "kpnnt") {
@@ -109,7 +118,8 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
   record.tree_len = graph::tree_cost(points, tree, 1.0);
   record.tree_sq = graph::tree_cost(points, tree, 2.0);
   record.spanning = graph::is_spanning_tree(points.size(), tree);
-  record.exact = graph::same_edge_set(tree, reference);
+  record.exact = graph::same_edge_set(
+      tree, survivor_reference ? *survivor_reference : reference);
   return record;
 }
 

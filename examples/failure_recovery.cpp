@@ -12,9 +12,6 @@
 //     and run ONE modified-GHS pass at the connectivity radius — exactly
 //     EOPT's Step-2 machinery reused as a repair procedure.
 // Both must produce the exact MST of the survivor set.
-// Expert surface: seeding a repair run from a survivor forest has no
-// facade spelling (emst/run.hpp), so this TU calls the drivers directly.
-#define EMST_NO_DEPRECATE
 #include <algorithm>
 #include <cstdio>
 #include <unordered_map>

@@ -12,10 +12,6 @@
 //     approximated by "still within radio range"), seed EOPT with them.
 // Both must produce the exact MST of every epoch's configuration; the bill
 // is the cumulative construction energy across epochs.
-// Expert surface: epoch repair seeds run_eopt with the previous tree's
-// forest, which the emst::run facade does not express; direct calls are
-// the sanctioned spelling here (emst/run.hpp).
-#define EMST_NO_DEPRECATE
 #include <cstdio>
 #include <vector>
 

@@ -1,6 +1,3 @@
-// EOPT composes the other drivers internally (stage 2 runs sync GHS on
-// the giant); internal cross-calls are not deprecated usage.
-#define EMST_NO_DEPRECATE
 #include "emst/eopt/eopt.hpp"
 
 #include <algorithm>
@@ -132,7 +129,6 @@ EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
   result.run.fragments = stage2.run.fragments;
   result.run.energy_breakdown = matrix;
   result.run.breakdown_recorded = true;
-  result.run.telemetry = total.telemetry();
   result.arq = stage1.arq;
   result.arq += census_link.stats();
   result.arq += stage2.arq;

@@ -30,7 +30,6 @@
 #include "emst/ghs/common.hpp"
 #include "emst/ghs/sync.hpp"
 #include "emst/sim/implicit_topology.hpp"
-#include "emst/support/deprecated.hpp"
 
 namespace emst::eopt {
 
@@ -84,15 +83,6 @@ struct EoptResult {
   /// Some stage stopped at its phase cap (fault mode only; the tree is then
   /// a partial forest rather than the full MST).
   bool hit_phase_cap = false;
-
-  /// The algorithm-independent view (docs/API_TOUR.md). Non-owning.
-  [[nodiscard]] RunReport report() const {
-    RunReport out = run.report();
-    out.faults = fault_stats;
-    out.arq = arq;
-    out.hit_phase_cap = hit_phase_cap;
-    return out;
-  }
 };
 
 /// Run EOPT on a topology whose max radius is ≥ r₂ (build it with
@@ -111,7 +101,6 @@ struct EoptResult {
 /// per-node state is O(n), so peak memory is the points plus the grid
 /// (docs/PERF.md).
 template <typename Topo>
-EMST_DEPRECATED("use the emst::run facade (emst/run.hpp)")
 [[nodiscard]] EoptResult run_eopt(const Topo& topo,
                                   const EoptOptions& options = {},
                                   const ghs::FragmentForest* seed = nullptr);

@@ -1,5 +1,3 @@
-// Defines the entry point it declares.
-#define EMST_NO_DEPRECATE
 #include "emst/ghs/classic.hpp"
 
 #include <algorithm>
@@ -346,7 +344,6 @@ class ClassicGhsRun {
       result.energy_breakdown = net_.meter().breakdown();
       result.breakdown_recorded = true;
     }
-    result.telemetry = net_.meter().telemetry();
     result.fault_stats = net_.fault_stats();
     result.epochs = epochs_;
     result.injected_crashes = net_.faults().injected_schedule();

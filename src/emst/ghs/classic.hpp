@@ -21,7 +21,6 @@
 #include "emst/ghs/common.hpp"
 #include "emst/sim/network.hpp"
 #include "emst/sim/run_config.hpp"
-#include "emst/support/deprecated.hpp"
 
 namespace emst::ghs {
 
@@ -77,7 +76,6 @@ struct ClassicGhsOptions : sim::RunConfig {
 /// (`prepare_edge_indices`) — classic GHS keeps its Θ(m) identity on either
 /// backend; the memory-lean path is the modified/EOPT family.
 template <typename Topo>
-EMST_DEPRECATED("use the emst::run facade (emst/run.hpp)")
 [[nodiscard]] MstRunResult run_classic_ghs(const Topo& topo,
                                            const ClassicGhsOptions& options = {});
 

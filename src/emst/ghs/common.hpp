@@ -18,7 +18,6 @@
 
 #include "emst/graph/edge.hpp"
 #include "emst/proto/ghs_wire.hpp"
-#include "emst/run_report.hpp"
 #include "emst/sim/fault.hpp"
 #include "emst/sim/meter.hpp"
 #include "emst/sim/telemetry.hpp"
@@ -90,8 +89,6 @@ struct MstRunResult {
   /// Per-phase × per-kind matrix (valid iff `record_breakdown` was set).
   sim::EnergyBreakdown energy_breakdown;
   bool breakdown_recorded = false;
-  /// The telemetry hub the run was configured with (null if none).
-  sim::Telemetry* telemetry = nullptr;
   /// Fault-layer drop counters (all zero for fault-free runs).
   sim::FaultStats fault_stats{};
   /// Protocol epochs executed. Fail-stop drivers (classic GHS) restart from
@@ -111,21 +108,6 @@ struct MstRunResult {
   /// call (its receiver unchanged) is not an execution.
   std::uint64_t handler_invocations = 0;
   std::uint64_t rank_handler_invocations = 0;
-
-  /// The algorithm-independent view (docs/API_TOUR.md). Non-owning: keep
-  /// this result alive while using the report.
-  [[nodiscard]] RunReport report() const {
-    RunReport out;
-    out.tree = &tree;
-    out.totals = totals;
-    out.phases = phases;
-    out.fragments = fragments;
-    out.faults = fault_stats;
-    if (!per_node_energy.empty()) out.per_node_energy = &per_node_energy;
-    if (breakdown_recorded) out.breakdown = &energy_breakdown;
-    out.telemetry = telemetry;
-    return out;
-  }
 };
 
 /// Neighbors of u within `radius`, ascending (weight, id) — the paper's

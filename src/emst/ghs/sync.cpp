@@ -1,5 +1,3 @@
-// Defines the entry point it declares.
-#define EMST_NO_DEPRECATE
 #include "emst/ghs/sync.hpp"
 
 #include <algorithm>
@@ -155,7 +153,6 @@ class SyncGhsEngine {
       result.run.energy_breakdown = meter_.breakdown();
       result.run.breakdown_recorded = true;
     }
-    result.run.telemetry = meter_.telemetry();
     result.arq = link_.stats();
     result.faults.lost = fault_->stats().lost - start_fault_stats_.lost;
     result.faults.dropped_crashed =

@@ -46,7 +46,6 @@
 #include "emst/sim/fault.hpp"
 #include "emst/sim/reliable.hpp"
 #include "emst/sim/run_config.hpp"
-#include "emst/support/deprecated.hpp"
 
 namespace emst::ghs {
 
@@ -114,15 +113,6 @@ struct SyncGhsResult {
   /// permanent losses leave fragments unable to finish; true if that
   /// happened and `final_forest` is a partial result.
   bool hit_phase_cap = false;
-
-  /// The algorithm-independent view (docs/API_TOUR.md). Non-owning.
-  [[nodiscard]] RunReport report() const {
-    RunReport out = run.report();
-    out.faults = faults;
-    out.arq = arq;
-    out.hit_phase_cap = hit_phase_cap;
-    return out;
-  }
 };
 
 /// Run phase-synchronous (modified) GHS. `seed` continues from an existing
@@ -138,7 +128,6 @@ struct SyncGhsResult {
 /// both enumerate neighbourhoods in the same canonical (weight, id) order
 /// and answer the order-free reductions over them identically.
 template <typename Topo>
-EMST_DEPRECATED("use the emst::run facade (emst/run.hpp)")
 [[nodiscard]] SyncGhsResult run_sync_ghs(
     const Topo& topo, const SyncGhsOptions& options,
     const std::optional<FragmentForest>& seed = std::nullopt,

@@ -1,6 +1,3 @@
-// The harness fans out over driver-specific result shapes (stage
-// accountings, breakdowns); it calls the drivers directly on purpose.
-#define EMST_NO_DEPRECATE
 #include "emst/harness/experiment.hpp"
 
 #include "emst/geometry/sampling.hpp"

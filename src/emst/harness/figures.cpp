@@ -1,6 +1,3 @@
-// Figure extraction reads driver-specific result fields; it calls the
-// drivers directly on purpose.
-#define EMST_NO_DEPRECATE
 #include "emst/harness/figures.hpp"
 
 #include <cmath>

@@ -1,5 +1,3 @@
-// Defines (and internally composes) the entry points it declares.
-#define EMST_NO_DEPRECATE
 #include "emst/nnt/connt.hpp"
 
 #include <algorithm>
@@ -252,7 +250,6 @@ CoNntResult run_connt_actor_impl(const Topo& topo,
     result.energy_breakdown = net.meter().breakdown();
     result.breakdown_recorded = true;
   }
-  result.telemetry = net.meter().telemetry();
   result.handler_invocations = actor.invocations();
   result.rank_handler_invocations = rank_invocations;
   return result;
@@ -371,7 +368,6 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
     result.energy_breakdown = meter.breakdown();
     result.breakdown_recorded = true;
   }
-  result.telemetry = meter.telemetry();
   return result;
 }
 

@@ -21,7 +21,6 @@
 #include "emst/ghs/common.hpp"
 #include "emst/nnt/rank.hpp"
 #include "emst/sim/run_config.hpp"
-#include "emst/support/deprecated.hpp"
 
 namespace emst::nnt {
 
@@ -49,7 +48,6 @@ struct CoNntResult {
   /// Co-NNT splits into kRequest / kReply / kConnection kinds.
   sim::EnergyBreakdown energy_breakdown;
   bool breakdown_recorded = false;
-  sim::Telemetry* telemetry = nullptr;
   /// Fault-layer drop counters (all zero for fault-free runs).
   sim::FaultStats fault_stats{};
   /// Protocol epochs executed (fail-stop restarts; 1 = clean run).
@@ -62,19 +60,6 @@ struct CoNntResult {
   /// has no actor).
   std::uint64_t handler_invocations = 0;
   std::uint64_t rank_handler_invocations = 0;
-
-  /// The algorithm-independent view (docs/API_TOUR.md). Non-owning.
-  [[nodiscard]] RunReport report() const {
-    RunReport out;
-    out.tree = &tree;
-    out.totals = totals;
-    out.fragments = parent.size() - tree.size();
-    out.faults = fault_stats;
-    if (!per_node_energy.empty()) out.per_node_energy = &per_node_energy;
-    if (breakdown_recorded) out.breakdown = &energy_breakdown;
-    out.telemetry = telemetry;
-    return out;
-  }
 };
 
 /// Run the distributed Co-NNT construction. Probe radii may exceed the
@@ -84,7 +69,6 @@ struct CoNntResult {
 /// explicitly instantiated for both) — the protocol only needs coordinates
 /// and `nodes_within` probes, which both backends answer identically.
 template <typename Topo>
-EMST_DEPRECATED("use the emst::run facade (emst/run.hpp)")
 [[nodiscard]] CoNntResult run_connt(const Topo& topo,
                                     const CoNntOptions& options = {});
 

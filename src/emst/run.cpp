@@ -1,7 +1,6 @@
-// The facade is the one sanctioned caller of the legacy entry points: it
-// dispatches straight to them, so its results are bitwise-identical to
-// direct calls (tests/run_facade_test.cpp pins this).
-#define EMST_NO_DEPRECATE
+// The facade dispatches straight to the per-driver entry points and copies
+// each driver's result into the one `RunResult` shape, so its results are
+// bitwise-identical to direct calls (tests/run_facade_test.cpp pins this).
 #include "emst/run.hpp"
 
 #include <utility>

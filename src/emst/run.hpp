@@ -1,12 +1,12 @@
 // The unified run facade (docs/API_TOUR.md).
 //
-// One entry point replaces the four per-driver calls: pick a driver with
-// `emst::Driver`, set the shared `sim::RunConfig` knobs once on
-// `emst::RunConfig`, and call `emst::run`. The facade dispatches to the
-// exact same driver code the legacy entry points execute, so results are
-// pinned bitwise-identical to direct calls (tests/run_facade_test.cpp);
-// telemetry, faults, ARQ, the invariant oracle, worker threads, and both
-// topology backends all compose through the one shared config.
+// One entry point for every algorithm: pick a driver with `emst::Driver`,
+// set the shared `sim::RunConfig` knobs once on `emst::RunConfig`, and call
+// `emst::run`. The facade dispatches straight to the per-driver entry
+// points, so results are pinned bitwise-identical to direct calls
+// (tests/run_facade_test.cpp); telemetry, faults, ARQ, the invariant
+// oracle, worker threads, and both topology backends all compose through
+// the one shared config.
 //
 //   emst::Instance inst = emst::sample_instance(2000, /*seed=*/7);
 //   emst::RunConfig cfg;
@@ -18,12 +18,14 @@
 // Callers that already hold a topology (benches that sweep radii, the serve
 // session's resident deployment) use the topology overloads instead; the
 // `Instance` overload just builds the driver-appropriate backend and
-// forwards. The legacy entry points (`ghs::run_classic_ghs`,
-// `ghs::run_sync_ghs`, `eopt::run_eopt`, `nnt::run_connt`) are deprecated
-// wrappers of record — still there, still bitwise-identical, but new call
-// sites should go through the facade. Expert features the facade does not
-// express (seed forests, external meters, transmission logs) remain reasons
-// to call a driver directly; define EMST_NO_DEPRECATE in that TU.
+// forwards.
+//
+// `emst::run` is the uniform API; the drivers (`ghs::run_classic_ghs`,
+// `ghs::run_sync_ghs`, `eopt::run_eopt`, `nnt::run_connt`) are the
+// full-detail API. Call a driver directly for what only its own result or
+// signature carries: EOPT's per-stage accountings and giant size, classic
+// GHS's per-type `GhsMessageBreakdown`, Co-NNT's `parent` array and
+// `max_connect_distance`, seed forests and external meters.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,6 @@
 #include "emst/ghs/classic.hpp"
 #include "emst/ghs/sync.hpp"
 #include "emst/nnt/connt.hpp"
-#include "emst/run_report.hpp"
 #include "emst/sim/implicit_topology.hpp"
 #include "emst/sim/run_config.hpp"
 #include "emst/sim/topology.hpp"
@@ -122,9 +123,7 @@ struct RunConfig : sim::RunConfig {
   return cfg;
 }
 
-/// The facade's owning result: one shape for every driver, safe to return
-/// by value (unlike `RunReport`, whose pointers borrow from a live driver
-/// result). `report()` yields the classic non-owning view over this object.
+/// The facade's owning result: one shape for every driver.
 struct RunResult {
   Driver driver = Driver::kEopt;
   std::vector<graph::Edge> tree;  ///< canonical order
@@ -146,22 +145,6 @@ struct RunResult {
   /// for the choreographed paths (sync/EOPT, faultless serial Co-NNT).
   std::uint64_t handler_invocations = 0;
   std::uint64_t rank_handler_invocations = 0;
-
-  /// Non-owning view over this result — keep the result alive while using
-  /// it (same contract as every driver's report()).
-  [[nodiscard]] RunReport report() const {
-    RunReport out;
-    out.tree = &tree;
-    out.totals = totals;
-    out.phases = phases;
-    out.fragments = fragments;
-    out.faults = faults;
-    out.arq = arq;
-    if (!per_node_energy.empty()) out.per_node_energy = &per_node_energy;
-    if (breakdown_recorded) out.breakdown = &breakdown;
-    out.hit_phase_cap = hit_phase_cap;
-    return out;
-  }
 };
 
 /// Run `cfg.driver` on a caller-owned topology backend. Defined in run.cpp

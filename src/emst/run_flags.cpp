@@ -17,8 +17,9 @@ const std::map<std::string, std::string>& shared_spec() {
       {"fault-seed", "fault-layer RNG seed (default 0xFA011A)"},
       {"arq", "1 = stop-and-wait ARQ on every unicast (default 0)"},
       {"chaos", "adversarial crash strategy (kill_leader|sever_core_edge|"
-                "partition_half|crash_wave); crash-only fail-stop "
-                "(docs/ROBUSTNESS.md)"},
+                "partition_half|crash_wave); crash-only fail-stop, so "
+                "emst_cli's exact column then checks the MSF of the "
+                "surviving subgraph (docs/ROBUSTNESS.md)"},
       {"oracle", "1 = runtime invariant oracle; exits 1 on any violation "
                  "(docs/ROBUSTNESS.md)"},
       {"per-node", "1 = per-node energy ledger (adds hottest-node column)"},

@@ -4,6 +4,9 @@
 #include <array>
 #include <cmath>
 
+#include "emst/graph/mst.hpp"
+#include "emst/sim/topology.hpp"
+
 namespace emst::sim {
 namespace {
 
@@ -207,6 +210,24 @@ std::vector<CrashWindow> minimize_crashes(
     granularity = std::min(current.size(), granularity * 2);
   }
   return current;
+}
+
+std::vector<char> alive_mask(std::size_t n,
+                             std::span<const CrashWindow> crashes) {
+  std::vector<char> alive(n, 1);
+  for (const CrashWindow& w : crashes) {
+    if (w.until == kCrashForever && w.node < n) alive[w.node] = 0;
+  }
+  return alive;
+}
+
+std::vector<graph::Edge> survivor_msf(const Topology& topo,
+                                      const std::vector<char>& alive) {
+  std::vector<graph::Edge> edges;
+  for (const graph::Edge& e : topo.graph().edges()) {
+    if (alive[e.u] && alive[e.v]) edges.push_back(e);
+  }
+  return graph::kruskal_msf(topo.node_count(), std::move(edges));
 }
 
 }  // namespace emst::sim

@@ -39,6 +39,8 @@
 
 namespace emst::sim {
 
+class Topology;
+
 /// Read-only snapshot of live protocol state, handed to the controller once
 /// per fault-clock round. Spans reference engine/driver state that is stable
 /// for the duration of the consult; copy anything you need to keep.
@@ -212,5 +214,15 @@ class ReplaySchedule final : public FaultController {
 [[nodiscard]] std::vector<CrashWindow> minimize_crashes(
     std::span<const CrashWindow> schedule,
     const std::function<bool(std::span<const CrashWindow>)>& trips);
+
+/// Per-node alive mask of a crash record: 0 for every node with a permanent
+/// (`kCrashForever`) window, 1 for the rest.
+[[nodiscard]] std::vector<char> alive_mask(
+    std::size_t n, std::span<const CrashWindow> crashes);
+
+/// The fail-stop contract answer of the MST drivers (docs/ROBUSTNESS.md):
+/// Kruskal's MSF over the edges of `topo` with both endpoints alive.
+[[nodiscard]] std::vector<graph::Edge> survivor_msf(
+    const Topology& topo, const std::vector<char>& alive);
 
 }  // namespace emst::sim

@@ -26,17 +26,6 @@
 
 namespace emst::sim {
 
-/// One metered transmission, recorded when tracing is enabled. The trace is
-/// the ground truth for the energy figure: replaying it through the path-
-/// loss model must reproduce the meter's total exactly (tested).
-struct TraceEvent {
-  enum class Kind : std::uint8_t { kUnicast, kBroadcast };
-  Kind kind = Kind::kUnicast;
-  /// Transmission distance (unicast) or power radius (broadcast).
-  double reach = 0.0;
-  std::uint32_t receivers = 1;
-};
-
 struct Accounting {
   double energy = 0.0;
   std::uint64_t unicasts = 0;
@@ -152,7 +141,6 @@ class EnergyMeter {
     ++totals_.deliveries;
     totals_.bits += bits_;
     attribute(from, cost);
-    if (tracing_) trace_.push_back({TraceEvent::Kind::kUnicast, distance, 1});
     if (breakdown_on_) {
       EnergyBreakdown::Cell& c = breakdown_.cell(phase_, kind_);
       c.energy += cost;
@@ -186,10 +174,6 @@ class EnergyMeter {
     totals_.deliveries += receivers;
     totals_.bits += bits_;
     attribute(from, cost);
-    if (tracing_) {
-      trace_.push_back({TraceEvent::Kind::kBroadcast, radius,
-                        static_cast<std::uint32_t>(receivers)});
-    }
     if (breakdown_on_) {
       EnergyBreakdown::Cell& c = breakdown_.cell(phase_, kind_);
       c.energy += cost;
@@ -239,21 +223,6 @@ class EnergyMeter {
     double worst = 0.0;
     for (const double e : per_node_) worst = std::max(worst, e);
     return worst;
-  }
-
-  /// Start recording every charge into the trace (off by default — the big
-  /// sweeps would otherwise allocate per message).
-  void enable_trace() { tracing_ = true; }
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const noexcept {
-    return trace_;
-  }
-
-  /// Recompute the energy figure from the trace alone. Equal to
-  /// totals().energy whenever tracing was on from the start.
-  [[nodiscard]] double replay_trace() const {
-    double energy = 0.0;
-    for (const TraceEvent& event : trace_) energy += model_.cost(event.reach);
-    return energy;
   }
 
   // -- Telemetry context ---------------------------------------------------
@@ -378,8 +347,6 @@ class EnergyMeter {
 
   geometry::PathLoss model_;
   Accounting totals_;
-  bool tracing_ = false;
-  std::vector<TraceEvent> trace_;
   std::vector<double> per_node_;
 
   // Telemetry context (all inert unless opted into).

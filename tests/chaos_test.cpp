@@ -31,7 +31,6 @@
 #include "emst/geometry/sampling.hpp"
 #include "emst/ghs/classic.hpp"
 #include "emst/ghs/sync.hpp"
-#include "emst/graph/mst.hpp"
 #include "emst/graph/tree_utils.hpp"
 #include "emst/nnt/connt.hpp"
 #include "emst/nnt/rank.hpp"
@@ -50,27 +49,6 @@ constexpr std::array<std::string_view, 4> kDrivers = {
 sim::Topology chaos_field(std::size_t n, std::uint64_t seed) {
   support::Rng rng(seed);
   return eopt::eopt_topology(geometry::uniform_points(n, rng));
-}
-
-/// Per-node alive mask from a permanent-kill injection record.
-std::vector<char> alive_mask(std::size_t n,
-                             std::span<const sim::CrashWindow> injected) {
-  std::vector<char> alive(n, 1);
-  for (const sim::CrashWindow& w : injected) {
-    if (w.until == sim::kCrashForever && w.node < n) alive[w.node] = 0;
-  }
-  return alive;
-}
-
-/// Independent survivor-subgraph recomputation: Kruskal over the edges with
-/// both endpoints alive — what every MST driver's chaos output must equal.
-std::vector<graph::Edge> survivor_msf(const sim::Topology& topo,
-                                      const std::vector<char>& alive) {
-  std::vector<graph::Edge> edges;
-  for (const graph::Edge& e : topo.graph().edges()) {
-    if (alive[e.u] && alive[e.v]) edges.push_back(e);
-  }
-  return graph::kruskal_msf(topo.node_count(), std::move(edges));
 }
 
 /// The Co-NNT fail-stop contract: each survivor parents its nearest
@@ -214,14 +192,15 @@ TEST(ChaosCampaign, EveryStrategyKeepsEveryDriverExactOnSurvivors) {
         EXPECT_LT(w.node, n) << cell;
       }
       // Per-component exactness against the independent recomputation.
-      const std::vector<char> alive = alive_mask(n, out.injected);
+      const std::vector<char> alive = sim::alive_mask(n, out.injected);
       if (driver == "connt") {
         EXPECT_EQ(out.parent,
                   survivor_nnt_parents(topo.points(), alive,
                                        nnt::RankScheme::kDiagonal))
             << cell;
       } else {
-        EXPECT_TRUE(graph::same_edge_set(out.tree, survivor_msf(topo, alive)))
+        EXPECT_TRUE(
+            graph::same_edge_set(out.tree, sim::survivor_msf(topo, alive)))
             << cell;
       }
       EXPECT_GE(out.epochs, 1u) << cell;
@@ -245,7 +224,8 @@ TEST(ChaosCampaign, EpochDriversSurviveARoundZeroCrash) {
     ghs::ClassicGhsOptions opt;
     opt.faults.crashes = {{5, 0, sim::kCrashForever}};
     const auto res = ghs::run_classic_ghs(topo, opt);
-    EXPECT_TRUE(graph::same_edge_set(res.tree, survivor_msf(topo, alive)));
+    EXPECT_TRUE(
+        graph::same_edge_set(res.tree, sim::survivor_msf(topo, alive)));
     for (const graph::Edge& e : res.tree) {
       EXPECT_NE(e.u, 5u);
       EXPECT_NE(e.v, 5u);
@@ -372,7 +352,7 @@ TEST(ChaosDdmin, SeededViolationMinimizesToTheBridgeCrash) {
     sim::InvariantOracle oracle;
     opt.oracle = &oracle;
     const auto res = ghs::run_sync_ghs(topo, opt);
-    const std::vector<char> alive = alive_mask(n, opt.faults.crashes);
+    const std::vector<char> alive = sim::alive_mask(n, opt.faults.crashes);
     const auto survivors = static_cast<std::size_t>(
         std::count(alive.begin(), alive.end(), char{1}));
     if (res.run.tree.size() + 1 < survivors) {

@@ -1,4 +1,4 @@
-// Tests for the metered tree collectives and the energy-meter trace.
+// Tests for the metered tree collectives and the meter's per-node ledger.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "emst/rgg/radii.hpp"
 #include "emst/rgg/rgg.hpp"
 #include "emst/sim/collectives.hpp"
-#include "emst/sim/network.hpp"
 #include "emst/support/rng.hpp"
 
 namespace emst::sim {
@@ -119,24 +118,6 @@ TEST(PerNodeLedger, DisabledByDefault) {
   EXPECT_EQ(meter.hottest_node(), 0.0);
 }
 
-TEST(MeterTrace, ReplayReproducesEnergy) {
-  EnergyMeter meter({1.0, 2.0});
-  meter.enable_trace();
-  meter.charge_unicast(0.5);
-  meter.charge_broadcast(0.3, 7);
-  meter.charge_unicast(0.1);
-  ASSERT_EQ(meter.trace().size(), 3u);
-  EXPECT_EQ(meter.trace()[1].kind, TraceEvent::Kind::kBroadcast);
-  EXPECT_EQ(meter.trace()[1].receivers, 7u);
-  EXPECT_NEAR(meter.replay_trace(), meter.totals().energy, 1e-12);
-}
-
-TEST(MeterTrace, OffByDefault) {
-  EnergyMeter meter;
-  meter.charge_unicast(0.5);
-  EXPECT_TRUE(meter.trace().empty());
-}
-
 TEST(CollectivesEdgeCases, AllSingletonForestMovesNothing) {
   // Every node is its own root: no tree edges, so neither collective sends
   // a message, ticks a round, or touches any value.
@@ -226,19 +207,6 @@ TEST(CollectivesEdgeCases, BroadcastLeavesCrashedSubtreeStale) {
   EXPECT_EQ(values, (std::vector<int>{42, -1, -1}));
   EXPECT_EQ(link.stats().delivered, 0u);
   EXPECT_EQ(injector.stats().suppressed, 1u);
-}
-
-TEST(MeterTrace, NetworkChargesAreTraced) {
-  support::Rng rng(9);
-  const auto points = geometry::uniform_points(50, rng);
-  const Topology topo(points, 0.5);
-  Network<int> net(topo);
-  net.meter().enable_trace();
-  net.unicast(0, topo.neighbors(0)[0].id, 1);
-  net.broadcast(1, 0.2, 2);
-  (void)net.collect_round();
-  EXPECT_EQ(net.meter().trace().size(), 2u);
-  EXPECT_NEAR(net.meter().replay_trace(), net.meter().totals().energy, 1e-12);
 }
 
 }  // namespace

@@ -26,8 +26,8 @@
 #include "emst/rgg/radii.hpp"
 #include "emst/sim/chaos.hpp"
 #include "emst/sim/implicit_topology.hpp"
-#include "emst/run_report.hpp"
 #include "emst/support/rng.hpp"
+#include "observed_run.hpp"
 
 namespace emst {
 namespace {
@@ -37,82 +37,6 @@ constexpr std::size_t kSeeds = 3;
 /// 0 = the serial in-process engine — the reference every rank count must
 /// reproduce byte-for-byte.
 constexpr std::size_t kRankCounts[] = {0, 1, 2, 4};
-
-/// Everything observable about one run, copied out so runs can be compared
-/// after their backing results are gone.
-struct Observed {
-  std::vector<graph::Edge> tree;
-  sim::Accounting totals;
-  std::size_t phases = 0;
-  std::size_t fragments = 0;
-  sim::FaultStats faults;
-  sim::ArqStats arq;
-  std::vector<double> per_node;
-  sim::EnergyBreakdown breakdown;
-  bool hit_phase_cap = false;
-  std::vector<sim::TelemetryEvent> events;
-  /// Classic GHS's parent + rank handler executions (0 for other drivers).
-  /// Both retry loops re-park a deferred delivery whose receiver is
-  /// unchanged without calling the handler, so the sum is placement-free;
-  /// it differs if only one of the loops skips stale retries.
-  std::uint64_t executions = 0;
-};
-
-Observed observe(const RunReport& report, const std::vector<graph::Edge>& tree,
-                 const sim::MemoryTraceSink& sink,
-                 std::uint64_t executions = 0) {
-  Observed out;
-  out.tree = tree;
-  out.totals = report.totals;
-  out.phases = report.phases;
-  out.fragments = report.fragments;
-  out.faults = report.faults;
-  out.arq = report.arq;
-  if (report.per_node_energy != nullptr) out.per_node = *report.per_node_energy;
-  if (report.breakdown != nullptr) out.breakdown = *report.breakdown;
-  out.hit_phase_cap = report.hit_phase_cap;
-  out.events = sink.events();
-  out.executions = executions;
-  return out;
-}
-
-void expect_observed_equal(const Observed& got, const Observed& want,
-                           const char* label, std::uint64_t seed,
-                           std::size_t ranks) {
-  SCOPED_TRACE(testing::Message() << label << " seed=" << seed
-                                  << " ranks=" << ranks);
-  ASSERT_EQ(got.tree.size(), want.tree.size());
-  for (std::size_t i = 0; i < got.tree.size(); ++i) {
-    EXPECT_EQ(got.tree[i].u, want.tree[i].u);
-    EXPECT_EQ(got.tree[i].v, want.tree[i].v);
-    EXPECT_EQ(got.tree[i].w, want.tree[i].w);  // bitwise
-  }
-  EXPECT_EQ(got.totals.energy, want.totals.energy);  // bitwise, no NEAR
-  EXPECT_EQ(got.totals.unicasts, want.totals.unicasts);
-  EXPECT_EQ(got.totals.broadcasts, want.totals.broadcasts);
-  EXPECT_EQ(got.totals.deliveries, want.totals.deliveries);
-  EXPECT_EQ(got.totals.rounds, want.totals.rounds);
-  EXPECT_EQ(got.totals.bits, want.totals.bits);
-  EXPECT_EQ(got.phases, want.phases);
-  EXPECT_EQ(got.fragments, want.fragments);
-  EXPECT_EQ(got.faults.lost, want.faults.lost);
-  EXPECT_EQ(got.faults.dropped_crashed, want.faults.dropped_crashed);
-  EXPECT_EQ(got.faults.suppressed, want.faults.suppressed);
-  EXPECT_EQ(got.arq.data_sent, want.arq.data_sent);
-  EXPECT_EQ(got.arq.retransmissions, want.arq.retransmissions);
-  EXPECT_EQ(got.arq.acks_sent, want.arq.acks_sent);
-  EXPECT_EQ(got.arq.delivered, want.arq.delivered);
-  EXPECT_EQ(got.arq.give_ups, want.arq.give_ups);
-  EXPECT_EQ(got.arq.timeout_rounds, want.arq.timeout_rounds);
-  EXPECT_EQ(got.per_node, want.per_node);  // element-wise bitwise
-  EXPECT_EQ(got.breakdown, want.breakdown);
-  EXPECT_EQ(got.hit_phase_cap, want.hit_phase_cap);
-  EXPECT_EQ(got.executions, want.executions);
-  ASSERT_EQ(got.events.size(), want.events.size());
-  for (std::size_t i = 0; i < got.events.size(); ++i) {
-    ASSERT_EQ(got.events[i], want.events[i]) << "event " << i;
-  }
-}
 
 sim::Topology make_topology(std::uint64_t seed,
                             std::vector<geometry::Point2>& points) {
@@ -128,16 +52,6 @@ sim::FaultModel crashy_model() {
   faults.crashes.push_back({7, 4, 18});
   faults.crashes.push_back({23, 0, 12});
   faults.crashes.push_back({41, 9, 26});
-  return faults;
-}
-
-/// Loss + bursts + crashes + ARQ, for the loss-recovering drivers.
-sim::FaultModel faulty_model() {
-  sim::FaultModel faults;
-  faults.loss = 0.08;
-  faults.use_gilbert = true;
-  faults.crashes.push_back({7, 4, 18});
-  faults.crashes.push_back({23, 0, 12});
   return faults;
 }
 
@@ -164,7 +78,9 @@ void expect_rank_invariant(const char* label, RunFn&& run_at) {
             << label << " seed " << seed << ": empty tree";
         continue;
       }
-      expect_observed_equal(got, baseline, label, seed, ranks);
+      SCOPED_TRACE(testing::Message() << label << " seed=" << seed
+                                      << " ranks=" << ranks);
+      expect_observed_equal(got, baseline);
     }
   }
 }
@@ -196,8 +112,7 @@ TEST(DistributedDeterminism, ClassicGhs) {
     const auto run = ghs::run_classic_ghs(topo, options);
     expect_placement(run.handler_invocations, run.rank_handler_invocations,
                      ranks);
-    return observe(run.report(), run.tree, sink,
-                   run.handler_invocations + run.rank_handler_invocations);
+    return observe(run, sink);
   });
 }
 
@@ -218,11 +133,11 @@ TEST(DistributedDeterminism, ClassicGhsImplicitBackend) {
       // comparison spans both the engine and the topology axis at once.
       const sim::Topology topo(points, rgg::connectivity_radius(kNodes));
       const auto run = ghs::run_classic_ghs(topo, options);
-      return observe(run.report(), run.tree, sink);
+      return observe(run, sink);
     }
     const sim::ImplicitTopology topo(points, rgg::connectivity_radius(kNodes));
     const auto run = ghs::run_classic_ghs(topo, options);
-    return observe(run.report(), run.tree, sink);
+    return observe(run, sink);
   });
 }
 
@@ -240,7 +155,7 @@ TEST(DistributedDeterminism, ClassicGhsCachedWithDelays) {
         options.delays = {3, 0xabc0ULL + seed};
         configure(options, ranks, &telemetry);
         const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(run.report(), run.tree, sink);
+        return observe(run, sink);
       });
 }
 
@@ -258,9 +173,7 @@ TEST(DistributedDeterminism, ClassicGhsCrashWindows) {
         options.faults.seed += seed;
         configure(options, ranks, &telemetry);
         const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(
-            run.report(), run.tree, sink,
-            run.handler_invocations + run.rank_handler_invocations);
+        return observe(run, sink);
       });
 }
 
@@ -274,7 +187,7 @@ TEST(DistributedDeterminism, SyncGhsRanksIsNoOp) {
     ghs::SyncGhsOptions options;
     configure(options, ranks, &telemetry);
     const auto run = ghs::run_sync_ghs(topo, options);
-    return observe(run.report(), run.run.tree, sink);
+    return observe(run, sink);
   });
 }
 
@@ -292,7 +205,7 @@ TEST(DistributedDeterminism, SyncGhsProbeFaultyArqRanksIsNoOp) {
         options.arq.enabled = true;
         configure(options, ranks, &telemetry);
         const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run.report(), run.run.tree, sink);
+        return observe(run, sink);
       });
 }
 
@@ -309,7 +222,7 @@ TEST(DistributedDeterminism, EoptFaultyArqRanksIsNoOp) {
         options.arq.enabled = true;
         configure(options, ranks, &telemetry);
         const auto run = eopt::run_eopt(topo, options);
-        return observe(run.report(), run.run.tree, sink);
+        return observe(run, sink);
       });
 }
 
@@ -328,7 +241,7 @@ TEST(DistributedDeterminism, CoNntFacadeDispatch) {
       nnt::CoNntOptions options;
       configure(options, ranks, &telemetry);
       const auto run = nnt::run_connt(topo, options);
-      return observe(run.report(), run.tree, sink);
+      return observe(run, sink);
     };
     sim::MemoryTraceSink sink0;
     const Observed choreographed = run_at(0, sink0);
@@ -350,7 +263,9 @@ TEST(DistributedDeterminism, CoNntFacadeDispatch) {
         have_baseline = true;
         continue;
       }
-      expect_observed_equal(got, baseline, "connt", seed, ranks);
+      SCOPED_TRACE(testing::Message() << "connt seed=" << seed
+                                      << " ranks=" << ranks);
+      expect_observed_equal(got, baseline);
     }
   }
 }
@@ -367,7 +282,7 @@ TEST(DistributedDeterminism, CoNntActor) {
         const auto run = nnt::run_connt_actor(topo, options);
         expect_placement(run.handler_invocations, run.rank_handler_invocations,
                          ranks);
-        return observe(run.report(), run.tree, sink);
+        return observe(run, sink);
       });
 }
 
@@ -383,7 +298,7 @@ TEST(DistributedDeterminism, CoNntActorCrashWindows) {
         options.faults.seed += seed;
         configure(options, ranks, &telemetry);
         const auto run = nnt::run_connt_actor(topo, options);
-        return observe(run.report(), run.tree, sink);
+        return observe(run, sink);
       });
 }
 
@@ -412,9 +327,7 @@ TEST(DistributedDeterminism, ClassicGhsKillLeaderChaos) {
         const auto run = ghs::run_classic_ghs(topo, options);
         expect_placement(run.handler_invocations,
                          run.rank_handler_invocations, ranks);
-        return observe(
-            run.report(), run.tree, sink,
-            run.handler_invocations + run.rank_handler_invocations);
+        return observe(run, sink);
       });
 }
 
@@ -433,7 +346,7 @@ TEST(DistributedDeterminism, CoNntActorPartitionHalfChaos) {
         const auto run = nnt::run_connt_actor(topo, options);
         expect_placement(run.handler_invocations,
                          run.rank_handler_invocations, ranks);
-        return observe(run.report(), run.tree, sink);
+        return observe(run, sink);
       });
 }
 

@@ -1,0 +1,138 @@
+// The observable result of one driver run, shared by the suites that pin a
+// knob as result-free: the backend (topology_differential_test), the thread
+// count (parallel_determinism_test) and the rank count
+// (distributed_determinism_test). `observe` copies everything a run exposes
+// out of the driver's own result, so runs can be compared after their
+// backing results are gone; `expect_observed_equal` asserts equality, not
+// tolerances, so a single flipped bit anywhere fails.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "emst/eopt/eopt.hpp"
+#include "emst/ghs/common.hpp"
+#include "emst/ghs/sync.hpp"
+#include "emst/nnt/connt.hpp"
+#include "emst/sim/fault.hpp"
+#include "emst/sim/telemetry.hpp"
+
+namespace emst {
+
+struct Observed {
+  std::vector<graph::Edge> tree;
+  sim::Accounting totals;
+  std::size_t phases = 0;
+  std::size_t fragments = 0;
+  sim::FaultStats faults;
+  sim::ArqStats arq;
+  std::vector<double> per_node;
+  sim::EnergyBreakdown breakdown;
+  bool hit_phase_cap = false;
+  std::vector<sim::TelemetryEvent> events;
+  /// Classic GHS's parent + rank handler executions (0 for other drivers).
+  /// Both retry loops re-park a deferred delivery whose receiver is
+  /// unchanged without calling the handler, so the sum is placement-free;
+  /// it differs if only one of the loops skips stale retries.
+  std::uint64_t executions = 0;
+};
+
+inline Observed observe(const ghs::MstRunResult& run,
+                        const sim::MemoryTraceSink& sink) {
+  Observed out;
+  out.tree = run.tree;
+  out.totals = run.totals;
+  out.phases = run.phases;
+  out.fragments = run.fragments;
+  out.faults = run.fault_stats;
+  out.per_node = run.per_node_energy;
+  if (run.breakdown_recorded) out.breakdown = run.energy_breakdown;
+  out.events = sink.events();
+  out.executions = run.handler_invocations + run.rank_handler_invocations;
+  return out;
+}
+
+inline Observed observe(const ghs::SyncGhsResult& run,
+                        const sim::MemoryTraceSink& sink) {
+  Observed out = observe(run.run, sink);
+  out.faults = run.faults;
+  out.arq = run.arq;
+  out.hit_phase_cap = run.hit_phase_cap;
+  return out;
+}
+
+inline Observed observe(const eopt::EoptResult& run,
+                        const sim::MemoryTraceSink& sink) {
+  Observed out = observe(run.run, sink);
+  out.faults = run.fault_stats;
+  out.arq = run.arq;
+  out.hit_phase_cap = run.hit_phase_cap;
+  return out;
+}
+
+inline Observed observe(const nnt::CoNntResult& run,
+                        const sim::MemoryTraceSink& sink) {
+  Observed out;
+  out.tree = run.tree;
+  out.totals = run.totals;
+  out.phases = run.max_probe_rounds;
+  out.fragments = run.parent.size() - run.tree.size();
+  out.faults = run.fault_stats;
+  out.per_node = run.per_node_energy;
+  if (run.breakdown_recorded) out.breakdown = run.energy_breakdown;
+  out.events = sink.events();
+  return out;
+}
+
+/// Callers name the run (driver, seed, knob value) with SCOPED_TRACE.
+inline void expect_observed_equal(const Observed& got, const Observed& want) {
+  ASSERT_EQ(got.tree.size(), want.tree.size());
+  for (std::size_t i = 0; i < got.tree.size(); ++i) {
+    EXPECT_EQ(got.tree[i].u, want.tree[i].u);
+    EXPECT_EQ(got.tree[i].v, want.tree[i].v);
+    EXPECT_EQ(got.tree[i].w, want.tree[i].w);  // bitwise
+  }
+  EXPECT_EQ(got.totals.energy, want.totals.energy);  // bitwise, no NEAR
+  EXPECT_EQ(got.totals.unicasts, want.totals.unicasts);
+  EXPECT_EQ(got.totals.broadcasts, want.totals.broadcasts);
+  EXPECT_EQ(got.totals.deliveries, want.totals.deliveries);
+  EXPECT_EQ(got.totals.rounds, want.totals.rounds);
+  EXPECT_EQ(got.totals.bits, want.totals.bits);
+  EXPECT_EQ(got.phases, want.phases);
+  EXPECT_EQ(got.fragments, want.fragments);
+  EXPECT_EQ(got.faults.lost, want.faults.lost);
+  EXPECT_EQ(got.faults.dropped_crashed, want.faults.dropped_crashed);
+  EXPECT_EQ(got.faults.suppressed, want.faults.suppressed);
+  EXPECT_EQ(got.arq.data_sent, want.arq.data_sent);
+  EXPECT_EQ(got.arq.retransmissions, want.arq.retransmissions);
+  EXPECT_EQ(got.arq.acks_sent, want.arq.acks_sent);
+  EXPECT_EQ(got.arq.duplicates, want.arq.duplicates);
+  EXPECT_EQ(got.arq.delivered, want.arq.delivered);
+  EXPECT_EQ(got.arq.give_ups, want.arq.give_ups);
+  EXPECT_EQ(got.arq.timeout_rounds, want.arq.timeout_rounds);
+  EXPECT_EQ(got.arq.data_bits, want.arq.data_bits);
+  EXPECT_EQ(got.arq.ack_bits, want.arq.ack_bits);
+  EXPECT_EQ(got.per_node, want.per_node);  // element-wise bitwise
+  EXPECT_EQ(got.breakdown, want.breakdown);
+  EXPECT_EQ(got.hit_phase_cap, want.hit_phase_cap);
+  EXPECT_EQ(got.executions, want.executions);
+  ASSERT_EQ(got.events.size(), want.events.size());
+  for (std::size_t i = 0; i < got.events.size(); ++i) {
+    ASSERT_EQ(got.events[i], want.events[i]) << "event " << i;
+  }
+}
+
+/// Loss + Gilbert bursts + two crash windows, for the loss-recovering
+/// drivers (sync GHS, EOPT) with ARQ on.
+inline sim::FaultModel faulty_model() {
+  sim::FaultModel faults;
+  faults.loss = 0.08;
+  faults.use_gilbert = true;
+  faults.crashes.push_back({7, 4, 18});
+  faults.crashes.push_back({23, 0, 12});
+  return faults;
+}
+
+}  // namespace emst

@@ -1,11 +1,9 @@
 // Pins the facade contract (docs/API_TOUR.md): emst::run dispatches to the
-// exact same driver code as the legacy per-driver entry points, so for any
-// driver × seed × fault model the facade's tree and accounting are bitwise
-// identical to a direct call with equivalently-wired options.
-//
-// This TU is the equivalence harness for the deprecated entry points, so it
-// calls them directly (tests/CMakeLists.txt defines EMST_NO_DEPRECATE for
-// every test target).
+// per-driver entry points, so for any driver × seed × fault model the
+// facade's tree and accounting are bitwise identical to a direct call with
+// equivalently-wired options, and its one `RunResult` shape carries the
+// fields every driver shares.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +44,18 @@ void expect_same_totals(const sim::Accounting& a, const sim::Accounting& b) {
   EXPECT_EQ(a.deliveries, b.deliveries);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.bits, b.bits);
+}
+
+// A breakdown row against the sequential total: integers exact, energy to an
+// ulp-scale bound — splitting one accumulation into per-kind cells
+// reassociates the double sum.
+void expect_row_matches_totals(const sim::Accounting& row,
+                               const sim::Accounting& totals) {
+  EXPECT_NEAR(row.energy, totals.energy, 1e-12 * std::max(1.0, totals.energy));
+  EXPECT_EQ(row.unicasts, totals.unicasts);
+  EXPECT_EQ(row.broadcasts, totals.broadcasts);
+  EXPECT_EQ(row.deliveries, totals.deliveries);
+  EXPECT_EQ(row.rounds, totals.rounds);
 }
 
 class RunFacadeEquivalence
@@ -214,6 +224,42 @@ TEST(RunFacade, PlacementWitnessCountersThroughFacade) {
   const RunResult ranked = run(inst, cfg);
   EXPECT_EQ(ranked.handler_invocations, 0u);
   EXPECT_GT(ranked.rank_handler_invocations, 0u);
+}
+
+TEST(RunFacade, ResultUnifiesAllFourDrivers) {
+  using sim::MsgKind;
+  using sim::PhaseTag;
+  const Instance inst = sample_instance(64, 23);
+  const sim::Topology topo(inst.points, rgg::connectivity_radius(64));
+
+  RunConfig sync_cfg = config_for(Driver::kSyncGhs);
+  sync_cfg.track_per_node_energy = true;
+  sync_cfg.record_breakdown = true;
+  const RunResult sync = run(topo, sync_cfg);
+  EXPECT_FALSE(sync.per_node_energy.empty());
+  ASSERT_TRUE(sync.breakdown_recorded);
+  expect_row_matches_totals(sync.breakdown.phase_total(PhaseTag::kRun),
+                            sync.totals);
+
+  const RunResult eopt = run(topo, config_for(Driver::kEopt));
+  EXPECT_TRUE(eopt.breakdown_recorded);  // EOPT always records
+  EXPECT_FALSE(eopt.hit_phase_cap);
+
+  const RunResult classic = run(topo, config_for(Driver::kClassicGhs));
+  EXPECT_FALSE(classic.breakdown_recorded);  // not requested
+  EXPECT_TRUE(classic.per_node_energy.empty());
+
+  RunConfig connt_cfg = config_for(Driver::kCoNnt);
+  connt_cfg.record_breakdown = true;
+  const RunResult connt = run(topo, connt_cfg);
+  ASSERT_TRUE(connt.breakdown_recorded);
+  // Co-NNT traffic splits over exactly its three message classes.
+  const sim::EnergyBreakdown& matrix = connt.breakdown;
+  EXPECT_GT(matrix.cell(PhaseTag::kRun, MsgKind::kRequest).messages, 0u);
+  EXPECT_GT(matrix.cell(PhaseTag::kRun, MsgKind::kReply).messages, 0u);
+  EXPECT_GT(matrix.cell(PhaseTag::kRun, MsgKind::kConnection).messages, 0u);
+  EXPECT_EQ(matrix.cell(PhaseTag::kRun, MsgKind::kData).messages, 0u);
+  expect_row_matches_totals(matrix.phase_total(PhaseTag::kRun), connt.totals);
 }
 
 TEST(RunFacade, ExplicitRadiusReachesGhsDrivers) {

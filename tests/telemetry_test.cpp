@@ -3,8 +3,8 @@
 // breakdown matrix, and the replay invariant — `replay_events` must rebuild
 // Accounting / FaultStats / ArqStats / the breakdown bit-for-bit from the
 // event stream alone, for every driver, on both engines, with and without
-// faults + ARQ. Also pins the unified RunReport views and the guarantee
-// that attaching telemetry never perturbs a run's results.
+// faults + ARQ. Also pins the guarantee that attaching telemetry never
+// perturbs a run's results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -422,7 +422,6 @@ TEST(TelemetryAggregate, EoptPerNodeFallsBackToTheAggregate) {
   for (const double e : result.per_node_energy) total += e;
   EXPECT_NEAR(total, result.run.totals.energy,
               1e-12 * result.run.totals.energy);
-  ASSERT_TRUE(result.report().has_per_node());
 }
 
 // ------------------------------------------------------------------- jsonl
@@ -503,54 +502,6 @@ TEST(TelemetryJsonl, PinnedBytesOfAFixedRunMix) {
   EXPECT_EQ(text.size(), kJsonlBytes);
   EXPECT_EQ(fnv1a(text), kJsonlFnv1a)
       << std::hex << "observed 0x" << fnv1a(text);
-}
-
-// --------------------------------------------------------------- run report
-
-TEST(RunReport, UnifiesAllFourDrivers) {
-  const sim::Topology topo = random_topology(64, 23);
-
-  ghs::SyncGhsOptions sync_options;
-  sync_options.track_per_node_energy = true;
-  sync_options.record_breakdown = true;
-  const ghs::SyncGhsResult sync_result = ghs::run_sync_ghs(topo, sync_options);
-  const RunReport sync_report = sync_result.report();
-  EXPECT_EQ(sync_report.tree, &sync_result.run.tree);
-  expect_accounting_eq(sync_report.totals, sync_result.run.totals);
-  EXPECT_TRUE(sync_report.has_per_node());
-  ASSERT_NE(sync_report.breakdown, nullptr);
-  expect_accounting_near(sync_report.breakdown->phase_total(PhaseTag::kRun),
-                         sync_result.run.totals);
-
-  eopt::EoptOptions eopt_options;
-  const eopt::EoptResult eopt_result = eopt::run_eopt(topo, eopt_options);
-  const RunReport eopt_report = eopt_result.report();
-  EXPECT_EQ(eopt_report.tree, &eopt_result.run.tree);
-  EXPECT_NE(eopt_report.breakdown, nullptr);  // EOPT always records
-  EXPECT_FALSE(eopt_report.hit_phase_cap);
-
-  ghs::ClassicGhsOptions classic_options;
-  const ghs::MstRunResult classic_result =
-      ghs::run_classic_ghs(topo, classic_options);
-  const RunReport classic_report = classic_result.report();
-  EXPECT_EQ(classic_report.tree, &classic_result.tree);
-  EXPECT_EQ(classic_report.breakdown, nullptr);  // not requested
-  EXPECT_FALSE(classic_report.has_per_node());
-
-  nnt::CoNntOptions connt_options;
-  connt_options.record_breakdown = true;
-  const nnt::CoNntResult connt_result = nnt::run_connt(topo, connt_options);
-  const RunReport connt_report = connt_result.report();
-  EXPECT_EQ(connt_report.tree, &connt_result.tree);
-  ASSERT_NE(connt_report.breakdown, nullptr);
-  // Co-NNT traffic splits over exactly its three message classes.
-  const auto& matrix = *connt_report.breakdown;
-  EXPECT_GT(matrix.cell(PhaseTag::kRun, MsgKind::kRequest).messages, 0u);
-  EXPECT_GT(matrix.cell(PhaseTag::kRun, MsgKind::kReply).messages, 0u);
-  EXPECT_GT(matrix.cell(PhaseTag::kRun, MsgKind::kConnection).messages, 0u);
-  EXPECT_EQ(matrix.cell(PhaseTag::kRun, MsgKind::kData).messages, 0u);
-  expect_accounting_near(matrix.phase_total(PhaseTag::kRun),
-                         connt_result.totals);
 }
 
 // ----------------------------------------------------------- no-perturbation
