@@ -1,11 +1,11 @@
-// google-benchmark for the simulator's message engine: calendar-queue
-// Network vs. the seed sort-per-round ReferenceNetwork, on the enqueue and
-// collect_round paths, synchronous and delayed, at 1k / 10k / 100k messages.
+// google-benchmark for the simulator's message engine: the calendar-queue
+// sim::Network on the enqueue and collect_round paths, synchronous and
+// delayed, at 1k / 10k / 100k messages. Every pump run aborts if the engine
+// loses a message.
 //
 // scripts/bench_perf.sh runs this binary and writes BENCH_sim.json at the
 // repo root so the perf trajectory is tracked in-tree; docs/PERF.md explains
-// how to read it. The acceptance bar for the calendar queue was ≥3× on the
-// delayed collect path at 100k messages (BM_*Pump/100000/5).
+// how to read it: compare the rows across commits on one host.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "emst/rgg/radii.hpp"
 #include "emst/geometry/sampling.hpp"
 #include "emst/sim/network.hpp"
-#include "emst/sim/reference_network.hpp"
 #include "emst/support/rng.hpp"
 
 namespace {
@@ -24,6 +23,7 @@ namespace {
 using namespace emst;
 
 using Payload = std::uint64_t;
+using Net = sim::Network<Payload>;
 constexpr std::size_t kNodes = 4096;
 constexpr std::size_t kMaxMessages = 100000;
 constexpr std::size_t kSendRounds = 32;
@@ -57,10 +57,8 @@ sim::DelayModel delay_model(std::uint32_t max_extra_delay) {
 
 /// Steady-state workload: send messages over kSendRounds rounds, collecting
 /// each round, then drain. This is the shape every GHS/EOPT/NNT run has —
-/// the in-flight set persists across rounds, which is exactly what the seed
-/// engine re-sorted in full every collect_round().
-template <typename Net>
-void run_pump(benchmark::State& state) {
+/// the in-flight set persists across rounds.
+void BM_CalendarPump(benchmark::State& state) {
   const auto messages = static_cast<std::size_t>(state.range(0));
   const auto delay = static_cast<std::uint32_t>(state.range(1));
   const World& w = world();
@@ -83,8 +81,7 @@ void run_pump(benchmark::State& state) {
 }
 
 /// Enqueue cost in isolation: construction and draining are untimed.
-template <typename Net>
-void run_enqueue(benchmark::State& state) {
+void BM_CalendarEnqueue(benchmark::State& state) {
   const auto messages = static_cast<std::size_t>(state.range(0));
   const auto delay = static_cast<std::uint32_t>(state.range(1));
   const World& w = world();
@@ -102,27 +99,12 @@ void run_enqueue(benchmark::State& state) {
                           static_cast<std::int64_t>(messages));
 }
 
-void BM_CalendarPump(benchmark::State& state) {
-  run_pump<sim::Network<Payload>>(state);
-}
-void BM_LegacyPump(benchmark::State& state) {
-  run_pump<sim::ReferenceNetwork<Payload>>(state);
-}
-void BM_CalendarEnqueue(benchmark::State& state) {
-  run_enqueue<sim::Network<Payload>>(state);
-}
-void BM_LegacyEnqueue(benchmark::State& state) {
-  run_enqueue<sim::ReferenceNetwork<Payload>>(state);
-}
-
 const std::vector<std::vector<std::int64_t>> kArgs = {
     {1000, 10000, 100000},  // messages
     {0, 5},                 // max extra delay (0 = synchronous)
 };
 
 BENCHMARK(BM_CalendarPump)->ArgsProduct(kArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_LegacyPump)->ArgsProduct(kArgs)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CalendarEnqueue)->ArgsProduct(kArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_LegacyEnqueue)->ArgsProduct(kArgs)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

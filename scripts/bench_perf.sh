@@ -10,9 +10,10 @@
 # a scaling claim.
 #
 # BENCH_sim.json is google-benchmark's format: one entry per benchmark run.
-# BM_CalendarPump/BM_LegacyPump are the collect_round-dominated steady-state
-# workload; BM_CalendarEnqueue/BM_LegacyEnqueue isolate enqueue. Args are
-# /<messages>/<max_extra_delay>. See docs/PERF.md for how to read both files.
+# BM_CalendarPump is the collect_round-dominated steady-state workload;
+# BM_CalendarEnqueue isolates enqueue. Args are /<messages>/<max_extra_delay>.
+# Compare the rows across commits on one host; see docs/PERF.md for how to
+# read both files.
 set -euo pipefail
 
 # --allow-debug (anywhere in the args) lets a non-Release build produce a
@@ -118,22 +119,4 @@ echo "wrote $DIST_OUT"
 stamp_record "$DIST_OUT"
 if command -v python3 >/dev/null 2>&1; then
   python3 "$REPO_ROOT/scripts/validate_bench.py" ${VALIDATE_FLAGS[@]:+"${VALIDATE_FLAGS[@]}"} "$DIST_OUT"
-fi
-
-# Headline ratio (legacy / calendar) per workload, when python3 is around.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$OUT" <<'EOF'
-import json, sys
-runs = {b["name"]: b["real_time"]
-        for b in json.load(open(sys.argv[1]))["benchmarks"]
-        if b.get("run_type", "iteration") == "iteration"}
-print("speedup (legacy / calendar):")
-for name, legacy_time in sorted(runs.items()):
-    if not name.startswith("BM_Legacy"):
-        continue
-    calendar = name.replace("BM_Legacy", "BM_Calendar")
-    if calendar in runs and runs[calendar] > 0:
-        workload = name.removeprefix("BM_Legacy")
-        print(f"  {workload:<22} {legacy_time / runs[calendar]:6.2f}x")
-EOF
 fi

@@ -5,9 +5,7 @@
 #include "emst/ghs/classic_actor.hpp"
 #include "emst/sim/distributed_network.hpp"
 #include "emst/sim/engine_factory.hpp"
-#include "emst/sim/implicit_topology.hpp"
 #include "emst/sim/network.hpp"
-#include "emst/sim/reference_network.hpp"
 #include "emst/support/assert.hpp"
 
 namespace emst::ghs {
@@ -17,12 +15,11 @@ using GhsMsg = proto::GhsMsg;
 
 // ---------------------------------------------------------------------------
 // The protocol driver, templated on the network engine so the calendar-
-// queue `sim::Network` and the `sim::ReferenceNetwork` oracle execute the
-// EXACT same protocol code — any divergence (accounting, telemetry stream,
-// tree) is an engine bug, not a driver difference. Also templated on the
-// topology backend: fragment names are canonical edge indices, which the
-// implicit backend serves from its edge-rank table (built up front by
-// `prepare_edge_indices`), so the wire traffic is identical either way.
+// queue `sim::Network` and the rank-process `sim::DistributedNetwork`
+// execute the EXACT same protocol code — any divergence (accounting,
+// telemetry stream, tree) is an engine bug, not a driver difference. It
+// runs on the CSR only: fragment names are the CSR's canonical edge
+// indices, and deliveries arrive on the receiver's row slot.
 //
 // Since the node-actor refactor the handlers themselves live in
 // `ClassicGhsActor` (classic_actor.hpp); this driver owns the choreography
@@ -33,10 +30,10 @@ using GhsMsg = proto::GhsMsg;
 // engine dispatches the same actor serially.
 // ---------------------------------------------------------------------------
 
-template <typename Engine, typename Topo>
+template <typename Engine>
 class ClassicGhsRun {
  public:
-  ClassicGhsRun(const Topo& topo, const ClassicGhsOptions& options)
+  ClassicGhsRun(const sim::Topology& topo, const ClassicGhsOptions& options)
       : topo_(topo),
         radius_(options.radius > 0.0 ? options.radius : topo.max_radius()),
         moe_(options.moe),
@@ -60,10 +57,6 @@ class ClassicGhsRun {
                       ? options.max_rounds
                       : (50 * topo.node_count() + 1000) *
                             (options.delays.max_extra_delay + 1);
-    // Fragment names are edge indices: the materialized backend carries
-    // them natively, the implicit one builds its rank table now (no-op for
-    // sim::Topology).
-    prepare_edge_indices(topo_);
     // Codec hook: the engine measures every message through the proto wire
     // format once the field widths are derived from the topology.
     net_.wire_format().ctx = proto::WireContext::for_topology(
@@ -82,7 +75,7 @@ class ClassicGhsRun {
   }
 
  private:
-  using Actor = ClassicGhsActor<Topo>;
+  using Actor = ClassicGhsActor;
   using Delivery = sim::Delivery<GhsMsg>;
 
   /// The serial env: handler actions become immediate engine calls, in the
@@ -362,7 +355,7 @@ class ClassicGhsRun {
     std::uint32_t version;
   };
 
-  const Topo& topo_;
+  const sim::Topology& topo_;
   double radius_;
   MoeStrategy moe_;
   Engine net_;
@@ -381,25 +374,12 @@ class ClassicGhsRun {
 
 }  // namespace
 
-template <typename Topo>
-MstRunResult run_classic_ghs(const Topo& topo,
+MstRunResult run_classic_ghs(const sim::Topology& topo,
                              const ClassicGhsOptions& options) {
-  if (options.use_reference_engine) {
-    return ClassicGhsRun<sim::ReferenceNetwork<GhsMsg, Topo>, Topo>(topo,
-                                                                    options)
-        .run();
-  }
   if (options.ranks > 0) {
-    return ClassicGhsRun<sim::DistributedNetwork<GhsMsg, Topo>, Topo>(topo,
-                                                                      options)
-        .run();
+    return ClassicGhsRun<sim::DistributedNetwork<GhsMsg>>(topo, options).run();
   }
-  return ClassicGhsRun<sim::Network<GhsMsg, Topo>, Topo>(topo, options).run();
+  return ClassicGhsRun<sim::Network<GhsMsg>>(topo, options).run();
 }
-
-template MstRunResult run_classic_ghs<sim::Topology>(const sim::Topology&,
-                                                     const ClassicGhsOptions&);
-template MstRunResult run_classic_ghs<sim::ImplicitTopology>(
-    const sim::ImplicitTopology&, const ClassicGhsOptions&);
 
 }  // namespace emst::ghs

@@ -21,6 +21,7 @@
 #include "emst/ghs/common.hpp"
 #include "emst/sim/network.hpp"
 #include "emst/sim/run_config.hpp"
+#include "emst/sim/topology.hpp"
 
 namespace emst::ghs {
 
@@ -56,10 +57,6 @@ struct ClassicGhsOptions : sim::RunConfig {
   /// arrives — the lower bound's assumption (2) in §IV. Components with no
   /// spontaneous starter never participate.
   std::vector<NodeId> spontaneous_wakeups{};
-  /// Run over `sim::ReferenceNetwork` instead of the calendar-queue engine.
-  /// Both engines honor the same delivery contract, so results must be
-  /// byte-identical — including the telemetry event stream (tested).
-  bool use_reference_engine = false;
   /// Safety cap on simulated rounds (defends against a driver bug turning
   /// into an infinite loop; generous — GHS needs O(n log n) rounds at most).
   std::size_t max_rounds = 0;  ///< 0 = automatic (50·n + 1000)
@@ -69,14 +66,12 @@ struct ClassicGhsOptions : sim::RunConfig {
 /// component (with a spontaneous starter) computes its own MST; with the
 /// default wake-everyone setting the result is the minimum spanning forest.
 ///
-/// Templated over the topology backend (`sim::Topology` or
-/// `sim::ImplicitTopology`; defined in classic.cpp, explicitly instantiated
-/// for both). The protocol names fragments by canonical edge index, so the
-/// implicit backend materialises its edge-rank table on first use
-/// (`prepare_edge_indices`) — classic GHS keeps its Θ(m) identity on either
-/// backend; the memory-lean path is the modified/EOPT family.
-template <typename Topo>
-[[nodiscard]] MstRunResult run_classic_ghs(const Topo& topo,
+/// The protocol keeps a Basic/Branch/Rejected state per incident edge and
+/// names fragments by canonical edge index, so it needs Θ(m) memory on any
+/// backend and runs on the CSR only. `emst::run` serves a
+/// `sim::ImplicitTopology` caller by building the CSR from the same points
+/// and radius; the memory-lean path is the modified/EOPT family.
+[[nodiscard]] MstRunResult run_classic_ghs(const sim::Topology& topo,
                                            const ClassicGhsOptions& options = {});
 
 }  // namespace emst::ghs

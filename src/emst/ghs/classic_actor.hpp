@@ -5,8 +5,8 @@
 // into a NodeActor so the same handler code runs in two placements:
 //
 //  - serially, inside the driver process, against an env that tallies and
-//    stages each send immediately (every in-process engine), byte-identical
-//    to the pre-actor inline driver;
+//    stages each send immediately (`sim::Network`), byte-identical to the
+//    pre-actor inline driver;
 //  - rank-resident, inside the forked rank that owns the receiving node,
 //    against a `sim::RankActorEnv` that records each send as an effect
 //    ledger record for the parent to replay.
@@ -25,12 +25,11 @@
 // parked at would defer again: both retry loops re-park it in its FIFO slot
 // without calling the handler (docs/PERF.md, "Classic GHS dispatch").
 //
-// Handlers address edges by slot. Every send goes over a link, so on an
-// engine that carries ports a delivery names its slot at the receiver
-// (sim::Delivery::port), checked against the sender on each use. Deliveries
-// without a port (the implicit backend stores no rows, rank frames carry
-// none) search the receiver's row instead. ANNOUNCE and CHANGE_ROOT act on
-// no edge and resolve no slot.
+// Handlers address edges by slot. Every send goes over a link of the CSR,
+// so an in-process delivery names its slot at the receiver
+// (sim::Delivery::port), checked against the sender on each use. Rank
+// frames carry no port: those deliveries alone search the receiver's row.
+// ANNOUNCE and CHANGE_ROOT act on no edge and resolve no slot.
 //
 // A node's whole context is one 64-byte line (NodeCtx): its edge states
 // live in one array shared by all nodes, and ghs-cached's announcement
@@ -52,11 +51,11 @@
 #include "emst/proto/wire.hpp"
 #include "emst/sim/fault.hpp"
 #include "emst/sim/network.hpp"
+#include "emst/sim/topology.hpp"
 #include "emst/support/assert.hpp"
 
 namespace emst::ghs {
 
-template <typename Topo>
 class ClassicGhsActor {
  public:
   using Msg = proto::GhsMsg;
@@ -89,7 +88,7 @@ class ClassicGhsActor {
   };
   static_assert(sizeof(NodeCtx) == 64);
 
-  ClassicGhsActor(const Topo& topo, double radius, MoeStrategy moe)
+  ClassicGhsActor(const sim::Topology& topo, double radius, MoeStrategy moe)
       : topo_(&topo), radius_(radius), moe_(moe), nodes_(topo.node_count()) {
     std::size_t total = 0;
     for (NodeId u = 0; u < topo.node_count(); ++u) {
@@ -296,8 +295,8 @@ class ClassicGhsActor {
     return topo_->neighbors(u).first(nodes_[u].degree);
   }
   /// The receiver's slot of the edge `d` arrived on: its port, checked to
-  /// name the sender, or for a delivery without one (the implicit backend,
-  /// the rank engine) a search of the receiver's row.
+  /// name the sender, or for a delivery without one (a rank frame) a search
+  /// of the receiver's row.
   [[nodiscard]] Slot slot_of(const Delivery& d) const {
     if (d.port == graph::kNoSlot)
       return static_cast<Slot>(neighbor_slot(*topo_, d.to, d.from, d.distance));
@@ -310,11 +309,10 @@ class ClassicGhsActor {
   /// Unicast `msg` over slot `slot` of `u`: the single chokepoint where a
   /// handler action becomes an env effect (type tally reach = the slot
   /// weight; telemetry context = wire kind + sender's current fragment).
-  /// The link is copied: on the implicit backend the row is scratch.
   template <typename Env>
   void send(NodeId u, Slot slot, Msg msg, Env& env) {
     const GhsMsgType type = proto::type_of(msg);
-    const graph::Neighbor link = neighbors(u)[slot];
+    const graph::Neighbor& link = neighbors(u)[slot];
     env.unicast(u, link, to_msg_kind(type), static_cast<std::uint8_t>(type),
                 static_cast<std::uint32_t>(nodes_[u].frag), std::move(msg));
   }
@@ -518,7 +516,7 @@ class ClassicGhsActor {
     }
   }
 
-  const Topo* topo_;
+  const sim::Topology* topo_;
   double radius_;
   MoeStrategy moe_;
   std::vector<NodeCtx> nodes_;

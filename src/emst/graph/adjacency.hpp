@@ -13,10 +13,8 @@
 
 namespace emst::graph {
 
-/// Sentinel edge_index for Neighbor entries produced by a backend that has
-/// not materialized a global edge list (sim::ImplicitTopology before
-/// ensure_edge_ranks()). Algorithms that name fragments by edge index
-/// (classic GHS) must call prepare_edge_indices(topo) first.
+/// Sentinel edge_index for Neighbor entries of a backend that carries no
+/// global edge list (sim::ImplicitTopology).
 inline constexpr std::uint32_t kNoEdgeIndex = static_cast<std::uint32_t>(-1);
 
 /// Sentinel row position: a Neighbor::twin the backend does not store
@@ -30,7 +28,7 @@ struct Neighbor {
   double w = 0.0;
   /// Index of this (u,v) pair in the owning graph's canonical edge list;
   /// identical for both directions, so per-edge state can live in one array.
-  /// kNoEdgeIndex when the producing backend has no edge ranks built.
+  /// kNoEdgeIndex on the implicit backend, which carries no edge indices.
   std::uint32_t edge_index = 0;
   /// Position of the owner u in neighbors(id): the entry for the same link
   /// seen from the other end, so a message sent over this link arrives on a

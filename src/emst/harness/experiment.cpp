@@ -5,7 +5,6 @@
 #include "emst/graph/tree_utils.hpp"
 #include "emst/rgg/radii.hpp"
 #include "emst/rgg/rgg.hpp"
-#include "emst/sim/implicit_topology.hpp"
 #include "emst/support/parallel.hpp"
 
 namespace emst::harness {
@@ -40,7 +39,7 @@ InstanceResults run_instance(const InstanceConfig& config) {
   // Shared topology at the connectivity radius r₂ (GHS baseline and EOPT
   // Step 2 both operate at this radius, per §VII).
   const double r2 = rgg::connectivity_radius(config.n, config.connectivity_factor);
-  sim::Topology topo(points, r2);
+  const sim::Topology topo(points, r2);
 
   // Reference: the unique MSF of the r₂-visibility graph (equals the
   // Euclidean MST whenever the graph is connected).
@@ -53,48 +52,39 @@ InstanceResults run_instance(const InstanceConfig& config) {
     results.mst_sq = graph::tree_cost(points, true_mst, 2.0);
   }
 
-  // The drivers are topology-generic; which backend they see is a config
-  // switch, everything else (including the outcome) is identical.
-  const auto run_drivers = [&](const auto& t) {
-    if (config.run_ghs) {
-      if (config.ghs_use_sync_probe) {
-        ghs::SyncGhsOptions options;
-        options.radius = r2;
-        options.pathloss = pathloss;
-        options.neighbor_cache = false;
-        const auto run = ghs::run_sync_ghs(t, options);
-        results.ghs = make_outcome(points, run.run.tree, run.run.totals,
-                                   run.run.phases, reference);
-      } else {
-        ghs::ClassicGhsOptions options;
-        options.radius = r2;
-        options.pathloss = pathloss;
-        const auto run = ghs::run_classic_ghs(t, options);
-        results.ghs =
-            make_outcome(points, run.tree, run.totals, run.phases, reference);
-      }
-    }
-    if (config.run_eopt) {
-      eopt::EoptOptions options = config.eopt;
-      options.step2_factor = config.connectivity_factor;
+  if (config.run_ghs) {
+    if (config.ghs_use_sync_probe) {
+      ghs::SyncGhsOptions options;
+      options.radius = r2;
       options.pathloss = pathloss;
-      const auto run = eopt::run_eopt(t, options);
-      results.eopt = make_outcome(points, run.run.tree, run.run.totals,
-                                  run.run.phases, reference);
-      results.eopt_detail = run;
-    }
-    if (config.run_connt) {
-      nnt::CoNntOptions options = config.connt;
+      options.neighbor_cache = false;
+      const auto run = ghs::run_sync_ghs(topo, options);
+      results.ghs = make_outcome(points, run.run.tree, run.run.totals,
+                                 run.run.phases, reference);
+    } else {
+      ghs::ClassicGhsOptions options;
+      options.radius = r2;
       options.pathloss = pathloss;
-      const auto run = nnt::run_connt(t, options);
-      results.connt = make_outcome(points, run.tree, run.totals,
-                                   run.max_probe_rounds, reference);
+      const auto run = ghs::run_classic_ghs(topo, options);
+      results.ghs =
+          make_outcome(points, run.tree, run.totals, run.phases, reference);
     }
-  };
-  if (config.implicit_backend) {
-    run_drivers(sim::ImplicitTopology(points, r2));
-  } else {
-    run_drivers(topo);
+  }
+  if (config.run_eopt) {
+    eopt::EoptOptions options = config.eopt;
+    options.step2_factor = config.connectivity_factor;
+    options.pathloss = pathloss;
+    const auto run = eopt::run_eopt(topo, options);
+    results.eopt = make_outcome(points, run.run.tree, run.run.totals,
+                                run.run.phases, reference);
+    results.eopt_detail = run;
+  }
+  if (config.run_connt) {
+    nnt::CoNntOptions options = config.connt;
+    options.pathloss = pathloss;
+    const auto run = nnt::run_connt(topo, options);
+    results.connt = make_outcome(points, run.tree, run.totals,
+                                 run.max_probe_rounds, reference);
   }
   return results;
 }

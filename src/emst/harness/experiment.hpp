@@ -48,13 +48,6 @@ struct InstanceConfig {
   /// Use the classic probe flavour of the phase-synchronous GHS as the
   /// baseline instead of the message-faithful 1983 implementation.
   bool ghs_use_sync_probe = false;
-  /// Run the algorithms on the memory-lean implicit topology backend
-  /// (`sim::ImplicitTopology`) instead of the materialized CSR. Results are
-  /// bitwise-identical either way (tests/topology_differential_test.cpp);
-  /// only the memory footprint and neighbor-enumeration cost change. The
-  /// exact-MST reference is still computed from the materialized edge list —
-  /// the harness validates trees, so it needs the edges regardless.
-  bool implicit_backend = false;
 };
 
 struct InstanceResults {

@@ -230,8 +230,10 @@ CoNntResult run_connt_actor_impl(const Topo& topo,
           if (actor.step_connect(u, env) != kConntStepConnected)
             still_unresolved.push_back(u);
         }
-        (void)net.collect_round();  // drain CONNECT deliveries
+        // CONNECT deliveries reach the handler too, as in the ranks.
+        auto connects = net.collect_round();
         scan_dirty();
+        for (const auto& d : connects) actor.on_message(d, env);
         unresolved = std::move(still_unresolved);
       }
 

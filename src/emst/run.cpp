@@ -3,6 +3,7 @@
 // bitwise-identical to direct calls (tests/run_facade_test.cpp pins this).
 #include "emst/run.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "emst/geometry/sampling.hpp"
@@ -115,7 +116,15 @@ RunResult run(const Topo& topo, const RunConfig& cfg) {
                     ? ghs::MoeStrategy::kCachedConfirm
                     : ghs::MoeStrategy::kTestAll;
       if (cfg.radius > 0.0) opt.radius = cfg.radius;
-      absorb(out, ghs::run_classic_ghs(topo, opt));
+      if constexpr (std::is_same_v<Topo, sim::ImplicitTopology>) {
+        // Classic GHS names fragments by CSR edge index and keeps a state
+        // per incident edge on any backend: run it on the CSR of the same
+        // points and radius, which enumerates the same neighbourhoods.
+        const sim::Topology csr(topo.points(), topo.max_radius());
+        absorb(out, ghs::run_classic_ghs(csr, opt));
+      } else {
+        absorb(out, ghs::run_classic_ghs(topo, opt));
+      }
       break;
     }
     case Driver::kSyncGhs:

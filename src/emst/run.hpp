@@ -88,7 +88,8 @@ struct Instance {
   double radius = 0.0;
   double radius_factor = 1.6;
   /// Build the memory-lean `sim::ImplicitTopology` backend instead of the
-  /// materialized CSR. Results are bitwise-identical (docs/PERF.md).
+  /// materialized CSR. Results are bitwise-identical (docs/PERF.md); the
+  /// classic GHS drivers run on the CSR either way (see `run` below).
   bool implicit_backend = false;
 };
 
@@ -149,7 +150,10 @@ struct RunResult {
 
 /// Run `cfg.driver` on a caller-owned topology backend. Defined in run.cpp
 /// and explicitly instantiated for `sim::Topology` and
-/// `sim::ImplicitTopology`.
+/// `sim::ImplicitTopology`. Classic GHS keeps Θ(m) per-edge state and runs
+/// on the CSR only: given a `sim::ImplicitTopology`, the facade builds the
+/// CSR from the same points and radius and runs there, with bitwise the
+/// same result.
 template <typename Topo>
 [[nodiscard]] RunResult run(const Topo& topo, const RunConfig& cfg = {});
 

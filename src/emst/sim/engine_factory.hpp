@@ -1,11 +1,11 @@
 // Engine-generic construction for the engine-templated drivers.
 //
 // The drivers (classic GHS, the Co-NNT actor) are templated on the network
-// engine so the calendar-queue `Network`, the `ReferenceNetwork` oracle and
-// the process-level distributed engine all execute the exact same node-actor
-// code: the in-process engines dispatch it from the driver after each
-// `collect_round`, the distributed engine runs it inside its rank processes
-// after `install_actor` (the drivers branch on `DistributedEngine`, below).
+// engine so the calendar-queue `Network` and the process-level distributed
+// engine execute the exact same node-actor code: the in-process engine
+// dispatches it from the driver after each `collect_round`, the distributed
+// engine runs it inside its rank processes after `install_actor` (the
+// drivers branch on `DistributedEngine`, below).
 // Only the distributed engine takes a trailing constructor parameter, its
 // rank count, and `make_engine` papers over that. Guaranteed copy elision
 // makes this work even though `DistributedNetwork` is non-movable (it owns a

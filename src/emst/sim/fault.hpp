@@ -27,8 +27,8 @@
 // draws from an independent RNG stream derived from (seed, k) rather than
 // from one shared sequential generator, so a fate depends only on k and
 // its link's burst state, never on how many draws earlier fates consumed.
-// Callers (`Network`, `ReferenceNetwork`, the ARQ links, the sync-GHS
-// driver) draw in global send order, so `drop` simply counts calls. Only
+// Callers (`Network`, its test oracle `ReferenceNetwork`, the ARQ links,
+// the sync-GHS driver) draw in global send order, so `drop` simply counts calls. Only
 // the per-link burst chains are stateful, and per-link send order is
 // preserved by every engine (FIFO links), so the chains advance
 // identically too.

@@ -18,13 +18,6 @@ std::vector<graph::Neighbor>& tls_scratch() {
   return scratch;
 }
 
-[[nodiscard]] constexpr std::uint64_t pack_pair(graph::NodeId u,
-                                                graph::NodeId v) noexcept {
-  const graph::NodeId lo = u < v ? u : v;
-  const graph::NodeId hi = u < v ? v : u;
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
 }  // namespace
 
 ImplicitTopology::ImplicitTopology(std::vector<geometry::Point2> points,
@@ -55,9 +48,6 @@ std::span<const graph::Neighbor> ImplicitTopology::neighbors_within(
               if (a.w != b.w) return a.w < b.w;
               return a.id < b.id;
             });
-  if (!edge_ranks_.empty()) {
-    for (graph::Neighbor& nb : scratch) nb.edge_index = edge_rank(u, nb.id);
-  }
   return {scratch.data(), scratch.size()};
 }
 
@@ -68,8 +58,6 @@ graph::Reach ImplicitTopology::reach_within(NodeId u, double radius) const {
     if (out.count++ == 0 || w > far.w || (w == far.w && v > far.id))
       out.farthest = {v, w, graph::kNoEdgeIndex};
   });
-  if (out.count > 0 && has_edge_ranks())
-    out.farthest.edge_index = edge_rank(u, out.farthest.id);
   return out;
 }
 
@@ -92,56 +80,6 @@ std::size_t ImplicitTopology::edge_count() const {
   }
   edge_count_ = m;
   return m;
-}
-
-void ImplicitTopology::ensure_edge_ranks() const {
-  if (!edge_ranks_.empty()) return;
-  std::vector<std::uint64_t>& ranks = edge_ranks_;
-  ranks.reserve(edge_count());
-  for (NodeId u = 0; u < points_.size(); ++u) {
-    grid_->for_each_within(points_[u], max_radius_, [&](spatial::PointIndex v) {
-      if (v > u) ranks.push_back(pack_pair(u, v));
-    });
-  }
-  // Canonical (weight, u, v) order — the same total order AdjacencyList
-  // sorts its edge store by, so ranks equal CSR edge indices.
-  std::sort(ranks.begin(), ranks.end(),
-            [&](std::uint64_t a, std::uint64_t b) {
-              const auto au = static_cast<NodeId>(a >> 32);
-              const auto av = static_cast<NodeId>(a & 0xFFFFFFFFu);
-              const auto bu = static_cast<NodeId>(b >> 32);
-              const auto bv = static_cast<NodeId>(b & 0xFFFFFFFFu);
-              const double wa = geometry::distance(points_[au], points_[av]);
-              const double wb = geometry::distance(points_[bu], points_[bv]);
-              if (wa != wb) return wa < wb;
-              return a < b;  // packed compare == (u, v) lexicographic
-            });
-}
-
-std::uint32_t ImplicitTopology::edge_rank(NodeId u, NodeId v) const {
-  EMST_ASSERT_MSG(!edge_ranks_.empty(),
-                  "edge_rank requires ensure_edge_ranks()");
-  const std::uint64_t key = pack_pair(u, v);
-  const auto ku = static_cast<NodeId>(key >> 32);
-  const auto kv = static_cast<NodeId>(key & 0xFFFFFFFFu);
-  const double kw = geometry::distance(points_[ku], points_[kv]);
-  const auto it = std::lower_bound(
-      edge_ranks_.begin(), edge_ranks_.end(), key,
-      [&](std::uint64_t a, std::uint64_t b) {
-        const auto au = static_cast<NodeId>(a >> 32);
-        const auto av = static_cast<NodeId>(a & 0xFFFFFFFFu);
-        const double wa = a == key ? kw
-                                   : geometry::distance(points_[au], points_[av]);
-        const auto bu = static_cast<NodeId>(b >> 32);
-        const auto bv = static_cast<NodeId>(b & 0xFFFFFFFFu);
-        const double wb = b == key ? kw
-                                   : geometry::distance(points_[bu], points_[bv]);
-        if (wa != wb) return wa < wb;
-        return a < b;
-      });
-  EMST_ASSERT_MSG(it != edge_ranks_.end() && *it == key,
-                  "edge_rank: pair is not an edge of the topology");
-  return static_cast<std::uint32_t>(it - edge_ranks_.begin());
 }
 
 }  // namespace emst::sim

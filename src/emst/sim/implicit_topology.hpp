@@ -52,7 +52,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -114,7 +113,6 @@ class ImplicitTopology {
       if (best && (w > best->w || (w == best->w && v > best->id))) return;
       if (keep(v)) best = graph::Neighbor{v, w, graph::kNoEdgeIndex};
     });
-    if (best && has_edge_ranks()) best->edge_index = edge_rank(u, best->id);
     return best;
   }
 
@@ -126,18 +124,6 @@ class ImplicitTopology {
   /// counting sweep on first call (O(n·deg)), then cached. First call is
   /// not thread-safe; drivers take it during single-threaded setup.
   [[nodiscard]] std::size_t edge_count() const;
-
-  /// Build the global canonical edge-rank table so Neighbor::edge_index is
-  /// populated (classic GHS names fragments by edge index). Materializes
-  /// O(m) keys — call only where the materialized backend would fit anyway.
-  void ensure_edge_ranks() const;
-  [[nodiscard]] bool has_edge_ranks() const noexcept {
-    return !edge_ranks_.empty();
-  }
-
-  /// Rank of canonical pair (u,v) in the (weight, u, v)-sorted edge order.
-  /// Requires ensure_edge_ranks().
-  [[nodiscard]] std::uint32_t edge_rank(NodeId u, NodeId v) const;
 
  private:
   // Relative slack on the grid scan radius of a neighbour query (see the
@@ -164,15 +150,8 @@ class ImplicitTopology {
   double rmax_sq_ = 0.0;
   std::unique_ptr<spatial::CellGrid> grid_;  // spatial index over points_
   mutable std::size_t edge_count_ = kUnknownEdgeCount;
-  mutable std::vector<std::uint64_t> edge_ranks_;  // packed (u<<32)|v, sorted
 
   static constexpr std::size_t kUnknownEdgeCount = static_cast<std::size_t>(-1);
 };
-
-/// Customization point used by drivers that need Neighbor::edge_index.
-/// No-op for the materialized backend (the CSR already carries indices).
-inline void prepare_edge_indices(const ImplicitTopology& topo) {
-  topo.ensure_edge_ranks();
-}
 
 }  // namespace emst::sim

@@ -31,7 +31,7 @@
 // exactly one bucket and orders it by receiver (ReceiverOrder below: a
 // counting scatter over a receiver bitmap, or a small indexed sort), instead
 // of re-sorting the whole in-flight set every round as the seed engine did
-// (see reference_network.hpp). Messages within a bucket are appended in
+// (see tests/reference_network.hpp). Messages within a bucket are appended in
 // send-sequence order, so any stable by-receiver ordering reproduces the
 // (receiver, sequence) contract bit-for-bit.
 //
@@ -354,7 +354,7 @@ class Network {
   void enqueue(NodeId u, NodeId v, double d, std::uint32_t bits, Msg m,
                std::uint32_t port) {
     // Channel fate is drawn here, in global send order — identical between
-    // this engine and ReferenceNetwork — but enforced at delivery time.
+    // this engine and the test oracle — but enforced at delivery time.
     EMST_ASSERT_MSG(bits < kLost, "wire size does not fit an engine item");
     const bool lost = faults_.enabled() && faults_.drop(u, v);
     std::uint64_t due = now_ + 1;

@@ -7,8 +7,8 @@
 // from two kinds of hooks:
 //
 //  - engine hooks, called serially at every round barrier (`Network`,
-//    `ReferenceNetwork`, `DistributedNetwork` — and the meter-direct
-//    sync-GHS driver at its ticks): bounded-rounds liveness and
+//    `DistributedNetwork` — and the meter-direct sync-GHS driver at its
+//    ticks): bounded-rounds liveness and
 //    meter-internal energy conservation (breakdown row sums vs the
 //    Accounting total);
 //  - driver hooks, called at phase boundaries where richer state exists:

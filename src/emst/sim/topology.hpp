@@ -9,8 +9,10 @@
 // This is one of two interchangeable topology backends (see
 // docs/ARCHITECTURE.md): Topology stores the full Θ(n log n)-entry CSR
 // adjacency, while sim::ImplicitTopology regenerates neighbourhoods on
-// demand from the cell grid in O(n) memory. Engines and drivers are
-// templated over the backend; both expose the same surface —
+// demand from the cell grid in O(n) memory. Engines and the sync-GHS, EOPT
+// and Co-NNT drivers are templated over the backend (classic GHS's per-edge
+// state needs the CSR, which it runs on alone); both expose the same
+// surface —
 //
 //   node_count() / max_radius() / points() / position(u) / distance(u, v)
 //   neighbors(u)              — ascending (weight, id), all within max radius
@@ -120,11 +122,5 @@ class Topology {
   graph::AdjacencyList graph_;
   std::unique_ptr<spatial::CellGrid> grid_;  // spatial index over points_
 };
-
-/// Customization point used by drivers that need Neighbor::edge_index
-/// (classic GHS names fragments by global edge index). The CSR backend
-/// already carries indices, so this is a no-op; the implicit backend's
-/// overload builds its lazy rank table.
-inline void prepare_edge_indices(const Topology&) {}
 
 }  // namespace emst::sim

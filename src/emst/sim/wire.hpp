@@ -9,9 +9,9 @@
 // (emst/proto/) specializes it for each driver's message vocabulary.
 //
 // Layering: this header knows nothing about the codec itself — it only
-// defines the hook. Engines (`Network`, `ReferenceNetwork`,
-// `DistributedNetwork`) hold a `WireFormat<Msg>` instance and stamp
-// `meter.set_bits(wire.bits(msg))` before every charge, so the bit count
+// defines the hook. Engines (`Network`, `DistributedNetwork`) hold a
+// `WireFormat<Msg>` instance and stamp `meter.set_bits(wire.bits(msg))`
+// before every charge, so the bit count
 // rides the same context channel as the message kind and fragment id and
 // lands in `Accounting::bits`, the breakdown matrix and telemetry events.
 // Specializations are configured by the driver through the engine's

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "emst/sim/network.hpp"
-#include "emst/sim/reference_network.hpp"
 #include "emst/support/rng.hpp"
+#include "reference_network.hpp"
 
 namespace emst::sim {
 namespace {

@@ -21,8 +21,8 @@
 #include "emst/graph/tree_utils.hpp"
 #include "emst/rgg/radii.hpp"
 #include "emst/sim/network.hpp"
-#include "emst/sim/reference_network.hpp"
 #include "emst/support/rng.hpp"
+#include "reference_network.hpp"
 
 namespace emst::sim {
 namespace {

@@ -5,6 +5,8 @@
 // all have to coincide edge-for-edge.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "emst/eopt/eopt.hpp"
 #include "emst/geometry/deployments.hpp"
 #include "emst/ghs/classic.hpp"
@@ -22,12 +24,25 @@ struct Scenario {
   std::uint64_t seed;
   double radius_factor;  // of the connectivity radius
   geometry::Deployment deployment;
+  // gtest prints a parameter without a printer as a dump of its bytes, and
+  // CMake's gtest_discover_tests puts that dump into each ctest name. This
+  // field fills what was tail padding, so the dump holds no stack bytes.
+  std::uint32_t zero = 0;
 };
+static_assert(sizeof(Scenario) ==
+                  sizeof(std::size_t) + sizeof(std::uint64_t) +
+                      sizeof(double) + sizeof(geometry::Deployment) +
+                      sizeof(std::uint32_t),
+              "Scenario must have no padding");
 
 class EveryEngineAgrees : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(EveryEngineAgrees, OnTheSameInstance) {
   const Scenario sc = GetParam();
+  SCOPED_TRACE(testing::Message()
+               << "n=" << sc.n << " seed=" << sc.seed
+               << " radius_factor=" << sc.radius_factor << " deployment="
+               << geometry::deployment_name(sc.deployment));
   support::Rng rng(sc.seed);
   const auto points = geometry::sample_deployment(sc.deployment, sc.n, rng);
   const double radius =

@@ -25,7 +25,6 @@
 #include "emst/nnt/connt.hpp"
 #include "emst/rgg/radii.hpp"
 #include "emst/sim/chaos.hpp"
-#include "emst/sim/implicit_topology.hpp"
 #include "emst/support/rng.hpp"
 #include "observed_run.hpp"
 
@@ -112,31 +111,6 @@ TEST(DistributedDeterminism, ClassicGhs) {
     const auto run = ghs::run_classic_ghs(topo, options);
     expect_placement(run.handler_invocations, run.rank_handler_invocations,
                      ranks);
-    return observe(run, sink);
-  });
-}
-
-TEST(DistributedDeterminism, ClassicGhsImplicitBackend) {
-  // The rank processes are topology-free, so the distributed engine works
-  // unchanged over the implicit backend — and must reproduce the
-  // materialized backend's serial result byte-for-byte at every rank count
-  // (the n=10^7 scale path stays O(n) in the parent, O(1) per rank).
-  expect_rank_invariant("ghs-imp", [](std::uint64_t seed, std::size_t ranks) {
-    support::Rng rng(seed);
-    const auto points = geometry::uniform_points(kNodes, rng);
-    sim::MemoryTraceSink sink;
-    sim::Telemetry telemetry(&sink);
-    ghs::ClassicGhsOptions options;
-    configure(options, ranks, &telemetry);
-    if (ranks == 0) {
-      // Baseline: the serial engine on the MATERIALIZED backend, so the
-      // comparison spans both the engine and the topology axis at once.
-      const sim::Topology topo(points, rgg::connectivity_radius(kNodes));
-      const auto run = ghs::run_classic_ghs(topo, options);
-      return observe(run, sink);
-    }
-    const sim::ImplicitTopology topo(points, rgg::connectivity_radius(kNodes));
-    const auto run = ghs::run_classic_ghs(topo, options);
     return observe(run, sink);
   });
 }

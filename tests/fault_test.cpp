@@ -19,8 +19,8 @@
 #include "emst/rgg/radii.hpp"
 #include "emst/sim/fault.hpp"
 #include "emst/sim/network.hpp"
-#include "emst/sim/reference_network.hpp"
 #include "emst/support/rng.hpp"
+#include "reference_network.hpp"
 
 namespace emst {
 namespace {

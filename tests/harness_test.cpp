@@ -59,27 +59,6 @@ TEST(RunInstance, SyncProbeBaselineAlsoExact) {
   EXPECT_TRUE(r.ghs->exact_mst);
 }
 
-TEST(RunInstance, ImplicitBackendMatchesMaterialized) {
-  // Same instance through both topology backends: the harness outcome —
-  // energy bitwise, messages, tree costs — must not depend on the backend.
-  InstanceConfig config;
-  config.n = 400;
-  config.seed = 13;
-  const InstanceResults mat = run_instance(config);
-  config.implicit_backend = true;
-  const InstanceResults imp = run_instance(config);
-  ASSERT_TRUE(mat.ghs.has_value() && imp.ghs.has_value());
-  ASSERT_TRUE(mat.eopt.has_value() && imp.eopt.has_value());
-  ASSERT_TRUE(mat.connt.has_value() && imp.connt.has_value());
-  EXPECT_EQ(imp.ghs->energy, mat.ghs->energy);
-  EXPECT_EQ(imp.eopt->energy, mat.eopt->energy);
-  EXPECT_EQ(imp.connt->energy, mat.connt->energy);
-  EXPECT_EQ(imp.ghs->messages, mat.ghs->messages);
-  EXPECT_EQ(imp.eopt->messages, mat.eopt->messages);
-  EXPECT_EQ(imp.eopt->tree_len, mat.eopt->tree_len);
-  EXPECT_TRUE(imp.eopt->exact_mst);
-}
-
 TEST(RunInstance, SameSeedSameResults) {
   InstanceConfig config;
   config.n = 300;

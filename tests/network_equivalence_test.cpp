@@ -4,8 +4,9 @@
 // within a round, messages arrive sorted by (receiver, global send
 // sequence), and per-edge FIFO holds under random delays. The calendar
 // queue must reproduce those sequences *byte-for-byte* — same rounds, same
-// order, same distances, same meter totals — on identical schedules. Any
-// divergence is an engine bug, not a tolerance question.
+// order, same distances, same meter totals, same telemetry events — on
+// identical schedules. Any divergence is an engine bug, not a tolerance
+// question.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,9 @@
 #include "emst/geometry/sampling.hpp"
 #include "emst/rgg/radii.hpp"
 #include "emst/sim/network.hpp"
-#include "emst/sim/reference_network.hpp"
+#include "emst/sim/telemetry.hpp"
 #include "emst/support/rng.hpp"
+#include "reference_network.hpp"
 
 namespace emst::sim {
 namespace {
@@ -28,7 +30,8 @@ namespace {
 using Msg = std::uint64_t;
 
 /// Replay an identical random unicast/broadcast schedule through both
-/// engines on n nodes and require identical Delivery sequences every round.
+/// engines on n nodes and require identical Delivery sequences every round
+/// and identical telemetry event streams.
 /// Unicasts with an even payload go over a link and must arrive on the port
 /// naming their sender in the receiver's row; every other send arrives on
 /// none. Each schedule round makes `min_ops` random sends and up to 19
@@ -44,8 +47,13 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay, std::size_t n = 250,
   const Topology topo(points, radius);
   const DelayModel delays{max_extra_delay, 0x90f0ULL + max_extra_delay};
 
-  Network<Msg> calendar(topo, {}, false, delays);
-  ReferenceNetwork<Msg> reference(topo, {}, false, delays);
+  MemoryTraceSink calendar_sink;
+  MemoryTraceSink reference_sink;
+  Telemetry calendar_telemetry(&calendar_sink);
+  Telemetry reference_telemetry(&reference_sink);
+  Network<Msg> calendar(topo, {}, false, delays, {}, &calendar_telemetry);
+  ReferenceNetwork<Msg> reference(topo, {}, false, delays, {},
+                                  &reference_telemetry);
 
   std::uint64_t payload = 0;
   std::unordered_set<Msg> by_link;  // payloads sent with unicast(u, link, m)
@@ -133,6 +141,8 @@ void expect_equivalent_runs(std::uint32_t max_extra_delay, std::size_t n = 250,
   EXPECT_EQ(calendar.meter().totals().deliveries,
             reference.meter().totals().deliveries);
   EXPECT_EQ(calendar.meter().totals().rounds, reference.meter().totals().rounds);
+  EXPECT_FALSE(calendar_sink.events().empty());
+  EXPECT_EQ(calendar_sink.events(), reference_sink.events());
 }
 
 TEST(NetworkEquivalence, Synchronous) { expect_equivalent_runs(0); }

@@ -1,6 +1,7 @@
 // The observable result of one driver run, shared by the suites that pin a
-// knob as result-free: the backend (topology_differential_test), the thread
-// count (parallel_determinism_test) and the rank count
+// knob as result-free: the backend (topology_differential_test; classic
+// GHS through the facade), the thread count (parallel_determinism_test)
+// and the rank count
 // (distributed_determinism_test). `observe` copies everything a run exposes
 // out of the driver's own result, so runs can be compared after their
 // backing results are gone; `expect_observed_equal` asserts equality, not
@@ -16,6 +17,7 @@
 #include "emst/ghs/common.hpp"
 #include "emst/ghs/sync.hpp"
 #include "emst/nnt/connt.hpp"
+#include "emst/run.hpp"
 #include "emst/sim/fault.hpp"
 #include "emst/sim/telemetry.hpp"
 
@@ -32,10 +34,12 @@ struct Observed {
   sim::EnergyBreakdown breakdown;
   bool hit_phase_cap = false;
   std::vector<sim::TelemetryEvent> events;
-  /// Classic GHS's parent + rank handler executions (0 for other drivers).
-  /// Both retry loops re-park a deferred delivery whose receiver is
-  /// unchanged without calling the handler, so the sum is placement-free;
-  /// it differs if only one of the loops skips stale retries.
+  /// Parent + rank handler executions of the actor-backed drivers (classic
+  /// GHS, the Co-NNT actor; 0 for the others). Both placements dispatch the
+  /// same deliveries, and both classic-GHS retry loops re-park a deferred
+  /// delivery whose receiver is unchanged without calling the handler, so
+  /// the sum is placement-free; it differs if one placement skips a
+  /// delivery or a stale retry that the other runs.
   std::uint64_t executions = 0;
 };
 
@@ -83,6 +87,24 @@ inline Observed observe(const nnt::CoNntResult& run,
   out.per_node = run.per_node_energy;
   if (run.breakdown_recorded) out.breakdown = run.energy_breakdown;
   out.events = sink.events();
+  out.executions = run.handler_invocations + run.rank_handler_invocations;
+  return out;
+}
+
+inline Observed observe(const RunResult& run,
+                        const sim::MemoryTraceSink& sink) {
+  Observed out;
+  out.tree = run.tree;
+  out.totals = run.totals;
+  out.phases = run.phases;
+  out.fragments = run.fragments;
+  out.faults = run.faults;
+  out.arq = run.arq;
+  out.per_node = run.per_node_energy;
+  if (run.breakdown_recorded) out.breakdown = run.breakdown;
+  out.hit_phase_cap = run.hit_phase_cap;
+  out.events = sink.events();
+  out.executions = run.handler_invocations + run.rank_handler_invocations;
   return out;
 }
 

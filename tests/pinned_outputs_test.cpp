@@ -9,12 +9,11 @@
 // for example. This table pins what the runs actually produce: message,
 // delivery and round counts, phases, an FNV-1a hash of the canonical tree
 // and the energy total as a hexfloat, compared bitwise. Deliveries count
-// every broadcast's receivers, which energy alone does not see. Every row
-// is checked on the CSR backend and, except classic GHS above n = 500, on the
-// implicit one too: classic GHS there regenerates and edge-ranks the whole
-// neighbourhood on every dispatch and send, tens of seconds per run, and
-// BackendDifferential already checks it against the CSR at small n. The
-// crash rows restart at least once (epochs > 1, checked), so they pin the
+// every broadcast's receivers, which energy alone does not see. Sync GHS
+// and EOPT rows are checked on both topology backends. Classic GHS rows are
+// checked on the CSR only: the facade serves classic GHS from the CSR on
+// either backend, so an implicit run would repeat the CSR one. The crash
+// rows restart at least once (epochs > 1, checked), so they pin the
 // fail-stop epoch path as well. Plain classic GHS has three more rows at
 // n = 10000, whose rounds drain buckets to receivers beyond the first
 // 4096-node summary word of the engine's receiver bitmap (network.hpp).
@@ -145,10 +144,9 @@ bool with_crashes(Case c) {
   return c == Case::kClassicGhsCrashes || c == Case::kClassicGhsCachedCrashes;
 }
 
-bool checked_on_implicit(Case c, std::size_t n) {
-  const bool classic = c == Case::kClassicGhs || c == Case::kClassicGhsCached ||
-                       with_crashes(c);
-  return !classic || n <= 500;
+bool is_classic(Case c) {
+  return c == Case::kClassicGhs || c == Case::kClassicGhsCached ||
+         with_crashes(c);
 }
 
 Driver driver_of(Case c) {
@@ -209,7 +207,7 @@ void expect_rows(Case c) {
   for (const Row& row : kRows) {
     if (row.driver != c) continue;
     for (const bool implicit : {false, true}) {
-      if (implicit && !checked_on_implicit(c, row.n)) continue;
+      if (implicit && is_classic(c)) continue;
       SCOPED_TRACE(testing::Message()
                    << case_name(c) << " n=" << row.n << " seed=" << row.seed
                    << (implicit ? " implicit" : " csr")
@@ -229,10 +227,11 @@ void expect_rows(Case c) {
       ++checked;
     }
   }
-  // n in {500, 4000} x seeds {1, 2, 3} x the backends named above, plus
+  // n in {500, 4000} x seeds {1, 2, 3} x both backends, or the CSR alone
+  // for classic GHS, which the facade serves from the CSR either way; plus
   // the three CSR rows at n = 10000 of plain classic GHS.
   const std::size_t large = c == Case::kClassicGhs ? 3u : 0u;
-  EXPECT_EQ(checked, (checked_on_implicit(c, 4000) ? 12u : 9u) + large);
+  EXPECT_EQ(checked, (is_classic(c) ? 6u : 12u) + large);
 }
 
 TEST(PinnedOutputs, SyncGhs) { expect_rows(Case::kSync); }

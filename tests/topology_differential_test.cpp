@@ -1,12 +1,14 @@
 // Backend differential: implicit vs materialized topology (docs/PERF.md).
 //
 // The contract: `sim::ImplicitTopology` is a drop-in for `sim::Topology`.
-// For the same point set and radius, every driver (classic GHS, sync GHS,
-// EOPT, Co-NNT) must produce the SAME observable result on both backends —
-// tree (weights bitwise), accounting (float energy bitwise), phases,
-// fault/ARQ counters, per-node ledger, breakdown matrix, and the complete
-// telemetry event stream — at every thread count, with and without
-// faults+ARQ. Equality assertions, not tolerances: one flipped bit fails.
+// For the same point set and radius, every backend-generic driver (sync
+// GHS, EOPT, Co-NNT in both forms) must produce the SAME observable result
+// on both backends — tree (weights bitwise), accounting (float energy
+// bitwise), phases, fault/ARQ counters, per-node ledger, breakdown matrix,
+// and the complete telemetry event stream — at every thread count, with
+// and without faults+ARQ. Equality assertions, not tolerances: one flipped
+// bit fails. Classic GHS compiles for the CSR only; its cases check that
+// `emst::run` serves it to an implicit-backend caller from the CSR.
 //
 // The enumeration layer is pinned separately: `neighbors`, `neighbors_within`
 // and `nodes_within` must yield identical sequences (ids in order, weights
@@ -25,10 +27,10 @@
 
 #include "emst/eopt/eopt.hpp"
 #include "emst/geometry/sampling.hpp"
-#include "emst/ghs/classic.hpp"
 #include "emst/ghs/sync.hpp"
 #include "emst/nnt/connt.hpp"
 #include "emst/rgg/radii.hpp"
+#include "emst/run.hpp"
 #include "emst/sim/implicit_topology.hpp"
 #include "emst/sim/topology.hpp"
 #include "emst/support/rng.hpp"
@@ -241,25 +243,6 @@ TEST(TopologyBackends, ReductionsMatchTheSortedSpan) {
                  });
 }
 
-TEST(TopologyBackends, EdgeRanksMatchTheCsrEdgeIndex) {
-  // Classic GHS relies on a stable edge identity; the implicit backend's
-  // lazily-built rank table must reproduce the CSR's edge_index exactly.
-  const auto points = make_points(5);
-  const double radius = rgg::connectivity_radius(kNodes);
-  const sim::Topology mat(points, radius);
-  const sim::ImplicitTopology imp(points, radius);
-  imp.ensure_edge_ranks();
-  for (sim::NodeId u = 0; u < mat.node_count(); ++u) {
-    const auto want = mat.neighbors(u);
-    const auto got = imp.neighbors(u);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(imp.edge_rank(u, want[i].id), want[i].edge_index);
-      EXPECT_EQ(got[i].edge_index, want[i].edge_index);
-    }
-  }
-}
-
 // --- Driver-level equivalence --------------------------------------------
 
 template <typename Options>
@@ -293,31 +276,40 @@ void expect_backend_invariant(const char* label, double radius_factor,
   }
 }
 
+/// Classic GHS through the facade: handed a sim::ImplicitTopology, emst::run
+/// builds the CSR of the same points and radius, so everything the run
+/// exposes must equal a run on the caller's CSR. Classic GHS ignores
+/// `threads`, so each seed runs once.
+void expect_classic_backend_invariant(Driver driver, bool with_delays) {
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const auto points = make_points(seed);
+    const double radius = rgg::connectivity_radius(kNodes, 1.6);
+    const sim::Topology mat(points, radius);
+    const sim::ImplicitTopology imp(points, radius);
+    const auto observe_on = [&](const auto& topo) {
+      sim::MemoryTraceSink sink;
+      sim::Telemetry telemetry(&sink);
+      RunConfig cfg = config_for(driver);
+      cfg.track_per_node_energy = true;
+      cfg.record_breakdown = true;
+      cfg.telemetry = &telemetry;
+      if (with_delays) cfg.classic.delays = {3, 0xabc0ULL + seed};
+      return observe(emst::run(topo, cfg), sink);
+    };
+    const Observed want = observe_on(mat);
+    EXPECT_FALSE(want.tree.empty())
+        << driver_name(driver) << " seed " << seed << ": empty tree";
+    SCOPED_TRACE(testing::Message() << driver_name(driver) << " seed=" << seed);
+    expect_observed_equal(observe_on(imp), want);
+  }
+}
+
 TEST(BackendDifferential, ClassicGhs) {
-  expect_backend_invariant(
-      "ghs", 1.6, [](const auto& topo, std::uint64_t, std::size_t threads) {
-        sim::MemoryTraceSink sink;
-        sim::Telemetry telemetry(&sink);
-        ghs::ClassicGhsOptions options;
-        configure(options, threads, &telemetry);
-        const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(run, sink);
-      });
+  expect_classic_backend_invariant(Driver::kClassicGhs, false);
 }
 
 TEST(BackendDifferential, ClassicGhsCachedWithDelays) {
-  expect_backend_invariant(
-      "ghs-cached", 1.6,
-      [](const auto& topo, std::uint64_t seed, std::size_t threads) {
-        sim::MemoryTraceSink sink;
-        sim::Telemetry telemetry(&sink);
-        ghs::ClassicGhsOptions options;
-        options.moe = ghs::MoeStrategy::kCachedConfirm;
-        options.delays = {3, 0xabc0ULL + seed};
-        configure(options, threads, &telemetry);
-        const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(run, sink);
-      });
+  expect_classic_backend_invariant(Driver::kClassicGhsCached, true);
 }
 
 TEST(BackendDifferential, SyncGhs) {
