@@ -5,11 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include "emst/eopt/eopt.hpp"
-#include "emst/geometry/deployments.hpp"
 #include "emst/geometry/sampling.hpp"
 #include "emst/ghs/classic.hpp"
 #include "emst/graph/gabriel.hpp"
-#include "emst/spatial/kdtree.hpp"
 #include "emst/ghs/sync.hpp"
 #include "emst/graph/mst.hpp"
 #include "emst/graph/union_find.hpp"
@@ -122,48 +120,6 @@ void BM_CoNnt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoNnt)->Arg(500)->Arg(5000)->Unit(benchmark::kMillisecond);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto points = bench_points(n, 23);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(spatial::KdTree(points));
-  }
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(10000)->Arg(100000);
-
-void BM_KdTreeKnn(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto points = bench_points(n, 29);
-  const spatial::KdTree tree(points);
-  std::size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.k_nearest(points[q++ % n], 8, static_cast<std::uint32_t>(-1)));
-  }
-}
-BENCHMARK(BM_KdTreeKnn)->Arg(10000)->Arg(100000);
-
-void BM_CellGridVsKdTree_ClusteredRange(benchmark::State& state) {
-  // The kd-tree's raison d'être: clustered deployments where the grid's
-  // per-cell population explodes. state.range(0): 0 = grid, 1 = kd-tree.
-  support::Rng rng(31);
-  const auto points = geometry::sample_deployment(
-      geometry::Deployment::kClustered, 50000, rng);
-  const double radius = rgg::connectivity_radius(points.size());
-  const spatial::CellGrid grid(points, radius);
-  const spatial::KdTree tree(points);
-  std::size_t q = 0;
-  for (auto _ : state) {
-    const geometry::Point2 p = points[q++ % points.size()];
-    if (state.range(0) == 0) {
-      benchmark::DoNotOptimize(grid.within(p, radius));
-    } else {
-      benchmark::DoNotOptimize(tree.within(p, radius));
-    }
-  }
-}
-BENCHMARK(BM_CellGridVsKdTree_ClusteredRange)->Arg(0)->Arg(1);
 
 void BM_GabrielFilter(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -178,7 +178,6 @@ int main(int argc, char** argv) {
       {"seed", "daemon: deployment seed (default 1)"},
       {"algo", "rebuild driver: ghs|ghs-cached|sync|sync-probe|eopt"},
       {"radius-factor", "connectivity radius factor (default 1.6)"},
-      {"implicit", "rebuild on the implicit topology backend"},
       {"max-batch", "auto-commit after this many mutations (default 256)"},
       {"batch-timeout-ms",
        "auto-commit a quiet non-empty batch after this long (default 50)"},
@@ -217,7 +216,6 @@ int main(int argc, char** argv) {
   emst::reject_unsupported_faults(flags, scfg.run.driver);
   flags.apply(scfg.run);
   scfg.radius_factor = cli.get_double("radius-factor", 1.6);
-  scfg.implicit_backend = cli.get_bool("implicit", false);
   scfg.verify_after_commit = cli.get_bool("verify", false);
 
   const emst::Driver driver = scfg.run.driver;

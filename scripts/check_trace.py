@@ -17,10 +17,12 @@ Checks, per file:
 
 Wire-bit rules (the proto codec, docs/TELEMETRY.md): "bits" on a charge
 event is the encoded size of that frame — 0 means the sender had no codec,
-never "empty message". Round events must not carry bits, and an ARQ-flagged
-charged frame that *is* measured can never be smaller than the 17-bit ARQ
-header. Summary "bits" must equal the replayed sum over uni/bcast charges;
-"data_bits"/"ack_bits" must equal the replayed split over ARQ frames.
+never "empty message". Round events and meta events (chaos, oracle and ARQ
+bookkeeping) must not carry bits; ARQ meta events carry no frame flags
+either. An ARQ-flagged charged frame that *is* measured can never be
+smaller than the 17-bit ARQ header. Summary "bits" must equal the replayed
+sum over uni/bcast charges; "data_bits"/"ack_bits" must equal the replayed
+split over ARQ frames.
 
 Traces from multi-threaded runs (`emst_cli --threads=N`, N > 1) carry
 "threads":N in the header and are otherwise identical (thread count changes
@@ -44,6 +46,7 @@ KINDS = {
     "arq_ack",
 }
 PHASES = {"run", "step1", "census", "step2"}
+ARQ_META = {"adel", "adup", "agup", "atmo"}
 FLAG_ARQ = 1
 FLAG_RETRANSMIT = 2
 ARQ_HEADER_BITS = 17  # sim/wire.hpp kArqHeaderBits
@@ -143,13 +146,16 @@ def check_file(path: str) -> None:
         ev = event["ev"]
         if ev == "round" and bits != 0:
             fail(path, lineno, "round events must not carry wire bits")
-        if ev in ("cinj", "oinv"):
-            # Chaos/oracle meta events: a crash injection ("cinj", value =
-            # the window's until-round) and an oracle violation ("oinv",
-            # value = the violation index) never transmit anything.
+        if ev in ("cinj", "oinv") or ev in ARQ_META:
+            # Meta events never transmit anything: a crash injection
+            # ("cinj", value = the window's until-round), an oracle
+            # violation ("oinv", value = the violation index) and the ARQ
+            # session's bookkeeping (ARQ_META, stamped sender -> receiver).
             if bits != 0 or event.get("energy", 0.0) != 0.0:
                 fail(path, lineno,
                      f"{ev} events must not carry wire bits or energy")
+        if ev in ARQ_META and event.get("flags", 0) != 0:
+            fail(path, lineno, f"{ev} events must not carry frame flags")
         if (ev == "uni" and event.get("flags", 0) & FLAG_ARQ
                 and 0 < bits < ARQ_HEADER_BITS):
             fail(path, lineno,

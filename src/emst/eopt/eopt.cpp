@@ -57,7 +57,6 @@ EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
   step1.radius = result.radius1;
   step1.neighbor_cache = options.neighbor_cache;
   step1.announce_min_power = options.announce_min_power;
-  step1.announce_initial = true;
   if (faulty) step1.fault_session = &fault_session;
   const std::optional<ghs::FragmentForest> initial =
       seed != nullptr ? std::optional<ghs::FragmentForest>(*seed)
@@ -104,8 +103,6 @@ EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
   step2.radius = result.radius2;
   step2.neighbor_cache = options.neighbor_cache;
   step2.announce_min_power = options.announce_min_power;
-  // Caches were filled at r₁; the radius grew, so everyone re-announces once.
-  step2.announce_initial = true;
   if (faulty) step2.fault_session = &fault_session;
   if (options.giant_passive && result.giant_found)
     step2.passive_fragments.push_back(giant);

@@ -53,10 +53,10 @@ class ClassicGhsRun {
                     "classic GHS accepts crash-only (fail-stop) fault models; "
                     "message loss needs ARQ recovery (sync GHS / EOPT)");
     if (options.oracle != nullptr) net_.attach_oracle(options.oracle);
-    max_rounds_ = options.max_rounds > 0
-                      ? options.max_rounds
-                      : (50 * topo.node_count() + 1000) *
-                            (options.delays.max_extra_delay + 1);
+    // Safety cap on simulated rounds: defends against a driver bug turning
+    // into an infinite loop; generous, GHS needs O(n log n) rounds at most.
+    max_rounds_ = (50 * topo.node_count() + 1000) *
+                  (options.delays.max_extra_delay + 1);
     // Codec hook: the engine measures every message through the proto wire
     // format once the field widths are derived from the topology.
     net_.wire_format().ctx = proto::WireContext::for_topology(
@@ -296,7 +296,7 @@ class ClassicGhsRun {
   }
 
   [[nodiscard]] std::span<const graph::Neighbor> neighbors(NodeId u) const {
-    return neighbors_within(topo_, u, radius_);
+    return topo_.neighbors_within(u, radius_);
   }
 
   void tally(GhsMsgType type, double reach) {

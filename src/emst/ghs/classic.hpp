@@ -57,9 +57,6 @@ struct ClassicGhsOptions : sim::RunConfig {
   /// arrives — the lower bound's assumption (2) in §IV. Components with no
   /// spontaneous starter never participate.
   std::vector<NodeId> spontaneous_wakeups{};
-  /// Safety cap on simulated rounds (defends against a driver bug turning
-  /// into an infinite loop; generous — GHS needs O(n log n) rounds at most).
-  std::size_t max_rounds = 0;  ///< 0 = automatic (50·n + 1000)
 };
 
 /// Run classical GHS on `topo`. On a disconnected visibility graph, each

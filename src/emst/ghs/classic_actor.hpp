@@ -95,7 +95,7 @@ class ClassicGhsActor {
       NodeCtx& n = nodes_[u];
       n.first_state = static_cast<std::uint32_t>(total);
       n.degree = static_cast<std::uint32_t>(
-          neighbors_within(topo, u, radius).size());
+          topo.neighbors_within(u, radius).size());
       total += n.degree;
     }
     EMST_ASSERT_MSG(total <= 0xFFFFFFFFu,

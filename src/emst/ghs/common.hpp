@@ -110,24 +110,12 @@ struct MstRunResult {
   std::uint64_t rank_handler_invocations = 0;
 };
 
-/// Neighbors of u within `radius`, ascending (weight, id) — the paper's
-/// adaptive power control. Delegates to the backend: the materialized
-/// topology returns the weight-bounded prefix of its sorted neighbor span,
-/// the implicit one regenerates the filtered neighbourhood (span into
-/// thread-local scratch — same lifetime rules as Topo::neighbors_within).
-template <typename Topo>
-[[nodiscard]] std::span<const graph::Neighbor> neighbors_within(
-    const Topo& topo, NodeId u, double radius) {
-  return topo.neighbors_within(u, radius);
-}
-
 /// Position of neighbor v in u's sorted neighbor span (binary search by
 /// (weight, id)), given w = d(u, v). A delivery's `distance` is exactly
 /// that, since distance_sq is bitwise symmetric. Aborts if (u,v) is not an
 /// edge of the topology.
-template <typename Topo>
-[[nodiscard]] std::size_t neighbor_slot(const Topo& topo, NodeId u, NodeId v,
-                                        double w) {
+[[nodiscard]] inline std::size_t neighbor_slot(const sim::Topology& topo,
+                                               NodeId u, NodeId v, double w) {
   const auto all = topo.neighbors(u);
   // Find the first neighbor with weight >= w, then scan the (tiny) run of
   // equal weights for the id.
@@ -157,7 +145,7 @@ template <typename Topo>
     for (const TxRecord& record : batch) {
       if (record.is_broadcast) {
         for (const graph::Neighbor& nb :
-             neighbors_within(topo, record.from, record.power_radius)) {
+             topo.neighbors_within(record.from, record.power_radius)) {
           pairs.insert(key(record.from, nb.id));
         }
       } else {

@@ -109,18 +109,19 @@ class SyncGhsEngine {
       meter_.enable_per_node(n);
     if (opts_.record_breakdown) meter_.enable_breakdown();
     if (opts_.telemetry != nullptr) meter_.attach_telemetry(opts_.telemetry);
-    // Fault-mode runs burn phases on stalls and repairs, so the automatic
-    // cap gets headroom; explicit caps are honored as given.
-    max_phases_ = opts_.max_phases > 0
-                      ? opts_.max_phases
-                      : (static_cast<std::size_t>(
-                             4.0 * std::log2(static_cast<double>(n) + 2.0)) +
-                         16) *
-                            (faulty_ ? 4 : 1);
+    // Safety cap on phases, 4·log2(n) + 16; fault-mode runs burn phases on
+    // stalls and repairs, so they get four times the headroom.
+    max_phases_ = (static_cast<std::size_t>(
+                       4.0 * std::log2(static_cast<double>(n) + 2.0)) +
+                   16) *
+                  (faulty_ ? 4 : 1);
   }
 
   SyncGhsResult run() {
-    if (opts_.neighbor_cache && opts_.announce_initial) announce_all();
+    // Modified GHS fills every neighbour cache with one id announcement per
+    // node before phase 1; EOPT's Step 2 announces again, since its radius
+    // grew after Step 1 filled the caches at r₁.
+    if (opts_.neighbor_cache) announce_all();
     std::size_t phases = 0;
     std::vector<std::size_t> trajectory;
     for (;;) {
@@ -291,7 +292,7 @@ class SyncGhsEngine {
       meter_.clear_bits();
       return;
     }
-    const auto receivers = neighbors_within(topo_, u, radius_);
+    const auto receivers = topo_.neighbors_within(u, radius_);
     charge_announce(u, receivers.size(),
                     receivers.empty() ? 0.0 : receivers.back().w);
     if (!cache_.empty()) {
@@ -324,7 +325,7 @@ class SyncGhsEngine {
     meter_.set_kind(sim::MsgKind::kAnnounce);
     meter_.set_fragment(frags_.leader(u));
     meter_.set_bits(bits_of(GhsMsgType::kAnnounce));
-    const auto receivers = neighbors_within(topo_, u, radius_);
+    const auto receivers = topo_.neighbors_within(u, radius_);
     charge_announce(u, receivers.size(),
                     receivers.empty() ? 0.0 : receivers.back().w);
     for (const graph::Neighbor& nb : receivers) {
@@ -362,13 +363,11 @@ class SyncGhsEngine {
                                   TxBatch& probe_wave) {
     MoeScan scan;
     if (opts_.neighbor_cache && !faulty_) {
-      EMST_ASSERT_MSG(opts_.announce_initial,
-                      "modified GHS: neighbor cache must be complete");
       const NodeId v = lightest_outside(u);
       if (v != kNone) scan.best = {topo_.distance(u, v), u, v};
       return scan;
     }
-    for (const graph::Neighbor& nb : neighbors_within(topo_, u, radius_)) {
+    for (const graph::Neighbor& nb : topo_.neighbors_within(u, radius_)) {
       if (opts_.neighbor_cache) {
         const auto it = cache_[u].find(nb.id);
         if (it != cache_[u].end() && it->second == frags_.leader(u)) continue;

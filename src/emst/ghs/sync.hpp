@@ -65,9 +65,6 @@ struct SyncGhsOptions : sim::RunConfig {
   /// true = modified GHS (neighbor cache + announcements);
   /// false = classic TEST/ACCEPT/REJECT probing.
   bool neighbor_cache = true;
-  /// Broadcast one initial id announcement per node before phase 1 (needed
-  /// whenever caches are empty or the radius grew since they were filled).
-  bool announce_initial = true;
   /// Power-adapt announcements: broadcast only as far as the node's farthest
   /// neighbour in the operating topology instead of the full radius. Reaches
   /// the same receiver set (so correctness is untouched) at d_max^α ≤ r^α
@@ -80,8 +77,6 @@ struct SyncGhsOptions : sim::RunConfig {
   std::vector<NodeId> passive_fragments;
   /// Merge groups containing a passive fragment keep the passive id.
   bool retain_passive_id = true;
-  /// Safety cap on phases (0 = automatic: 4·log2(n) + 16).
-  std::size_t max_phases = 0;
   /// When non-null, every transmission is also appended to this log, one
   /// batch per protocol wave (initial announce; per phase: initiate wave,
   /// MOE probes, report wave, change-root+connect, merge announcements) —

@@ -156,7 +156,7 @@ RbnStats replay_log(const sim::Topology& topo, const ghs::TxLog& log,
       item.power_radius = record.power_radius;
       if (record.is_broadcast) {
         for (const graph::Neighbor& nb :
-             ghs::neighbors_within(topo, record.from, record.power_radius)) {
+             topo.neighbors_within(record.from, record.power_radius)) {
           item.receivers.push_back(nb.id);
         }
         if (item.receivers.empty()) continue;  // nobody in range: free slot
@@ -191,7 +191,7 @@ RbnStats announcement_round_under_rbn(const sim::Topology& topo, double radius,
     PendingItem item;
     item.from = u;
     item.power_radius = radius;
-    for (const graph::Neighbor& nb : ghs::neighbors_within(topo, u, radius))
+    for (const graph::Neighbor& nb : topo.neighbors_within(u, radius))
       item.receivers.push_back(nb.id);
     if (!item.receivers.empty()) items.push_back(std::move(item));
   }

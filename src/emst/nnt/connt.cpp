@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 #include <variant>
 
 #include "emst/nnt/connt_actor.hpp"
@@ -74,8 +75,8 @@ struct DistConntSink {
   }
 };
 
-template <typename Engine, typename Topo>
-CoNntResult run_connt_actor_impl(const Topo& topo,
+template <typename Engine>
+CoNntResult run_connt_actor_impl(const sim::Topology& topo,
                                  const CoNntOptions& options) {
   const std::size_t n = topo.node_count();
   EMST_ASSERT(n >= 1);
@@ -103,7 +104,7 @@ CoNntResult run_connt_actor_impl(const Topo& topo,
   if (options.record_breakdown) net.meter().enable_breakdown();
 
   CoNntResult result;
-  ConntActor<Topo> actor(topo, options.scheme, n_est, ctx);
+  ConntActor actor(points, options.scheme, n_est, ctx);
   std::uint64_t rank_invocations = 0;
 
   // Fail-stop epochs: an epoch excludes the nodes crashed when it starts and
@@ -265,9 +266,16 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
   // the epoch-restart loop) — delegate to the actor execution, which models
   // them; the choreographed fast path below stays the fault-free harness.
   // Rank processes only exist in the actor execution (the choreographed
-  // fast path has no network engine to distribute).
-  if (options.faults.enabled() || options.ranks > 0)
-    return run_connt_actor(topo, options);
+  // fast path has no network engine to distribute). The engines run on the
+  // CSR, which enumerates the same neighbourhoods as the grid.
+  if (runs_actor(options)) {
+    if constexpr (std::is_same_v<Topo, sim::ImplicitTopology>) {
+      return run_connt_actor(sim::Topology(topo.points(), topo.max_radius()),
+                             options);
+    } else {
+      return run_connt_actor(topo, options);
+    }
+  }
   const std::size_t n = topo.node_count();
   EMST_ASSERT(n >= 1);
   const double n_est = std::max(2.0, static_cast<double>(n) * options.n_estimate_factor);
@@ -373,23 +381,18 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
   return result;
 }
 
-template <typename Topo>
-CoNntResult run_connt_actor(const Topo& topo, const CoNntOptions& options) {
+CoNntResult run_connt_actor(const sim::Topology& topo,
+                            const CoNntOptions& options) {
   if (options.ranks > 0) {
-    return run_connt_actor_impl<sim::DistributedNetwork<proto::ConntMsg, Topo>,
-                                Topo>(topo, options);
+    return run_connt_actor_impl<sim::DistributedNetwork<proto::ConntMsg>>(
+        topo, options);
   }
-  return run_connt_actor_impl<sim::Network<proto::ConntMsg, Topo>, Topo>(
-      topo, options);
+  return run_connt_actor_impl<sim::Network<proto::ConntMsg>>(topo, options);
 }
 
 template CoNntResult run_connt<sim::Topology>(const sim::Topology&,
                                               const CoNntOptions&);
 template CoNntResult run_connt<sim::ImplicitTopology>(
-    const sim::ImplicitTopology&, const CoNntOptions&);
-template CoNntResult run_connt_actor<sim::Topology>(const sim::Topology&,
-                                                    const CoNntOptions&);
-template CoNntResult run_connt_actor<sim::ImplicitTopology>(
     const sim::ImplicitTopology&, const CoNntOptions&);
 
 }  // namespace emst::nnt

@@ -21,6 +21,7 @@
 #include "emst/ghs/common.hpp"
 #include "emst/nnt/rank.hpp"
 #include "emst/sim/run_config.hpp"
+#include "emst/sim/topology.hpp"
 
 namespace emst::nnt {
 
@@ -28,8 +29,8 @@ namespace emst::nnt {
 /// pathloss / per-node / breakdown / telemetry. Crash-only (fail-stop)
 /// fault models are survived by epoch restart on the actor execution
 /// (docs/ROBUSTNESS.md) — `run_connt` forwards to the actor path when
-/// faults are enabled; message-loss models stay unsupported (asserted),
-/// the protocol has no loss recovery.
+/// faults are enabled (`runs_actor`); message-loss models stay unsupported
+/// (asserted), the protocol has no loss recovery.
 struct CoNntOptions : sim::RunConfig {
   RankScheme scheme = RankScheme::kDiagonal;
   /// Assumed network-size knowledge: the protocol needs only a Θ(n)
@@ -62,23 +63,33 @@ struct CoNntResult {
   std::uint64_t rank_handler_invocations = 0;
 };
 
+/// Whether `run_connt` executes the node-actor form under `cfg`: fail-stop
+/// epochs need real in-flight messages, and rank processes run only actors,
+/// so faults or ranks send the run there. The facade's resolved driver
+/// name (`emst::resolved_driver_name`) reads the same rule.
+[[nodiscard]] inline bool runs_actor(const sim::RunConfig& cfg) noexcept {
+  return cfg.faults.enabled() || cfg.ranks > 0;
+}
+
 /// Run the distributed Co-NNT construction. Probe radii may exceed the
 /// topology's max radius (power-adaptive transmission; the spatial index
 /// resolves deliveries). Templated over the topology backend
 /// (`sim::Topology` or `sim::ImplicitTopology`; defined in connt.cpp,
-/// explicitly instantiated for both) — the protocol only needs coordinates
-/// and `nodes_within` probes, which both backends answer identically.
+/// explicitly instantiated for both): the choreographed form only needs
+/// coordinates and `nodes_within` probes, which both backends answer
+/// identically. When `runs_actor(options)`, it forwards to
+/// `run_connt_actor`; handed a `sim::ImplicitTopology`, it first builds the
+/// CSR of the same points and radius, with bitwise the same result.
 template <typename Topo>
 [[nodiscard]] CoNntResult run_connt(const Topo& topo,
                                     const CoNntOptions& options = {});
 
-/// The same protocol executed as a message-driven actor system over
-/// Network<Msg> (REQUEST broadcast / REPLY unicast / CONNECTION unicast as
-/// real in-flight messages). Cross-validates `run_connt`: identical parents,
-/// energy, and message counts (tested); `run_connt` is the faster harness
-/// path.
-template <typename Topo>
-[[nodiscard]] CoNntResult run_connt_actor(const Topo& topo,
+/// The same protocol executed as a message-driven actor system over the
+/// network engine (REQUEST broadcast / REPLY unicast / CONNECTION unicast
+/// as real in-flight messages), on the CSR the engines run on.
+/// Cross-validates `run_connt`: identical parents, energy, and message
+/// counts (tested); `run_connt` is the faster harness path.
+[[nodiscard]] CoNntResult run_connt_actor(const sim::Topology& topo,
                                           const CoNntOptions& options = {});
 
 }  // namespace emst::nnt

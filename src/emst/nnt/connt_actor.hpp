@@ -60,19 +60,20 @@ inline constexpr std::uint8_t kConntStepConnected = 1;   ///< connect sent
 inline constexpr std::uint8_t kConntStepUnresolved = 0;  ///< no reply heard
 inline constexpr std::uint8_t kConntStepTerminated = 2;  ///< schedule done
 
-template <typename Topo>
+/// Reads the node positions and nothing else of the topology (rank order and
+/// reply coordinates); the engine resolves who hears a probe.
 class ConntActor {
  public:
   using Msg = proto::ConntMsg;
   using Delivery = sim::Delivery<Msg>;
 
-  ConntActor(const Topo& topo, RankScheme scheme, double n_est,
-             const proto::WireContext& ctx)
-      : points_(topo.points()),
+  ConntActor(std::span<const geometry::Point2> points, RankScheme scheme,
+             double n_est, const proto::WireContext& ctx)
+      : points_(points),
         scheme_(scheme),
         n_est_(n_est),
         ctx_(ctx),
-        nodes_(topo.node_count()) {}
+        nodes_(points.size()) {}
 
   void on_round_start(std::uint64_t /*round*/) {}
 

@@ -41,9 +41,7 @@ bool parse_driver(const std::string& name, Driver& out) noexcept {
 
 const char* resolved_driver_name(Driver driver,
                                  const sim::RunConfig& cfg) noexcept {
-  // Mirror of nnt::run_connt's dispatch rule: faults or ranks send the run
-  // through the node-actor implementation.
-  const bool connt_actor = cfg.faults.enabled() || cfg.ranks > 0;
+  const bool connt_actor = nnt::runs_actor(cfg);
   switch (driver) {
     case Driver::kCoNnt: return connt_actor ? "connt-actor" : "connt";
     case Driver::kCoNntAxis:
@@ -189,11 +187,7 @@ RunResult run(const Instance& inst, const RunConfig& cfg) {
                                                       : inst.radius_factor;
     radius = rgg::connectivity_radius(n, factor);
   }
-  if (inst.implicit_backend) {
-    const sim::ImplicitTopology topo(inst.points, radius);
-    return run(topo, cfg);
-  }
-  const sim::Topology topo(inst.points, radius);
+  const sim::ImplicitTopology topo(inst.points, radius);
   return run(topo, cfg);
 }
 

@@ -5,8 +5,7 @@
 // `emst::run`. The facade dispatches straight to the per-driver entry
 // points, so results are pinned bitwise-identical to direct calls
 // (tests/run_facade_test.cpp); telemetry, faults, ARQ, the invariant
-// oracle, worker threads, and both topology backends all compose through
-// the one shared config.
+// oracle and worker threads all compose through the one shared config.
 //
 //   emst::Instance inst = emst::sample_instance(2000, /*seed=*/7);
 //   emst::RunConfig cfg;
@@ -15,10 +14,12 @@
 //   cfg.arq.enabled = true;
 //   emst::RunResult res = emst::run(inst, cfg);
 //
-// Callers that already hold a topology (benches that sweep radii, the serve
-// session's resident deployment) use the topology overloads instead; the
-// `Instance` overload just builds the driver-appropriate backend and
-// forwards.
+// The `Instance` overload picks the topology backend itself: it always
+// builds the memory-lean `sim::ImplicitTopology`, and the drivers that run
+// on the network engine (classic GHS, the Co-NNT actor) build the CSR of
+// the same points and radius from it. Results are bitwise the same on both
+// backends (docs/PERF.md). Callers that already hold a topology (benches
+// that sweep radii, `emst_cli`, perfbench) use the topology overloads.
 //
 // `emst::run` is the uniform API; the drivers (`ghs::run_classic_ghs`,
 // `ghs::run_sync_ghs`, `eopt::run_eopt`, `nnt::run_connt`) are the
@@ -63,8 +64,8 @@ enum class Driver {
 
 /// The driver variant that will actually execute under `cfg`: the Co-NNT
 /// drivers silently dispatch to their node-actor implementation whenever
-/// faults are enabled or ranks are requested (the exact rule inside
-/// `nnt::run_connt`), so the resolved spelling becomes "connt-actor" /
+/// faults are enabled or ranks are requested (`nnt::runs_actor`, the rule
+/// inside `nnt::run_connt`), so the resolved spelling becomes "connt-actor" /
 /// "connt-axis-actor" there; every other driver resolves to its plain
 /// `driver_name` spelling. Trace headers record this so offline tooling can
 /// tell which implementation produced a stream (scripts/check_trace.py).
@@ -87,10 +88,6 @@ struct Instance {
   /// step2_factor·√(ln n / n) exactly as `eopt::eopt_topology` does.
   double radius = 0.0;
   double radius_factor = 1.6;
-  /// Build the memory-lean `sim::ImplicitTopology` backend instead of the
-  /// materialized CSR. Results are bitwise-identical (docs/PERF.md); the
-  /// classic GHS drivers run on the CSR either way (see `run` below).
-  bool implicit_backend = false;
 };
 
 /// n uniform points (geometry::uniform_points, stream-seeded like the CLI).
@@ -153,11 +150,11 @@ struct RunResult {
 /// `sim::ImplicitTopology`. Classic GHS keeps Θ(m) per-edge state and runs
 /// on the CSR only: given a `sim::ImplicitTopology`, the facade builds the
 /// CSR from the same points and radius and runs there, with bitwise the
-/// same result.
+/// same result. `nnt::run_connt` does the same for the Co-NNT actor.
 template <typename Topo>
 [[nodiscard]] RunResult run(const Topo& topo, const RunConfig& cfg = {});
 
-/// Build the driver-appropriate topology for `inst` and run on it.
+/// Build the `sim::ImplicitTopology` of `inst` and run on it.
 [[nodiscard]] RunResult run(const Instance& inst, const RunConfig& cfg = {});
 
 }  // namespace emst

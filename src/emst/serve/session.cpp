@@ -450,7 +450,6 @@ void Session::full_build(std::size_t& touched) {
     Instance inst;
     inst.points = std::move(pts);
     inst.radius = radius_;
-    inst.implicit_backend = cfg_.implicit_backend;
     const RunResult res = emst::run(inst, cfg_.run);
     EMST_ASSERT_MSG(res.injected_crashes.empty(),
                     "serve rebuild crashed nodes; the resident alive set "

@@ -60,8 +60,6 @@ struct SessionConfig {
   RunConfig run;
   /// Connectivity-radius factor for the operating radius (rgg/radii.hpp).
   double radius_factor = 1.6;
-  /// Build the implicit (cell-grid) backend for rebuilds instead of CSR.
-  bool implicit_backend = false;
   /// Rebuild when mutations since the last build exceed this fraction of
   /// the deployment size at build time.
   double rebuild_churn_fraction = 0.25;

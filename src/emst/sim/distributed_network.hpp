@@ -142,12 +142,11 @@ class ProcessGroup {
 
 }  // namespace dist
 
-/// Topo is either sim::Topology or sim::ImplicitTopology (topology.hpp).
-/// The parent computes every target and distance; ranks read the topology
-/// only through the actor replica their handlers consult, inherited as
-/// copy-on-write pages at fork, so the backend choice costs the ranks no
-/// extra memory.
-template <typename Msg, typename Topo = Topology>
+/// Runs on the materialized CSR (`sim::Topology`), like `Network`. The
+/// parent computes every target and distance; ranks read the topology only
+/// through the actor replica their handlers consult, inherited as
+/// copy-on-write pages at fork.
+template <typename Msg>
 class DistributedNetwork {
  public:
   /// Marker for `make_engine`: the trailing constructor parameter is the
@@ -157,7 +156,7 @@ class DistributedNetwork {
   /// Crash-only fault models only: a rank runs a handler on a delivery
   /// whose fate it must decide locally, and its fault mirror carries just
   /// the crash schedule. No rank process exists until `install_actor`.
-  DistributedNetwork(const Topo& topo, geometry::PathLoss model = {},
+  DistributedNetwork(const Topology& topo, geometry::PathLoss model = {},
                      bool unbounded_broadcast = false, DelayModel delays = {},
                      FaultModel faults = {}, Telemetry* telemetry = nullptr,
                      std::size_t ranks = 1)
@@ -408,7 +407,7 @@ class DistributedNetwork {
 
   // -- Accessors (Network-compatible) -------------------------------------
 
-  [[nodiscard]] const Topo& topology() const noexcept { return topo_; }
+  [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
   [[nodiscard]] EnergyMeter& meter() noexcept { return meter_; }
   [[nodiscard]] const EnergyMeter& meter() const noexcept { return meter_; }
   [[nodiscard]] FaultInjector& faults() noexcept { return faults_; }
@@ -1147,7 +1146,7 @@ class DistributedNetwork {
     return info;
   }
 
-  const Topo& topo_;
+  const Topology& topo_;
   EnergyMeter meter_;
   WireFormat<Msg> wire_{};
   bool unbounded_broadcast_;

@@ -27,8 +27,8 @@ namespace emst::sim {
 template <typename Engine>
 concept DistributedEngine = requires { Engine::kDistributedEngine; };
 
-template <typename Engine, typename Topo = Topology>
-[[nodiscard]] Engine make_engine(const Topo& topo,
+template <typename Engine>
+[[nodiscard]] Engine make_engine(const Topology& topo,
                                  geometry::PathLoss pathloss,
                                  bool unbounded_broadcast, DelayModel delays,
                                  FaultModel faults, Telemetry* telemetry,

@@ -5,6 +5,10 @@
 // state is the point array and the grid's CSR buckets, so a 10^7-node
 // unit-disk instance fits where the materialized Θ(n log n)-entry adjacency
 // cannot allocate (docs/PERF.md, "Scaling to ten million nodes").
+// `emst::run(const Instance&)` always builds this backend; the meter-direct
+// drivers (sync GHS, EOPT, choreographed Co-NNT) run on it directly, and
+// the engine-backed ones (classic GHS, the Co-NNT actor) get the CSR of the
+// same points and radius.
 //
 // Bitwise-identity contract with the materialized backend:
 //  * membership — pair (u,v) is a neighbour iff
@@ -42,11 +46,12 @@
 //
 // neighbors()/neighbors_within() return spans into a thread-local scratch
 // buffer: valid until the next neighbour query on the same thread. Every
-// engine and driver call site either copies the span out (Network's
-// receiver staging) or finishes with it before the next query. The scratch
-// is thread-local rather than per-topology because the queries are const:
-// like the CSR backend's, they must stay safe to call from several threads
-// on one shared topology, which a mutable member buffer would break.
+// call site (sync GHS's announce and MOE scans, ghs::distinct_pairs_used)
+// finishes with the span before its next query; the network engines never
+// see this backend, since they run on the CSR. The scratch is thread-local
+// rather than per-topology because the queries are const: like the CSR
+// backend's, they must stay safe to call from several threads on one
+// shared topology, which a mutable member buffer would break.
 #pragma once
 
 #include <algorithm>

@@ -63,9 +63,8 @@ struct Delivery {
   double distance = 0.0;  ///< d(from, to)
   Msg msg{};
   /// Position of `from` in neighbors(to) when the message was sent over a
-  /// link of a backend that stores rows; graph::kNoSlot for id unicasts,
-  /// broadcasts, the implicit backend and deliveries rebuilt from rank
-  /// frames.
+  /// link; graph::kNoSlot for id unicasts, broadcasts and deliveries rebuilt
+  /// from rank frames.
   std::uint32_t port = graph::kNoSlot;
 };
 
@@ -174,14 +173,15 @@ class ReceiverOrder {
   std::vector<std::uint64_t> summary_;  ///< one bit per nonzero marks_ word
 };
 
-/// Topo is either sim::Topology (materialized CSR adjacency) or
-/// sim::ImplicitTopology (grid-backed, neighbours regenerated on demand);
-/// both enumerate neighbours in the identical (weight, id) order, so engine
-/// behaviour is bitwise-independent of the backend.
-template <typename Msg, typename Topo = Topology>
+/// Runs on the materialized CSR backend (`sim::Topology`) alone. Its two
+/// drivers, classic GHS and the Co-NNT actor, get the CSR built for them
+/// when a caller holds the implicit backend (`emst::run`, `nnt::run_connt`);
+/// the meter-direct drivers (sync GHS, EOPT, choreographed Co-NNT) need no
+/// engine and run on either backend.
+template <typename Msg>
 class Network {
  public:
-  Network(const Topo& topo, geometry::PathLoss model = {},
+  Network(const Topology& topo, geometry::PathLoss model = {},
           bool unbounded_broadcast = false, DelayModel delays = {},
           FaultModel faults = {}, Telemetry* telemetry = nullptr)
       : topo_(topo),
@@ -275,7 +275,7 @@ class Network {
     return out;
   }
 
-  [[nodiscard]] const Topo& topology() const noexcept { return topo_; }
+  [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
   [[nodiscard]] EnergyMeter& meter() noexcept { return meter_; }
   [[nodiscard]] const EnergyMeter& meter() const noexcept { return meter_; }
   [[nodiscard]] FaultInjector& faults() noexcept { return faults_; }
@@ -413,7 +413,7 @@ class Network {
         {item.from, item.to, item.distance, std::move(item.msg), item.port});
   }
 
-  const Topo& topo_;
+  const Topology& topo_;
   EnergyMeter meter_;
   WireFormat<Msg> wire_{};
   bool unbounded_broadcast_;

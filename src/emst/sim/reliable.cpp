@@ -3,6 +3,23 @@
 #include <algorithm>
 
 namespace emst::sim {
+namespace {
+
+/// ARQ meta events (adel/adup/agup/atmo) describe the session's link,
+/// sender → receiver, not a frame: they carry no ARQ flags and no bits,
+/// whatever the meter holds for the frame in flight.
+void note_session_event(EnergyMeter& meter, EventType type, graph::NodeId u,
+                        graph::NodeId v, std::uint64_t value = 0) {
+  const std::uint8_t flags = meter.flags();
+  const std::uint32_t bits = meter.bits();
+  meter.set_flags(0);
+  meter.clear_bits();
+  meter.note_event(type, u, v, 0.0, value);
+  meter.set_flags(flags);
+  meter.set_bits(bits);
+}
+
+}  // namespace
 
 ArqOutcome ArqLink::transmit(EnergyMeter& meter, graph::NodeId u,
                              graph::NodeId v, double distance) {
@@ -53,7 +70,7 @@ ArqOutcome ArqLink::transmit(EnergyMeter& meter, graph::NodeId u,
     if (data_ok) {
       if (out.delivered) {
         ++stats_.duplicates;
-        meter.note_event(EventType::kArqDuplicate, v, u);
+        note_session_event(meter, EventType::kArqDuplicate, u, v);
       }
       out.delivered = true;
       if (!arq_.enabled) break;
@@ -93,15 +110,15 @@ ArqOutcome ArqLink::transmit(EnergyMeter& meter, graph::NodeId u,
   meter.set_bits(payload_bits);  // restore the driver's ambient payload size
   if (arq_.enabled && !out.acked) {
     ++stats_.give_ups;
-    meter.note_event(EventType::kArqGiveUp, u, v);
+    note_session_event(meter, EventType::kArqGiveUp, u, v);
   }
   if (out.delivered) {
     ++stats_.delivered;
-    meter.note_event(EventType::kArqDeliver, u, v);
+    note_session_event(meter, EventType::kArqDeliver, u, v);
   }
   stats_.timeout_rounds += out.extra_rounds;
   if (out.extra_rounds > 0)
-    meter.note_event(EventType::kArqTimeout, u, v, 0.0, out.extra_rounds);
+    note_session_event(meter, EventType::kArqTimeout, u, v, out.extra_rounds);
   return out;
 }
 

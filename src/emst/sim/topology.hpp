@@ -6,13 +6,13 @@
 // simply filter neighbours by distance — the paper's "nodes set the power
 // level adaptively" capability (§II).
 //
-// This is one of two interchangeable topology backends (see
-// docs/ARCHITECTURE.md): Topology stores the full Θ(n log n)-entry CSR
-// adjacency, while sim::ImplicitTopology regenerates neighbourhoods on
-// demand from the cell grid in O(n) memory. Engines and the sync-GHS, EOPT
-// and Co-NNT drivers are templated over the backend (classic GHS's per-edge
-// state needs the CSR, which it runs on alone); both expose the same
-// surface —
+// This is one of two topology backends (see docs/ARCHITECTURE.md):
+// Topology stores the full Θ(n log n)-entry CSR adjacency, while
+// sim::ImplicitTopology regenerates neighbourhoods on demand from the cell
+// grid in O(n) memory. The network engines and their drivers (classic GHS,
+// the Co-NNT actor) run on this backend alone; the meter-direct sync-GHS,
+// EOPT and choreographed Co-NNT drivers are templated over the backend.
+// Both expose the same surface —
 //
 //   node_count() / max_radius() / points() / position(u) / distance(u, v)
 //   neighbors(u)              — ascending (weight, id), all within max radius

@@ -197,5 +197,56 @@ TEST(ArqLink, LostAckForcesADuplicateDataCopy) {
                                          link.stats().acks_sent);
 }
 
+TEST(ArqLink, SessionEventsNameTheLinkAndCarryNoFrame) {
+  // Lossy sessions 0 → 1 deliver, some after a duplicate; sessions 0 → 2
+  // give up at a dead receiver. Every ARQ meta event names its session's
+  // link sender → receiver and carries no flags or bits, although the
+  // frames around it are ARQ-flagged and measured.
+  sim::FaultModel model;
+  model.loss = 0.4;
+  model.seed = 31337;
+  model.crashes = {{2, 0, kForever}};
+  sim::FaultInjector injector(model);
+  sim::ArqOptions arq;
+  arq.enabled = true;
+  arq.max_retries = 20;
+  sim::MemoryTraceSink sink;
+  sim::Telemetry telemetry(&sink);
+  sim::EnergyMeter meter{geometry::PathLoss{}};
+  meter.attach_telemetry(&telemetry);
+  meter.set_bits(40);
+  sim::ArqLink link(&injector, arq);
+  for (int i = 0; i < 200; ++i) (void)link.transmit(meter, 0, 1, 1.0);
+  for (int i = 0; i < 3; ++i) (void)link.transmit(meter, 0, 2, 1.0);
+  EXPECT_EQ(meter.bits(), 40u);
+  EXPECT_EQ(meter.flags(), 0u);
+
+  std::size_t seen[4] = {};
+  for (const sim::TelemetryEvent& e : sink.events()) {
+    std::size_t slot = 0;
+    switch (e.type) {
+      case sim::EventType::kArqDeliver: slot = 0; break;
+      case sim::EventType::kArqDuplicate: slot = 1; break;
+      case sim::EventType::kArqGiveUp: slot = 2; break;
+      case sim::EventType::kArqTimeout: slot = 3; break;
+      default: continue;
+    }
+    ++seen[slot];
+    EXPECT_EQ(e.from, 0u);
+    EXPECT_TRUE(e.to == 1 || e.to == 2) << "to " << e.to;
+    if (e.type == sim::EventType::kArqGiveUp) {
+      EXPECT_EQ(e.to, 2u);
+    }
+    EXPECT_EQ(e.flags, 0u);
+    EXPECT_EQ(e.bits, 0u);
+  }
+  EXPECT_EQ(seen[0], link.stats().delivered);
+  EXPECT_EQ(seen[1], link.stats().duplicates);
+  EXPECT_EQ(seen[2], link.stats().give_ups);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_EQ(seen[2], 3u);
+  EXPECT_GT(seen[3], 0u);
+}
+
 }  // namespace
 }  // namespace emst

@@ -528,8 +528,8 @@ TEST(DistributedNetworkDeathTest, KilledRankMidHandlerIsReportedWithoutDeadlock)
         // after ingesting the round's frames, while the parent is blocked in
         // the barrier's receive half.
         dist.set_actor_test_hooks({.kill_rank = 1, .kill_round = 1});
-        nnt::ConntActor<Topology> actor(
-            topo, nnt::RankScheme::kDiagonal,
+        nnt::ConntActor actor(
+            topo.points(), nnt::RankScheme::kDiagonal,
             static_cast<double>(topo.node_count()), dist.wire_format().ctx);
         dist.install_actor(actor, /*faulty=*/false);
         NullActorSink sink;

@@ -176,7 +176,7 @@ TEST(Rbn, ReplayLogCoversAWholeMstRun) {
                   for (const auto& batch : log) {
                     for (const auto& record : batch) {
                       if (record.is_broadcast &&
-                          ghs::neighbors_within(topo, record.from,
+                          topo.neighbors_within(record.from,
                                                 record.power_radius)
                               .empty())
                         ++empty;

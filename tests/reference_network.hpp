@@ -26,10 +26,10 @@
 
 namespace emst::sim {
 
-template <typename Msg, typename Topo = Topology>
+template <typename Msg>
 class ReferenceNetwork {
  public:
-  ReferenceNetwork(const Topo& topo, geometry::PathLoss model = {},
+  ReferenceNetwork(const Topology& topo, geometry::PathLoss model = {},
                    bool unbounded_broadcast = false, DelayModel delays = {},
                    FaultModel faults = {}, Telemetry* telemetry = nullptr)
       : topo_(topo),
@@ -196,7 +196,7 @@ class ReferenceNetwork {
         {u, v, d, std::move(m), next_seq_++, due, lost, bits, port});
   }
 
-  const Topo& topo_;
+  const Topology& topo_;
   EnergyMeter meter_;
   WireFormat<Msg> wire_{};
   bool unbounded_broadcast_;

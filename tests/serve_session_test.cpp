@@ -1,7 +1,8 @@
 // Differential tests for the serve Session (serve/session.hpp): after every
 // commit the maintained tree must equal graph::kruskal_msf over the alive
-// deployment at the operating radius — across seeds, mutation mixes, both
-// topology backends, and the incremental/rebuild boundary.
+// deployment at the operating radius — across seeds, mutation mixes, and
+// the incremental/rebuild boundary. Rebuilds, which run on the implicit
+// grid, must also equal the facade's run on the CSR.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -12,6 +13,7 @@
 #include "emst/geometry/sampling.hpp"
 #include "emst/graph/edge.hpp"
 #include "emst/serve/session.hpp"
+#include "emst/sim/topology.hpp"
 #include "emst/support/rng.hpp"
 
 namespace emst::serve {
@@ -19,10 +21,9 @@ namespace {
 
 using geometry::Point2;
 
-SessionConfig exact_config(bool implicit) {
+SessionConfig exact_config() {
   SessionConfig cfg;
   cfg.run.driver = Driver::kEopt;
-  cfg.implicit_backend = implicit;
   return cfg;
 }
 
@@ -55,7 +56,7 @@ NodeId random_alive(const Session& s, support::Rng& rng) {
 
 TEST(ServeSession, InitialBuildMatchesKruskal) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    Session s(deployment(150, seed), exact_config(false));
+    Session s(deployment(150, seed), exact_config());
     EXPECT_EQ(s.alive_count(), 150u);
     EXPECT_GT(s.radius(), 0.0);
     expect_exact(s);
@@ -63,30 +64,28 @@ TEST(ServeSession, InitialBuildMatchesKruskal) {
 }
 
 TEST(ServeSession, RandomChurnStaysExact) {
-  for (const bool implicit : {false, true}) {
-    for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
-      Session s(deployment(120, seed), exact_config(implicit));
-      support::Rng rng(seed * 1000 + 7);
-      for (int round = 0; round < 8; ++round) {
-        const int ops = 1 + static_cast<int>(rng.uniform_int(6));
-        for (int k = 0; k < ops; ++k) {
-          const std::uint64_t pick = rng.uniform_int(3);
-          if (pick == 0) {
-            EXPECT_NE(s.queue_add({rng.uniform(), rng.uniform()}),
-                      graph::kNoNode);
-          } else if (pick == 1) {
-            const NodeId id = random_alive(s, rng);
-            if (id != graph::kNoNode) (void)s.queue_remove(id);
-          } else {
-            const NodeId id = random_alive(s, rng);
-            if (id != graph::kNoNode)
-              (void)s.queue_move(id, {rng.uniform(), rng.uniform()});
-          }
+  for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
+    Session s(deployment(120, seed), exact_config());
+    support::Rng rng(seed * 1000 + 7);
+    for (int round = 0; round < 8; ++round) {
+      const int ops = 1 + static_cast<int>(rng.uniform_int(6));
+      for (int k = 0; k < ops; ++k) {
+        const std::uint64_t pick = rng.uniform_int(3);
+        if (pick == 0) {
+          EXPECT_NE(s.queue_add({rng.uniform(), rng.uniform()}),
+                    graph::kNoNode);
+        } else if (pick == 1) {
+          const NodeId id = random_alive(s, rng);
+          if (id != graph::kNoNode) (void)s.queue_remove(id);
+        } else {
+          const NodeId id = random_alive(s, rng);
+          if (id != graph::kNoNode)
+            (void)s.queue_move(id, {rng.uniform(), rng.uniform()});
         }
-        const CommitOutcome out = s.commit();
-        EXPECT_GT(out.nodes_touched, 0u);
-        expect_exact(s);
       }
+      const CommitOutcome out = s.commit();
+      EXPECT_GT(out.nodes_touched, 0u);
+      expect_exact(s);
     }
   }
 }
@@ -94,7 +93,7 @@ TEST(ServeSession, RandomChurnStaysExact) {
 TEST(ServeSession, RemoveOnlyBatchesStayExact) {
   // Pure removals exercise the Borůvka repair path (torn fragments, passive
   // giants) with no Chin–Houck insertions to mask a wrong reconnect.
-  Session s(deployment(140, 5), exact_config(false));
+  Session s(deployment(140, 5), exact_config());
   support::Rng rng(99);
   for (int round = 0; round < 10 && s.alive_count() > 20; ++round) {
     for (int k = 0; k < 4; ++k) {
@@ -108,7 +107,7 @@ TEST(ServeSession, RemoveOnlyBatchesStayExact) {
 
 TEST(ServeSession, MoveOnlyBatchesStayExact) {
   // Moves are a removal and an insertion of the same id in one commit.
-  Session s(deployment(100, 6), exact_config(false));
+  Session s(deployment(100, 6), exact_config());
   support::Rng rng(123);
   for (int round = 0; round < 8; ++round) {
     for (int k = 0; k < 3; ++k) {
@@ -123,7 +122,7 @@ TEST(ServeSession, MoveOnlyBatchesStayExact) {
 }
 
 TEST(ServeSession, IdsAreMonotoneAndNeverReused) {
-  Session s(deployment(10, 1), exact_config(false));
+  Session s(deployment(10, 1), exact_config());
   const NodeId a = s.queue_add({0.5, 0.5});
   const NodeId b = s.queue_add({0.25, 0.25});
   EXPECT_EQ(a, 10u);
@@ -138,7 +137,7 @@ TEST(ServeSession, IdsAreMonotoneAndNeverReused) {
 }
 
 TEST(ServeSession, QueueValidation) {
-  Session s(deployment(20, 2), exact_config(false));
+  Session s(deployment(20, 2), exact_config());
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(s.queue_add({inf, 0.0}), graph::kNoNode);
@@ -165,7 +164,7 @@ TEST(ServeSession, QueueValidation) {
 }
 
 TEST(ServeSession, EmptyCommitIsANoOp) {
-  Session s(deployment(30, 3), exact_config(false));
+  Session s(deployment(30, 3), exact_config());
   const std::vector<graph::Edge> before = s.tree();
   const CommitOutcome out = s.commit();
   EXPECT_EQ(out.admitted, 0u);
@@ -176,7 +175,7 @@ TEST(ServeSession, EmptyCommitIsANoOp) {
 TEST(ServeSession, SmallBatchRepairIsLocal) {
   // The whole point of the incremental path: a constant-size batch on a
   // large deployment must not touch a constant fraction of it.
-  Session s(deployment(2000, 4), exact_config(false));
+  Session s(deployment(2000, 4), exact_config());
   ASSERT_TRUE(s.queue_remove(17));
   const NodeId fresh = s.queue_add({0.5, 0.5});
   ASSERT_NE(fresh, graph::kNoNode);
@@ -188,7 +187,7 @@ TEST(ServeSession, SmallBatchRepairIsLocal) {
 }
 
 TEST(ServeSession, ChurnTriggersRebuild) {
-  SessionConfig cfg = exact_config(false);
+  SessionConfig cfg = exact_config();
   cfg.rebuild_churn_fraction = 0.05;  // rebuild after >5% churn
   Session s(deployment(100, 7), cfg);
   support::Rng rng(7);
@@ -203,7 +202,7 @@ TEST(ServeSession, ChurnTriggersRebuild) {
 TEST(ServeSession, RadiusDriftTriggersRebuild) {
   // Halving the population moves the connectivity radius well past the
   // drift tolerance even though churn per batch stays under the fraction.
-  SessionConfig cfg = exact_config(false);
+  SessionConfig cfg = exact_config();
   cfg.rebuild_churn_fraction = 10.0;  // churn alone never triggers
   cfg.rebuild_radius_drift = 0.10;
   Session s(deployment(200, 8), cfg);
@@ -223,7 +222,7 @@ TEST(ServeSession, RadiusDriftTriggersRebuild) {
 }
 
 TEST(ServeSession, StatsAccumulate) {
-  Session s(deployment(50, 9), exact_config(false));
+  Session s(deployment(50, 9), exact_config());
   ASSERT_NE(s.queue_add({0.1, 0.9}), graph::kNoNode);
   (void)s.commit();
   ASSERT_TRUE(s.queue_remove(0));
@@ -235,33 +234,44 @@ TEST(ServeSession, StatsAccumulate) {
 }
 
 TEST(ServeSession, BackendsAgreeBitwise) {
-  // The rebuild path must be backend-independent (docs/PERF.md): same
-  // session trace on CSR and implicit backends → identical trees.
-  SessionConfig a = exact_config(false);
-  SessionConfig b = exact_config(true);
-  a.rebuild_churn_fraction = b.rebuild_churn_fraction = 0.0;  // force rebuilds
-  Session sa(deployment(120, 10), a);
-  Session sb(deployment(120, 10), b);
+  // Rebuilds run the facade on the implicit grid (run(const Instance&));
+  // each rebuilt tree must equal, bitwise, the facade's run on the CSR of
+  // the same alive points and radius (docs/PERF.md).
+  SessionConfig cfg = exact_config();
+  cfg.rebuild_churn_fraction = 0.0;  // force rebuilds
+  Session s(deployment(120, 10), cfg);
   support::Rng rng(10);
   for (int round = 0; round < 4; ++round) {
     const Point2 p{rng.uniform(), rng.uniform()};
     const auto victim = static_cast<NodeId>(rng.uniform_int(60));
-    ASSERT_NE(sa.queue_add(p), graph::kNoNode);
-    ASSERT_NE(sb.queue_add(p), graph::kNoNode);
-    if (sa.alive(victim) && sb.alive(victim)) {
-      ASSERT_TRUE(sa.queue_remove(victim));
-      ASSERT_TRUE(sb.queue_remove(victim));
+    ASSERT_NE(s.queue_add(p), graph::kNoNode);
+    if (s.alive(victim)) {
+      ASSERT_TRUE(s.queue_remove(victim));
     }
-    EXPECT_TRUE(sa.commit().rebuilt);
-    EXPECT_TRUE(sb.commit().rebuilt);
-    ASSERT_EQ(sa.tree().size(), sb.tree().size());
-    for (std::size_t i = 0; i < sa.tree().size(); ++i)
-      EXPECT_EQ(sa.tree()[i], sb.tree()[i]);
+    EXPECT_TRUE(s.commit().rebuilt);
+
+    std::vector<NodeId> ids;
+    std::vector<Point2> points;
+    for (NodeId u = 0; u < s.capacity(); ++u) {
+      if (!s.alive(u)) continue;
+      ids.push_back(u);
+      points.push_back(s.position(u));
+    }
+    const RunResult csr = run(sim::Topology(points, s.radius()), cfg.run);
+    std::vector<graph::Edge> want;
+    for (const graph::Edge& e : csr.tree)
+      want.push_back(graph::Edge{ids[e.u], ids[e.v], e.w}.canonical());
+    graph::sort_edges(want);
+    ASSERT_EQ(s.tree().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(s.tree()[i], want[i]) << "edge " << i;
+      EXPECT_EQ(s.tree()[i].w, want[i].w) << "edge " << i;  // bitwise
+    }
   }
 }
 
 TEST(ServeSession, VerifyAfterCommitModeRuns) {
-  SessionConfig cfg = exact_config(false);
+  SessionConfig cfg = exact_config();
   cfg.verify_after_commit = true;  // the session asserts exactness itself
   Session s(deployment(80, 11), cfg);
   support::Rng rng(11);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "emst/geometry/deployments.hpp"
 #include "emst/geometry/sampling.hpp"
 #include "emst/spatial/cell_grid.hpp"
 #include "emst/support/rng.hpp"
@@ -65,6 +66,22 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(10, 100, 1000),
                        ::testing::Values(0.01, 0.05, 0.3, 1.5),
                        ::testing::Values(1, 2, 3)));
+
+TEST(CellGrid, ClusteredAutoCellWithinMatchesBruteForce) {
+  // Clustered points crowd a few cells of the auto-sized grid; the query
+  // radii reach from well inside one cell to many cells across.
+  support::Rng rng(6029);
+  const auto points =
+      geometry::sample_deployment(geometry::Deployment::kClustered, 1500, rng);
+  const CellGrid grid = CellGrid::with_auto_cell(points);
+  for (int q = 0; q < 40; ++q) {
+    const geometry::Point2 p{rng.uniform(), rng.uniform()};
+    const double r = rng.uniform(0.02, 0.3);
+    auto got = grid.within(p, r);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, brute_within(points, p, r)) << "query " << q << " r " << r;
+  }
+}
 
 TEST(CellGrid, KNearestMatchesBruteForce) {
   support::Rng rng(71);

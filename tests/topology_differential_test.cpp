@@ -2,13 +2,14 @@
 //
 // The contract: `sim::ImplicitTopology` is a drop-in for `sim::Topology`.
 // For the same point set and radius, every backend-generic driver (sync
-// GHS, EOPT, Co-NNT in both forms) must produce the SAME observable result
+// GHS, EOPT, choreographed Co-NNT) must produce the SAME observable result
 // on both backends — tree (weights bitwise), accounting (float energy
 // bitwise), phases, fault/ARQ counters, per-node ledger, breakdown matrix,
 // and the complete telemetry event stream — at every thread count, with
 // and without faults+ARQ. Equality assertions, not tolerances: one flipped
-// bit fails. Classic GHS compiles for the CSR only; its cases check that
-// `emst::run` serves it to an implicit-backend caller from the CSR.
+// bit fails. The network engines compile for the CSR only; the classic GHS
+// and Co-NNT actor cases check that `emst::run` serves those drivers to an
+// implicit-backend caller from the CSR.
 //
 // The enumeration layer is pinned separately: `neighbors`, `neighbors_within`
 // and `nodes_within` must yield identical sequences (ids in order, weights
@@ -276,11 +277,13 @@ void expect_backend_invariant(const char* label, double radius_factor,
   }
 }
 
-/// Classic GHS through the facade: handed a sim::ImplicitTopology, emst::run
-/// builds the CSR of the same points and radius, so everything the run
-/// exposes must equal a run on the caller's CSR. Classic GHS ignores
-/// `threads`, so each seed runs once.
-void expect_classic_backend_invariant(Driver driver, bool with_delays) {
+/// The drivers that run on the network engine (classic GHS, the Co-NNT
+/// actor) through the facade: handed a sim::ImplicitTopology, they build
+/// the CSR of the same points and radius, so everything the run exposes
+/// must equal a run on the caller's CSR. Neither reads `threads`, so each
+/// seed runs once; `tune(cfg, seed)` sets the case's knobs.
+template <typename Tune>
+void expect_facade_serves_csr(Driver driver, Tune&& tune) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const auto points = make_points(seed);
     const double radius = rgg::connectivity_radius(kNodes, 1.6);
@@ -293,23 +296,29 @@ void expect_classic_backend_invariant(Driver driver, bool with_delays) {
       cfg.track_per_node_energy = true;
       cfg.record_breakdown = true;
       cfg.telemetry = &telemetry;
-      if (with_delays) cfg.classic.delays = {3, 0xabc0ULL + seed};
+      tune(cfg, seed);
       return observe(emst::run(topo, cfg), sink);
     };
     const Observed want = observe_on(mat);
     EXPECT_FALSE(want.tree.empty())
         << driver_name(driver) << " seed " << seed << ": empty tree";
+    EXPECT_GT(want.executions, 0u)
+        << driver_name(driver) << " seed " << seed << ": no actor ran";
     SCOPED_TRACE(testing::Message() << driver_name(driver) << " seed=" << seed);
     expect_observed_equal(observe_on(imp), want);
   }
 }
 
 TEST(BackendDifferential, ClassicGhs) {
-  expect_classic_backend_invariant(Driver::kClassicGhs, false);
+  expect_facade_serves_csr(Driver::kClassicGhs,
+                           [](RunConfig&, std::uint64_t) {});
 }
 
 TEST(BackendDifferential, ClassicGhsCachedWithDelays) {
-  expect_classic_backend_invariant(Driver::kClassicGhsCached, true);
+  expect_facade_serves_csr(Driver::kClassicGhsCached,
+                           [](RunConfig& cfg, std::uint64_t seed) {
+                             cfg.classic.delays = {3, 0xabc0ULL + seed};
+                           });
 }
 
 TEST(BackendDifferential, SyncGhs) {
@@ -382,16 +391,12 @@ TEST(BackendDifferential, CoNnt) {
 }
 
 TEST(BackendDifferential, CoNntActor) {
-  expect_backend_invariant(
-      "connt-actor", 1.6,
-      [](const auto& topo, std::uint64_t, std::size_t threads) {
-        sim::MemoryTraceSink sink;
-        sim::Telemetry telemetry(&sink);
-        nnt::CoNntOptions options;
-        configure(options, threads, &telemetry);
-        const auto run = nnt::run_connt_actor(topo, options);
-        return observe(run, sink);
-      });
+  // A crash-only fault model sends Co-NNT to its actor: one node down from
+  // the start and one mid-run, both back later.
+  expect_facade_serves_csr(Driver::kCoNnt, [](RunConfig& cfg, std::uint64_t) {
+    cfg.faults.crashes = {{.node = 23, .from = 0, .until = 12},
+                          {.node = 7, .from = 4, .until = 18}};
+  });
 }
 
 }  // namespace
