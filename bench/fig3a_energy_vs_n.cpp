@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
                           {"trials", "trials per point (default 10)"},
                           {"seed", "master seed (default 2008)"},
                           {"alpha", "path-loss exponent (default 2)"},
-                          {"sync-baseline", "use phase-sync probe GHS as baseline"},
                           {"csv", "write CSV to this path"}});
   const auto ns64 = cli.get_int_list(
       "ns", {50, 100, 250, 500, 1000, 1500, 2000, 3000, 4000, 5000});
@@ -33,8 +32,7 @@ int main(int argc, char** argv) {
               "the axis; exact = trials where GHS/EOPT matched Kruskal\n\n");
 
   const harness::Fig3Data data =
-      harness::run_fig3(ns, trials, seed, cli.get_bool("sync-baseline", false),
-                        cli.get_double("alpha", 2.0));
+      harness::run_fig3(ns, trials, seed, cli.get_double("alpha", 2.0));
   const auto table = harness::fig3a_table(data);
   table.print(std::cout);
 

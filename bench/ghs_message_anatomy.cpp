@@ -3,7 +3,9 @@
 // (TEST/ACCEPT/REJECT, each edge rejected at most once) and Θ(n log n)
 // control (INITIATE/REPORT, once per node per level); this bench prints the
 // measured per-type counts and energies, plus the same anatomy for the
-// §V-A cached variant (discovery collapses into announcements).
+// §V-A cached variant (discovery collapses into announcements). The counts
+// are the meter's per-kind breakdown cells (`record_breakdown`): classic GHS
+// charges each message type to its own `sim::MsgKind` of `PhaseTag::kRun`.
 #include <cstdio>
 #include <iostream>
 
@@ -40,13 +42,14 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::size_t>(n64);
     for (const ghs::MoeStrategy moe :
          {ghs::MoeStrategy::kTestAll, ghs::MoeStrategy::kCachedConfirm}) {
-      std::vector<ghs::GhsMessageBreakdown> outs(trials);
+      std::vector<sim::EnergyBreakdown> outs(trials);
       support::parallel_for(trials, [&](std::size_t t) {
         support::Rng rng(support::Rng::stream_seed(seed ^ (n * 17), t));
         const sim::Topology topo(geometry::uniform_points(n, rng),
                                  rgg::connectivity_radius(n));
         ghs::ClassicGhsOptions options;
         options.moe = moe;
+        options.record_breakdown = true;
         outs[t] = ghs::run_classic_ghs(topo, options).breakdown;
       });
       double total_energy = 0.0;
@@ -54,8 +57,11 @@ int main(int argc, char** argv) {
       std::array<support::RunningStats, kTypes> energies;
       for (const auto& b : outs) {
         for (std::size_t i = 0; i < kTypes; ++i) {
-          counts[i].add(static_cast<double>(b.count[i]));
-          energies[i].add(b.energy[i]);
+          const auto& cell = b.cell(
+              sim::PhaseTag::kRun,
+              ghs::to_msg_kind(static_cast<ghs::GhsMsgType>(i)));
+          counts[i].add(static_cast<double>(cell.messages));
+          energies[i].add(cell.energy);
         }
       }
       for (std::size_t i = 0; i < kTypes; ++i) total_energy += energies[i].mean();

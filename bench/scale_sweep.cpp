@@ -38,6 +38,7 @@
 #include "emst/run.hpp"
 #include "emst/geometry/sampling.hpp"
 #include "emst/ghs/sync.hpp"
+#include "emst/graph/adjacency.hpp"
 #include "emst/rgg/radii.hpp"
 #include "emst/sim/implicit_topology.hpp"
 #include "emst/sim/topology.hpp"
@@ -72,13 +73,14 @@ struct ChildReport {
 };
 
 /// Projected bytes for MATERIALIZING the r-disk graph at size n: the build
-/// edge list (24 B/edge) plus the CSR (two 16 B Neighbor entries per edge)
-/// plus points and offsets. Expected edges m = C(n,2)·π r² (uniform square,
-/// ignoring boundary — an overestimate of at most ~2x near r ≈ 1).
+/// edge list (24 B/edge) plus the CSR (two `graph::Neighbor` entries per
+/// edge) plus points and offsets. Expected edges m = C(n,2)·π r² (uniform
+/// square, ignoring boundary — an overestimate of at most ~2x near r ≈ 1).
 double projected_materialized_bytes(std::size_t n, double radius) {
+  constexpr double kNeighborBytes = sizeof(graph::Neighbor);
   const double nn = static_cast<double>(n);
   const double m = nn * (nn - 1.0) / 2.0 * std::min(1.0, M_PI * radius * radius);
-  return m * (24.0 + 2.0 * 16.0) + nn * 48.0;
+  return m * (24.0 + 2.0 * kNeighborBytes) + nn * 48.0;
 }
 
 double algo_radius(std::size_t n) {
@@ -95,7 +97,7 @@ ChildReport run_one(Topo&& make_topo, const std::string& algo) {
   ChildReport out;
   const auto start = Clock::now();
   const auto topo = make_topo();  // topology build is part of the story
-  // EOPT's facade phases are step1 + step2 (run.cpp absorbs the sum).
+  // EOPT's phases are step1 + step2 (eopt.cpp sums them into `run.phases`).
   emst::Driver driver = emst::Driver::kEopt;
   const bool known = emst::parse_driver(algo, driver);
   EMST_ASSERT_MSG(known, "scale_sweep: unknown --algo");

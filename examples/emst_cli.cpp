@@ -42,19 +42,11 @@ using namespace emst;
 
 struct Record {
   std::string algo;
-  sim::Accounting totals;
-  std::size_t phases = 0;
-  sim::FaultStats faults;
-  sim::ArqStats arq;
-  std::vector<double> per_node;
-  sim::EnergyBreakdown breakdown;
-  bool breakdown_recorded = false;
-  bool hit_phase_cap = false;
+  sim::RunResult run;
   double tree_len = 0.0;
   double tree_sq = 0.0;
   bool spanning = false;
   bool exact = false;
-  std::size_t injected_crashes = 0;  ///< chaos-controller kills this run
 };
 
 Record run_one(const std::string& algo, const sim::Topology& topo,
@@ -63,7 +55,6 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
                const RunFlags& flags, sim::Telemetry* telemetry) {
   Record record;
   record.algo = algo;
-  std::vector<graph::Edge> tree;
   // Permanent kills make the MSF of the surviving subgraph the exact answer
   // (docs/ROBUSTNESS.md).
   std::optional<std::vector<graph::Edge>> survivor_reference;
@@ -83,10 +74,7 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
       std::cerr << "warning: --per-node/--breakdown not available for kpnnt; "
                    "column omitted\n";
     }
-    const auto run = nnt::run_kp_nnt(topo);
-    record.totals = run.totals;
-    record.phases = run.max_probe_rounds;
-    tree = run.tree;
+    record.run = nnt::run_kp_nnt(topo);
   } else {
     RunConfig cfg;
     if (!parse_driver(algo, cfg.driver)) {
@@ -96,30 +84,21 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
     reject_unsupported_faults(flags, cfg.driver);
     flags.apply(cfg);
     cfg.telemetry = telemetry;
-    RunResult run = emst::run(topo, cfg);
-    record.totals = run.totals;
-    record.phases = run.phases;
-    record.faults = run.faults;
-    record.arq = run.arq;
-    record.per_node = std::move(run.per_node_energy);
-    record.breakdown = run.breakdown;
-    record.breakdown_recorded = run.breakdown_recorded;
-    record.hit_phase_cap = run.hit_phase_cap;
-    record.injected_crashes = run.injected_crashes.size();
+    record.run = emst::run(topo, cfg);
     const std::vector<char> alive =
-        sim::alive_mask(points.size(), run.injected_crashes);
+        sim::alive_mask(points.size(), record.run.injected_crashes);
     if (std::find(alive.begin(), alive.end(), 0) != alive.end())
       survivor_reference = sim::survivor_msf(topo, alive);
-    tree = std::move(run.tree);
   }
-  if (flags.per_node && record.per_node.empty() && algo != "kpnnt") {
+  const sim::RunResult& run = record.run;
+  if (flags.per_node && run.per_node_energy.empty() && algo != "kpnnt") {
     std::cerr << "warning: per-node energy unavailable for " << algo << '\n';
   }
-  record.tree_len = graph::tree_cost(points, tree, 1.0);
-  record.tree_sq = graph::tree_cost(points, tree, 2.0);
-  record.spanning = graph::is_spanning_tree(points.size(), tree);
+  record.tree_len = graph::tree_cost(points, run.tree, 1.0);
+  record.tree_sq = graph::tree_cost(points, run.tree, 2.0);
+  record.spanning = graph::is_spanning_tree(points.size(), run.tree);
   record.exact = graph::same_edge_set(
-      tree, survivor_reference ? *survivor_reference : reference);
+      run.tree, survivor_reference ? *survivor_reference : reference);
   return record;
 }
 
@@ -168,15 +147,16 @@ void json_breakdown(support::JsonWriter& json,
 void print_breakdown(const Record& record) {
   std::printf("breakdown %s (energy / messages per phase x kind):\n",
               record.algo.c_str());
-  for (const sim::PhaseTag phase : active_phases(record.breakdown)) {
-    const sim::Accounting row = record.breakdown.phase_total(phase);
+  const sim::EnergyBreakdown& matrix = record.run.breakdown;
+  for (const sim::PhaseTag phase : active_phases(matrix)) {
+    const sim::Accounting row = matrix.phase_total(phase);
     std::printf("  %-7s %12.4f %8llu msgs %6llu rounds |",
                 std::string(sim::phase_tag_name(phase)).c_str(), row.energy,
                 static_cast<unsigned long long>(row.messages()),
                 static_cast<unsigned long long>(row.rounds));
     for (std::size_t k = 0; k < sim::EnergyBreakdown::kKinds; ++k) {
       const auto kind = static_cast<sim::MsgKind>(k);
-      const auto& cell = record.breakdown.cell(phase, kind);
+      const auto& cell = matrix.cell(phase, kind);
       if (cell.messages == 0) continue;
       std::printf(" %s=%.4f/%llu",
                   std::string(sim::msg_kind_name(kind)).c_str(), cell.energy,
@@ -264,7 +244,7 @@ int main(int argc, char** argv) {
                               telemetry_ptr));
 
   if (jsonl.has_value()) {
-    const Record& traced = records.front();
+    const sim::RunResult& traced = records.front().run;
     sim::write_trace_summary(trace_file, traced.totals, traced.faults,
                              traced.arq);
   }
@@ -281,39 +261,41 @@ int main(int argc, char** argv) {
     json.key("mst_sq").value(graph::tree_cost(points, reference, 2.0));
     json.key("runs").begin_array();
     for (const Record& r : records) {
+      const sim::RunResult& run = r.run;
       json.begin_object();
       json.key("algo").value(r.algo);
-      json.key("energy").value(r.totals.energy);
-      json.key("messages").value(r.totals.messages());
-      json.key("unicasts").value(r.totals.unicasts);
-      json.key("broadcasts").value(r.totals.broadcasts);
-      json.key("rounds").value(r.totals.rounds);
-      json.key("bits").value(r.totals.bits);
-      json.key("phases").value(r.phases);
+      json.key("energy").value(run.totals.energy);
+      json.key("messages").value(run.totals.messages());
+      json.key("unicasts").value(run.totals.unicasts);
+      json.key("broadcasts").value(run.totals.broadcasts);
+      json.key("rounds").value(run.totals.rounds);
+      json.key("bits").value(run.totals.bits);
+      json.key("phases").value(run.phases);
       json.key("tree_len").value(r.tree_len);
       json.key("tree_sq").value(r.tree_sq);
       json.key("spanning").value(r.spanning);
       json.key("exact_mst").value(r.exact);
-      if (r.faults.lost + r.faults.dropped_crashed + r.faults.suppressed > 0) {
-        json.key("lost").value(r.faults.lost);
-        json.key("dropped_crashed").value(r.faults.dropped_crashed);
-        json.key("suppressed").value(r.faults.suppressed);
+      const sim::FaultStats& faults = run.faults;
+      if (faults.lost + faults.dropped_crashed + faults.suppressed > 0) {
+        json.key("lost").value(faults.lost);
+        json.key("dropped_crashed").value(faults.dropped_crashed);
+        json.key("suppressed").value(faults.suppressed);
       }
-      if (r.arq.data_sent > 0) {
-        json.key("arq_data").value(r.arq.data_sent);
-        json.key("arq_retransmissions").value(r.arq.retransmissions);
-        json.key("arq_give_ups").value(r.arq.give_ups);
-        json.key("arq_data_bits").value(r.arq.data_bits);
-        json.key("arq_ack_bits").value(r.arq.ack_bits);
+      if (run.arq.data_sent > 0) {
+        json.key("arq_data").value(run.arq.data_sent);
+        json.key("arq_retransmissions").value(run.arq.retransmissions);
+        json.key("arq_give_ups").value(run.arq.give_ups);
+        json.key("arq_data_bits").value(run.arq.data_bits);
+        json.key("arq_ack_bits").value(run.arq.ack_bits);
       }
-      if (r.hit_phase_cap) json.key("hit_phase_cap").value(true);
-      if (r.injected_crashes > 0)
-        json.key("injected_crashes").value(r.injected_crashes);
+      if (run.hit_phase_cap) json.key("hit_phase_cap").value(true);
+      if (!run.injected_crashes.empty())
+        json.key("injected_crashes").value(run.injected_crashes.size());
       if (flags.oracle != nullptr)
         json.key("oracle_violations").value(flags.oracle->violations().size());
-      if (!r.per_node.empty())
-        json.key("hottest_node_energy").value(hottest(r.per_node));
-      if (r.breakdown_recorded) json_breakdown(json, r.breakdown);
+      if (!run.per_node_energy.empty())
+        json.key("hottest_node_energy").value(hottest(run.per_node_energy));
+      if (run.breakdown_recorded) json_breakdown(json, run.breakdown);
       json.end_object();
     }
     json.end_array();
@@ -328,26 +310,26 @@ int main(int argc, char** argv) {
                 "messages", "rounds", show_bits ? "         bits" : "",
                 "sum|e|", "sum|e|^2", "exact", show_hot ? "    hottest" : "");
     for (const Record& r : records) {
-      std::printf("%-12s %12.4f %10llu %8llu", r.algo.c_str(), r.totals.energy,
-                  static_cast<unsigned long long>(r.totals.messages()),
-                  static_cast<unsigned long long>(r.totals.rounds));
+      const sim::Accounting& totals = r.run.totals;
+      std::printf("%-12s %12.4f %10llu %8llu", r.algo.c_str(), totals.energy,
+                  static_cast<unsigned long long>(totals.messages()),
+                  static_cast<unsigned long long>(totals.rounds));
       if (show_bits) {
-        std::printf(" %12llu",
-                    static_cast<unsigned long long>(r.totals.bits));
+        std::printf(" %12llu", static_cast<unsigned long long>(totals.bits));
       }
       std::printf(" %10.4f %10.5f %6s", r.tree_len, r.tree_sq,
                   r.exact ? "yes" : "no");
       if (show_hot) {
-        if (r.per_node.empty()) {
+        if (r.run.per_node_energy.empty()) {
           std::printf("          -");
         } else {
-          std::printf(" %10.5f", hottest(r.per_node));
+          std::printf(" %10.5f", hottest(r.run.per_node_energy));
         }
       }
       std::printf("\n");
     }
     for (const Record& r : records) {
-      if (r.breakdown_recorded && flags.breakdown) print_breakdown(r);
+      if (r.run.breakdown_recorded && flags.breakdown) print_breakdown(r);
     }
     if (flags.chaos_controller != nullptr) {
       std::printf("chaos: strategy=%s kills=%zu\n",

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   // original MST, and deleting nodes only removes cycles).
   const auto reference =
       graph::kruskal_msf(m, survivor_topo.graph().edges());
-  auto report = [&](const char* name, const ghs::MstRunResult& run) {
+  auto report = [&](const char* name, const sim::RunResult& run) {
     std::printf("%-22s: energy %8.3f, messages %7llu, exact=%s\n", name,
                 run.totals.energy,
                 static_cast<unsigned long long>(run.totals.messages()),

@@ -124,27 +124,25 @@ EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
   result.run.totals = total.totals();
   result.run.phases = stage1.run.phases + stage2.run.phases;
   result.run.fragments = stage2.run.fragments;
-  result.run.energy_breakdown = matrix;
+  result.run.breakdown = matrix;
   result.run.breakdown_recorded = true;
-  result.arq = stage1.arq;
-  result.arq += census_link.stats();
-  result.arq += stage2.arq;
-  result.fault_stats = fault_session.stats();
-  result.run.fault_stats = fault_session.stats();
+  result.run.arq = stage1.run.arq;
+  result.run.arq += census_link.stats();
+  result.run.arq += stage2.run.arq;
+  result.run.faults = fault_session.stats();
   result.run.injected_crashes = fault_session.injected_schedule();
-  result.hit_phase_cap = stage1.hit_phase_cap || stage2.hit_phase_cap;
+  result.run.hit_phase_cap =
+      stage1.run.hit_phase_cap || stage2.run.hit_phase_cap;
   if (options.track_per_node_energy) {
-    result.per_node_energy = total.per_node();
+    result.run.per_node_energy = total.per_node();
   } else if (total.telemetry() != nullptr && total.telemetry()->aggregating() &&
              total.telemetry()->aggregate().node_energy.size() == n) {
     // Fallback: the aggregating hub already carries the per-node ledger, so
     // don't leave the column silently empty just because the meter-side
     // toggle is off. (The aggregate spans the hub's lifetime — attach a
     // fresh hub per run for strictly per-run numbers.)
-    result.per_node_energy = total.telemetry()->aggregate().node_energy;
+    result.run.per_node_energy = total.telemetry()->aggregate().node_energy;
   }
-  if (!result.per_node_energy.empty())
-    result.run.per_node_energy = result.per_node_energy;
   return result;
 }
 

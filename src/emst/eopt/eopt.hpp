@@ -21,6 +21,9 @@
 // would be shorter than r₁, putting C inside G_{r₁} and contradicting
 // e ∈ MSF(G_{r₁}) (cycle property). So Step 2 merely finishes Kruskal from a
 // correct partial forest.
+//
+// The result nests the shared `sim::RunResult` as `run` (whole-run tree,
+// totals, fault and ARQ counters), next to the stage detail only EOPT has.
 #pragma once
 
 #include <cstddef>
@@ -56,9 +59,17 @@ struct EoptOptions : sim::RunConfig {
 };
 
 struct EoptResult {
-  ghs::MstRunResult run;          ///< final tree + totals over both steps
+  /// The whole run: both steps and the census, ARQ and fault counters
+  /// included (zero when off). `run.breakdown` is always recorded.
+  /// `run.per_node_energy` is filled when `track_per_node_energy` is set,
+  /// OR as a fallback when an aggregating `telemetry` hub was attached (the
+  /// aggregate ledger covers everything the hub observed, so attach a fresh
+  /// hub per run for per-run numbers). `run.hit_phase_cap`: some stage
+  /// stopped at its phase cap (fault mode only; the tree is then a partial
+  /// forest rather than the full MST).
+  sim::RunResult run;
   /// Thm 5.3 stage shares, derived from ONE source of truth: the telemetry
-  /// breakdown matrix (`run.energy_breakdown.phase_total(...)`), which every
+  /// breakdown matrix (`run.breakdown.phase_total(...)`), which every
   /// charge lands in exactly once. step1+census+step2 therefore equals the
   /// run total bit-for-bit — the two views cannot disagree (tested).
   sim::Accounting step1;          ///< Step-1 share (incl. initial announce)
@@ -71,18 +82,6 @@ struct EoptResult {
   std::size_t step2_phases = 0;
   double radius1 = 0.0;
   double radius2 = 0.0;
-  /// Per-node transmit energy over all three stages. Filled when
-  /// `track_per_node_energy` is set, OR as a fallback when an aggregating
-  /// `telemetry` hub was attached (the aggregate ledger covers everything
-  /// the hub observed, so attach a fresh hub per run for per-run numbers).
-  std::vector<double> per_node_energy;
-  /// ARQ counters summed over Step 1 + census + Step 2 (zero when off).
-  sim::ArqStats arq{};
-  /// Fault-layer drop counters for the whole run (zero when faults off).
-  sim::FaultStats fault_stats{};
-  /// Some stage stopped at its phase cap (fault mode only; the tree is then
-  /// a partial forest rather than the full MST).
-  bool hit_phase_cap = false;
 };
 
 /// Run EOPT on a topology whose max radius is ≥ r₂ (build it with

@@ -66,7 +66,7 @@ class ClassicGhsRun {
     if (options.record_breakdown) net_.meter().enable_breakdown();
   }
 
-  MstRunResult run() {
+  sim::RunResult run() {
     if constexpr (sim::DistributedEngine<Engine>) {
       return run_distributed();
     } else {
@@ -79,22 +79,20 @@ class ClassicGhsRun {
   using Delivery = sim::Delivery<GhsMsg>;
 
   /// The serial env: handler actions become immediate engine calls, in the
-  /// exact statement order of the pre-actor inline driver (tally, then
-  /// telemetry context, then the charge+enqueue) — byte-identical meter and
-  /// telemetry streams.
+  /// exact statement order of the pre-actor inline driver (telemetry
+  /// context, then the charge+enqueue) — byte-identical meter and telemetry
+  /// streams. The wire tag matters only to the distributed effect ledger.
   struct SerialEnv {
     ClassicGhsRun* run;
 
     void unicast(NodeId u, const graph::Neighbor& link, sim::MsgKind kind,
-                 std::uint8_t dtag, std::uint32_t fragment, GhsMsg msg) {
-      run->tally(static_cast<GhsMsgType>(dtag), link.w);
+                 std::uint8_t /*dtag*/, std::uint32_t fragment, GhsMsg msg) {
       run->net_.meter().set_kind(kind);
       run->net_.meter().set_fragment(fragment);
       run->net_.unicast(u, link, std::move(msg));
     }
     void broadcast(NodeId u, double radius, sim::MsgKind kind,
-                   std::uint8_t dtag, std::uint32_t fragment, GhsMsg msg) {
-      run->tally(static_cast<GhsMsgType>(dtag), radius);
+                   std::uint8_t /*dtag*/, std::uint32_t fragment, GhsMsg msg) {
       run->net_.meter().set_kind(kind);
       run->net_.meter().set_fragment(fragment);
       run->net_.broadcast(u, radius, std::move(msg));
@@ -106,18 +104,14 @@ class ClassicGhsRun {
   };
 
   /// The replay sink for the distributed path: the engine stages, charges
-  /// and contextualizes each effect itself; the driver only keeps its
-  /// per-type tally, exactly what SerialEnv::unicast/broadcast do first.
+  /// and contextualizes each effect itself, so the driver observes nothing.
   struct ReplaySink {
-    ClassicGhsRun* run;
-    void on_send(std::uint8_t dtag, double reach) {
-      run->tally(static_cast<GhsMsgType>(dtag), reach);
-    }
+    void on_send(std::uint8_t, double) {}
     void on_step_node(NodeId, std::uint8_t) {}
     void on_note(NodeId, std::uint32_t, std::uint64_t) {}
   };
 
-  MstRunResult run_serial() {
+  sim::RunResult run_serial() {
     SerialEnv env{this};
     if (starters_.empty()) {
       for (NodeId u = 0; u < topo_.node_count(); ++u) {
@@ -160,8 +154,8 @@ class ClassicGhsRun {
   /// its receiver — the parent replays the effect ledgers. The fail-stop
   /// epoch logic is unchanged because the crash clock, the suppressed /
   /// dropped counters and the stall detection all stay parent-side.
-  MstRunResult run_distributed() {
-    ReplaySink sink{this};
+  sim::RunResult run_distributed() {
+    ReplaySink sink;
     net_.install_actor(actor_, faulty_);
     wakeup_step(sink);
     std::vector<char> dead = dead_snapshot();
@@ -299,15 +293,9 @@ class ClassicGhsRun {
     return topo_.neighbors_within(u, radius_);
   }
 
-  void tally(GhsMsgType type, double reach) {
-    const auto index = static_cast<std::size_t>(type);
-    ++breakdown_.count[index];
-    breakdown_.energy[index] += net_.meter().model().cost(reach);
-  }
-
-  MstRunResult harvest() {
+  sim::RunResult harvest() {
     using EdgeState = typename Actor::EdgeState;
-    MstRunResult result;
+    sim::RunResult result;
     std::uint32_t max_level = 0;
     // Collect Branch slots as endpoint edges: a tree edge appears once per
     // endpoint that marked it Branch (usually both), so sort canonically
@@ -331,13 +319,12 @@ class ClassicGhsRun {
     result.totals = net_.meter().totals();
     result.phases = max_level;
     result.fragments = topo_.node_count() - result.tree.size();
-    result.breakdown = breakdown_;
     result.per_node_energy = net_.meter().per_node();
     if (net_.meter().breakdown_enabled()) {
-      result.energy_breakdown = net_.meter().breakdown();
+      result.breakdown = net_.meter().breakdown();
       result.breakdown_recorded = true;
     }
-    result.fault_stats = net_.fault_stats();
+    result.faults = net_.fault_stats();
     result.epochs = epochs_;
     result.injected_crashes = net_.faults().injected_schedule();
     result.handler_invocations = actor_.invocations();
@@ -369,13 +356,12 @@ class ClassicGhsRun {
   std::size_t rounds_ = 0;
   std::size_t epochs_ = 1;
   std::uint64_t rank_invocations_ = 0;
-  GhsMessageBreakdown breakdown_;
 };
 
 }  // namespace
 
-MstRunResult run_classic_ghs(const sim::Topology& topo,
-                             const ClassicGhsOptions& options) {
+sim::RunResult run_classic_ghs(const sim::Topology& topo,
+                               const ClassicGhsOptions& options) {
   if (options.ranks > 0) {
     return ClassicGhsRun<sim::DistributedNetwork<GhsMsg>>(topo, options).run();
   }

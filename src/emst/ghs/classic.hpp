@@ -12,7 +12,9 @@
 // Message complexity is the classical O(|E| + n log n); at the connectivity
 // radius r = Θ(√(log n / n)) every message costs up to r² = Θ(log n / n),
 // which is what produces the Θ(log² n) average energy the paper measures
-// (Fig 3, slope ≈ 2 in log W vs log log n).
+// (Fig 3, slope ≈ 2 in log W vs log log n). With `record_breakdown`, the
+// result's breakdown holds the per-type message anatomy: each type is
+// charged to its own `sim::MsgKind` cell (`to_msg_kind`) of `PhaseTag::kRun`.
 #pragma once
 
 #include <vector>
@@ -68,7 +70,7 @@ struct ClassicGhsOptions : sim::RunConfig {
 /// backend and runs on the CSR only. `emst::run` serves a
 /// `sim::ImplicitTopology` caller by building the CSR from the same points
 /// and radius; the memory-lean path is the modified/EOPT family.
-[[nodiscard]] MstRunResult run_classic_ghs(const sim::Topology& topo,
-                                           const ClassicGhsOptions& options = {});
+[[nodiscard]] sim::RunResult run_classic_ghs(
+    const sim::Topology& topo, const ClassicGhsOptions& options = {});
 
 }  // namespace emst::ghs

@@ -307,8 +307,8 @@ class ClassicGhsActor {
   }
 
   /// Unicast `msg` over slot `slot` of `u`: the single chokepoint where a
-  /// handler action becomes an env effect (type tally reach = the slot
-  /// weight; telemetry context = wire kind + sender's current fragment).
+  /// handler action becomes an env effect (charged reach = the slot weight;
+  /// meter context = wire kind + sender's current fragment).
   template <typename Env>
   void send(NodeId u, Slot slot, Msg msg, Env& env) {
     const GhsMsgType type = proto::type_of(msg);

@@ -9,18 +9,12 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <limits>
-#include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "emst/graph/edge.hpp"
 #include "emst/proto/ghs_wire.hpp"
-#include "emst/sim/fault.hpp"
-#include "emst/sim/meter.hpp"
-#include "emst/sim/telemetry.hpp"
 #include "emst/sim/topology.hpp"
 #include "emst/support/assert.hpp"
 
@@ -49,66 +43,11 @@ using TxBatch = std::vector<TxRecord>;
 using TxLog = std::vector<TxBatch>;
 
 /// Message types of the classical GHS protocol (plus the §V-A announcement),
-/// for per-type accounting — defined in the proto layer next to their wire
-/// codecs.
+/// defined in the proto layer next to their wire codecs; `to_msg_kind` names
+/// the meter's breakdown cell each type is charged to.
 using GhsMsgType = proto::GhsMsgType;
 using proto::ghs_msg_type_name;
 using proto::to_msg_kind;
-
-/// Per-type message and energy tallies (classic GHS fills this in; the
-/// interesting split is TEST/ACCEPT/REJECT = Θ(|E|) discovery traffic vs
-/// the Θ(n log n) INITIATE/REPORT control traffic).
-struct GhsMessageBreakdown {
-  std::array<std::uint64_t, static_cast<std::size_t>(GhsMsgType::kTypeCount)>
-      count{};
-  std::array<double, static_cast<std::size_t>(GhsMsgType::kTypeCount)> energy{};
-
-  [[nodiscard]] std::uint64_t count_of(GhsMsgType type) const {
-    return count[static_cast<std::size_t>(type)];
-  }
-  [[nodiscard]] double energy_of(GhsMsgType type) const {
-    return energy[static_cast<std::size_t>(type)];
-  }
-  [[nodiscard]] std::uint64_t total_count() const {
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : count) total += c;
-    return total;
-  }
-};
-
-/// Result of one distributed MST run.
-struct MstRunResult {
-  std::vector<graph::Edge> tree;   ///< canonical order
-  sim::Accounting totals;          ///< energy / messages / rounds
-  std::size_t phases = 0;          ///< phases (sync) or max level (classic)
-  std::size_t fragments = 0;       ///< final fragment count (1 iff connected)
-  GhsMessageBreakdown breakdown;   ///< per message type (classic GHS only)
-  /// Per-node transmit-energy ledger (empty unless the run options enabled
-  /// tracking). max element = the network-lifetime bound.
-  std::vector<double> per_node_energy;
-  /// Per-phase × per-kind matrix (valid iff `record_breakdown` was set).
-  sim::EnergyBreakdown energy_breakdown;
-  bool breakdown_recorded = false;
-  /// Fault-layer drop counters (all zero for fault-free runs).
-  sim::FaultStats fault_stats{};
-  /// Protocol epochs executed. Fail-stop drivers (classic GHS) restart from
-  /// scratch among survivors when a crash invalidates the running epoch
-  /// (docs/ROBUSTNESS.md); 1 = the run finished without a restart.
-  std::size_t epochs = 1;
-  /// Crash windows a chaos controller injected during the run, in injection
-  /// order — replaying them as a static `FaultModel::crashes` schedule
-  /// reproduces the adversarial run.
-  std::vector<sim::CrashWindow> injected_crashes;
-  /// Execution-placement witnesses (docs/DISTRIBUTED.md §2): handler
-  /// executions performed by THIS process's actor vs the sum shipped home
-  /// by the rank processes. Serial runs have executions here and zero in
-  /// the ranks; rank-resident runs the exact inverse — asserted in the
-  /// distributed determinism suite, together with the sum being the same
-  /// in every placement. A deferred delivery re-parked without a handler
-  /// call (its receiver unchanged) is not an execution.
-  std::uint64_t handler_invocations = 0;
-  std::uint64_t rank_handler_invocations = 0;
-};
 
 /// Position of neighbor v in u's sorted neighbor span (binary search by
 /// (weight, id)), given w = d(u, v). A delivery's `distance` is exactly

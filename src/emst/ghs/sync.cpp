@@ -151,17 +151,17 @@ class SyncGhsEngine {
     result.fragments_per_phase = std::move(trajectory);
     result.run.per_node_energy = meter_.per_node();
     if (meter_.breakdown_enabled()) {
-      result.run.energy_breakdown = meter_.breakdown();
+      result.run.breakdown = meter_.breakdown();
       result.run.breakdown_recorded = true;
     }
-    result.arq = link_.stats();
-    result.faults.lost = fault_->stats().lost - start_fault_stats_.lost;
-    result.faults.dropped_crashed =
+    result.run.arq = link_.stats();
+    result.run.faults.lost = fault_->stats().lost - start_fault_stats_.lost;
+    result.run.faults.dropped_crashed =
         fault_->stats().dropped_crashed - start_fault_stats_.dropped_crashed;
-    result.faults.suppressed =
+    result.run.faults.suppressed =
         fault_->stats().suppressed - start_fault_stats_.suppressed;
-    result.injected_crashes = fault_->injected_schedule();
-    result.hit_phase_cap = hit_phase_cap_;
+    result.run.injected_crashes = fault_->injected_schedule();
+    result.run.hit_phase_cap = hit_phase_cap_;
     return result;
   }
 

@@ -23,7 +23,9 @@
 //    fragment's id, so its members never re-announce.
 //
 // The run can be seeded with an existing fragment forest (EOPT Step 2
-// continues from the Step-1 fragments).
+// continues from the Step-1 fragments). The result nests the shared
+// `sim::RunResult` as `run`, next to the fragment forest and trajectory
+// only this driver reports.
 //
 // Fault-aware mode (docs/ROBUSTNESS.md): with a `FaultModel` and/or ARQ
 // enabled, every driver-charged unicast becomes a stop-and-wait ARQ session
@@ -89,25 +91,18 @@ struct SyncGhsOptions : sim::RunConfig {
 };
 
 struct SyncGhsResult {
-  MstRunResult run;            ///< tree includes seed edges
+  /// Tree (seed edges included), totals, and this run's own ARQ and fault
+  /// counters: a shared `fault_session` reports the delta since entry, and
+  /// `run.injected_crashes` the whole session's schedule. Fault-mode runs
+  /// stop at the phase cap instead of aborting when permanent losses leave
+  /// fragments unable to finish (`run.hit_phase_cap`; `final_forest` is
+  /// then partial).
+  sim::RunResult run;
   FragmentForest final_forest; ///< fragmentation when the run stopped
   /// Fragment count before each phase (Borůvka trajectory: every phase at
   /// least halves the number of active fragments, so the series is
   /// geometric — tested). Under faults, stalled phases repeat counts.
   std::vector<std::size_t> fragments_per_phase;
-  /// ARQ traffic counters for this run (all zero when faults + ARQ off).
-  sim::ArqStats arq{};
-  /// Fault-layer drop counters observed during this run.
-  sim::FaultStats faults{};
-  /// Crash windows a chaos controller injected on the fault session, in
-  /// injection order (session-cumulative when `fault_session` is shared —
-  /// EOPT stages see the whole adversarial schedule). Replaying them as a
-  /// static `FaultModel::crashes` list reproduces the adversarial run.
-  std::vector<sim::CrashWindow> injected_crashes;
-  /// Fault-mode runs stop (instead of aborting) at the phase cap when
-  /// permanent losses leave fragments unable to finish; true if that
-  /// happened and `final_forest` is a partial result.
-  bool hit_phase_cap = false;
 };
 
 /// Run phase-synchronous (modified) GHS. `seed` continues from an existing

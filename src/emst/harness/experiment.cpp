@@ -11,19 +11,18 @@ namespace emst::harness {
 namespace {
 
 AlgoOutcome make_outcome(const std::vector<geometry::Point2>& points,
-                         const std::vector<graph::Edge>& tree,
-                         const sim::Accounting& totals, std::size_t phases,
+                         const sim::RunResult& run,
                          const std::vector<graph::Edge>& reference) {
   AlgoOutcome outcome;
-  outcome.energy = totals.energy;
-  outcome.messages = totals.messages();
-  outcome.rounds = totals.rounds;
-  outcome.phases = phases;
-  outcome.tree_edges = tree.size();
-  outcome.tree_len = graph::tree_cost(points, tree, 1.0);
-  outcome.tree_sq = graph::tree_cost(points, tree, 2.0);
-  outcome.spanning = graph::is_spanning_tree(points.size(), tree);
-  outcome.exact_mst = graph::same_edge_set(tree, reference);
+  outcome.energy = run.totals.energy;
+  outcome.messages = run.totals.messages();
+  outcome.rounds = run.totals.rounds;
+  outcome.phases = run.phases;
+  outcome.tree_edges = run.tree.size();
+  outcome.tree_len = graph::tree_cost(points, run.tree, 1.0);
+  outcome.tree_sq = graph::tree_cost(points, run.tree, 2.0);
+  outcome.spanning = graph::is_spanning_tree(points.size(), run.tree);
+  outcome.exact_mst = graph::same_edge_set(run.tree, reference);
   return outcome;
 }
 
@@ -53,38 +52,25 @@ InstanceResults run_instance(const InstanceConfig& config) {
   }
 
   if (config.run_ghs) {
-    if (config.ghs_use_sync_probe) {
-      ghs::SyncGhsOptions options;
-      options.radius = r2;
-      options.pathloss = pathloss;
-      options.neighbor_cache = false;
-      const auto run = ghs::run_sync_ghs(topo, options);
-      results.ghs = make_outcome(points, run.run.tree, run.run.totals,
-                                 run.run.phases, reference);
-    } else {
-      ghs::ClassicGhsOptions options;
-      options.radius = r2;
-      options.pathloss = pathloss;
-      const auto run = ghs::run_classic_ghs(topo, options);
-      results.ghs =
-          make_outcome(points, run.tree, run.totals, run.phases, reference);
-    }
+    ghs::ClassicGhsOptions options;
+    options.radius = r2;
+    options.pathloss = pathloss;
+    results.ghs =
+        make_outcome(points, ghs::run_classic_ghs(topo, options), reference);
   }
   if (config.run_eopt) {
     eopt::EoptOptions options = config.eopt;
     options.step2_factor = config.connectivity_factor;
     options.pathloss = pathloss;
     const auto run = eopt::run_eopt(topo, options);
-    results.eopt = make_outcome(points, run.run.tree, run.run.totals,
-                                run.run.phases, reference);
+    results.eopt = make_outcome(points, run.run, reference);
     results.eopt_detail = run;
   }
   if (config.run_connt) {
     nnt::CoNntOptions options = config.connt;
     options.pathloss = pathloss;
-    const auto run = nnt::run_connt(topo, options);
-    results.connt = make_outcome(points, run.tree, run.totals,
-                                 run.max_probe_rounds, reference);
+    results.connt =
+        make_outcome(points, nnt::run_connt(topo, options), reference);
   }
   return results;
 }

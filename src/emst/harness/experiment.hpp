@@ -45,9 +45,6 @@ struct InstanceConfig {
   bool run_ghs = true;
   bool run_eopt = true;
   bool run_connt = true;
-  /// Use the classic probe flavour of the phase-synchronous GHS as the
-  /// baseline instead of the message-faithful 1983 implementation.
-  bool ghs_use_sync_probe = false;
 };
 
 struct InstanceResults {

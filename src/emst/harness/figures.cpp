@@ -37,13 +37,12 @@ support::LineFit Fig3Data::connt_fit() const {
 }
 
 Fig3Data run_fig3(const std::vector<std::size_t>& ns, std::size_t trials,
-                  std::uint64_t seed, bool ghs_use_sync_probe, double alpha) {
+                  std::uint64_t seed, double alpha) {
   Fig3Data data;
   for (const std::size_t n : ns) {
     InstanceConfig config;
     config.n = n;
     config.alpha = alpha;
-    config.ghs_use_sync_probe = ghs_use_sync_probe;
     const SweepPoint sweep = run_sweep_point(config, trials, seed ^ (n * 0x9e37ULL));
     Fig3Point point;
     point.n = n;

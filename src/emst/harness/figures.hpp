@@ -48,7 +48,6 @@ struct Fig3Data {
 /// Energy-vs-n sweep for all three algorithms on shared instances.
 [[nodiscard]] Fig3Data run_fig3(const std::vector<std::size_t>& ns,
                                 std::size_t trials, std::uint64_t seed,
-                                bool ghs_use_sync_probe = false,
                                 double alpha = 2.0);
 
 [[nodiscard]] support::Table fig3a_table(const Fig3Data& data);

@@ -44,7 +44,7 @@ struct SerialConntEnv {
     result->tree.push_back(graph::Edge{cur, a, dist}.canonical());
     result->max_connect_distance =
         std::max(result->max_connect_distance, dist);
-    result->max_probe_rounds = std::max(result->max_probe_rounds, round);
+    result->phases = std::max(result->phases, round);
   }
 };
 
@@ -71,7 +71,7 @@ struct DistConntSink {
     result->tree.push_back(graph::Edge{u, a, dist}.canonical());
     result->max_connect_distance =
         std::max(result->max_connect_distance, dist);
-    result->max_probe_rounds = std::max(result->max_probe_rounds, round);
+    result->phases = std::max(result->phases, round);
   }
 };
 
@@ -145,7 +145,7 @@ CoNntResult run_connt_actor_impl(const sim::Topology& topo,
     while (true) {
       result.parent.assign(n, graph::kNoNode);
       result.tree.clear();
-      result.max_probe_rounds = 0;
+      result.phases = 0;
       result.max_connect_distance = 0.0;
       dirty = false;
       if (faulty) snapshot_excluded();
@@ -192,7 +192,7 @@ CoNntResult run_connt_actor_impl(const sim::Topology& topo,
     while (true) {
       result.parent.assign(n, graph::kNoNode);
       result.tree.clear();
-      result.max_probe_rounds = 0;
+      result.phases = 0;
       result.max_connect_distance = 0.0;
       dirty = false;
       if (faulty) snapshot_excluded();
@@ -246,11 +246,12 @@ CoNntResult run_connt_actor_impl(const sim::Topology& topo,
 
   graph::sort_edges(result.tree);
   result.totals = net.meter().totals();
-  result.fault_stats = net.fault_stats();
+  result.fragments = n - result.tree.size();
+  result.faults = net.fault_stats();
   result.injected_crashes = net.faults().injected_schedule();
   result.per_node_energy = net.meter().per_node();
   if (net.meter().breakdown_enabled()) {
-    result.energy_breakdown = net.meter().breakdown();
+    result.breakdown = net.meter().breakdown();
     result.breakdown_recorded = true;
   }
   result.handler_invocations = actor.invocations();
@@ -363,7 +364,7 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
       result.parent[u] = best;
       result.tree.push_back(graph::Edge{u, best, best_d}.canonical());
       result.max_connect_distance = std::max(result.max_connect_distance, best_d);
-      result.max_probe_rounds = std::max(result.max_probe_rounds, round);
+      result.phases = std::max(result.phases, round);
     }
     // One request round, one reply round, one connection round.
     meter.clear_bits();
@@ -373,9 +374,10 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
 
   graph::sort_edges(result.tree);
   result.totals = meter.totals();
+  result.fragments = n - result.tree.size();
   result.per_node_energy = meter.per_node();
   if (meter.breakdown_enabled()) {
-    result.energy_breakdown = meter.breakdown();
+    result.breakdown = meter.breakdown();
     result.breakdown_recorded = true;
   }
   return result;

@@ -15,6 +15,9 @@
 //
 // Expected totals (Thm 6.2): O(n) messages and O(1) energy; the tree is an
 // O(1) approximation of the MST in both Σ|e| and Σ|e|² (Thm 6.1).
+//
+// The result is the shared `sim::RunResult` (`phases` = the deepest doubling
+// round any node used) plus the parent array and the longest tree edge.
 #pragma once
 
 #include "emst/geometry/pathloss.hpp"
@@ -38,29 +41,12 @@ struct CoNntOptions : sim::RunConfig {
   double n_estimate_factor = 1.0;
 };
 
-struct CoNntResult {
+/// The breakdown splits Co-NNT traffic into kRequest / kReply / kConnection
+/// kinds; the placement witnesses stay zero on the choreographed form (it
+/// has no actor).
+struct CoNntResult : sim::RunResult {
   std::vector<graph::NodeId> parent;  ///< kNoNode for the top-ranked node
-  std::vector<graph::Edge> tree;      ///< canonical order, n-1 edges
-  sim::Accounting totals;
-  std::size_t max_probe_rounds = 0;   ///< deepest doubling sequence used
   double max_connect_distance = 0.0;  ///< longest tree edge (Lemma 6.3 check)
-  std::vector<double> per_node_energy;  ///< empty unless tracking enabled
-  /// Per-phase × per-kind matrix (valid iff `record_breakdown` was set);
-  /// Co-NNT splits into kRequest / kReply / kConnection kinds.
-  sim::EnergyBreakdown energy_breakdown;
-  bool breakdown_recorded = false;
-  /// Fault-layer drop counters (all zero for fault-free runs).
-  sim::FaultStats fault_stats{};
-  /// Protocol epochs executed (fail-stop restarts; 1 = clean run).
-  std::size_t epochs = 1;
-  /// Chaos-controller injections, in injection order (replayable).
-  std::vector<sim::CrashWindow> injected_crashes;
-  /// Execution-placement witnesses (docs/DISTRIBUTED.md §2): handler/step
-  /// executions performed by this process's actor vs the sum shipped home
-  /// by the rank processes. Zero/zero on the choreographed fast path (it
-  /// has no actor).
-  std::uint64_t handler_invocations = 0;
-  std::uint64_t rank_handler_invocations = 0;
 };
 
 /// Whether `run_connt` executes the node-actor form under `cfg`: fail-stop

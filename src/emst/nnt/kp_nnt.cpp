@@ -65,7 +65,7 @@ KpNntResult run_kp_nnt(const sim::Topology& topo, const KpNntOptions& options) {
       result.tree.push_back(graph::Edge{u, best, best_d}.canonical());
       result.max_connect_distance =
           std::max(result.max_connect_distance, best_d);
-      result.max_probe_rounds = std::max(result.max_probe_rounds, round);
+      result.phases = std::max(result.phases, round);
     }
     meter.tick_rounds(3);
     unresolved = std::move(still_unresolved);
@@ -73,6 +73,7 @@ KpNntResult run_kp_nnt(const sim::Topology& topo, const KpNntOptions& options) {
 
   graph::sort_edges(result.tree);
   result.totals = meter.totals();
+  result.fragments = n - result.tree.size();
   return result;
 }
 

@@ -14,10 +14,13 @@
 // Θ(log n) — an O(log n) energy / O(log n)-approximation trade sitting
 // strictly between GHS and Co-NNT. This is the paper's related-work
 // comparison point, reproduced so the bench table can show all four rows.
+// The result is the shared `sim::RunResult` (`phases` = the deepest doubling
+// round) plus the parent array and the drawn ranks.
 #pragma once
 
 #include "emst/geometry/pathloss.hpp"
-#include "emst/ghs/common.hpp"
+#include "emst/sim/run_config.hpp"
+#include "emst/sim/topology.hpp"
 
 namespace emst::nnt {
 
@@ -27,12 +30,9 @@ struct KpNntOptions {
   double n_estimate_factor = 1.0;
 };
 
-struct KpNntResult {
+struct KpNntResult : sim::RunResult {
   std::vector<graph::NodeId> parent;  ///< kNoNode for the top-ranked node
-  std::vector<graph::Edge> tree;
   std::vector<std::uint32_t> rank;    ///< the drawn ranks (for validation)
-  sim::Accounting totals;
-  std::size_t max_probe_rounds = 0;
   double max_connect_distance = 0.0;
 };
 

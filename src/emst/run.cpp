@@ -1,10 +1,10 @@
-// The facade dispatches straight to the per-driver entry points and copies
-// each driver's result into the one `RunResult` shape, so its results are
-// bitwise-identical to direct calls (tests/run_facade_test.cpp pins this).
+// The facade dispatches straight to the per-driver entry points and returns
+// the `sim::RunResult` each driver fills (moved out of the nesting or
+// derived result), so its results are the direct calls' own
+// (tests/run_facade_test.cpp pins this field for field).
 #include "emst/run.hpp"
 
 #include <type_traits>
-#include <utility>
 
 #include "emst/geometry/sampling.hpp"
 #include "emst/rgg/radii.hpp"
@@ -85,27 +85,10 @@ Options with_shared(const Options& tuned, const RunConfig& cfg) {
   return out;
 }
 
-void absorb(RunResult& out, ghs::MstRunResult&& run) {
-  out.tree = std::move(run.tree);
-  out.totals = run.totals;
-  out.phases = run.phases;
-  out.fragments = run.fragments;
-  out.faults = run.fault_stats;
-  out.per_node_energy = std::move(run.per_node_energy);
-  out.breakdown = run.energy_breakdown;
-  out.breakdown_recorded = run.breakdown_recorded;
-  out.epochs = run.epochs;
-  out.injected_crashes = std::move(run.injected_crashes);
-  out.handler_invocations = run.handler_invocations;
-  out.rank_handler_invocations = run.rank_handler_invocations;
-}
-
 }  // namespace
 
 template <typename Topo>
 RunResult run(const Topo& topo, const RunConfig& cfg) {
-  RunResult out;
-  out.driver = cfg.driver;
   switch (cfg.driver) {
     case Driver::kClassicGhs:
     case Driver::kClassicGhsCached: {
@@ -119,56 +102,29 @@ RunResult run(const Topo& topo, const RunConfig& cfg) {
         // per incident edge on any backend: run it on the CSR of the same
         // points and radius, which enumerates the same neighbourhoods.
         const sim::Topology csr(topo.points(), topo.max_radius());
-        absorb(out, ghs::run_classic_ghs(csr, opt));
+        return ghs::run_classic_ghs(csr, opt);
       } else {
-        absorb(out, ghs::run_classic_ghs(topo, opt));
+        return ghs::run_classic_ghs(topo, opt);
       }
-      break;
     }
     case Driver::kSyncGhs:
     case Driver::kSyncGhsProbe: {
       ghs::SyncGhsOptions opt = with_shared(cfg.sync, cfg);
       opt.neighbor_cache = cfg.driver == Driver::kSyncGhs;
       if (cfg.radius > 0.0) opt.radius = cfg.radius;
-      ghs::SyncGhsResult res = ghs::run_sync_ghs(topo, opt);
-      absorb(out, std::move(res.run));
-      out.faults = res.faults;
-      out.arq = res.arq;
-      out.hit_phase_cap = res.hit_phase_cap;
-      out.injected_crashes = std::move(res.injected_crashes);
-      break;
+      return ghs::run_sync_ghs(topo, opt).run;
     }
-    case Driver::kEopt: {
-      const eopt::EoptOptions opt = with_shared(cfg.eopt, cfg);
-      eopt::EoptResult res = eopt::run_eopt(topo, opt);
-      absorb(out, std::move(res.run));
-      out.faults = res.fault_stats;
-      out.arq = res.arq;
-      out.hit_phase_cap = res.hit_phase_cap;
-      break;
-    }
+    case Driver::kEopt:
+      return eopt::run_eopt(topo, with_shared(cfg.eopt, cfg)).run;
     case Driver::kCoNnt:
     case Driver::kCoNntAxis: {
       nnt::CoNntOptions opt = with_shared(cfg.connt, cfg);
       opt.scheme = cfg.driver == Driver::kCoNntAxis ? nnt::RankScheme::kAxis
                                                     : nnt::RankScheme::kDiagonal;
-      nnt::CoNntResult res = nnt::run_connt(topo, opt);
-      out.tree = std::move(res.tree);
-      out.totals = res.totals;
-      out.phases = res.max_probe_rounds;
-      out.fragments = res.parent.size() - out.tree.size();
-      out.faults = res.fault_stats;
-      out.per_node_energy = std::move(res.per_node_energy);
-      out.breakdown = res.energy_breakdown;
-      out.breakdown_recorded = res.breakdown_recorded;
-      out.epochs = res.epochs;
-      out.injected_crashes = std::move(res.injected_crashes);
-      out.handler_invocations = res.handler_invocations;
-      out.rank_handler_invocations = res.rank_handler_invocations;
-      break;
+      return nnt::run_connt(topo, opt);
     }
   }
-  return out;
+  return {};  // unreachable: every Driver returns above
 }
 
 template RunResult run<sim::Topology>(const sim::Topology&, const RunConfig&);

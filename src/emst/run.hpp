@@ -3,7 +3,8 @@
 // One entry point for every algorithm: pick a driver with `emst::Driver`,
 // set the shared `sim::RunConfig` knobs once on `emst::RunConfig`, and call
 // `emst::run`. The facade dispatches straight to the per-driver entry
-// points, so results are pinned bitwise-identical to direct calls
+// points and returns the `sim::RunResult` each driver fills, so results are
+// pinned field-for-field identical to direct calls
 // (tests/run_facade_test.cpp); telemetry, faults, ARQ, the invariant
 // oracle and worker threads all compose through the one shared config.
 //
@@ -24,8 +25,8 @@
 // `emst::run` is the uniform API; the drivers (`ghs::run_classic_ghs`,
 // `ghs::run_sync_ghs`, `eopt::run_eopt`, `nnt::run_connt`) are the
 // full-detail API. Call a driver directly for what only its own result or
-// signature carries: EOPT's per-stage accountings and giant size, classic
-// GHS's per-type `GhsMessageBreakdown`, Co-NNT's `parent` array and
+// signature carries: EOPT's per-stage accountings and giant size, sync
+// GHS's fragment trajectory, Co-NNT's `parent` array and
 // `max_connect_distance`, seed forests and external meters.
 #pragma once
 
@@ -121,29 +122,9 @@ struct RunConfig : sim::RunConfig {
   return cfg;
 }
 
-/// The facade's owning result: one shape for every driver.
-struct RunResult {
-  Driver driver = Driver::kEopt;
-  std::vector<graph::Edge> tree;  ///< canonical order
-  sim::Accounting totals;
-  std::size_t phases = 0;
-  std::size_t fragments = 0;  ///< 0 when the driver doesn't report it
-  sim::FaultStats faults;
-  sim::ArqStats arq;
-  std::vector<double> per_node_energy;  ///< empty unless tracking was on
-  sim::EnergyBreakdown breakdown;       ///< valid iff breakdown_recorded
-  bool breakdown_recorded = false;
-  bool hit_phase_cap = false;
-  std::size_t epochs = 1;  ///< fail-stop protocol restarts (1 = clean)
-  /// Chaos-controller injections during the run (replayable crash list).
-  std::vector<sim::CrashWindow> injected_crashes;
-  /// Execution-placement witnesses: how many NodeActor handler executions
-  /// ran in the driver process vs inside forked rank workers. For the
-  /// actor-backed drivers exactly one of the two is non-zero; both stay 0
-  /// for the choreographed paths (sync/EOPT, faultless serial Co-NNT).
-  std::uint64_t handler_invocations = 0;
-  std::uint64_t rank_handler_invocations = 0;
-};
+/// The facade's result: the one shape every driver returns
+/// (sim/run_config.hpp).
+using RunResult = sim::RunResult;
 
 /// Run `cfg.driver` on a caller-owned topology backend. Defined in run.cpp
 /// and explicitly instantiated for `sim::Topology` and

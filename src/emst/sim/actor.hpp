@@ -24,7 +24,7 @@
 //                                       `VersionedActor`.
 //
 // The `env` is duck-typed with four verbs — unicast / broadcast / defer /
-// note. Serial engines pass an env that tallies and stages immediately
+// note. Serial engines pass an env that charges and stages immediately
 // (byte-identical to the pre-actor inline drivers); the rank loop passes a
 // `RankActorEnv` that appends fixed-layout effect records
 // (proto/dist_wire.hpp) which the parent replays in serial order against
@@ -191,7 +191,7 @@ class RankActorEnv {
 // -- Parent-side effect decoding ---------------------------------------------
 
 /// One decoded effect record. For unicast `reach_bits` is the bit image of
-/// the tally reach (classic GHS charges the neighbor-slot weight, which can
+/// the send's reach (classic GHS charges the neighbor-slot weight, which can
 /// differ from d(from,to) only by the driver's choice — the parent still
 /// recomputes the *charged* distance from its own topology, exactly like
 /// the serial engine); for broadcast it is the radius image.

@@ -267,8 +267,7 @@ class DistributedNetwork {
   /// retries in the parent's deferred-model order (pass B), then the
   /// surviving deliveries in (receiver, sequence) merge order (pass C).
   /// `sink` observes the replay: on_send(dtag, reach) per send effect,
-  /// on_note(node, a, b) per note — the driver's tallies, byte-identical to
-  /// its serial env.
+  /// on_note(node, a, b) per note, in its serial env's order.
   template <typename Sink>
   ActorRoundInfo actor_collect_round(Sink& sink) {
     EMST_ASSERT(installed());
@@ -1042,7 +1041,7 @@ class DistributedNetwork {
   }
 
   /// Replay one entry's effects in recorded order. Send effects reproduce
-  /// the serial env's sequence exactly — sink tally, then kind/fragment on
+  /// the serial env's sequence exactly — sink callback, then kind/fragment on
   /// the ambient meter, then the stage (which captures the ambient
   /// context). Ambient kind/fragment are deliberately LEFT at the last
   /// effect's values: that is the state the serial run's meter would be in

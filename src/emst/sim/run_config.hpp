@@ -1,15 +1,24 @@
-// Shared run configuration (docs/API_TOUR.md).
+// Shared run configuration and result (docs/API_TOUR.md).
 //
-// The four algorithm drivers (sync GHS, EOPT, classic GHS, Co-NNT) used to
-// carry their own copies of the same knobs — path loss, fault model, ARQ,
-// per-node tracking — and benches/CLI special-cased each. `RunConfig` is the
-// common base every options struct embeds (by inheritance, so existing
-// `options.pathloss = ...` field access compiles unchanged), and the single
-// place a caller wires telemetry into a run.
+// The drivers (sync GHS, EOPT, classic GHS, Co-NNT) used to carry their own
+// copies of the same knobs — path loss, fault model, ARQ, per-node tracking
+// — and benches/CLI special-cased each. `RunConfig` is the common base every
+// options struct embeds (by inheritance, so existing `options.pathloss = ...`
+// field access compiles unchanged), and the single place a caller wires
+// telemetry into a run. `RunResult` is its output twin: the measures the
+// paper compares every algorithm on (energy, messages, rounds; §II) plus the
+// tree, fault and ARQ counters and placement witnesses. Each driver fills
+// each of its fields once, and `emst::run` returns it unchanged.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "emst/geometry/pathloss.hpp"
+#include "emst/graph/edge.hpp"
 #include "emst/sim/fault.hpp"
+#include "emst/sim/meter.hpp"
 #include "emst/sim/reliable.hpp"
 #include "emst/sim/telemetry.hpp"
 
@@ -55,6 +64,46 @@ struct RunConfig {
   /// engine — so ranks is a documented no-op for them, as `threads` is for
   /// the engine-driven ones.
   std::size_t ranks = 0;
+};
+
+/// One driver run's result. Classic GHS returns it as is; sync GHS and EOPT
+/// nest it as `run` next to their stage detail; Co-NNT and KP-NNT extend it
+/// with their parent arrays.
+struct RunResult {
+  std::vector<graph::Edge> tree;  ///< canonical order
+  Accounting totals;              ///< energy / messages / rounds
+  /// Phases (sync GHS; EOPT sums both steps), the highest fragment level
+  /// (classic GHS) or the deepest doubling round (Co-NNT, KP-NNT).
+  std::size_t phases = 0;
+  std::size_t fragments = 0;  ///< final fragment count (1 iff spanning)
+  FaultStats faults;          ///< fault-layer drop counters (0 when off)
+  ArqStats arq;               ///< ARQ traffic (sync GHS / EOPT; 0 when off)
+  /// Per-node transmit-energy ledger, empty unless `track_per_node_energy`
+  /// was set; its max element is the network-lifetime bound.
+  std::vector<double> per_node_energy;
+  /// Per-phase × per-kind matrix, valid iff `breakdown_recorded` (set by
+  /// `record_breakdown`; EOPT always records it, for its stage shares).
+  EnergyBreakdown breakdown;
+  bool breakdown_recorded = false;
+  /// Fault mode stopped a sync-GHS / EOPT stage at its phase cap: `tree` is
+  /// then a partial forest rather than the full MST.
+  bool hit_phase_cap = false;
+  /// Protocol epochs executed. Fail-stop drivers (classic GHS, the Co-NNT
+  /// actor) restart among the survivors when a crash invalidates the running
+  /// epoch (docs/ROBUSTNESS.md); 1 = the run finished without a restart.
+  std::size_t epochs = 1;
+  /// Crash windows a chaos controller injected, in injection order:
+  /// replaying them as a static `FaultModel::crashes` list reproduces the
+  /// adversarial run.
+  std::vector<CrashWindow> injected_crashes;
+  /// Execution-placement witnesses (docs/DISTRIBUTED.md §2): node-actor
+  /// handler executions in this process vs the sum shipped home by forked
+  /// rank processes. The actor-backed drivers (classic GHS, the Co-NNT actor)
+  /// fill exactly one of the two, and their sum is the same in every
+  /// placement; the choreographed drivers have no actor and leave both 0. A
+  /// deferred delivery re-parked without a handler call is not an execution.
+  std::uint64_t handler_invocations = 0;
+  std::uint64_t rank_handler_invocations = 0;
 };
 
 }  // namespace emst::sim

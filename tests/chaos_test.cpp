@@ -85,59 +85,34 @@ std::vector<graph::NodeId> survivor_nnt_parents(
 }
 
 struct ChaosRun {
-  std::vector<graph::Edge> tree;
+  sim::RunResult run;
   std::vector<graph::NodeId> parent;  ///< connt only
-  double energy = 0.0;
-  std::vector<sim::CrashWindow> injected;
-  std::size_t epochs = 1;
 };
 
 ChaosRun run_driver(std::string_view driver, const sim::Topology& topo,
                     sim::FaultController* controller, std::uint64_t fault_seed,
                     sim::InvariantOracle* oracle, std::size_t threads = 0) {
-  sim::FaultModel faults;
-  faults.controller = controller;
-  faults.seed = fault_seed;
+  sim::RunConfig shared;
+  shared.faults.controller = controller;
+  shared.faults.seed = fault_seed;
+  shared.oracle = oracle;
+  shared.threads = threads;
+  const auto with_shared = [&shared](auto options) {
+    static_cast<sim::RunConfig&>(options) = shared;
+    return options;
+  };
   ChaosRun out;
   if (driver == "eopt") {
-    eopt::EoptOptions opt;
-    opt.faults = faults;
-    opt.oracle = oracle;
-    opt.threads = threads;
-    auto res = eopt::run_eopt(topo, opt);
-    out.tree = std::move(res.run.tree);
-    out.energy = res.run.totals.energy;
-    out.injected = std::move(res.run.injected_crashes);
+    out.run = eopt::run_eopt(topo, with_shared(eopt::EoptOptions{})).run;
   } else if (driver == "sync_ghs") {
-    ghs::SyncGhsOptions opt;
-    opt.faults = faults;
-    opt.oracle = oracle;
-    opt.threads = threads;
-    auto res = ghs::run_sync_ghs(topo, opt);
-    out.tree = std::move(res.run.tree);
-    out.energy = res.run.totals.energy;
-    out.injected = std::move(res.injected_crashes);
+    out.run = ghs::run_sync_ghs(topo, with_shared(ghs::SyncGhsOptions{})).run;
   } else if (driver == "classic_ghs") {
-    ghs::ClassicGhsOptions opt;
-    opt.faults = faults;
-    opt.oracle = oracle;
-    opt.threads = threads;
-    auto res = ghs::run_classic_ghs(topo, opt);
-    out.tree = std::move(res.tree);
-    out.energy = res.totals.energy;
-    out.injected = std::move(res.injected_crashes);
-    out.epochs = res.epochs;
+    out.run = ghs::run_classic_ghs(topo, with_shared(ghs::ClassicGhsOptions{}));
   } else {
-    nnt::CoNntOptions opt;
-    opt.faults = faults;
-    opt.oracle = oracle;
-    opt.threads = threads;
-    auto res = nnt::run_connt(topo, opt);
-    out.tree = std::move(res.tree);
+    nnt::CoNntResult res =
+        nnt::run_connt(topo, with_shared(nnt::CoNntOptions{}));
     out.parent = std::move(res.parent);
-    out.energy = res.totals.energy;
-    out.injected = std::move(res.injected_crashes);
-    out.epochs = res.epochs;
+    out.run = std::move(res);
   }
   return out;
 }
@@ -186,13 +161,14 @@ TEST(ChaosCampaign, EveryStrategyKeepsEveryDriverExactOnSurvivors) {
       // The strategies attack and stay within the fail-stop budget.
       EXPECT_GT(controller->kills(), 0u) << cell;
       EXPECT_LE(controller->kills(), n / 5) << cell;
-      EXPECT_EQ(controller->kills(), out.injected.size()) << cell;
-      for (const sim::CrashWindow& w : out.injected) {
+      EXPECT_EQ(controller->kills(), out.run.injected_crashes.size()) << cell;
+      for (const sim::CrashWindow& w : out.run.injected_crashes) {
         EXPECT_EQ(w.until, sim::kCrashForever) << cell;  // permanent fail-stop
         EXPECT_LT(w.node, n) << cell;
       }
       // Per-component exactness against the independent recomputation.
-      const std::vector<char> alive = sim::alive_mask(n, out.injected);
+      const std::vector<char> alive =
+          sim::alive_mask(n, out.run.injected_crashes);
       if (driver == "connt") {
         EXPECT_EQ(out.parent,
                   survivor_nnt_parents(topo.points(), alive,
@@ -200,10 +176,10 @@ TEST(ChaosCampaign, EveryStrategyKeepsEveryDriverExactOnSurvivors) {
             << cell;
       } else {
         EXPECT_TRUE(
-            graph::same_edge_set(out.tree, sim::survivor_msf(topo, alive)))
+            graph::same_edge_set(out.run.tree, sim::survivor_msf(topo, alive)))
             << cell;
       }
-      EXPECT_GE(out.epochs, 1u) << cell;
+      EXPECT_GE(out.run.epochs, 1u) << cell;
       EXPECT_TRUE(oracle.ok()) << cell << ": "
                                << (oracle.violations().empty()
                                        ? ""
@@ -255,18 +231,19 @@ TEST(ChaosCampaign, AdversarialRunsAreBitwiseIdenticalAcrossThreadCounts) {
         sim::make_controller("kill_leader");
     const ChaosRun base =
         run_driver(driver, topo, base_controller.get(), 0x5EED, nullptr, 1);
-    ASSERT_FALSE(base.injected.empty()) << driver;
+    ASSERT_FALSE(base.run.injected_crashes.empty()) << driver;
     for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
       const auto controller = sim::make_controller("kill_leader");
       const ChaosRun out =
           run_driver(driver, topo, controller.get(), 0x5EED, nullptr, threads);
       const std::string cell =
           std::string(driver) + " @ " + std::to_string(threads) + " threads";
-      EXPECT_EQ(out.energy, base.energy) << cell;  // bit-identical doubles
-      EXPECT_EQ(out.tree, base.tree) << cell;
+      // bit-identical doubles
+      EXPECT_EQ(out.run.totals.energy, base.run.totals.energy) << cell;
+      EXPECT_EQ(out.run.tree, base.run.tree) << cell;
       EXPECT_EQ(out.parent, base.parent) << cell;
-      EXPECT_EQ(out.epochs, base.epochs) << cell;
-      expect_windows_eq(out.injected, base.injected);
+      EXPECT_EQ(out.run.epochs, base.run.epochs) << cell;
+      expect_windows_eq(out.run.injected_crashes, base.run.injected_crashes);
     }
   }
 }
@@ -283,41 +260,35 @@ TEST(ChaosReplay, InjectedScheduleReplaysAsAStaticCrashList) {
     const auto controller = sim::make_controller("sever_core_edge");
     const ChaosRun original =
         run_driver(driver, topo, controller.get(), 0xFACE, nullptr);
-    ASSERT_FALSE(original.injected.empty()) << driver;
+    const sim::RunResult& want = original.run;
+    ASSERT_FALSE(want.injected_crashes.empty()) << driver;
 
     // (a) The distilled schedule as a pre-scripted crash list, no controller.
     sim::FaultModel static_model;
-    static_model.crashes = original.injected;
+    static_model.crashes = want.injected_crashes;
     static_model.seed = 0xFACE;
-    ChaosRun replay_static;
+    sim::RunResult replay_static;
     if (driver == "sync_ghs") {
       ghs::SyncGhsOptions opt;
       opt.faults = static_model;
-      auto res = ghs::run_sync_ghs(topo, opt);
-      replay_static.tree = std::move(res.run.tree);
-      replay_static.energy = res.run.totals.energy;
+      replay_static = ghs::run_sync_ghs(topo, opt).run;
     } else {
       ghs::ClassicGhsOptions opt;
       opt.faults = static_model;
-      auto res = ghs::run_classic_ghs(topo, opt);
-      replay_static.tree = std::move(res.tree);
-      replay_static.energy = res.totals.energy;
-      replay_static.epochs = res.epochs;
+      replay_static = ghs::run_classic_ghs(topo, opt);
     }
-    EXPECT_EQ(replay_static.energy, original.energy) << driver;
-    EXPECT_EQ(replay_static.tree, original.tree) << driver;
-    if (driver == "classic_ghs") {
-      EXPECT_EQ(replay_static.epochs, original.epochs);
-    }
+    EXPECT_EQ(replay_static.totals.energy, want.totals.energy) << driver;
+    EXPECT_EQ(replay_static.tree, want.tree) << driver;
+    EXPECT_EQ(replay_static.epochs, want.epochs) << driver;
 
     // (b) The same schedule through the controller interface.
-    sim::ReplaySchedule replayer(original.injected);
+    sim::ReplaySchedule replayer(want.injected_crashes);
     const ChaosRun replay_ctrl =
         run_driver(driver, topo, &replayer, 0xFACE, nullptr);
-    EXPECT_EQ(replay_ctrl.energy, original.energy) << driver;
-    EXPECT_EQ(replay_ctrl.tree, original.tree) << driver;
-    EXPECT_EQ(replay_ctrl.epochs, original.epochs) << driver;
-    expect_windows_eq(replay_ctrl.injected, original.injected);
+    EXPECT_EQ(replay_ctrl.run.totals.energy, want.totals.energy) << driver;
+    EXPECT_EQ(replay_ctrl.run.tree, want.tree) << driver;
+    EXPECT_EQ(replay_ctrl.run.epochs, want.epochs) << driver;
+    expect_windows_eq(replay_ctrl.run.injected_crashes, want.injected_crashes);
   }
 }
 

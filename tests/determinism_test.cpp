@@ -145,14 +145,14 @@ TEST(Determinism, FaultAwareEoptIsReproducible) {
   const auto second = eopt::run_eopt(topo, options);
   EXPECT_TRUE(graph::same_edge_set(first.run.tree, second.run.tree));
   expect_same_accounting(first.run.totals, second.run.totals);
-  EXPECT_EQ(first.arq.data_sent, second.arq.data_sent);
-  EXPECT_EQ(first.arq.retransmissions, second.arq.retransmissions);
-  EXPECT_EQ(first.arq.acks_sent, second.arq.acks_sent);
-  EXPECT_EQ(first.arq.give_ups, second.arq.give_ups);
-  EXPECT_EQ(first.fault_stats.lost, second.fault_stats.lost);
-  EXPECT_EQ(first.fault_stats.dropped_crashed,
-            second.fault_stats.dropped_crashed);
-  EXPECT_GT(first.fault_stats.lost, 0u);
+  EXPECT_EQ(first.run.arq.data_sent, second.run.arq.data_sent);
+  EXPECT_EQ(first.run.arq.retransmissions, second.run.arq.retransmissions);
+  EXPECT_EQ(first.run.arq.acks_sent, second.run.arq.acks_sent);
+  EXPECT_EQ(first.run.arq.give_ups, second.run.arq.give_ups);
+  EXPECT_EQ(first.run.faults.lost, second.run.faults.lost);
+  EXPECT_EQ(first.run.faults.dropped_crashed,
+            second.run.faults.dropped_crashed);
+  EXPECT_GT(first.run.faults.lost, 0u);
 }
 
 }  // namespace

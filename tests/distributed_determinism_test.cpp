@@ -73,7 +73,7 @@ void expect_rank_invariant(const char* label, RunFn&& run_at) {
       if (!have_baseline) {
         baseline = got;
         have_baseline = true;
-        EXPECT_FALSE(baseline.tree.empty())
+        EXPECT_FALSE(baseline.run.tree.empty())
             << label << " seed " << seed << ": empty tree";
         continue;
       }
@@ -88,7 +88,7 @@ void expect_rank_invariant(const char* label, RunFn&& run_at) {
 /// handlers must have executed inside the rank workers and never in the
 /// parent; serially it is exactly the other way around. The split is
 /// placement metadata and stays OUT of the Observed equality; only the sum
-/// is placement-free (Observed::executions).
+/// is placement-free (`expect_same_run` compares it).
 void expect_placement(std::uint64_t parent_invocations,
                       std::uint64_t rank_invocations, std::size_t ranks) {
   if (ranks > 0) {
@@ -161,7 +161,7 @@ TEST(DistributedDeterminism, SyncGhsRanksIsNoOp) {
     ghs::SyncGhsOptions options;
     configure(options, ranks, &telemetry);
     const auto run = ghs::run_sync_ghs(topo, options);
-    return observe(run, sink);
+    return observe(run.run, sink);
   });
 }
 
@@ -179,7 +179,7 @@ TEST(DistributedDeterminism, SyncGhsProbeFaultyArqRanksIsNoOp) {
         options.arq.enabled = true;
         configure(options, ranks, &telemetry);
         const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 
@@ -196,7 +196,7 @@ TEST(DistributedDeterminism, EoptFaultyArqRanksIsNoOp) {
         options.arq.enabled = true;
         configure(options, ranks, &telemetry);
         const auto run = eopt::run_eopt(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 
@@ -219,18 +219,20 @@ TEST(DistributedDeterminism, CoNntFacadeDispatch) {
     };
     sim::MemoryTraceSink sink0;
     const Observed choreographed = run_at(0, sink0);
-    EXPECT_FALSE(choreographed.tree.empty());
+    EXPECT_FALSE(choreographed.run.tree.empty());
     Observed baseline;
     bool have_baseline = false;
     for (const std::size_t ranks : {1u, 2u, 4u}) {
       sim::MemoryTraceSink sink;
       const Observed got = run_at(ranks, sink);
-      ASSERT_EQ(got.tree.size(), choreographed.tree.size())
+      const std::vector<graph::Edge>& tree = got.run.tree;
+      const std::vector<graph::Edge>& want = choreographed.run.tree;
+      ASSERT_EQ(tree.size(), want.size())
           << "connt seed=" << seed << " ranks=" << ranks;
-      for (std::size_t i = 0; i < got.tree.size(); ++i) {
-        EXPECT_EQ(got.tree[i].u, choreographed.tree[i].u);
-        EXPECT_EQ(got.tree[i].v, choreographed.tree[i].v);
-        EXPECT_EQ(got.tree[i].w, choreographed.tree[i].w);
+      for (std::size_t i = 0; i < tree.size(); ++i) {
+        EXPECT_EQ(tree[i].u, want[i].u);
+        EXPECT_EQ(tree[i].v, want[i].v);
+        EXPECT_EQ(tree[i].w, want[i].w);
       }
       if (!have_baseline) {
         baseline = got;

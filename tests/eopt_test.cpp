@@ -213,12 +213,12 @@ TEST(Eopt, PerNodeLedgerSumsToTotal) {
   EoptOptions options;
   options.track_per_node_energy = true;
   const EoptResult result = run_eopt(topo, options);
-  ASSERT_EQ(result.per_node_energy.size(), topo.node_count());
+  ASSERT_EQ(result.run.per_node_energy.size(), topo.node_count());
   double total = 0.0;
-  for (const double e : result.per_node_energy) total += e;
+  for (const double e : result.run.per_node_energy) total += e;
   EXPECT_NEAR(total, result.run.totals.energy, 1e-9);
   // Every node transmits at least once (the initial announcement).
-  for (const double e : result.per_node_energy) EXPECT_GT(e, 0.0);
+  for (const double e : result.run.per_node_energy) EXPECT_GT(e, 0.0);
 }
 
 TEST(Eopt, TinyInstances) {

@@ -408,9 +408,9 @@ TEST(SyncGhsFaults, DisabledFaultModelIsByteIdenticalToPlainRun) {
   EXPECT_EQ(a.run.totals.messages(), b.run.totals.messages());
   EXPECT_EQ(a.run.totals.rounds, b.run.totals.rounds);
   EXPECT_TRUE(graph::same_edge_set(a.run.tree, b.run.tree));
-  EXPECT_EQ(b.arq.data_sent, 0u);
-  EXPECT_EQ(b.faults.lost, 0u);
-  EXPECT_FALSE(b.hit_phase_cap);
+  EXPECT_EQ(b.run.arq.data_sent, 0u);
+  EXPECT_EQ(b.run.faults.lost, 0u);
+  EXPECT_FALSE(b.run.hit_phase_cap);
 }
 
 TEST(SyncGhsFaults, ArqOnCleanChannelPaysAcksOnly) {
@@ -426,11 +426,12 @@ TEST(SyncGhsFaults, ArqOnCleanChannelPaysAcksOnly) {
   // differing cache entries with reliable TEST probes instead of acting on
   // them unverified), so the comparison to `base` is an inequality.
   EXPECT_TRUE(graph::same_edge_set(arq.run.tree, base.run.tree));
-  EXPECT_EQ(arq.arq.retransmissions, 0u);
-  EXPECT_EQ(arq.arq.give_ups, 0u);
-  EXPECT_EQ(arq.arq.acks_sent, arq.arq.data_sent);
-  EXPECT_EQ(arq.arq.delivered, arq.arq.data_sent);
-  EXPECT_EQ(arq.run.totals.unicasts, arq.arq.data_sent + arq.arq.acks_sent);
+  EXPECT_EQ(arq.run.arq.retransmissions, 0u);
+  EXPECT_EQ(arq.run.arq.give_ups, 0u);
+  EXPECT_EQ(arq.run.arq.acks_sent, arq.run.arq.data_sent);
+  EXPECT_EQ(arq.run.arq.delivered, arq.run.arq.data_sent);
+  EXPECT_EQ(arq.run.totals.unicasts,
+            arq.run.arq.data_sent + arq.run.arq.acks_sent);
   EXPECT_EQ(arq.run.totals.broadcasts, base.run.totals.broadcasts);
   EXPECT_GE(arq.run.totals.unicasts, 2 * base.run.totals.unicasts);
   EXPECT_GE(arq.run.totals.rounds, base.run.totals.rounds);
@@ -452,8 +453,8 @@ TEST(SyncGhsFaults, ClassicArqOnCleanChannelIsExactlyTwiceTheUnicasts) {
   EXPECT_EQ(arq.run.totals.unicasts, 2 * base.run.totals.unicasts);
   EXPECT_EQ(arq.run.totals.broadcasts, base.run.totals.broadcasts);
   EXPECT_EQ(arq.run.totals.rounds, base.run.totals.rounds);
-  EXPECT_EQ(arq.arq.retransmissions, 0u);
-  EXPECT_EQ(arq.arq.give_ups, 0u);
+  EXPECT_EQ(arq.run.arq.retransmissions, 0u);
+  EXPECT_EQ(arq.run.arq.give_ups, 0u);
 }
 
 TEST(SyncGhsFaults, LossyRunStaysExactWithArq) {
@@ -464,10 +465,10 @@ TEST(SyncGhsFaults, LossyRunStaysExactWithArq) {
   options.arq.enabled = true;
   const auto result = ghs::run_sync_ghs(topo, options);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
-  EXPECT_FALSE(result.hit_phase_cap);
-  EXPECT_GT(result.faults.lost, 0u);
-  EXPECT_GT(result.arq.retransmissions, 0u);
-  EXPECT_GT(result.arq.timeout_rounds, 0u);
+  EXPECT_FALSE(result.run.hit_phase_cap);
+  EXPECT_GT(result.run.faults.lost, 0u);
+  EXPECT_GT(result.run.arq.retransmissions, 0u);
+  EXPECT_GT(result.run.arq.timeout_rounds, 0u);
   expect_forest_consistent(topo, result.final_forest);
 }
 
@@ -480,7 +481,7 @@ TEST(SyncGhsFaults, ClassicProbingAlsoSurvivesLoss) {
   options.arq.enabled = true;
   const auto result = ghs::run_sync_ghs(topo, options);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
-  EXPECT_FALSE(result.hit_phase_cap);
+  EXPECT_FALSE(result.run.hit_phase_cap);
 }
 
 TEST(SyncGhsFaults, CrashMidRunLeavesSurvivingForestConsistent) {
@@ -507,7 +508,7 @@ TEST(SyncGhsFaults, CrashMidRunLeavesSurvivingForestConsistent) {
   }
   EXPECT_TRUE(graph::same_edge_set(result.run.tree,
                                    graph::kruskal_msf(n, surviving_edges)));
-  EXPECT_FALSE(result.hit_phase_cap);
+  EXPECT_FALSE(result.run.hit_phase_cap);
 }
 
 TEST(SyncGhsFaults, LeaderCrashTriggersReElection) {
@@ -544,7 +545,7 @@ TEST(SyncGhsFaults, NodeCrashedAtRoundZeroNeverJoins) {
   }
   EXPECT_TRUE(graph::same_edge_set(result.run.tree,
                                    graph::kruskal_msf(n, surviving_edges)));
-  EXPECT_FALSE(result.hit_phase_cap);
+  EXPECT_FALSE(result.run.hit_phase_cap);
 }
 
 TEST(SyncGhsFaults, TemporaryCrashRecoversToTheExactMst) {
@@ -555,7 +556,7 @@ TEST(SyncGhsFaults, TemporaryCrashRecoversToTheExactMst) {
   const auto result = ghs::run_sync_ghs(topo, options);
   // After recovery the node rejoins and the full MST completes.
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
-  EXPECT_FALSE(result.hit_phase_cap);
+  EXPECT_FALSE(result.run.hit_phase_cap);
 }
 
 // ------------------------------------------------------- fault-aware EOPT
@@ -569,10 +570,11 @@ TEST(EoptFaults, SharedSessionReportsStatsAndStaysExact) {
   options.arq.enabled = true;
   const auto result = eopt::run_eopt(topo, options);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
-  EXPECT_FALSE(result.hit_phase_cap);
-  EXPECT_GT(result.fault_stats.lost, 0u);
-  EXPECT_GT(result.arq.data_sent, 0u);
-  EXPECT_GE(result.arq.delivered, result.arq.data_sent - result.arq.give_ups);
+  EXPECT_FALSE(result.run.hit_phase_cap);
+  EXPECT_GT(result.run.faults.lost, 0u);
+  EXPECT_GT(result.run.arq.data_sent, 0u);
+  EXPECT_GE(result.run.arq.delivered,
+            result.run.arq.data_sent - result.run.arq.give_ups);
 }
 
 // Acceptance criterion: under 10% Bernoulli loss with ARQ, EOPT produces
@@ -593,7 +595,7 @@ TEST_P(EoptLossyExactness, ExactUnderTenPercentLoss) {
     const auto result = eopt::run_eopt(topo, options);
     EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)))
         << "n=" << n << " seed=" << seed;
-    EXPECT_FALSE(result.hit_phase_cap) << "n=" << n << " seed=" << seed;
+    EXPECT_FALSE(result.run.hit_phase_cap) << "n=" << n << " seed=" << seed;
   }
 }
 

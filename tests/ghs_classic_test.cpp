@@ -21,9 +21,16 @@ sim::Topology make_topology(std::size_t n, double radius, std::uint64_t seed) {
   return sim::Topology(geometry::uniform_points(n, rng), radius);
 }
 
+/// The message anatomy: classic GHS charges each message type to its own
+/// kind cell of the run phase (valid when `record_breakdown` was set).
+const sim::EnergyBreakdown::Cell& type_cell(const sim::RunResult& run,
+                                            GhsMsgType type) {
+  return run.breakdown.cell(sim::PhaseTag::kRun, to_msg_kind(type));
+}
+
 TEST(ClassicGhs, TwoNodes) {
   const sim::Topology topo({{0.1, 0.1}, {0.2, 0.2}}, 0.5);
-  const MstRunResult result = run_classic_ghs(topo);
+  const sim::RunResult result = run_classic_ghs(topo);
   ASSERT_EQ(result.tree.size(), 1u);
   EXPECT_EQ(result.fragments, 1u);
   EXPECT_GT(result.totals.energy, 0.0);
@@ -32,7 +39,7 @@ TEST(ClassicGhs, TwoNodes) {
 
 TEST(ClassicGhs, TwoIsolatedNodes) {
   const sim::Topology topo({{0.0, 0.0}, {1.0, 1.0}}, 0.1);
-  const MstRunResult result = run_classic_ghs(topo);
+  const sim::RunResult result = run_classic_ghs(topo);
   EXPECT_TRUE(result.tree.empty());
   EXPECT_EQ(result.fragments, 2u);
   EXPECT_EQ(result.totals.messages(), 0u);
@@ -44,7 +51,7 @@ TEST(ClassicGhs, PathGraph) {
   for (int i = 0; i < 10; ++i)
     points.push_back({0.05 + 0.1 * static_cast<double>(i), 0.5});
   const sim::Topology topo(std::move(points), 0.11);  // only adjacent in range
-  const MstRunResult result = run_classic_ghs(topo);
+  const sim::RunResult result = run_classic_ghs(topo);
   EXPECT_EQ(result.tree.size(), 9u);
   EXPECT_EQ(result.fragments, 1u);
 }
@@ -59,7 +66,7 @@ TEST_P(ClassicGhsExactness, MatchesKruskalEdgeForEdge) {
   const sim::Topology topo =
       make_topology(static_cast<std::size_t>(n), radius,
                     static_cast<std::uint64_t>(seed) * 7 + 3);
-  const MstRunResult result = run_classic_ghs(topo);
+  const sim::RunResult result = run_classic_ghs(topo);
   const auto reference = graph::kruskal_msf(topo.node_count(), topo.graph().edges());
   EXPECT_TRUE(graph::same_edge_set(result.tree, reference))
       << "n=" << n << " seed=" << seed << " factor=" << factor;
@@ -87,7 +94,7 @@ TEST(ClassicGhs, RadiusRestrictionHonored) {
   const sim::Topology topo = make_topology(n, r_full, 11);
   ClassicGhsOptions options;
   options.radius = r_small;
-  const MstRunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, options);
   for (const graph::Edge& e : result.tree) EXPECT_LE(e.w, r_small);
   // Reference: Kruskal over only the short edges.
   std::vector<graph::Edge> short_edges;
@@ -103,7 +110,7 @@ TEST(ClassicGhs, MessageComplexityWithinClassicBound) {
   // slack on a mid-size instance.
   const std::size_t n = 1000;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 13);
-  const MstRunResult result = run_classic_ghs(topo);
+  const sim::RunResult result = run_classic_ghs(topo);
   const double e = static_cast<double>(topo.graph().edge_count());
   const double bound = 5.0 * n * std::log2(static_cast<double>(n)) + 2.0 * e;
   EXPECT_LT(static_cast<double>(result.totals.messages()), bound);
@@ -113,7 +120,7 @@ TEST(ClassicGhs, MessageComplexityWithinClassicBound) {
 TEST(ClassicGhs, LevelsAreLogarithmic) {
   const std::size_t n = 1000;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 17);
-  const MstRunResult result = run_classic_ghs(topo);
+  const sim::RunResult result = run_classic_ghs(topo);
   EXPECT_GE(result.phases, 1u);
   EXPECT_LE(result.phases, static_cast<std::size_t>(std::log2(n)) + 1);
 }
@@ -124,7 +131,7 @@ TEST(ClassicGhs, EnergyEqualsSumOverMessages) {
   const std::size_t n = 400;
   const double r = rgg::connectivity_radius(n);
   const sim::Topology topo = make_topology(n, r, 19);
-  const MstRunResult result = run_classic_ghs(topo);
+  const sim::RunResult result = run_classic_ghs(topo);
   EXPECT_LE(result.totals.energy,
             static_cast<double>(result.totals.messages()) * r * r + 1e-9);
   EXPECT_GT(result.totals.energy, 0.0);
@@ -142,7 +149,7 @@ TEST_P(CachedConfirmExactness, ModifiedGhsMatchesKruskal) {
                     static_cast<std::uint64_t>(seed) * 53 + 29);
   ClassicGhsOptions options;
   options.moe = MoeStrategy::kCachedConfirm;
-  const MstRunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, options);
   const auto reference =
       graph::kruskal_msf(topo.node_count(), topo.graph().edges());
   EXPECT_TRUE(graph::same_edge_set(result.tree, reference))
@@ -165,7 +172,7 @@ TEST(CachedConfirm, ExactUnderAsynchronousDelays) {
     options.moe = MoeStrategy::kCachedConfirm;
     options.delays.max_extra_delay = 5;
     options.delays.seed = delay_seed;
-    const MstRunResult result = run_classic_ghs(topo, options);
+    const sim::RunResult result = run_classic_ghs(topo, options);
     EXPECT_TRUE(graph::same_edge_set(result.tree, reference))
         << "delay seed " << delay_seed;
   }
@@ -176,10 +183,10 @@ TEST(CachedConfirm, SavesTestTraffic) {
   // broadcasts instead.
   const sim::Topology topo =
       make_topology(1500, rgg::connectivity_radius(1500), 37);
-  const MstRunResult plain = run_classic_ghs(topo);
+  const sim::RunResult plain = run_classic_ghs(topo);
   ClassicGhsOptions options;
   options.moe = MoeStrategy::kCachedConfirm;
-  const MstRunResult cached = run_classic_ghs(topo, options);
+  const sim::RunResult cached = run_classic_ghs(topo, options);
   EXPECT_TRUE(graph::same_edge_set(plain.tree, cached.tree));
   EXPECT_GT(cached.totals.broadcasts, 0u);
   EXPECT_LT(cached.totals.unicasts, plain.totals.unicasts);
@@ -195,8 +202,8 @@ TEST(ClassicGhs, RunsOnExplicitGabrielTopology) {
   const auto gabriel_edges =
       graph::gabriel_filter(points, disk.graph().edges());
   const sim::Topology gabriel(points, r, gabriel_edges);
-  const MstRunResult on_gabriel = run_classic_ghs(gabriel);
-  const MstRunResult on_disk = run_classic_ghs(disk);
+  const sim::RunResult on_gabriel = run_classic_ghs(gabriel);
+  const sim::RunResult on_disk = run_classic_ghs(disk);
   EXPECT_TRUE(graph::same_edge_set(on_gabriel.tree, on_disk.tree));
   EXPECT_LT(on_gabriel.totals.messages(), on_disk.totals.messages());
   EXPECT_LT(on_gabriel.totals.energy, on_disk.totals.energy);
@@ -206,7 +213,7 @@ TEST(ClassicGhs, PerNodeLedgerSumsToTotal) {
   const sim::Topology topo = make_topology(400, rgg::connectivity_radius(400), 51);
   ClassicGhsOptions options;
   options.track_per_node_energy = true;
-  const MstRunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, options);
   ASSERT_EQ(result.per_node_energy.size(), topo.node_count());
   double total = 0.0;
   for (const double e : result.per_node_energy) total += e;
@@ -216,42 +223,55 @@ TEST(ClassicGhs, PerNodeLedgerSumsToTotal) {
 TEST(ClassicGhs, BreakdownAccountsForEveryMessage) {
   const std::size_t n = 800;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 41);
-  const MstRunResult result = run_classic_ghs(topo);
-  EXPECT_EQ(result.breakdown.total_count(), result.totals.messages());
+  ClassicGhsOptions options;
+  options.record_breakdown = true;
+  const sim::RunResult result = run_classic_ghs(topo, options);
+  ASSERT_TRUE(result.breakdown_recorded);
+  std::uint64_t count = 0;
   double energy = 0.0;
-  for (const double e : result.breakdown.energy) energy += e;
+  for (std::size_t t = 0; t < static_cast<std::size_t>(GhsMsgType::kTypeCount);
+       ++t) {
+    const auto& cell = type_cell(result, static_cast<GhsMsgType>(t));
+    count += cell.messages;
+    energy += cell.energy;
+  }
+  EXPECT_EQ(count, result.totals.messages());
   EXPECT_NEAR(energy, result.totals.energy, 1e-9);
   // The classical structure: TEST/ACCEPT/REJECT (Θ(|E|)-scale discovery)
   // dominates INITIATE/REPORT (Θ(n log n) control) on dense RGGs.
-  const std::uint64_t discovery = result.breakdown.count_of(GhsMsgType::kTest) +
-                                  result.breakdown.count_of(GhsMsgType::kAccept) +
-                                  result.breakdown.count_of(GhsMsgType::kReject);
-  const std::uint64_t control = result.breakdown.count_of(GhsMsgType::kInitiate) +
-                                result.breakdown.count_of(GhsMsgType::kReport);
+  const auto count_of = [&result](GhsMsgType type) {
+    return type_cell(result, type).messages;
+  };
+  const std::uint64_t discovery = count_of(GhsMsgType::kTest) +
+                                  count_of(GhsMsgType::kAccept) +
+                                  count_of(GhsMsgType::kReject);
+  const std::uint64_t control =
+      count_of(GhsMsgType::kInitiate) + count_of(GhsMsgType::kReport);
   EXPECT_GT(discovery, control);
-  EXPECT_GT(result.breakdown.count_of(GhsMsgType::kConnect), 0u);
-  EXPECT_EQ(result.breakdown.count_of(GhsMsgType::kAnnounce), 0u);
+  EXPECT_GT(count_of(GhsMsgType::kConnect), 0u);
+  EXPECT_EQ(count_of(GhsMsgType::kAnnounce), 0u);
 }
 
 TEST(ClassicGhs, CachedBreakdownShiftsTrafficToAnnouncements) {
   const std::size_t n = 800;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 43);
   ClassicGhsOptions options;
+  options.record_breakdown = true;
+  const sim::RunResult plain = run_classic_ghs(topo, options);
   options.moe = MoeStrategy::kCachedConfirm;
-  const MstRunResult cached = run_classic_ghs(topo, options);
-  const MstRunResult plain = run_classic_ghs(topo);
-  EXPECT_GT(cached.breakdown.count_of(GhsMsgType::kAnnounce), 0u);
-  EXPECT_LT(cached.breakdown.count_of(GhsMsgType::kReject),
-            plain.breakdown.count_of(GhsMsgType::kReject));
-  EXPECT_LT(cached.breakdown.count_of(GhsMsgType::kTest),
-            plain.breakdown.count_of(GhsMsgType::kTest));
+  const sim::RunResult cached = run_classic_ghs(topo, options);
+  EXPECT_GT(type_cell(cached, GhsMsgType::kAnnounce).messages, 0u);
+  EXPECT_LT(type_cell(cached, GhsMsgType::kReject).messages,
+            type_cell(plain, GhsMsgType::kReject).messages);
+  EXPECT_LT(type_cell(cached, GhsMsgType::kTest).messages,
+            type_cell(plain, GhsMsgType::kTest).messages);
 }
 
 TEST(ClassicGhs, DeterministicAcrossRuns) {
   const std::size_t n = 300;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 23);
-  const MstRunResult a = run_classic_ghs(topo);
-  const MstRunResult b = run_classic_ghs(topo);
+  const sim::RunResult a = run_classic_ghs(topo);
+  const sim::RunResult b = run_classic_ghs(topo);
   EXPECT_TRUE(graph::same_edge_set(a.tree, b.tree));
   EXPECT_DOUBLE_EQ(a.totals.energy, b.totals.energy);
   EXPECT_EQ(a.totals.messages(), b.totals.messages());

@@ -47,18 +47,6 @@ TEST(RunInstance, SelectionFlags) {
   EXPECT_GT(r.eopt_detail->step1.energy, 0.0);
 }
 
-TEST(RunInstance, SyncProbeBaselineAlsoExact) {
-  InstanceConfig config;
-  config.n = 400;
-  config.seed = 11;
-  config.ghs_use_sync_probe = true;
-  config.run_eopt = false;
-  config.run_connt = false;
-  const InstanceResults r = run_instance(config);
-  ASSERT_TRUE(r.ghs.has_value());
-  EXPECT_TRUE(r.ghs->exact_mst);
-}
-
 TEST(RunInstance, SameSeedSameResults) {
   InstanceConfig config;
   config.n = 300;

@@ -242,7 +242,7 @@ TEST_P(ActorVsChoreographed, IdenticalResultsAndAccounting) {
   EXPECT_EQ(a.totals.broadcasts, b.totals.broadcasts);
   EXPECT_EQ(a.totals.deliveries, b.totals.deliveries);
   EXPECT_EQ(a.totals.rounds, b.totals.rounds);
-  EXPECT_EQ(a.max_probe_rounds, b.max_probe_rounds);
+  EXPECT_EQ(a.phases, b.phases);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,10 +2,11 @@
 // knob as result-free: the backend (topology_differential_test; classic
 // GHS through the facade), the thread count (parallel_determinism_test)
 // and the rank count
-// (distributed_determinism_test). `observe` copies everything a run exposes
-// out of the driver's own result, so runs can be compared after their
-// backing results are gone; `expect_observed_equal` asserts equality, not
-// tolerances, so a single flipped bit anywhere fails.
+// (distributed_determinism_test). `observe` copies the run's
+// `sim::RunResult` and telemetry stream, so runs can be compared after
+// their backing results are gone; `expect_observed_equal` asserts equality
+// of every result field, not tolerances, so a single flipped bit anywhere
+// fails.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,103 +14,32 @@
 #include <cstdint>
 #include <vector>
 
-#include "emst/eopt/eopt.hpp"
-#include "emst/ghs/common.hpp"
-#include "emst/ghs/sync.hpp"
-#include "emst/nnt/connt.hpp"
-#include "emst/run.hpp"
 #include "emst/sim/fault.hpp"
+#include "emst/sim/run_config.hpp"
 #include "emst/sim/telemetry.hpp"
 
 namespace emst {
 
 struct Observed {
-  std::vector<graph::Edge> tree;
-  sim::Accounting totals;
-  std::size_t phases = 0;
-  std::size_t fragments = 0;
-  sim::FaultStats faults;
-  sim::ArqStats arq;
-  std::vector<double> per_node;
-  sim::EnergyBreakdown breakdown;
-  bool hit_phase_cap = false;
+  sim::RunResult run;
   std::vector<sim::TelemetryEvent> events;
-  /// Parent + rank handler executions of the actor-backed drivers (classic
-  /// GHS, the Co-NNT actor; 0 for the others). Both placements dispatch the
-  /// same deliveries, and both classic-GHS retry loops re-park a deferred
-  /// delivery whose receiver is unchanged without calling the handler, so
-  /// the sum is placement-free; it differs if one placement skips a
-  /// delivery or a stale retry that the other runs.
-  std::uint64_t executions = 0;
 };
 
-inline Observed observe(const ghs::MstRunResult& run,
+/// Sync GHS and EOPT pass their nested `run`; every other driver its result.
+inline Observed observe(const sim::RunResult& run,
                         const sim::MemoryTraceSink& sink) {
-  Observed out;
-  out.tree = run.tree;
-  out.totals = run.totals;
-  out.phases = run.phases;
-  out.fragments = run.fragments;
-  out.faults = run.fault_stats;
-  out.per_node = run.per_node_energy;
-  if (run.breakdown_recorded) out.breakdown = run.energy_breakdown;
-  out.events = sink.events();
-  out.executions = run.handler_invocations + run.rank_handler_invocations;
-  return out;
+  return {run, sink.events()};
 }
 
-inline Observed observe(const ghs::SyncGhsResult& run,
-                        const sim::MemoryTraceSink& sink) {
-  Observed out = observe(run.run, sink);
-  out.faults = run.faults;
-  out.arq = run.arq;
-  out.hit_phase_cap = run.hit_phase_cap;
-  return out;
-}
-
-inline Observed observe(const eopt::EoptResult& run,
-                        const sim::MemoryTraceSink& sink) {
-  Observed out = observe(run.run, sink);
-  out.faults = run.fault_stats;
-  out.arq = run.arq;
-  out.hit_phase_cap = run.hit_phase_cap;
-  return out;
-}
-
-inline Observed observe(const nnt::CoNntResult& run,
-                        const sim::MemoryTraceSink& sink) {
-  Observed out;
-  out.tree = run.tree;
-  out.totals = run.totals;
-  out.phases = run.max_probe_rounds;
-  out.fragments = run.parent.size() - run.tree.size();
-  out.faults = run.fault_stats;
-  out.per_node = run.per_node_energy;
-  if (run.breakdown_recorded) out.breakdown = run.energy_breakdown;
-  out.events = sink.events();
-  out.executions = run.handler_invocations + run.rank_handler_invocations;
-  return out;
-}
-
-inline Observed observe(const RunResult& run,
-                        const sim::MemoryTraceSink& sink) {
-  Observed out;
-  out.tree = run.tree;
-  out.totals = run.totals;
-  out.phases = run.phases;
-  out.fragments = run.fragments;
-  out.faults = run.faults;
-  out.arq = run.arq;
-  out.per_node = run.per_node_energy;
-  if (run.breakdown_recorded) out.breakdown = run.breakdown;
-  out.hit_phase_cap = run.hit_phase_cap;
-  out.events = sink.events();
-  out.executions = run.handler_invocations + run.rank_handler_invocations;
-  return out;
-}
-
-/// Callers name the run (driver, seed, knob value) with SCOPED_TRACE.
-inline void expect_observed_equal(const Observed& got, const Observed& want) {
+/// Every `sim::RunResult` field, bitwise. The placement witnesses are
+/// compared as their sum: parent + rank handler executions of the
+/// actor-backed drivers (classic GHS, the Co-NNT actor; 0 for the others).
+/// Both placements dispatch the same deliveries, and both classic-GHS retry
+/// loops re-park a deferred delivery whose receiver is unchanged without
+/// calling the handler, so the sum is placement-free; it differs if one
+/// placement skips a delivery or a stale retry that the other runs.
+inline void expect_same_run(const sim::RunResult& got,
+                            const sim::RunResult& want) {
   ASSERT_EQ(got.tree.size(), want.tree.size());
   for (std::size_t i = 0; i < got.tree.size(); ++i) {
     EXPECT_EQ(got.tree[i].u, want.tree[i].u);
@@ -136,10 +66,24 @@ inline void expect_observed_equal(const Observed& got, const Observed& want) {
   EXPECT_EQ(got.arq.timeout_rounds, want.arq.timeout_rounds);
   EXPECT_EQ(got.arq.data_bits, want.arq.data_bits);
   EXPECT_EQ(got.arq.ack_bits, want.arq.ack_bits);
-  EXPECT_EQ(got.per_node, want.per_node);  // element-wise bitwise
+  EXPECT_EQ(got.per_node_energy, want.per_node_energy);  // element-wise bitwise
+  EXPECT_EQ(got.breakdown_recorded, want.breakdown_recorded);
   EXPECT_EQ(got.breakdown, want.breakdown);
   EXPECT_EQ(got.hit_phase_cap, want.hit_phase_cap);
-  EXPECT_EQ(got.executions, want.executions);
+  EXPECT_EQ(got.epochs, want.epochs);
+  ASSERT_EQ(got.injected_crashes.size(), want.injected_crashes.size());
+  for (std::size_t i = 0; i < got.injected_crashes.size(); ++i) {
+    EXPECT_EQ(got.injected_crashes[i].node, want.injected_crashes[i].node);
+    EXPECT_EQ(got.injected_crashes[i].from, want.injected_crashes[i].from);
+    EXPECT_EQ(got.injected_crashes[i].until, want.injected_crashes[i].until);
+  }
+  EXPECT_EQ(got.handler_invocations + got.rank_handler_invocations,
+            want.handler_invocations + want.rank_handler_invocations);
+}
+
+/// Callers name the run (driver, seed, knob value) with SCOPED_TRACE.
+inline void expect_observed_equal(const Observed& got, const Observed& want) {
+  expect_same_run(got.run, want.run);
   ASSERT_EQ(got.events.size(), want.events.size());
   for (std::size_t i = 0; i < got.events.size(); ++i) {
     ASSERT_EQ(got.events[i], want.events[i]) << "event " << i;

@@ -54,7 +54,7 @@ void expect_thread_invariant(const char* label, RunFn&& run_at) {
       if (!have_baseline) {
         baseline = got;
         have_baseline = true;
-        EXPECT_FALSE(baseline.tree.empty())
+        EXPECT_FALSE(baseline.run.tree.empty())
             << label << " seed " << seed << ": empty tree";
         continue;
       }
@@ -105,7 +105,7 @@ TEST(ParallelDeterminism, SyncGhs) {
     ghs::SyncGhsOptions options;
     configure(options, threads, &telemetry);
     const auto run = ghs::run_sync_ghs(topo, options);
-    return observe(run, sink);
+    return observe(run.run, sink);
   });
 }
 
@@ -123,7 +123,7 @@ TEST(ParallelDeterminism, SyncGhsProbeFaultyArq) {
         options.arq.enabled = true;
         configure(options, threads, &telemetry);
         const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 
@@ -136,7 +136,7 @@ TEST(ParallelDeterminism, Eopt) {
     eopt::EoptOptions options;
     configure(options, threads, &telemetry);
     const auto run = eopt::run_eopt(topo, options);
-    return observe(run, sink);
+    return observe(run.run, sink);
   });
 }
 
@@ -153,7 +153,7 @@ TEST(ParallelDeterminism, EoptFaultyArq) {
         options.arq.enabled = true;
         configure(options, threads, &telemetry);
         const auto run = eopt::run_eopt(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 

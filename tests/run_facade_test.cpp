@@ -1,38 +1,31 @@
 // Pins the facade contract (docs/API_TOUR.md): emst::run dispatches to the
-// per-driver entry points, so for any driver × seed × fault model the
-// facade's tree and accounting are bitwise identical to a direct call with
-// equivalently-wired options, and its one `RunResult` shape carries the
-// fields every driver shares.
+// per-driver entry points and returns the `sim::RunResult` each one fills,
+// so for any driver × seed × fault model every field of the facade's result
+// is bitwise identical to a direct call with equivalently-wired options.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "emst/rgg/radii.hpp"
 #include "emst/run.hpp"
+#include "emst/sim/chaos.hpp"
 #include "emst/sim/topology.hpp"
 #include "facade_topology.hpp"
+#include "observed_run.hpp"
 
 namespace emst {
 namespace {
 
-void expect_same_tree(const std::vector<graph::Edge>& a,
-                      const std::vector<graph::Edge>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "edge " << i;
-    EXPECT_EQ(a[i].w, b[i].w) << "edge " << i;  // bitwise, not near
-  }
-}
-
-void expect_same_totals(const sim::Accounting& a, const sim::Accounting& b) {
-  EXPECT_EQ(a.energy, b.energy);  // bitwise, not near
-  EXPECT_EQ(a.unicasts, b.unicasts);
-  EXPECT_EQ(a.broadcasts, b.broadcasts);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.bits, b.bits);
+/// Every field, the placement witnesses one by one: the facade hands back
+/// the driver's own result, so even the placement split must match.
+void expect_same_result(const RunResult& facade, const sim::RunResult& direct) {
+  expect_same_run(facade, direct);
+  EXPECT_EQ(facade.handler_invocations, direct.handler_invocations);
+  EXPECT_EQ(facade.rank_handler_invocations, direct.rank_handler_invocations);
 }
 
 // A breakdown row against the sequential total: integers exact, energy to an
@@ -47,6 +40,47 @@ void expect_row_matches_totals(const sim::Accounting& row,
   EXPECT_EQ(row.rounds, totals.rounds);
 }
 
+/// The direct call's options: the facade's shared knobs plus `tuned`'s own.
+template <typename Options>
+Options direct_options(const RunConfig& cfg, Options tuned = {}) {
+  static_cast<sim::RunConfig&>(tuned) = static_cast<const sim::RunConfig&>(cfg);
+  return tuned;
+}
+
+/// The fault setups of the loss-recovering drivers (sync GHS, EOPT): clean;
+/// faulty = loss, bursts and crash windows under ARQ, then a chaos
+/// controller. The adversary is stateful (its kill budget), so each run gets
+/// a fresh one from `adversary`.
+enum class Faults { kClean, kLossy, kChaos };
+
+std::vector<Faults> fault_setups(bool faulty) {
+  if (!faulty) return {Faults::kClean};
+  return {Faults::kLossy, Faults::kChaos};
+}
+
+void apply_faults(Faults setup, std::uint64_t seed,
+                  std::unique_ptr<sim::BudgetedController>& adversary,
+                  RunConfig& cfg) {
+  if (setup == Faults::kLossy) {
+    cfg.faults = faulty_model();
+    cfg.faults.seed += seed;
+    cfg.arq.enabled = true;
+  } else if (setup == Faults::kChaos) {
+    adversary = sim::make_controller("kill_leader");
+    cfg.faults.controller = adversary.get();
+  }
+}
+
+/// A faulty run must show its faults, or the comparison proves nothing.
+void expect_faults_seen(Faults setup, const RunResult& run) {
+  if (setup == Faults::kLossy) {
+    EXPECT_GT(run.faults.lost, 0u);
+    EXPECT_GT(run.arq.retransmissions, 0u);
+  } else if (setup == Faults::kChaos) {
+    EXPECT_FALSE(run.injected_crashes.empty());
+  }
+}
+
 class RunFacadeEquivalence
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
 
@@ -54,23 +88,19 @@ TEST_P(RunFacadeEquivalence, ClassicGhs) {
   const auto [seed, faulty] = GetParam();
   const Instance inst = sample_instance(160, seed);
   for (const Driver driver : {Driver::kClassicGhs, Driver::kClassicGhsCached}) {
+    SCOPED_TRACE(driver_name(driver));
     RunConfig cfg;
     cfg.driver = driver;
     if (faulty) cfg.faults.crashes = {{.node = 3, .from = 2, .until = 6}};
     const RunResult facade = run(inst, cfg);
 
-    const sim::Topology topo = facade_topology(inst, cfg);
-    ghs::ClassicGhsOptions opt;
-    static_cast<sim::RunConfig&>(opt) = static_cast<const sim::RunConfig&>(cfg);
-    opt.moe = driver == Driver::kClassicGhsCached
-                  ? ghs::MoeStrategy::kCachedConfirm
-                  : ghs::MoeStrategy::kTestAll;
-    const ghs::MstRunResult direct = ghs::run_classic_ghs(topo, opt);
-
-    expect_same_tree(facade.tree, direct.tree);
-    expect_same_totals(facade.totals, direct.totals);
-    EXPECT_EQ(facade.phases, direct.phases);
-    EXPECT_EQ(facade.epochs, direct.epochs);
+    ghs::ClassicGhsOptions tuned;
+    tuned.moe = driver == Driver::kClassicGhsCached
+                    ? ghs::MoeStrategy::kCachedConfirm
+                    : ghs::MoeStrategy::kTestAll;
+    const sim::RunResult direct = ghs::run_classic_ghs(
+        facade_topology(inst, cfg), direct_options(cfg, tuned));
+    expect_same_result(facade, direct);
   }
 }
 
@@ -78,70 +108,61 @@ TEST_P(RunFacadeEquivalence, SyncGhs) {
   const auto [seed, faulty] = GetParam();
   const Instance inst = sample_instance(160, seed);
   for (const Driver driver : {Driver::kSyncGhs, Driver::kSyncGhsProbe}) {
-    RunConfig cfg;
-    cfg.driver = driver;
-    if (faulty) {
-      cfg.faults.loss = 0.05;
-      cfg.arq.enabled = true;
+    for (const Faults setup : fault_setups(faulty)) {
+      SCOPED_TRACE(testing::Message() << driver_name(driver) << " faults "
+                                      << static_cast<int>(setup));
+      std::unique_ptr<sim::BudgetedController> adversary;
+      RunConfig cfg;
+      cfg.driver = driver;
+      apply_faults(setup, seed, adversary, cfg);
+      const RunResult facade = run(inst, cfg);
+      expect_faults_seen(setup, facade);
+
+      apply_faults(setup, seed, adversary, cfg);
+      ghs::SyncGhsOptions tuned;
+      tuned.neighbor_cache = driver == Driver::kSyncGhs;
+      const ghs::SyncGhsResult direct = ghs::run_sync_ghs(
+          facade_topology(inst, cfg), direct_options(cfg, tuned));
+      expect_same_result(facade, direct.run);
     }
-    const RunResult facade = run(inst, cfg);
-
-    const sim::Topology topo = facade_topology(inst, cfg);
-    ghs::SyncGhsOptions opt;
-    static_cast<sim::RunConfig&>(opt) = static_cast<const sim::RunConfig&>(cfg);
-    opt.neighbor_cache = driver == Driver::kSyncGhs;
-    const ghs::SyncGhsResult direct = ghs::run_sync_ghs(topo, opt);
-
-    expect_same_tree(facade.tree, direct.run.tree);
-    expect_same_totals(facade.totals, direct.run.totals);
-    EXPECT_EQ(facade.phases, direct.run.phases);
-    EXPECT_EQ(facade.arq.retransmissions, direct.arq.retransmissions);
-    EXPECT_EQ(facade.faults.lost, direct.faults.lost);
   }
 }
 
 TEST_P(RunFacadeEquivalence, Eopt) {
   const auto [seed, faulty] = GetParam();
   const Instance inst = sample_instance(160, seed);
-  RunConfig cfg;
-  cfg.driver = Driver::kEopt;
-  if (faulty) {
-    cfg.faults.loss = 0.05;
-    cfg.arq.enabled = true;
+  for (const Faults setup : fault_setups(faulty)) {
+    SCOPED_TRACE(testing::Message() << "faults " << static_cast<int>(setup));
+    std::unique_ptr<sim::BudgetedController> adversary;
+    RunConfig cfg;
+    cfg.driver = Driver::kEopt;
+    apply_faults(setup, seed, adversary, cfg);
+    const RunResult facade = run(inst, cfg);
+    expect_faults_seen(setup, facade);
+
+    apply_faults(setup, seed, adversary, cfg);
+    const eopt::EoptResult direct = eopt::run_eopt(
+        facade_topology(inst, cfg), direct_options<eopt::EoptOptions>(cfg));
+    expect_same_result(facade, direct.run);
   }
-  const RunResult facade = run(inst, cfg);
-
-  const sim::Topology topo = facade_topology(inst, cfg);
-  eopt::EoptOptions opt;
-  static_cast<sim::RunConfig&>(opt) = static_cast<const sim::RunConfig&>(cfg);
-  const eopt::EoptResult direct = eopt::run_eopt(topo, opt);
-
-  expect_same_tree(facade.tree, direct.run.tree);
-  expect_same_totals(facade.totals, direct.run.totals);
-  EXPECT_EQ(facade.phases, direct.run.phases);
-  EXPECT_EQ(facade.arq.retransmissions, direct.arq.retransmissions);
-  EXPECT_EQ(facade.faults.lost, direct.fault_stats.lost);
 }
 
 TEST_P(RunFacadeEquivalence, CoNnt) {
   const auto [seed, faulty] = GetParam();
   const Instance inst = sample_instance(160, seed);
   for (const Driver driver : {Driver::kCoNnt, Driver::kCoNntAxis}) {
+    SCOPED_TRACE(driver_name(driver));
     RunConfig cfg;
     cfg.driver = driver;
     if (faulty) cfg.faults.crashes = {{.node = 5, .from = 1, .until = 4}};
     const RunResult facade = run(inst, cfg);
 
-    const sim::Topology topo = facade_topology(inst, cfg);
-    nnt::CoNntOptions opt;
-    static_cast<sim::RunConfig&>(opt) = static_cast<const sim::RunConfig&>(cfg);
-    opt.scheme = driver == Driver::kCoNntAxis ? nnt::RankScheme::kAxis
-                                              : nnt::RankScheme::kDiagonal;
-    const nnt::CoNntResult direct = nnt::run_connt(topo, opt);
-
-    expect_same_tree(facade.tree, direct.tree);
-    expect_same_totals(facade.totals, direct.totals);
-    EXPECT_EQ(facade.epochs, direct.epochs);
+    nnt::CoNntOptions tuned;
+    tuned.scheme = driver == Driver::kCoNntAxis ? nnt::RankScheme::kAxis
+                                                : nnt::RankScheme::kDiagonal;
+    const nnt::CoNntResult direct = nnt::run_connt(
+        facade_topology(inst, cfg), direct_options(cfg, tuned));
+    expect_same_result(facade, direct);
   }
 }
 
@@ -164,12 +185,7 @@ TEST(RunFacade, BackendsAgreeThroughInstance) {
         Driver::kCoNntAxis}) {
     SCOPED_TRACE(driver_name(driver));
     const RunConfig cfg = config_for(driver);
-    const RunResult grid = run(inst, cfg);
-    const RunResult csr = run(facade_topology(inst, cfg), cfg);
-    expect_same_tree(grid.tree, csr.tree);
-    expect_same_totals(grid.totals, csr.totals);
-    EXPECT_EQ(grid.phases, csr.phases);
-    EXPECT_EQ(grid.fragments, csr.fragments);
+    expect_same_result(run(inst, cfg), run(facade_topology(inst, cfg), cfg));
   }
 }
 
@@ -268,13 +284,11 @@ TEST(RunFacade, ExplicitRadiusReachesGhsDrivers) {
   cfg.radius = rgg::connectivity_radius(inst.points.size(), 1.2);
   const RunResult facade = run(inst, cfg);
 
-  const sim::Topology topo = facade_topology(inst, cfg);
   ghs::ClassicGhsOptions opt;
   opt.moe = ghs::MoeStrategy::kTestAll;
   opt.radius = cfg.radius;
-  const ghs::MstRunResult direct = ghs::run_classic_ghs(topo, opt);
-  expect_same_tree(facade.tree, direct.tree);
-  expect_same_totals(facade.totals, direct.totals);
+  expect_same_result(facade,
+                     ghs::run_classic_ghs(facade_topology(inst, cfg), opt));
 }
 
 }  // namespace

@@ -232,10 +232,10 @@ TEST(TelemetryReplay, SyncGhsFaultFreeIsExactAcrossSeeds) {
 
     const sim::ReplayTotals replay = sim::replay_events(sink.events());
     expect_accounting_eq(replay.totals, result.run.totals);
-    expect_faults_eq(replay.faults, result.faults);
-    expect_arq_eq(replay.arq, result.arq);
+    expect_faults_eq(replay.faults, result.run.faults);
+    expect_arq_eq(replay.arq, result.run.arq);
     ASSERT_TRUE(result.run.breakdown_recorded);
-    EXPECT_TRUE(replay.breakdown == result.run.energy_breakdown);
+    EXPECT_TRUE(replay.breakdown == result.run.breakdown);
   }
 }
 
@@ -253,13 +253,13 @@ TEST(TelemetryReplay, SyncGhsUnderFaultsAndArqIsExactAcrossSeeds) {
 
     const sim::ReplayTotals replay = sim::replay_events(sink.events());
     expect_accounting_eq(replay.totals, result.run.totals);
-    expect_faults_eq(replay.faults, result.faults);
-    expect_arq_eq(replay.arq, result.arq);
-    EXPECT_TRUE(replay.breakdown == result.run.energy_breakdown);
+    expect_faults_eq(replay.faults, result.run.faults);
+    expect_arq_eq(replay.arq, result.run.arq);
+    EXPECT_TRUE(replay.breakdown == result.run.breakdown);
     // Under 10% loss something must actually have happened, or the test
     // proves nothing.
-    EXPECT_GT(result.faults.lost, 0u);
-    EXPECT_GT(result.arq.retransmissions, 0u);
+    EXPECT_GT(result.run.faults.lost, 0u);
+    EXPECT_GT(result.run.arq.retransmissions, 0u);
   }
 }
 
@@ -282,10 +282,10 @@ TEST(TelemetryReplay, EoptIsExactAcrossSeedsWithAndWithoutFaults) {
 
       const sim::ReplayTotals replay = sim::replay_events(sink.events());
       expect_accounting_eq(replay.totals, result.run.totals);
-      expect_faults_eq(replay.faults, result.fault_stats);
-      expect_arq_eq(replay.arq, result.arq);
+      expect_faults_eq(replay.faults, result.run.faults);
+      expect_arq_eq(replay.arq, result.run.arq);
       ASSERT_TRUE(result.run.breakdown_recorded);
-      EXPECT_TRUE(replay.breakdown == result.run.energy_breakdown);
+      EXPECT_TRUE(replay.breakdown == result.run.breakdown);
     }
   }
 }
@@ -298,7 +298,7 @@ TEST(TelemetryReplay, EoptStepSharesAreThePhaseRows) {
   // The Thm 5.3 stage shares ARE phase_total of the recorded matrix — one
   // definition, so any other consumer of the matrix agrees bit-for-bit.
   ASSERT_TRUE(result.run.breakdown_recorded);
-  const sim::EnergyBreakdown& matrix = result.run.energy_breakdown;
+  const sim::EnergyBreakdown& matrix = result.run.breakdown;
   expect_accounting_eq(result.step1, matrix.phase_total(PhaseTag::kStep1));
   expect_accounting_eq(result.census, matrix.phase_total(PhaseTag::kCensus));
   expect_accounting_eq(result.step2, matrix.phase_total(PhaseTag::kStep2));
@@ -341,12 +341,12 @@ TEST(TelemetryReplay, ClassicGhsStreamRebuildsTotalsAndBreakdown) {
     options.moe = ghs::MoeStrategy::kCachedConfirm;
     options.telemetry = &telemetry;
     options.record_breakdown = true;
-    const ghs::MstRunResult result = ghs::run_classic_ghs(topo, options);
+    const sim::RunResult result = ghs::run_classic_ghs(topo, options);
 
     const sim::ReplayTotals replay = sim::replay_events(sink.events());
     expect_accounting_eq(replay.totals, result.totals);
     ASSERT_TRUE(result.breakdown_recorded);
-    EXPECT_TRUE(replay.breakdown == result.energy_breakdown);
+    EXPECT_TRUE(replay.breakdown == result.breakdown);
   }
 }
 
@@ -401,9 +401,9 @@ TEST(TelemetryAggregate, EoptPerNodeFallsBackToTheAggregate) {
   options.track_per_node_energy = false;  // the old silently-empty case
   const eopt::EoptResult result = eopt::run_eopt(topo, options);
 
-  ASSERT_EQ(result.per_node_energy.size(), topo.node_count());
+  ASSERT_EQ(result.run.per_node_energy.size(), topo.node_count());
   double total = 0.0;
-  for (const double e : result.per_node_energy) total += e;
+  for (const double e : result.run.per_node_energy) total += e;
   EXPECT_NEAR(total, result.run.totals.energy,
               1e-12 * result.run.totals.energy);
 }
@@ -421,7 +421,8 @@ TEST(TelemetryJsonl, OneParseableLinePerEventPlusFraming) {
   ghs::SyncGhsOptions options;
   options.telemetry = &telemetry;
   const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, options);
-  sim::write_trace_summary(out, result.run.totals, result.faults, result.arq);
+  sim::write_trace_summary(out, result.run.totals, result.run.faults,
+                           result.run.arq);
 
   sim::Telemetry buffered(&memory);
   ghs::SyncGhsOptions again = options;
@@ -507,8 +508,8 @@ TEST(TelemetryOff, AttachingTelemetryNeverChangesResults) {
 
     EXPECT_EQ(base.run.tree, traced.run.tree);
     expect_accounting_eq(base.run.totals, traced.run.totals);
-    expect_faults_eq(base.faults, traced.faults);
-    expect_arq_eq(base.arq, traced.arq);
+    expect_faults_eq(base.run.faults, traced.run.faults);
+    expect_arq_eq(base.run.arq, traced.run.arq);
     EXPECT_EQ(base.fragments_per_phase, traced.fragments_per_phase);
   }
 }

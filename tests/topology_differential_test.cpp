@@ -268,7 +268,7 @@ void expect_backend_invariant(const char* label, double radius_factor,
     for (const std::size_t threads : kThreadCounts) {
       const Observed want = run_at(mat, seed, threads);
       const Observed got = run_at(imp, seed, threads);
-      EXPECT_FALSE(want.tree.empty())
+      EXPECT_FALSE(want.run.tree.empty())
           << label << " seed " << seed << ": empty tree";
       SCOPED_TRACE(testing::Message() << label << " seed=" << seed
                                       << " threads=" << threads);
@@ -300,9 +300,9 @@ void expect_facade_serves_csr(Driver driver, Tune&& tune) {
       return observe(emst::run(topo, cfg), sink);
     };
     const Observed want = observe_on(mat);
-    EXPECT_FALSE(want.tree.empty())
+    EXPECT_FALSE(want.run.tree.empty())
         << driver_name(driver) << " seed " << seed << ": empty tree";
-    EXPECT_GT(want.executions, 0u)
+    EXPECT_GT(want.run.handler_invocations, 0u)
         << driver_name(driver) << " seed " << seed << ": no actor ran";
     SCOPED_TRACE(testing::Message() << driver_name(driver) << " seed=" << seed);
     expect_observed_equal(observe_on(imp), want);
@@ -329,7 +329,7 @@ TEST(BackendDifferential, SyncGhs) {
         ghs::SyncGhsOptions options;
         configure(options, threads, &telemetry);
         const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 
@@ -346,7 +346,7 @@ TEST(BackendDifferential, SyncGhsProbeFaultyArq) {
         options.arq.enabled = true;
         configure(options, threads, &telemetry);
         const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 
@@ -358,7 +358,7 @@ TEST(BackendDifferential, Eopt) {
         eopt::EoptOptions options;
         configure(options, threads, &telemetry);
         const auto run = eopt::run_eopt(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 
@@ -374,7 +374,7 @@ TEST(BackendDifferential, EoptFaultyArq) {
         options.arq.enabled = true;
         configure(options, threads, &telemetry);
         const auto run = eopt::run_eopt(topo, options);
-        return observe(run, sink);
+        return observe(run.run, sink);
       });
 }
 
