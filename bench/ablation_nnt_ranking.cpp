@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         const sim::Topology topo(points, rgg::connectivity_radius(n));
         nnt::CoNntOptions options;
         options.scheme = scheme;
-        const auto result = nnt::run_connt(topo, options);
+        const auto result = nnt::run_connt(topo, {}, options);
         const auto mst = rgg::euclidean_mst(points);
         outs[t] = {result.totals.energy,
                    static_cast<double>(result.totals.messages()) /

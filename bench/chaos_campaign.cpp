@@ -20,12 +20,10 @@
 //   oracle_violations — runtime invariant failures (must stay 0).
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +34,7 @@
 #include "emst/ghs/sync.hpp"
 #include "emst/graph/tree_utils.hpp"
 #include "emst/nnt/connt.hpp"
+#include "emst/nnt/rank.hpp"
 #include "emst/sim/chaos.hpp"
 #include "emst/sim/oracle.hpp"
 #include "emst/run.hpp"
@@ -62,41 +61,6 @@ struct RunOut {
   std::size_t epochs = 1;
 };
 
-/// The Co-NNT contract under fail-stop: every survivor connects to its
-/// nearest higher-ranked survivor within the doubling schedule's terminal
-/// radius (the protocol stops doubling after m = ceil(lg(n_est * L_u^2))
-/// rounds, so a node whose higher-ranked neighbours all died beyond that
-/// radius legitimately terminates as a root). Dead nodes stay parentless.
-std::vector<graph::NodeId> survivor_nnt_parents(
-    std::span<const geometry::Point2> points, const std::vector<char>& alive,
-    nnt::RankScheme scheme) {
-  const std::size_t n = points.size();
-  const double n_est = std::max(2.0, static_cast<double>(n));
-  std::vector<graph::NodeId> parent(n, graph::kNoNode);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    if (!alive[u]) continue;
-    const double lu = nnt::potential_distance(scheme, points[u]);
-    const double m =
-        std::max(1.0, std::ceil(std::log2(std::max(2.0, n_est * lu * lu))));
-    const double cap = std::min(std::sqrt(std::pow(2.0, m) / n_est),
-                                std::sqrt(2.0));
-    graph::NodeId best = graph::kNoNode;
-    double best_d = 0.0;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (v == u || !alive[v]) continue;
-      if (!nnt::rank_less(scheme, points, u, v)) continue;
-      const double d = geometry::distance(points[u], points[v]);
-      if (d > cap) continue;
-      if (best == graph::kNoNode || d < best_d || (d == best_d && v < best)) {
-        best = v;
-        best_d = d;
-      }
-    }
-    parent[u] = best;
-  }
-  return parent;
-}
-
 RunOut run_driver(std::string_view driver, const sim::Topology& topo,
                   sim::FaultController* controller, std::uint64_t fault_seed,
                   sim::InvariantOracle* oracle) {
@@ -117,10 +81,10 @@ RunOut run_driver(std::string_view driver, const sim::Topology& topo,
     out.injected = std::move(res.injected_crashes);
     out.epochs = res.epochs;
   } else {
-    nnt::CoNntOptions opt;
-    opt.faults = faults;
-    opt.oracle = oracle;
-    auto res = nnt::run_connt(topo, opt);
+    sim::RunConfig cfg;
+    cfg.faults = faults;
+    cfg.oracle = oracle;
+    auto res = nnt::run_connt(topo, cfg);
     out.tree = std::move(res.tree);
     out.parent = std::move(res.parent);
     out.energy = res.totals.energy;
@@ -198,8 +162,8 @@ int main(int argc, char** argv) {
         bool exact;
         if (kDrivers[di] == "connt") {
           exact = out.parent ==
-                  survivor_nnt_parents(fields[t].points(), alive,
-                                       nnt::RankScheme::kDiagonal);
+                  nnt::survivor_nnt_parents(fields[t].points(), alive,
+                                            nnt::RankScheme::kDiagonal);
         } else {
           exact = graph::same_edge_set(out.tree,
                                        sim::survivor_msf(fields[t], alive));

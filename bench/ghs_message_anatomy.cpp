@@ -47,10 +47,11 @@ int main(int argc, char** argv) {
         support::Rng rng(support::Rng::stream_seed(seed ^ (n * 17), t));
         const sim::Topology topo(geometry::uniform_points(n, rng),
                                  rgg::connectivity_radius(n));
+        sim::RunConfig cfg;
+        cfg.record_breakdown = true;
         ghs::ClassicGhsOptions options;
         options.moe = moe;
-        options.record_breakdown = true;
-        outs[t] = ghs::run_classic_ghs(topo, options).breakdown;
+        outs[t] = ghs::run_classic_ghs(topo, cfg, options).breakdown;
       });
       double total_energy = 0.0;
       std::array<support::RunningStats, kTypes> counts;

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
       ghs::TxLog log;
       ghs::SyncGhsOptions options;
       options.transmission_log = &log;
-      const auto run = ghs::run_sync_ghs(topo, options);
+      const auto run = ghs::run_sync_ghs(topo, {}, options);
       mac::RbnOptions rbn;
       rbn.seed = support::Rng::stream_seed(seed ^ (n * 9), t);
       const mac::RbnStats stats = mac::replay_log(topo, log, rbn);

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     ghs::TxLog log;
     ghs::SyncGhsOptions options;
     options.transmission_log = &log;
-    (void)ghs::run_sync_ghs(topo, options);
+    (void)ghs::run_sync_ghs(topo, {}, options);
     const std::size_t pairs = ghs::distinct_pairs_used(topo, log);
     const double n_log_n =
         static_cast<double>(n) * std::log(static_cast<double>(n));

@@ -82,19 +82,16 @@ AlgoSample run_algo(const std::string& algo, const sim::Topology& topo) {
   sim::Telemetry telemetry;
   BitsProbe probe;
   telemetry.set_sink(&probe);
+  sim::RunConfig cfg;
+  cfg.telemetry = &telemetry;
   if (algo == "ghs-cached") {
     ghs::ClassicGhsOptions options;
     options.moe = ghs::MoeStrategy::kCachedConfirm;
-    options.telemetry = &telemetry;
-    (void)ghs::run_classic_ghs(topo, options);
+    (void)ghs::run_classic_ghs(topo, cfg, options);
   } else if (algo == "sync") {
-    ghs::SyncGhsOptions options;
-    options.telemetry = &telemetry;
-    (void)ghs::run_sync_ghs(topo, options);
+    (void)ghs::run_sync_ghs(topo, cfg);
   } else {  // connt (actor execution: every frame runs through the codec)
-    nnt::CoNntOptions options;
-    options.telemetry = &telemetry;
-    (void)nnt::run_connt_actor(topo, options);
+    (void)nnt::run_connt_actor(topo, cfg);
   }
   AlgoSample out;
   out.algo = algo;

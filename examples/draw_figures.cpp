@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   {
     ghs::SyncGhsOptions step1;
     step1.radius = rgg::percolation_radius(n, 1.4);
-    const auto stage1 = ghs::run_sync_ghs(topo, step1);
+    const auto stage1 = ghs::run_sync_ghs(topo, {}, step1);
     viz::SvgCanvas canvas;
     canvas.draw_edges(points, eopt.run.tree, 0.6, "#c9c9c9");
     canvas.draw_edges(points, stage1.run.tree, 1.6, "#1f5fbf");

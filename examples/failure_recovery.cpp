@@ -101,12 +101,13 @@ int main(int argc, char** argv) {
     }
     repair_opts.passive_fragments = {biggest};
   }
-  const auto repair = ghs::run_sync_ghs(survivor_topo, repair_opts, forest);
+  const auto repair =
+      ghs::run_sync_ghs(survivor_topo, {}, repair_opts, forest);
 
   // --- Option C: seeded EOPT — the two-radius repair. Step 1 merges the
   // pieces at the cheap percolation radius, Step 2 finishes with a passive
   // giant. This is EOPT reused as a repair primitive.
-  const auto seeded = eopt::run_eopt(survivor_topo, {}, &forest);
+  const auto seeded = eopt::run_eopt(survivor_topo, {}, {}, &forest);
 
   // All must equal Kruskal on the survivor graph. NOTE: the seed forest is
   // a subset of the survivor MST by the cycle property (it was part of the

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       for (graph::NodeId u = 0; u < n; ++u) seed_forest.leader[u] = dsu.find(u);
       seed_forest.tree = std::move(survivors);
     }
-    const auto repair = eopt::run_eopt(topo, {}, &seed_forest);
+    const auto repair = eopt::run_eopt(topo, {}, {}, &seed_forest);
     repair_total += repair.run.totals.energy;
     const bool exact = graph::same_edge_set(repair.run.tree, reference);
     if (exact) ++repaired_exact;

@@ -25,7 +25,8 @@ sim::ImplicitTopology eopt_implicit_topology(
 }
 
 template <typename Topo>
-EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
+EoptResult run_eopt(const Topo& topo, const sim::RunConfig& cfg,
+                    const EoptOptions& options,
                     const ghs::FragmentForest* seed) {
   const std::size_t n = topo.node_count();
   EMST_ASSERT(n >= 2);
@@ -41,36 +42,32 @@ EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
   // the per-phase × per-kind breakdown matrix is the single source of truth
   // for the Thm 5.3 step shares — `phase_total` row sums, not per-stage
   // snapshot subtraction, so the breakdown and the total cannot disagree.
-  sim::EnergyMeter total(options.pathloss);
+  sim::EnergyMeter total(cfg.pathloss);
   total.enable_breakdown();
-  if (options.track_per_node_energy) total.enable_per_node(n);
-  total.attach_telemetry(options.telemetry);
+  cfg.configure(total, n);
 
   // One fault session for the whole run: Step 1, the census and Step 2
   // share the loss RNG, burst states and crash clock (docs/ROBUSTNESS.md).
-  sim::FaultInjector fault_session(options.faults);
-  const bool faulty = fault_session.enabled() || options.arq.enabled;
+  sim::FaultInjector session(cfg.faults);
+  const bool faulty = session.enabled() || cfg.arq.enabled;
+  const auto run_step = [&](sim::PhaseTag step, double radius,
+                            ghs::SyncGhsOptions opt,
+                            const ghs::FragmentForest* from) {
+    opt.radius = radius;
+    opt.neighbor_cache = options.neighbor_cache;
+    opt.announce_min_power = options.announce_min_power;
+    const auto scope = total.scoped_phase(step);
+    return ghs::run_sync_ghs_stage(topo, cfg, opt, from, total, session);
+  };
 
   // --- Step 1: modified GHS in the percolation regime --------------------
-  ghs::SyncGhsOptions step1;
-  static_cast<sim::RunConfig&>(step1) = options;  // pathloss/faults/arq/...
-  step1.radius = result.radius1;
-  step1.neighbor_cache = options.neighbor_cache;
-  step1.announce_min_power = options.announce_min_power;
-  if (faulty) step1.fault_session = &fault_session;
-  const std::optional<ghs::FragmentForest> initial =
-      seed != nullptr ? std::optional<ghs::FragmentForest>(*seed)
-                      : std::nullopt;
-  ghs::SyncGhsResult stage1;
-  {
-    const auto scope = total.scoped_phase(sim::PhaseTag::kStep1);
-    stage1 = ghs::run_sync_ghs(topo, step1, initial, &total);
-  }
-  result.step1_fragments = stage1.run.fragments;
-  result.step1_phases = stage1.run.phases;
+  const ghs::SyncGhsStage stage1 =
+      run_step(sim::PhaseTag::kStep1, result.radius1, {}, seed);
+  result.step1_fragments = stage1.fragments;
+  result.step1_phases = stage1.phases;
 
   // --- Census: each fragment learns its size -----------------------------
-  sim::ArqLink census_link(&fault_session, options.arq);
+  sim::ArqLink census_link(&session, cfg.arq);
   std::vector<std::size_t> sizes;
   {
     const auto scope = total.scoped_phase(sim::PhaseTag::kCensus);
@@ -99,20 +96,12 @@ EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
 
   // --- Step 2: modified GHS in the connectivity regime -------------------
   ghs::SyncGhsOptions step2;
-  static_cast<sim::RunConfig&>(step2) = options;
-  step2.radius = result.radius2;
-  step2.neighbor_cache = options.neighbor_cache;
-  step2.announce_min_power = options.announce_min_power;
-  if (faulty) step2.fault_session = &fault_session;
   if (options.giant_passive && result.giant_found)
     step2.passive_fragments.push_back(giant);
   step2.retain_passive_id = options.giant_keeps_id;
-  ghs::SyncGhsResult stage2;
-  {
-    const auto scope = total.scoped_phase(sim::PhaseTag::kStep2);
-    stage2 = ghs::run_sync_ghs(topo, step2, stage1.final_forest, &total);
-  }
-  result.step2_phases = stage2.run.phases;
+  ghs::SyncGhsStage stage2 = run_step(sim::PhaseTag::kStep2, result.radius2,
+                                      step2, &stage1.final_forest);
+  result.step2_phases = stage2.phases;
 
   // Stage shares from the one matrix every charge landed in exactly once.
   const sim::EnergyBreakdown& matrix = total.breakdown();
@@ -120,37 +109,24 @@ EoptResult run_eopt(const Topo& topo, const EoptOptions& options,
   result.census = matrix.phase_total(sim::PhaseTag::kCensus);
   result.step2 = matrix.phase_total(sim::PhaseTag::kStep2);
 
-  result.run.tree = stage2.run.tree;
-  result.run.totals = total.totals();
-  result.run.phases = stage1.run.phases + stage2.run.phases;
-  result.run.fragments = stage2.run.fragments;
-  result.run.breakdown = matrix;
-  result.run.breakdown_recorded = true;
-  result.run.arq = stage1.run.arq;
+  result.run.tree = std::move(stage2.final_forest.tree);
+  result.run.fill_from(total);
+  result.run.fill_from(session);
+  result.run.phases = stage1.phases + stage2.phases;
+  result.run.fragments = stage2.fragments;
+  result.run.arq = stage1.arq;
   result.run.arq += census_link.stats();
-  result.run.arq += stage2.run.arq;
-  result.run.faults = fault_session.stats();
-  result.run.injected_crashes = fault_session.injected_schedule();
-  result.run.hit_phase_cap =
-      stage1.run.hit_phase_cap || stage2.run.hit_phase_cap;
-  if (options.track_per_node_energy) {
-    result.run.per_node_energy = total.per_node();
-  } else if (total.telemetry() != nullptr && total.telemetry()->aggregating() &&
-             total.telemetry()->aggregate().node_energy.size() == n) {
-    // Fallback: the aggregating hub already carries the per-node ledger, so
-    // don't leave the column silently empty just because the meter-side
-    // toggle is off. (The aggregate spans the hub's lifetime — attach a
-    // fresh hub per run for strictly per-run numbers.)
-    result.run.per_node_energy = total.telemetry()->aggregate().node_energy;
-  }
+  result.run.arq += stage2.arq;
+  result.run.hit_phase_cap = stage1.hit_phase_cap || stage2.hit_phase_cap;
   return result;
 }
 
 template EoptResult run_eopt<sim::Topology>(const sim::Topology&,
+                                            const sim::RunConfig&,
                                             const EoptOptions&,
                                             const ghs::FragmentForest*);
-template EoptResult run_eopt<sim::ImplicitTopology>(const sim::ImplicitTopology&,
-                                                    const EoptOptions&,
-                                                    const ghs::FragmentForest*);
+template EoptResult run_eopt<sim::ImplicitTopology>(
+    const sim::ImplicitTopology&, const sim::RunConfig&, const EoptOptions&,
+    const ghs::FragmentForest*);
 
 }  // namespace emst::eopt

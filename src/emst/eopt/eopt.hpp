@@ -36,11 +36,10 @@
 
 namespace emst::eopt {
 
-/// Options embed the shared `sim::RunConfig` knobs (pathloss, faults, ARQ,
-/// per-node / breakdown / telemetry toggles). For faults, ONE session spans
+/// EOPT tuning, next to the shared `sim::RunConfig`. ONE fault session spans
 /// Step 1 → census → Step 2: loss draws and the crash clock continue across
 /// the stage boundaries (docs/ROBUSTNESS.md).
-struct EoptOptions : sim::RunConfig {
+struct EoptOptions {
   /// Step-1 radius factor: r₁ = step1_factor·√(1/n). Paper experiments: 1.4.
   double step1_factor = 1.4;
   /// Step-2 radius factor: r₂ = step2_factor·√(ln n / n). Paper: 1.6.
@@ -60,13 +59,10 @@ struct EoptOptions : sim::RunConfig {
 
 struct EoptResult {
   /// The whole run: both steps and the census, ARQ and fault counters
-  /// included (zero when off). `run.breakdown` is always recorded.
-  /// `run.per_node_energy` is filled when `track_per_node_energy` is set,
-  /// OR as a fallback when an aggregating `telemetry` hub was attached (the
-  /// aggregate ledger covers everything the hub observed, so attach a fresh
-  /// hub per run for per-run numbers). `run.hit_phase_cap`: some stage
-  /// stopped at its phase cap (fault mode only; the tree is then a partial
-  /// forest rather than the full MST).
+  /// included (zero when off). `run.breakdown` is always recorded;
+  /// `run.per_node_energy` is filled iff `track_per_node_energy` is set.
+  /// `run.hit_phase_cap`: some stage stopped at its phase cap (fault mode
+  /// only; the tree is then a partial forest rather than the full MST).
   sim::RunResult run;
   /// Thm 5.3 stage shares, derived from ONE source of truth: the telemetry
   /// breakdown matrix (`run.breakdown.phase_total(...)`), which every
@@ -101,6 +97,7 @@ struct EoptResult {
 /// (docs/PERF.md).
 template <typename Topo>
 [[nodiscard]] EoptResult run_eopt(const Topo& topo,
+                                  const sim::RunConfig& cfg = {},
                                   const EoptOptions& options = {},
                                   const ghs::FragmentForest* seed = nullptr);
 

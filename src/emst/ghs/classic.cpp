@@ -33,26 +33,27 @@ using GhsMsg = proto::GhsMsg;
 template <typename Engine>
 class ClassicGhsRun {
  public:
-  ClassicGhsRun(const sim::Topology& topo, const ClassicGhsOptions& options)
+  ClassicGhsRun(const sim::Topology& topo, const sim::RunConfig& cfg,
+                const ClassicGhsOptions& options)
       : topo_(topo),
         radius_(options.radius > 0.0 ? options.radius : topo.max_radius()),
         moe_(options.moe),
-        net_(sim::make_engine<Engine>(topo, options.pathloss,
+        net_(sim::make_engine<Engine>(topo, cfg.pathloss,
                                       /*unbounded_broadcast=*/false,
-                                      options.delays, options.faults,
-                                      options.telemetry, options.ranks)),
+                                      options.delays, cfg.faults,
+                                      cfg.telemetry, cfg.ranks)),
         actor_(topo, radius_, moe_),
         starters_(options.spontaneous_wakeups),
-        faulty_(options.faults.enabled()) {
+        faulty_(cfg.faults.enabled()) {
     EMST_ASSERT(radius_ <= topo.max_radius() * (1.0 + 1e-12));
     // Fail-stop only: the 1983 protocol has no loss recovery, so lossy
     // channels stay unsupported — crashes are survived by epoch restart
     // (docs/ROBUSTNESS.md), losses would need the sync drivers' ARQ.
-    EMST_ASSERT_MSG(!options.arq.enabled, "classic GHS has no ARQ layer");
-    EMST_ASSERT_MSG(options.faults.loss == 0.0 && !options.faults.use_gilbert,
+    EMST_ASSERT_MSG(!cfg.arq.enabled, "classic GHS has no ARQ layer");
+    EMST_ASSERT_MSG(cfg.faults.loss == 0.0 && !cfg.faults.use_gilbert,
                     "classic GHS accepts crash-only (fail-stop) fault models; "
                     "message loss needs ARQ recovery (sync GHS / EOPT)");
-    if (options.oracle != nullptr) net_.attach_oracle(options.oracle);
+    if (cfg.oracle != nullptr) net_.attach_oracle(cfg.oracle);
     // Safety cap on simulated rounds: defends against a driver bug turning
     // into an infinite loop; generous, GHS needs O(n log n) rounds at most.
     max_rounds_ = (50 * topo.node_count() + 1000) *
@@ -61,9 +62,7 @@ class ClassicGhsRun {
     // format once the field widths are derived from the topology.
     net_.wire_format().ctx = proto::WireContext::for_topology(
         topo.node_count(), topo.edge_count());
-    if (options.track_per_node_energy)
-      net_.meter().enable_per_node(topo.node_count());
-    if (options.record_breakdown) net_.meter().enable_breakdown();
+    cfg.configure(net_.meter(), topo.node_count());
   }
 
   sim::RunResult run() {
@@ -316,17 +315,11 @@ class ClassicGhsRun {
                       return a.u == b.u && a.v == b.v;
                     }),
         result.tree.end());
-    result.totals = net_.meter().totals();
+    result.fill_from(net_.meter());
+    result.fill_from(net_.faults());
     result.phases = max_level;
     result.fragments = topo_.node_count() - result.tree.size();
-    result.per_node_energy = net_.meter().per_node();
-    if (net_.meter().breakdown_enabled()) {
-      result.breakdown = net_.meter().breakdown();
-      result.breakdown_recorded = true;
-    }
-    result.faults = net_.fault_stats();
     result.epochs = epochs_;
-    result.injected_crashes = net_.faults().injected_schedule();
     result.handler_invocations = actor_.invocations();
     result.rank_handler_invocations = rank_invocations_;
     return result;
@@ -361,11 +354,13 @@ class ClassicGhsRun {
 }  // namespace
 
 sim::RunResult run_classic_ghs(const sim::Topology& topo,
+                               const sim::RunConfig& cfg,
                                const ClassicGhsOptions& options) {
-  if (options.ranks > 0) {
-    return ClassicGhsRun<sim::DistributedNetwork<GhsMsg>>(topo, options).run();
+  if (cfg.ranks > 0) {
+    return ClassicGhsRun<sim::DistributedNetwork<GhsMsg>>(topo, cfg, options)
+        .run();
   }
-  return ClassicGhsRun<sim::Network<GhsMsg>>(topo, options).run();
+  return ClassicGhsRun<sim::Network<GhsMsg>>(topo, cfg, options).run();
 }
 
 }  // namespace emst::ghs

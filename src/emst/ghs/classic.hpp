@@ -42,10 +42,10 @@ enum class MoeStrategy {
   kCachedConfirm,
 };
 
-/// Options embed the shared `sim::RunConfig` knobs. Classic GHS supports
-/// pathloss / per-node / breakdown / telemetry; the fault and ARQ knobs must
-/// stay disabled (the 1983 protocol has no loss recovery — asserted).
-struct ClassicGhsOptions : sim::RunConfig {
+/// Classic-GHS tuning, next to the shared `sim::RunConfig`, whose fault model
+/// must be crash-only and ARQ off (the 1983 protocol has no loss recovery —
+/// asserted).
+struct ClassicGhsOptions {
   /// Operating transmission radius; edges longer than this are invisible.
   /// Must be ≤ the topology's max radius. <= 0 means "use max radius".
   double radius = 0.0;
@@ -71,6 +71,7 @@ struct ClassicGhsOptions : sim::RunConfig {
 /// `sim::ImplicitTopology` caller by building the CSR from the same points
 /// and radius; the memory-lean path is the modified/EOPT family.
 [[nodiscard]] sim::RunResult run_classic_ghs(
-    const sim::Topology& topo, const ClassicGhsOptions& options = {});
+    const sim::Topology& topo, const sim::RunConfig& cfg = {},
+    const ClassicGhsOptions& options = {});
 
 }  // namespace emst::ghs

@@ -26,7 +26,8 @@ constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 /// deterministic, so the driver walks fragment trees itself and charges the
 /// meter for every message the distributed execution would send; the only
 /// state a node may consult is state the message flow actually delivered to
-/// it (its own fragment id, its neighbor cache, probe replies).
+/// it (its own fragment id, its neighbor cache, probe replies). The meter
+/// and fault session are its caller's.
 ///
 /// Templated over the topology backend: the engine only asks for
 /// neighbourhoods (`neighbors_within`), their order-free reductions
@@ -55,23 +56,17 @@ constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 template <typename Topo>
 class SyncGhsEngine {
  public:
-  SyncGhsEngine(const Topo& topo, const SyncGhsOptions& options,
-                const std::optional<FragmentForest>& seed,
-                sim::EnergyMeter* external_meter)
+  SyncGhsEngine(const Topo& topo, const sim::RunConfig& cfg,
+                const SyncGhsOptions& options, const FragmentForest* seed,
+                sim::EnergyMeter& meter, sim::FaultInjector& faults)
       : topo_(topo),
+        cfg_(cfg),
         opts_(options),
         radius_(options.radius > 0.0 ? options.radius : topo.max_radius()),
-        own_meter_(options.pathloss),
-        meter_(external_meter != nullptr ? *external_meter : own_meter_),
-        start_totals_(meter_.snapshot()),
-        own_session_(options.fault_session != nullptr
-                         ? sim::FaultInjector()
-                         : sim::FaultInjector(options.faults)),
-        fault_(options.fault_session != nullptr ? options.fault_session
-                                                : &own_session_),
-        link_(fault_, options.arq),
-        faulty_(fault_->enabled() || options.arq.enabled),
-        start_fault_stats_(fault_->stats()),
+        meter_(meter),
+        fault_(&faults),
+        link_(fault_, cfg.arq),
+        faulty_(fault_->enabled() || cfg.arq.enabled),
         frags_(topo.node_count()) {
     EMST_ASSERT(radius_ <= topo_.max_radius() * (1.0 + 1e-12));
     const std::size_t n = topo_.node_count();
@@ -87,7 +82,7 @@ class SyncGhsEngine {
       lightest_out_.assign(n, kUnset);
     }
     if (fault_->enabled()) was_crashed_.assign(n, false);
-    if (seed) {
+    if (seed != nullptr) {
       EMST_ASSERT(seed->leader.size() == n);
       frags_.assign_leaders(seed->leader);
       for (const graph::Edge& e : seed->tree) frags_.add_tree_edge(e);
@@ -102,13 +97,7 @@ class SyncGhsEngine {
     for (std::size_t t = 0; t < type_bits_.size(); ++t)
       type_bits_[t] =
           proto::max_encoded_bits(static_cast<GhsMsgType>(t), wire_ctx_);
-    // Shared-meter runs (EOPT stages) must not wipe ledgers or detach
-    // telemetry the caller already configured — guard every toggle.
     if (fault_->enabled()) fault_->set_chaos_env(n, topo_.points());
-    if (opts_.track_per_node_energy && meter_.per_node().size() != n)
-      meter_.enable_per_node(n);
-    if (opts_.record_breakdown) meter_.enable_breakdown();
-    if (opts_.telemetry != nullptr) meter_.attach_telemetry(opts_.telemetry);
     // Safety cap on phases, 4·log2(n) + 16; fault-mode runs burn phases on
     // stalls and repairs, so they get four times the headroom.
     max_phases_ = (static_cast<std::size_t>(
@@ -117,59 +106,32 @@ class SyncGhsEngine {
                   (faulty_ ? 4 : 1);
   }
 
-  SyncGhsResult run() {
+  SyncGhsStage run() {
     // Modified GHS fills every neighbour cache with one id announcement per
     // node before phase 1; EOPT's Step 2 announces again, since its radius
     // grew after Step 1 filled the caches at r₁.
     if (opts_.neighbor_cache) announce_all();
-    std::size_t phases = 0;
-    std::vector<std::size_t> trajectory;
+    SyncGhsStage stage;
     for (;;) {
-      trajectory.push_back(fragment_count());
+      stage.fragments_per_phase.push_back(frags_.fragment_count());
       if (!run_phase()) break;
-      ++phases;
-      if (phases > max_phases_) {
+      ++stage.phases;
+      if (stage.phases > max_phases_) {
         // Fault-free runs treat the cap as a hard invariant; under faults a
         // permanently dead neighborhood can legitimately starve a fragment,
         // so stop gracefully and report the partial forest.
         EMST_ASSERT_MSG(faulty_, "sync GHS exceeded phase cap");
-        hit_phase_cap_ = true;
+        stage.hit_phase_cap = true;
         break;
       }
     }
-    SyncGhsResult result;
-    result.run.tree = frags_.tree();
-    graph::sort_edges(result.run.tree);
-    // Delta against entry so shared-meter (EOPT stage) runs report only
-    // their own traffic; standalone runs start from zero, so x - 0 == x
-    // bitwise and nothing changes for them.
-    result.run.totals = meter_.totals() - start_totals_;
-    result.run.phases = phases;
-    result.run.fragments = fragment_count();
-    result.final_forest.leader = frags_.leaders();
-    result.final_forest.tree = result.run.tree;
-    result.fragments_per_phase = std::move(trajectory);
-    result.run.per_node_energy = meter_.per_node();
-    if (meter_.breakdown_enabled()) {
-      result.run.breakdown = meter_.breakdown();
-      result.run.breakdown_recorded = true;
-    }
-    result.run.arq = link_.stats();
-    result.run.faults.lost = fault_->stats().lost - start_fault_stats_.lost;
-    result.run.faults.dropped_crashed =
-        fault_->stats().dropped_crashed - start_fault_stats_.dropped_crashed;
-    result.run.faults.suppressed =
-        fault_->stats().suppressed - start_fault_stats_.suppressed;
-    result.run.injected_crashes = fault_->injected_schedule();
-    result.run.hit_phase_cap = hit_phase_cap_;
-    return result;
+    stage.final_forest.leader = frags_.leaders();
+    stage.final_forest.tree = frags_.tree();
+    graph::sort_edges(stage.final_forest.tree);
+    stage.fragments = frags_.fragment_count();
+    stage.arq = link_.stats();
+    return stage;
   }
-
-  [[nodiscard]] std::size_t fragment_count() const {
-    return frags_.fragment_count();
-  }
-
-  [[nodiscard]] const sim::EnergyMeter& meter() const noexcept { return meter_; }
 
  private:
   using Candidate = proto::FragmentSet::MergeCandidate;
@@ -206,8 +168,8 @@ class SyncGhsEngine {
         meter_.note_event(sim::EventType::kCrashInject, w.node,
                           sim::kNoEventNode, 0.0, w.until);
     }
-    if (opts_.oracle != nullptr)
-      opts_.oracle->on_round(meter_.totals().rounds, meter_);
+    if (cfg_.oracle != nullptr)
+      cfg_.oracle->on_round(meter_.totals().rounds, meter_);
   }
 
   /// Charge one logical unicast into a wave buffer (for per-wave batching
@@ -527,11 +489,11 @@ class SyncGhsEngine {
       chaos_tree_ = frags_.tree();
       fault_->publish_fragments(chaos_leaders_, chaos_tree_);
     }
-    if (opts_.oracle != nullptr) {
+    if (cfg_.oracle != nullptr) {
       const std::uint64_t round = meter_.totals().rounds;
-      opts_.oracle->check_fragments(round, frags_.leaders(), frags_.tree(),
-                                    &meter_);
-      opts_.oracle->check_energy_deep(round, meter_);
+      cfg_.oracle->check_fragments(round, frags_.leaders(), frags_.tree(),
+                                   &meter_);
+      cfg_.oracle->check_energy_deep(round, meter_);
     }
 
     const std::size_t n = topo_.node_count();
@@ -582,7 +544,7 @@ class SyncGhsEngine {
     support::parallel_for(
         active.size(),
         [&](std::size_t i) { build_view(active[i].first, views[i]); },
-        opts_.threads > 1 ? opts_.threads : 1);
+        cfg_.threads > 1 ? cfg_.threads : 1);
     for (std::size_t ai = 0; ai < active.size(); ++ai) {
       const NodeId leader = active[ai].first;
       const std::vector<NodeId>& nodes = *active[ai].second;
@@ -715,16 +677,13 @@ class SyncGhsEngine {
   }
 
   const Topo& topo_;
+  const sim::RunConfig& cfg_;  ///< read for `arq`, `oracle`, `threads`
   SyncGhsOptions opts_;
   double radius_;
-  sim::EnergyMeter own_meter_;         ///< used unless an external meter
-  sim::EnergyMeter& meter_;            ///< the meter every charge lands on
-  sim::Accounting start_totals_;       ///< shared-meter totals at entry
-  sim::FaultInjector own_session_;     ///< used unless opts_.fault_session
-  sim::FaultInjector* fault_;          ///< the active fault session
-  sim::ArqLink link_;                  ///< ARQ simulator over fault_
-  bool faulty_;                        ///< any fault/ARQ machinery active
-  sim::FaultStats start_fault_stats_;  ///< shared-session counters at entry
+  sim::EnergyMeter& meter_;   ///< the caller's meter every charge lands on
+  sim::FaultInjector* fault_; ///< the caller's fault session
+  sim::ArqLink link_;         ///< ARQ simulator over fault_
+  bool faulty_;               ///< any fault/ARQ machinery active
 
   proto::FragmentSet frags_;  // fragment identity + forest bookkeeping
   proto::WireContext wire_ctx_;  // field widths for this topology
@@ -753,7 +712,6 @@ class SyncGhsEngine {
   std::unordered_set<NodeId> finished_;
   std::size_t max_phases_ = 0;
   std::uint64_t phase_extra_rounds_ = 0;  // ARQ timeout rounds this phase
-  bool hit_phase_cap_ = false;
   TxBatch batch_;  // open announcement batch (when logging)
   // Per-phase scratch, reused across phases so the grouping pass allocates
   // nothing in steady state.
@@ -766,18 +724,19 @@ class SyncGhsEngine {
 }  // namespace
 
 template <typename Topo>
-SyncGhsResult run_sync_ghs(const Topo& topo, const SyncGhsOptions& options,
-                           const std::optional<FragmentForest>& seed,
-                           sim::EnergyMeter* external_meter) {
-  SyncGhsEngine<Topo> engine(topo, options, seed, external_meter);
-  return engine.run();
+SyncGhsStage run_sync_ghs_stage(const Topo& topo, const sim::RunConfig& cfg,
+                                const SyncGhsOptions& options,
+                                const FragmentForest* seed,
+                                sim::EnergyMeter& meter,
+                                sim::FaultInjector& faults) {
+  return SyncGhsEngine<Topo>(topo, cfg, options, seed, meter, faults).run();
 }
 
-template SyncGhsResult run_sync_ghs<sim::Topology>(
-    const sim::Topology&, const SyncGhsOptions&,
-    const std::optional<FragmentForest>&, sim::EnergyMeter*);
-template SyncGhsResult run_sync_ghs<sim::ImplicitTopology>(
-    const sim::ImplicitTopology&, const SyncGhsOptions&,
-    const std::optional<FragmentForest>&, sim::EnergyMeter*);
+template SyncGhsStage run_sync_ghs_stage<sim::Topology>(
+    const sim::Topology&, const sim::RunConfig&, const SyncGhsOptions&,
+    const FragmentForest*, sim::EnergyMeter&, sim::FaultInjector&);
+template SyncGhsStage run_sync_ghs_stage<sim::ImplicitTopology>(
+    const sim::ImplicitTopology&, const sim::RunConfig&, const SyncGhsOptions&,
+    const FragmentForest*, sim::EnergyMeter&, sim::FaultInjector&);
 
 }  // namespace emst::ghs

@@ -23,9 +23,11 @@
 //    fragment's id, so its members never re-announce.
 //
 // The run can be seeded with an existing fragment forest (EOPT Step 2
-// continues from the Step-1 fragments). The result nests the shared
+// continues from the Step-1 fragments). `run_sync_ghs` owns the run's meter
+// and fault session and fills the result from them; it nests the shared
 // `sim::RunResult` as `run`, next to the fragment forest and trajectory
-// only this driver reports.
+// only this driver reports. EOPT runs its steps as `run_sync_ghs_stage`
+// calls on a meter and session of its own.
 //
 // Fault-aware mode (docs/ROBUSTNESS.md): with a `FaultModel` and/or ARQ
 // enabled, every driver-charged unicast becomes a stop-and-wait ARQ session
@@ -41,6 +43,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "emst/geometry/pathloss.hpp"
 #include "emst/ghs/common.hpp"
@@ -58,10 +61,8 @@ struct FragmentForest {
   std::vector<graph::Edge> tree;    ///< edges of all fragment trees
 };
 
-/// Options embed the shared `sim::RunConfig` knobs (pathloss, faults, ARQ,
-/// per-node / breakdown / telemetry toggles) — `options.pathloss = ...`
-/// etc. keeps compiling exactly as before the RunConfig extraction.
-struct SyncGhsOptions : sim::RunConfig {
+/// Sync-GHS tuning; the shared knobs come in the `sim::RunConfig` next to it.
+struct SyncGhsOptions {
   /// Operating transmission radius (≤ topology max radius; <= 0 → max).
   double radius = 0.0;
   /// true = modified GHS (neighbor cache + announcements);
@@ -84,33 +85,36 @@ struct SyncGhsOptions : sim::RunConfig {
   /// MOE probes, report wave, change-root+connect, merge announcements) —
   /// the input to mac::replay_log for end-to-end interference accounting.
   TxLog* transmission_log = nullptr;
-  /// Share a fault session across runs (EOPT threads ONE injector through
-  /// Step 1 → census → Step 2 so loss draws and the crash clock continue
-  /// across stages). When non-null, `faults` above is ignored.
-  sim::FaultInjector* fault_session = nullptr;
 };
 
-struct SyncGhsResult {
-  /// Tree (seed edges included), totals, and this run's own ARQ and fault
-  /// counters: a shared `fault_session` reports the delta since entry, and
-  /// `run.injected_crashes` the whole session's schedule. Fault-mode runs
-  /// stop at the phase cap instead of aborting when permanent losses leave
-  /// fragments unable to finish (`run.hit_phase_cap`; `final_forest` is
-  /// then partial).
-  sim::RunResult run;
-  FragmentForest final_forest; ///< fragmentation when the run stopped
+/// One stage's own detail. Its meter and fault session belong to the caller,
+/// who reads totals, ledgers and fault counters off them.
+struct SyncGhsStage {
+  /// Fragmentation when the stage stopped; `tree` (seed edges included) in
+  /// canonical order. Fault-mode runs stop at the phase cap instead of
+  /// aborting when permanent losses leave fragments unable to finish
+  /// (`hit_phase_cap`; the forest is then partial).
+  FragmentForest final_forest;
   /// Fragment count before each phase (Borůvka trajectory: every phase at
   /// least halves the number of active fragments, so the series is
   /// geometric — tested). Under faults, stalled phases repeat counts.
   std::vector<std::size_t> fragments_per_phase;
+  std::size_t phases = 0;
+  std::size_t fragments = 0;  ///< distinct leaders when the stage stopped
+  sim::ArqStats arq;          ///< this stage's ARQ traffic (0 when off)
+  bool hit_phase_cap = false;
 };
 
-/// Run phase-synchronous (modified) GHS. `seed` continues from an existing
-/// fragment forest; nullopt starts from singletons. `external_meter`, when
-/// non-null, is charged DIRECTLY — all transmissions, breakdown cells and
-/// telemetry events land on the caller's meter (EOPT charges Step 1 +
-/// census + Step 2 to one meter under per-step phase scopes), and the
-/// result's totals report this run's delta.
+struct SyncGhsResult {
+  sim::RunResult run;  ///< from the meter and session run_sync_ghs owns
+  FragmentForest final_forest;                   ///< see SyncGhsStage
+  std::vector<std::size_t> fragments_per_phase;  ///< see SyncGhsStage
+};
+
+/// One run on a caller-owned, caller-configured meter and fault session,
+/// from `seed` when non-null: EOPT charges Step 1, its census and Step 2 to
+/// one meter under per-step phase scopes. Of `cfg`, a stage reads only
+/// `arq`, `oracle` and `threads`.
 ///
 /// Templated over the topology backend (`sim::Topology` or
 /// `sim::ImplicitTopology`); defined in sync.cpp and explicitly
@@ -118,10 +122,36 @@ struct SyncGhsResult {
 /// both enumerate neighbourhoods in the same canonical (weight, id) order
 /// and answer the order-free reductions over them identically.
 template <typename Topo>
+[[nodiscard]] SyncGhsStage run_sync_ghs_stage(
+    const Topo& topo, const sim::RunConfig& cfg, const SyncGhsOptions& options,
+    const FragmentForest* seed, sim::EnergyMeter& meter,
+    sim::FaultInjector& faults);
+
+/// Run phase-synchronous (modified) GHS as the owner of its meter and fault
+/// session. `seed` continues from an existing fragment forest; nullopt
+/// starts from singletons.
+template <typename Topo>
 [[nodiscard]] SyncGhsResult run_sync_ghs(
-    const Topo& topo, const SyncGhsOptions& options,
-    const std::optional<FragmentForest>& seed = std::nullopt,
-    sim::EnergyMeter* external_meter = nullptr);
+    const Topo& topo, const sim::RunConfig& cfg = {},
+    const SyncGhsOptions& options = {},
+    const std::optional<FragmentForest>& seed = std::nullopt) {
+  sim::EnergyMeter meter(cfg.pathloss);
+  sim::FaultInjector faults(cfg.faults);
+  cfg.configure(meter, topo.node_count());
+  SyncGhsStage stage = run_sync_ghs_stage(
+      topo, cfg, options, seed ? &*seed : nullptr, meter, faults);
+  SyncGhsResult result;
+  result.run.tree = stage.final_forest.tree;
+  result.run.fill_from(meter);
+  result.run.fill_from(faults);
+  result.run.phases = stage.phases;
+  result.run.fragments = stage.fragments;
+  result.run.arq = stage.arq;
+  result.run.hit_phase_cap = stage.hit_phase_cap;
+  result.final_forest = std::move(stage.final_forest);
+  result.fragments_per_phase = std::move(stage.fragments_per_phase);
+  return result;
+}
 
 /// Fragment-size census (EOPT Step 2 preamble): one broadcast down and one
 /// convergecast up each fragment tree. Returns per-node size of its own

@@ -33,7 +33,9 @@ InstanceResults run_instance(const InstanceConfig& config) {
   support::Rng rng(config.seed);
   const auto points =
       geometry::sample_deployment(config.deployment, config.n, rng);
-  const geometry::PathLoss pathloss{1.0, config.alpha};
+  // One shared configuration: the path loss applies to every algorithm.
+  sim::RunConfig cfg;
+  cfg.pathloss = {1.0, config.alpha};
 
   // Shared topology at the connectivity radius r₂ (GHS baseline and EOPT
   // Step 2 both operate at this radius, per §VII).
@@ -52,25 +54,18 @@ InstanceResults run_instance(const InstanceConfig& config) {
   }
 
   if (config.run_ghs) {
-    ghs::ClassicGhsOptions options;
-    options.radius = r2;
-    options.pathloss = pathloss;
     results.ghs =
-        make_outcome(points, ghs::run_classic_ghs(topo, options), reference);
+        make_outcome(points, ghs::run_classic_ghs(topo, cfg), reference);
   }
   if (config.run_eopt) {
-    eopt::EoptOptions options = config.eopt;
+    eopt::EoptOptions options;
     options.step2_factor = config.connectivity_factor;
-    options.pathloss = pathloss;
-    const auto run = eopt::run_eopt(topo, options);
+    const auto run = eopt::run_eopt(topo, cfg, options);
     results.eopt = make_outcome(points, run.run, reference);
     results.eopt_detail = run;
   }
   if (config.run_connt) {
-    nnt::CoNntOptions options = config.connt;
-    options.pathloss = pathloss;
-    results.connt =
-        make_outcome(points, nnt::run_connt(topo, options), reference);
+    results.connt = make_outcome(points, nnt::run_connt(topo, cfg), reference);
   }
   return results;
 }

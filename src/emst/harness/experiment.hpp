@@ -40,8 +40,6 @@ struct InstanceConfig {
   double alpha = 2.0;
   /// Deployment model (paper: uniform).
   geometry::Deployment deployment = geometry::Deployment::kUniform;
-  eopt::EoptOptions eopt{};
-  nnt::CoNntOptions connt{};
   bool run_ghs = true;
   bool run_eopt = true;
   bool run_connt = true;

@@ -77,6 +77,7 @@ struct DistConntSink {
 
 template <typename Engine>
 CoNntResult run_connt_actor_impl(const sim::Topology& topo,
+                                 const sim::RunConfig& cfg,
                                  const CoNntOptions& options) {
   const std::size_t n = topo.node_count();
   EMST_ASSERT(n >= 1);
@@ -86,22 +87,21 @@ CoNntResult run_connt_actor_impl(const sim::Topology& topo,
 
   // Fail-stop only (docs/ROBUSTNESS.md): crashes are survived by epoch
   // restart; message loss would need an ARQ layer Co-NNT doesn't have.
-  const bool faulty = options.faults.enabled();
-  EMST_ASSERT_MSG(!options.arq.enabled, "Co-NNT has no ARQ layer");
-  EMST_ASSERT_MSG(options.faults.loss == 0.0 && !options.faults.use_gilbert,
+  const bool faulty = cfg.faults.enabled();
+  EMST_ASSERT_MSG(!cfg.arq.enabled, "Co-NNT has no ARQ layer");
+  EMST_ASSERT_MSG(cfg.faults.loss == 0.0 && !cfg.faults.use_gilbert,
                   "Co-NNT accepts crash-only (fail-stop) fault models; "
                   "message loss needs ARQ recovery (sync GHS / EOPT)");
-  Engine net(sim::make_engine<Engine>(topo, options.pathloss,
+  Engine net(sim::make_engine<Engine>(topo, cfg.pathloss,
                                       /*unbounded_broadcast=*/true,
-                                      /*delays=*/{}, options.faults,
-                                      options.telemetry, options.ranks));
-  if (options.oracle != nullptr) net.attach_oracle(options.oracle);
+                                      /*delays=*/{}, cfg.faults,
+                                      cfg.telemetry, cfg.ranks));
+  if (cfg.oracle != nullptr) net.attach_oracle(cfg.oracle);
   // Codec hook: requests and replies carry grid-quantized coordinates, the
   // connect message a bare tag; widths come from the topology size.
   net.wire_format().ctx = proto::WireContext::for_topology(n, topo.edge_count());
   const proto::WireContext& ctx = net.wire_format().ctx;
-  if (options.track_per_node_energy) net.meter().enable_per_node(n);
-  if (options.record_breakdown) net.meter().enable_breakdown();
+  cfg.configure(net.meter(), n);
 
   CoNntResult result;
   ConntActor actor(points, options.scheme, n_est, ctx);
@@ -245,15 +245,9 @@ CoNntResult run_connt_actor_impl(const sim::Topology& topo,
   }
 
   graph::sort_edges(result.tree);
-  result.totals = net.meter().totals();
+  result.fill_from(net.meter());
+  result.fill_from(net.faults());
   result.fragments = n - result.tree.size();
-  result.faults = net.fault_stats();
-  result.injected_crashes = net.faults().injected_schedule();
-  result.per_node_energy = net.meter().per_node();
-  if (net.meter().breakdown_enabled()) {
-    result.breakdown = net.meter().breakdown();
-    result.breakdown_recorded = true;
-  }
   result.handler_invocations = actor.invocations();
   result.rank_handler_invocations = rank_invocations;
   return result;
@@ -262,19 +256,20 @@ CoNntResult run_connt_actor_impl(const sim::Topology& topo,
 }  // namespace
 
 template <typename Topo>
-CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
+CoNntResult run_connt(const Topo& topo, const sim::RunConfig& cfg,
+                      const CoNntOptions& options) {
   // Fault-aware runs need real in-flight messages (suppression, crash drops,
   // the epoch-restart loop) — delegate to the actor execution, which models
   // them; the choreographed fast path below stays the fault-free harness.
   // Rank processes only exist in the actor execution (the choreographed
   // fast path has no network engine to distribute). The engines run on the
   // CSR, which enumerates the same neighbourhoods as the grid.
-  if (runs_actor(options)) {
+  if (runs_actor(cfg)) {
     if constexpr (std::is_same_v<Topo, sim::ImplicitTopology>) {
       return run_connt_actor(sim::Topology(topo.points(), topo.max_radius()),
-                             options);
+                             cfg, options);
     } else {
-      return run_connt_actor(topo, options);
+      return run_connt_actor(topo, cfg, options);
     }
   }
   const std::size_t n = topo.node_count();
@@ -284,12 +279,10 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
 
   CoNntResult result;
   result.parent.assign(n, graph::kNoNode);
-  EMST_ASSERT_MSG(!options.arq.enabled,
+  EMST_ASSERT_MSG(!cfg.arq.enabled,
                   "Co-NNT has no loss recovery; ARQ unsupported");
-  sim::EnergyMeter meter(options.pathloss);
-  if (options.track_per_node_energy) meter.enable_per_node(n);
-  if (options.record_breakdown) meter.enable_breakdown();
-  meter.attach_telemetry(options.telemetry);
+  sim::EnergyMeter meter(cfg.pathloss);
+  cfg.configure(meter, n);
   // All three Co-NNT message types have fixed widths for a given topology,
   // so the choreographed charges bill exactly what the actor codec bills.
   const proto::WireContext wire_ctx =
@@ -303,7 +296,7 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
   std::vector<graph::NodeId> unresolved(n);
   for (graph::NodeId u = 0; u < n; ++u) unresolved[u] = u;
 
-  // Per-round probe precompute, parallelized when options.threads > 1. The
+  // Per-round probe precompute, parallelized when cfg.threads > 1. The
   // geometry query (nodes_within) dominates the round; each slot is written
   // by exactly one task, so the serial charge loop below sees identical
   // inputs for every thread count.
@@ -313,7 +306,7 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
     std::vector<sim::NodeId> heard;
   };
   std::vector<Probe> probes;
-  const std::size_t workers = options.threads > 1 ? options.threads : 1;
+  const std::size_t workers = cfg.threads > 1 ? cfg.threads : 1;
 
   for (std::size_t round = 1; !unresolved.empty(); ++round) {
     probes.assign(unresolved.size(), Probe{});
@@ -373,28 +366,26 @@ CoNntResult run_connt(const Topo& topo, const CoNntOptions& options) {
   }
 
   graph::sort_edges(result.tree);
-  result.totals = meter.totals();
+  result.fill_from(meter);
   result.fragments = n - result.tree.size();
-  result.per_node_energy = meter.per_node();
-  if (meter.breakdown_enabled()) {
-    result.breakdown = meter.breakdown();
-    result.breakdown_recorded = true;
-  }
   return result;
 }
 
 CoNntResult run_connt_actor(const sim::Topology& topo,
+                            const sim::RunConfig& cfg,
                             const CoNntOptions& options) {
-  if (options.ranks > 0) {
+  if (cfg.ranks > 0) {
     return run_connt_actor_impl<sim::DistributedNetwork<proto::ConntMsg>>(
-        topo, options);
+        topo, cfg, options);
   }
-  return run_connt_actor_impl<sim::Network<proto::ConntMsg>>(topo, options);
+  return run_connt_actor_impl<sim::Network<proto::ConntMsg>>(topo, cfg,
+                                                             options);
 }
 
 template CoNntResult run_connt<sim::Topology>(const sim::Topology&,
+                                              const sim::RunConfig&,
                                               const CoNntOptions&);
 template CoNntResult run_connt<sim::ImplicitTopology>(
-    const sim::ImplicitTopology&, const CoNntOptions&);
+    const sim::ImplicitTopology&, const sim::RunConfig&, const CoNntOptions&);
 
 }  // namespace emst::nnt

@@ -28,13 +28,11 @@
 
 namespace emst::nnt {
 
-/// Options embed the shared `sim::RunConfig` knobs. Co-NNT supports
-/// pathloss / per-node / breakdown / telemetry. Crash-only (fail-stop)
+/// Co-NNT tuning, next to the shared `sim::RunConfig`. Crash-only (fail-stop)
 /// fault models are survived by epoch restart on the actor execution
-/// (docs/ROBUSTNESS.md) — `run_connt` forwards to the actor path when
-/// faults are enabled (`runs_actor`); message-loss models stay unsupported
-/// (asserted), the protocol has no loss recovery.
-struct CoNntOptions : sim::RunConfig {
+/// (docs/ROBUSTNESS.md; `runs_actor`); ARQ and message loss are asserted off,
+/// the protocol has no loss recovery.
+struct CoNntOptions {
   RankScheme scheme = RankScheme::kDiagonal;
   /// Assumed network-size knowledge: the protocol needs only a Θ(n)
   /// estimate (Thm 6.2); scale the true n to emulate estimation error.
@@ -63,11 +61,12 @@ struct CoNntResult : sim::RunResult {
 /// (`sim::Topology` or `sim::ImplicitTopology`; defined in connt.cpp,
 /// explicitly instantiated for both): the choreographed form only needs
 /// coordinates and `nodes_within` probes, which both backends answer
-/// identically. When `runs_actor(options)`, it forwards to
+/// identically. When `runs_actor(cfg)`, it forwards to
 /// `run_connt_actor`; handed a `sim::ImplicitTopology`, it first builds the
 /// CSR of the same points and radius, with bitwise the same result.
 template <typename Topo>
 [[nodiscard]] CoNntResult run_connt(const Topo& topo,
+                                    const sim::RunConfig& cfg = {},
                                     const CoNntOptions& options = {});
 
 /// The same protocol executed as a message-driven actor system over the
@@ -76,6 +75,7 @@ template <typename Topo>
 /// Cross-validates `run_connt`: identical parents, energy, and message
 /// counts (tested); `run_connt` is the faster harness path.
 [[nodiscard]] CoNntResult run_connt_actor(const sim::Topology& topo,
+                                          const sim::RunConfig& cfg = {},
                                           const CoNntOptions& options = {});
 
 }  // namespace emst::nnt

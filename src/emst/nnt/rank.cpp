@@ -71,12 +71,15 @@ double potential_angle(geometry::Point2 u) {
 
 graph::NodeId brute_force_parent(RankScheme scheme,
                                  std::span<const geometry::Point2> points,
-                                 graph::NodeId u) {
+                                 graph::NodeId u, std::span<const char> alive,
+                                 double cap) {
   graph::NodeId best = graph::kNoNode;
   double best_d = 0.0;
   for (graph::NodeId v = 0; v < points.size(); ++v) {
-    if (v == u || !rank_less(scheme, points, u, v)) continue;
+    if (v == u || (!alive.empty() && !alive[v])) continue;
+    if (!rank_less(scheme, points, u, v)) continue;
     const double d = geometry::distance(points[u], points[v]);
+    if (d > cap) continue;
     if (best == graph::kNoNode || d < best_d ||
         (d == best_d && v < best)) {
       best = v;
@@ -84,6 +87,25 @@ graph::NodeId brute_force_parent(RankScheme scheme,
     }
   }
   return best;
+}
+
+std::vector<graph::NodeId> survivor_nnt_parents(
+    std::span<const geometry::Point2> points, std::span<const char> alive,
+    RankScheme scheme) {
+  const std::size_t n = points.size();
+  EMST_ASSERT(alive.size() == n);
+  const double n_est = std::max(2.0, static_cast<double>(n));
+  std::vector<graph::NodeId> parent(n, graph::kNoNode);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    if (!alive[u]) continue;
+    const double lu = potential_distance(scheme, points[u]);
+    const double m =
+        std::max(1.0, std::ceil(std::log2(std::max(2.0, n_est * lu * lu))));
+    const double cap =
+        std::min(std::sqrt(std::pow(2.0, m) / n_est), std::sqrt(2.0));
+    parent[u] = brute_force_parent(scheme, points, u, alive, cap);
+  }
+  return parent;
 }
 
 }  // namespace emst::nnt

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -41,10 +42,21 @@ enum class RankScheme {
 /// only). Used by tests to check α_u ≥ ½.
 [[nodiscard]] double potential_angle(geometry::Point2 u);
 
-/// Brute-force nearest higher-ranked node (kNoNode for the top-ranked one).
+/// Brute-force nearest higher-ranked node (kNoNode for the top-ranked one),
+/// among the nodes `alive` marks (every node when empty) within `cap`.
 /// O(n) per call; validation/reference only.
 [[nodiscard]] graph::NodeId brute_force_parent(
     RankScheme scheme, std::span<const geometry::Point2> points,
-    graph::NodeId u);
+    graph::NodeId u, std::span<const char> alive = {},
+    double cap = std::numeric_limits<double>::infinity());
+
+/// The Co-NNT contract under fail-stop crashes: every survivor parents its
+/// nearest higher-ranked survivor within the doubling schedule's terminal
+/// radius (the protocol stops after m = ⌈lg(n·L_u²)⌉ rounds, so a node whose
+/// higher-ranked neighbours all died beyond it terminates as a root). Dead
+/// nodes stay parentless. The chaos suites' O(n²) oracle.
+[[nodiscard]] std::vector<graph::NodeId> survivor_nnt_parents(
+    std::span<const geometry::Point2> points, std::span<const char> alive,
+    RankScheme scheme);
 
 }  // namespace emst::nnt

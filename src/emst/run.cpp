@@ -4,10 +4,13 @@
 // (tests/run_facade_test.cpp pins this field for field).
 #include "emst/run.hpp"
 
+#include <string>
 #include <type_traits>
+#include <utility>
 
 #include "emst/geometry/sampling.hpp"
 #include "emst/rgg/radii.hpp"
+#include "emst/sim/oracle.hpp"
 #include "emst/support/assert.hpp"
 #include "emst/support/rng.hpp"
 
@@ -76,55 +79,55 @@ Instance sample_instance(std::size_t n, std::uint64_t seed,
 
 namespace {
 
-/// Overwrite a driver options struct's shared-knob slice with the facade's
-/// own, leaving the driver-specific fields the caller may have tuned.
-template <typename Options>
-Options with_shared(const Options& tuned, const RunConfig& cfg) {
-  Options out = tuned;
-  static_cast<sim::RunConfig&>(out) = static_cast<const sim::RunConfig&>(cfg);
-  return out;
+template <typename Topo>
+RunResult dispatch(const Topo& topo, const RunConfig& cfg) {
+  switch (cfg.driver) {
+    case Driver::kClassicGhs:
+    case Driver::kClassicGhsCached: {
+      ghs::ClassicGhsOptions opt = cfg.classic;
+      opt.moe = cfg.driver == Driver::kClassicGhsCached
+                    ? ghs::MoeStrategy::kCachedConfirm
+                    : ghs::MoeStrategy::kTestAll;
+      if constexpr (std::is_same_v<Topo, sim::ImplicitTopology>) {
+        // Classic GHS names fragments by CSR edge index and keeps a state
+        // per incident edge on any backend: run it on the CSR of the same
+        // points and radius, which enumerates the same neighbourhoods.
+        const sim::Topology csr(topo.points(), topo.max_radius());
+        return ghs::run_classic_ghs(csr, cfg, opt);
+      } else {
+        return ghs::run_classic_ghs(topo, cfg, opt);
+      }
+    }
+    case Driver::kSyncGhs:
+    case Driver::kSyncGhsProbe: {
+      ghs::SyncGhsOptions opt = cfg.sync;
+      opt.neighbor_cache = cfg.driver == Driver::kSyncGhs;
+      return ghs::run_sync_ghs(topo, cfg, opt).run;
+    }
+    case Driver::kEopt:
+      return eopt::run_eopt(topo, cfg, cfg.eopt).run;
+    case Driver::kCoNnt:
+    case Driver::kCoNntAxis: {
+      nnt::CoNntOptions opt = cfg.connt;
+      opt.scheme = cfg.driver == Driver::kCoNntAxis ? nnt::RankScheme::kAxis
+                                                    : nnt::RankScheme::kDiagonal;
+      return nnt::run_connt(topo, cfg, opt);
+    }
+  }
+  return {};  // unreachable: every Driver returns above
 }
 
 }  // namespace
 
 template <typename Topo>
 RunResult run(const Topo& topo, const RunConfig& cfg) {
-  switch (cfg.driver) {
-    case Driver::kClassicGhs:
-    case Driver::kClassicGhsCached: {
-      ghs::ClassicGhsOptions opt = with_shared(cfg.classic, cfg);
-      opt.moe = cfg.driver == Driver::kClassicGhsCached
-                    ? ghs::MoeStrategy::kCachedConfirm
-                    : ghs::MoeStrategy::kTestAll;
-      if (cfg.radius > 0.0) opt.radius = cfg.radius;
-      if constexpr (std::is_same_v<Topo, sim::ImplicitTopology>) {
-        // Classic GHS names fragments by CSR edge index and keeps a state
-        // per incident edge on any backend: run it on the CSR of the same
-        // points and radius, which enumerates the same neighbourhoods.
-        const sim::Topology csr(topo.points(), topo.max_radius());
-        return ghs::run_classic_ghs(csr, opt);
-      } else {
-        return ghs::run_classic_ghs(topo, opt);
-      }
-    }
-    case Driver::kSyncGhs:
-    case Driver::kSyncGhsProbe: {
-      ghs::SyncGhsOptions opt = with_shared(cfg.sync, cfg);
-      opt.neighbor_cache = cfg.driver == Driver::kSyncGhs;
-      if (cfg.radius > 0.0) opt.radius = cfg.radius;
-      return ghs::run_sync_ghs(topo, opt).run;
-    }
-    case Driver::kEopt:
-      return eopt::run_eopt(topo, with_shared(cfg.eopt, cfg)).run;
-    case Driver::kCoNnt:
-    case Driver::kCoNntAxis: {
-      nnt::CoNntOptions opt = with_shared(cfg.connt, cfg);
-      opt.scheme = cfg.driver == Driver::kCoNntAxis ? nnt::RankScheme::kAxis
-                                                    : nnt::RankScheme::kDiagonal;
-      return nnt::run_connt(topo, opt);
-    }
+  RunResult result = dispatch(topo, cfg);
+  if (cfg.oracle != nullptr) {
+    std::string why;
+    if (!sim::consistent(result, topo.node_count(), &why))
+      cfg.oracle->note("result", result.totals.rounds, std::move(why));
   }
-  return {};  // unreachable: every Driver returns above
+  return result;
 }
 
 template RunResult run<sim::Topology>(const sim::Topology&, const RunConfig&);

@@ -27,7 +27,7 @@
 // full-detail API. Call a driver directly for what only its own result or
 // signature carries: EOPT's per-stage accountings and giant size, sync
 // GHS's fragment trajectory, Co-NNT's `parent` array and
-// `max_connect_distance`, seed forests and external meters.
+// `max_connect_distance`, and seed forests. Each takes `(topo, cfg, tuning)`.
 #pragma once
 
 #include <cstdint>
@@ -95,19 +95,12 @@ struct Instance {
 [[nodiscard]] Instance sample_instance(std::size_t n, std::uint64_t seed,
                                        double radius_factor = 1.6);
 
-/// Facade configuration: the shared `sim::RunConfig` knobs inline (set
-/// pathloss/faults/arq/telemetry/oracle/threads once, they reach whichever
-/// driver runs) plus the driver selector and, for callers that need them,
-/// the per-driver tuning structs. The `sim::RunConfig` base slice of each
-/// nested tuning struct is overwritten with this struct's own base before
-/// dispatch — shared knobs are set in exactly one place.
+/// Facade configuration: the shared `sim::RunConfig` knobs, set once and
+/// passed as the driver's `cfg`, plus the driver selector and per-driver
+/// tuning. Only the struct matching `driver` is passed, with its `moe`,
+/// `neighbor_cache` or `scheme` set from `driver`.
 struct RunConfig : sim::RunConfig {
   Driver driver = Driver::kEopt;
-  /// Operating radius for the GHS drivers (<= 0 → the topology's max).
-  double radius = 0.0;
-  /// Advanced per-driver tuning. Only the struct matching `driver` is
-  /// consulted; its RunConfig base slice and variant-defining fields
-  /// (neighbor_cache, moe, scheme) are overridden by the facade.
   eopt::EoptOptions eopt{};
   ghs::SyncGhsOptions sync{};
   ghs::ClassicGhsOptions classic{};
@@ -131,7 +124,9 @@ using RunResult = sim::RunResult;
 /// `sim::ImplicitTopology`. Classic GHS keeps Θ(m) per-edge state and runs
 /// on the CSR only: given a `sim::ImplicitTopology`, the facade builds the
 /// CSR from the same points and radius and runs there, with bitwise the
-/// same result. `nnt::run_connt` does the same for the Co-NNT actor.
+/// same result. `nnt::run_connt` does the same for the Co-NNT actor. An
+/// attached oracle records a result that disagrees with itself
+/// (`sim::consistent`) as a "result" violation.
 template <typename Topo>
 [[nodiscard]] RunResult run(const Topo& topo, const RunConfig& cfg = {});
 

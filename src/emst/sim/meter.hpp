@@ -42,18 +42,6 @@ struct Accounting {
     return unicasts + broadcasts;
   }
 
-  /// Component-wise difference (for per-step breakdowns).
-  [[nodiscard]] Accounting operator-(const Accounting& rhs) const noexcept {
-    Accounting out;
-    out.energy = energy - rhs.energy;
-    out.unicasts = unicasts - rhs.unicasts;
-    out.broadcasts = broadcasts - rhs.broadcasts;
-    out.deliveries = deliveries - rhs.deliveries;
-    out.rounds = rounds - rhs.rounds;
-    out.bits = bits - rhs.bits;
-    return out;
-  }
-
   Accounting& operator+=(const Accounting& rhs) noexcept {
     energy += rhs.energy;
     unicasts += rhs.unicasts;
@@ -317,14 +305,8 @@ class EnergyMeter {
     }
   }
 
-  /// Fold another accounting into this meter (per-step meters → run total).
-  void absorb(const Accounting& other) noexcept { totals_ += other; }
-
   [[nodiscard]] const Accounting& totals() const noexcept { return totals_; }
   [[nodiscard]] const geometry::PathLoss& model() const noexcept { return model_; }
-
-  /// Snapshot for per-phase deltas: `delta = meter.totals() - snapshot`.
-  [[nodiscard]] Accounting snapshot() const noexcept { return totals_; }
 
  private:
   static constexpr std::uint32_t kAnonymousSender =

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <utility>
+
+#include "emst/sim/run_config.hpp"
 
 namespace emst::sim {
 namespace {
@@ -41,7 +44,61 @@ std::string format(const char* fmt, auto... args) {
   return std::string(buffer);
 }
 
+/// |a - b| within `rel_tol` of max(|b|, 1): the two sides sum the same
+/// charges in different orders.
+bool energy_close(double a, double b, double rel_tol) {
+  return std::abs(a - b) <= rel_tol * std::max(std::abs(b), 1.0);
+}
+
+/// Conservation across a breakdown matrix: the per-phase row sums
+/// (phase_total — THE definition every consumer derives from) must
+/// reassemble the totals, energy within tolerance, message and round counts
+/// exactly. Returns the first disagreement, or an empty string.
+std::string breakdown_mismatch(const EnergyBreakdown& matrix,
+                               const Accounting& totals, double rel_tol) {
+  Accounting rows;
+  for (std::size_t p = 0; p < EnergyBreakdown::kPhases; ++p)
+    rows += matrix.phase_total(static_cast<PhaseTag>(p));
+  if (!energy_close(rows.energy, totals.energy, rel_tol)) {
+    return format("breakdown row sums %.17g != meter total %.17g",
+                  rows.energy, totals.energy);
+  }
+  const auto ull = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  if (rows.unicasts != totals.unicasts ||
+      rows.broadcasts != totals.broadcasts || rows.rounds != totals.rounds) {
+    return format("breakdown %llu+%llu msgs, %llu rounds != totals %llu+%llu "
+                  "msgs, %llu rounds",
+                  ull(rows.unicasts), ull(rows.broadcasts), ull(rows.rounds),
+                  ull(totals.unicasts), ull(totals.broadcasts),
+                  ull(totals.rounds));
+  }
+  return {};
+}
+
 }  // namespace
+
+bool consistent(const RunResult& run, std::size_t n, std::string* why) {
+  const double tol = OracleOptions{}.energy_rel_tol;
+  const std::vector<double>& ledger = run.per_node_energy;
+  const double ledger_sum = std::accumulate(ledger.begin(), ledger.end(), 0.0);
+  std::string found;
+  if (!ledger.empty() && (ledger.size() != n ||
+                          !energy_close(ledger_sum, run.totals.energy, tol))) {
+    found = format("per-node ledger of %zu nodes sums to %.17g, totals to "
+                   "%.17g, over %zu nodes",
+                   ledger.size(), ledger_sum, run.totals.energy, n);
+  } else if (run.breakdown_recorded) {
+    found = breakdown_mismatch(run.breakdown, run.totals, tol);
+  }
+  if (found.empty() && run.fragments + run.tree.size() != n) {
+    found = format("%zu fragments and %zu tree edges over %zu nodes",
+                   run.fragments, run.tree.size(), n);
+  }
+  if (why != nullptr) *why = found;
+  return found.empty();
+}
 
 void InvariantOracle::note(std::string_view invariant, std::uint64_t round,
                            std::string detail, EnergyMeter* meter) {
@@ -69,33 +126,9 @@ void InvariantOracle::on_round(std::uint64_t round, EnergyMeter& meter) {
          &meter);
   }
   if (!options_.check_energy || !meter.breakdown_enabled()) return;
-  // Conservation across the breakdown matrix: the per-phase row sums
-  // (phase_total — THE definition every consumer derives from) must
-  // reassemble the Accounting totals. Energy within tolerance (different
-  // summation orders); message counts exactly.
-  const EnergyBreakdown& matrix = meter.breakdown();
-  Accounting reassembled;
-  for (std::size_t p = 0; p < EnergyBreakdown::kPhases; ++p)
-    reassembled += matrix.phase_total(static_cast<PhaseTag>(p));
-  const Accounting& totals = meter.totals();
-  const double scale = std::max(std::abs(totals.energy), 1.0);
-  if (std::abs(reassembled.energy - totals.energy) >
-      options_.energy_rel_tol * scale) {
-    note("energy", round,
-         format("breakdown row sums %.17g != meter total %.17g",
-                reassembled.energy, totals.energy),
-         &meter);
-  }
-  if (reassembled.unicasts != totals.unicasts ||
-      reassembled.broadcasts != totals.broadcasts) {
-    note("energy", round,
-         format("breakdown message counts %llu+%llu != totals %llu+%llu",
-                static_cast<unsigned long long>(reassembled.unicasts),
-                static_cast<unsigned long long>(reassembled.broadcasts),
-                static_cast<unsigned long long>(totals.unicasts),
-                static_cast<unsigned long long>(totals.broadcasts)),
-         &meter);
-  }
+  std::string mismatch = breakdown_mismatch(meter.breakdown(), meter.totals(),
+                                            options_.energy_rel_tol);
+  if (!mismatch.empty()) note("energy", round, std::move(mismatch), &meter);
 }
 
 void InvariantOracle::check_fragments(std::uint64_t round,

@@ -30,6 +30,7 @@
 // delta-minimize a failing schedule to its smallest reproducing crash list.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -41,6 +42,15 @@
 
 namespace emst::sim {
 
+struct RunResult;  // run_config.hpp
+
+/// Whether a finished run's result over n nodes agrees with itself: a filled
+/// per-node ledger has n entries summing to `totals.energy`, a recorded
+/// breakdown's rows sum to `totals` (as `on_round` checks), and `fragments
+/// == n - tree.size()`. `why`, if given, names the first disagreement.
+[[nodiscard]] bool consistent(const RunResult& run, std::size_t n,
+                              std::string* why = nullptr);
+
 struct OracleOptions {
   bool check_energy = true;     ///< breakdown/ledger conservation checks
   bool check_fragments = true;  ///< forest acyclicity + leader agreement
@@ -49,7 +59,8 @@ struct OracleOptions {
   /// multiple of the fault-free round count).
   std::uint64_t max_rounds = 0;
   /// Relative tolerance for the breakdown-vs-totals energy comparison (the
-  /// two sides sum the same charges in different orders).
+  /// two sides sum the same charges in different orders; `consistent` uses
+  /// the default).
   double energy_rel_tol = 1e-9;
 };
 
@@ -67,7 +78,7 @@ class InvariantOracle {
 
   /// Engine hook — serial, at the round barrier, after the clock advanced.
   /// Cheap: the liveness bound and, when the meter carries a breakdown, the
-  /// row-sum energy conservation check.
+  /// row-sum conservation check `consistent` also applies.
   void on_round(std::uint64_t round, EnergyMeter& meter);
 
   /// Driver hook — the published fragment census must be a forest whose

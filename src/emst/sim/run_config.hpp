@@ -1,14 +1,14 @@
 // Shared run configuration and result (docs/API_TOUR.md).
 //
-// The drivers (sync GHS, EOPT, classic GHS, Co-NNT) used to carry their own
-// copies of the same knobs — path loss, fault model, ARQ, per-node tracking
-// — and benches/CLI special-cased each. `RunConfig` is the common base every
-// options struct embeds (by inheritance, so existing `options.pathloss = ...`
-// field access compiles unchanged), and the single place a caller wires
-// telemetry into a run. `RunResult` is its output twin: the measures the
-// paper compares every algorithm on (energy, messages, rounds; §II) plus the
-// tree, fault and ARQ counters and placement witnesses. Each driver fills
-// each of its fields once, and `emst::run` returns it unchanged.
+// `RunConfig` holds the knobs every driver shares — path loss, faults, ARQ,
+// ledgers, telemetry, oracle — in one place: each driver takes it second,
+// next to a plain struct of its own tuning knobs. `RunResult` is its output
+// twin: the measures the paper compares every algorithm on (energy,
+// messages, rounds; §II) plus the tree, fault and ARQ counters and placement
+// witnesses. The owner of a run's meter and fault session configures the one
+// (`configure`) and fills the result from both (`fill_from`); engines and
+// stages never copy them, so ledger, breakdown and totals agree
+// (`sim::consistent`). `emst::run` returns the result unchanged.
 #pragma once
 
 #include <cstddef>
@@ -64,6 +64,13 @@ struct RunConfig {
   /// engine — so ranks is a documented no-op for them, as `threads` is for
   /// the engine-driven ones.
   std::size_t ranks = 0;
+
+  /// Turn on the ledgers asked for and attach the hub, before any charge.
+  void configure(EnergyMeter& meter, std::size_t n) const {
+    if (track_per_node_energy) meter.enable_per_node(n);
+    if (record_breakdown) meter.enable_breakdown();
+    meter.attach_telemetry(telemetry);
+  }
 };
 
 /// One driver run's result. Classic GHS returns it as is; sync GHS and EOPT
@@ -104,6 +111,19 @@ struct RunResult {
   /// deferred delivery re-parked without a handler call is not an execution.
   std::uint64_t handler_invocations = 0;
   std::uint64_t rank_handler_invocations = 0;
+
+  /// `totals`, `per_node_energy` and the breakdown, from the finished meter.
+  void fill_from(const EnergyMeter& meter) {
+    totals = meter.totals();
+    per_node_energy = meter.per_node();
+    breakdown_recorded = meter.breakdown_enabled();
+    if (breakdown_recorded) breakdown = meter.breakdown();
+  }
+  /// `faults` and `injected_crashes`, from the run's fault session.
+  void fill_from(const FaultInjector& session) {
+    faults = session.stats();
+    injected_crashes = session.injected_schedule();
+  }
 };
 
 }  // namespace emst::sim

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -51,39 +50,6 @@ sim::Topology chaos_field(std::size_t n, std::uint64_t seed) {
   return eopt::eopt_topology(geometry::uniform_points(n, rng));
 }
 
-/// The Co-NNT fail-stop contract: each survivor parents its nearest
-/// higher-ranked survivor within the doubling schedule's terminal radius;
-/// dead nodes stay parentless (bench/chaos_campaign.cpp documents the cap).
-std::vector<graph::NodeId> survivor_nnt_parents(
-    std::span<const geometry::Point2> points, const std::vector<char>& alive,
-    nnt::RankScheme scheme) {
-  const std::size_t n = points.size();
-  const double n_est = std::max(2.0, static_cast<double>(n));
-  std::vector<graph::NodeId> parent(n, graph::kNoNode);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    if (!alive[u]) continue;
-    const double lu = nnt::potential_distance(scheme, points[u]);
-    const double m =
-        std::max(1.0, std::ceil(std::log2(std::max(2.0, n_est * lu * lu))));
-    const double cap =
-        std::min(std::sqrt(std::pow(2.0, m) / n_est), std::sqrt(2.0));
-    graph::NodeId best = graph::kNoNode;
-    double best_d = 0.0;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (v == u || !alive[v]) continue;
-      if (!nnt::rank_less(scheme, points, u, v)) continue;
-      const double d = geometry::distance(points[u], points[v]);
-      if (d > cap) continue;
-      if (best == graph::kNoNode || d < best_d || (d == best_d && v < best)) {
-        best = v;
-        best_d = d;
-      }
-    }
-    parent[u] = best;
-  }
-  return parent;
-}
-
 struct ChaosRun {
   sim::RunResult run;
   std::vector<graph::NodeId> parent;  ///< connt only
@@ -92,25 +58,20 @@ struct ChaosRun {
 ChaosRun run_driver(std::string_view driver, const sim::Topology& topo,
                     sim::FaultController* controller, std::uint64_t fault_seed,
                     sim::InvariantOracle* oracle, std::size_t threads = 0) {
-  sim::RunConfig shared;
-  shared.faults.controller = controller;
-  shared.faults.seed = fault_seed;
-  shared.oracle = oracle;
-  shared.threads = threads;
-  const auto with_shared = [&shared](auto options) {
-    static_cast<sim::RunConfig&>(options) = shared;
-    return options;
-  };
+  sim::RunConfig cfg;
+  cfg.faults.controller = controller;
+  cfg.faults.seed = fault_seed;
+  cfg.oracle = oracle;
+  cfg.threads = threads;
   ChaosRun out;
   if (driver == "eopt") {
-    out.run = eopt::run_eopt(topo, with_shared(eopt::EoptOptions{})).run;
+    out.run = eopt::run_eopt(topo, cfg).run;
   } else if (driver == "sync_ghs") {
-    out.run = ghs::run_sync_ghs(topo, with_shared(ghs::SyncGhsOptions{})).run;
+    out.run = ghs::run_sync_ghs(topo, cfg).run;
   } else if (driver == "classic_ghs") {
-    out.run = ghs::run_classic_ghs(topo, with_shared(ghs::ClassicGhsOptions{}));
+    out.run = ghs::run_classic_ghs(topo, cfg);
   } else {
-    nnt::CoNntResult res =
-        nnt::run_connt(topo, with_shared(nnt::CoNntOptions{}));
+    nnt::CoNntResult res = nnt::run_connt(topo, cfg);
     out.parent = std::move(res.parent);
     out.run = std::move(res);
   }
@@ -171,8 +132,8 @@ TEST(ChaosCampaign, EveryStrategyKeepsEveryDriverExactOnSurvivors) {
           sim::alive_mask(n, out.run.injected_crashes);
       if (driver == "connt") {
         EXPECT_EQ(out.parent,
-                  survivor_nnt_parents(topo.points(), alive,
-                                       nnt::RankScheme::kDiagonal))
+                  nnt::survivor_nnt_parents(topo.points(), alive,
+                                            nnt::RankScheme::kDiagonal))
             << cell;
       } else {
         EXPECT_TRUE(
@@ -197,9 +158,9 @@ TEST(ChaosCampaign, EpochDriversSurviveARoundZeroCrash) {
   std::vector<char> alive(n, 1);
   alive[5] = 0;
   {
-    ghs::ClassicGhsOptions opt;
-    opt.faults.crashes = {{5, 0, sim::kCrashForever}};
-    const auto res = ghs::run_classic_ghs(topo, opt);
+    sim::RunConfig cfg;
+    cfg.faults.crashes = {{5, 0, sim::kCrashForever}};
+    const auto res = ghs::run_classic_ghs(topo, cfg);
     EXPECT_TRUE(
         graph::same_edge_set(res.tree, sim::survivor_msf(topo, alive)));
     for (const graph::Edge& e : res.tree) {
@@ -208,12 +169,13 @@ TEST(ChaosCampaign, EpochDriversSurviveARoundZeroCrash) {
     }
   }
   {
-    nnt::CoNntOptions opt;
-    opt.faults.crashes = {{5, 0, sim::kCrashForever}};
-    const auto res = nnt::run_connt(topo, opt);
+    sim::RunConfig cfg;
+    cfg.faults.crashes = {{5, 0, sim::kCrashForever}};
+    const auto res = nnt::run_connt(topo, cfg);
     EXPECT_EQ(res.epochs, 1u);  // excluded at epoch start: clean first epoch
-    EXPECT_EQ(res.parent, survivor_nnt_parents(topo.points(), alive,
-                                               nnt::RankScheme::kDiagonal));
+    EXPECT_EQ(res.parent,
+              nnt::survivor_nnt_parents(topo.points(), alive,
+                                        nnt::RankScheme::kDiagonal));
     EXPECT_EQ(res.parent[5], graph::kNoNode);
   }
 }
@@ -267,16 +229,11 @@ TEST(ChaosReplay, InjectedScheduleReplaysAsAStaticCrashList) {
     sim::FaultModel static_model;
     static_model.crashes = want.injected_crashes;
     static_model.seed = 0xFACE;
-    sim::RunResult replay_static;
-    if (driver == "sync_ghs") {
-      ghs::SyncGhsOptions opt;
-      opt.faults = static_model;
-      replay_static = ghs::run_sync_ghs(topo, opt).run;
-    } else {
-      ghs::ClassicGhsOptions opt;
-      opt.faults = static_model;
-      replay_static = ghs::run_classic_ghs(topo, opt);
-    }
+    sim::RunConfig cfg;
+    cfg.faults = static_model;
+    const sim::RunResult replay_static =
+        driver == "sync_ghs" ? ghs::run_sync_ghs(topo, cfg).run
+                             : ghs::run_classic_ghs(topo, cfg);
     EXPECT_EQ(replay_static.totals.energy, want.totals.energy) << driver;
     EXPECT_EQ(replay_static.tree, want.tree) << driver;
     EXPECT_EQ(replay_static.epochs, want.epochs) << driver;
@@ -318,12 +275,12 @@ TEST(ChaosDdmin, SeededViolationMinimizesToTheBridgeCrash) {
   // bridge died, so a disconnected survivor forest is the seeded violation
   // (recorded through InvariantOracle::note, the documented driver hook).
   const auto trips = [&](std::span<const sim::CrashWindow> schedule) {
-    ghs::SyncGhsOptions opt;
-    opt.faults.crashes.assign(schedule.begin(), schedule.end());
+    sim::RunConfig cfg;
+    cfg.faults.crashes.assign(schedule.begin(), schedule.end());
     sim::InvariantOracle oracle;
-    opt.oracle = &oracle;
-    const auto res = ghs::run_sync_ghs(topo, opt);
-    const std::vector<char> alive = sim::alive_mask(n, opt.faults.crashes);
+    cfg.oracle = &oracle;
+    const auto res = ghs::run_sync_ghs(topo, cfg);
+    const std::vector<char> alive = sim::alive_mask(n, cfg.faults.crashes);
     const auto survivors = static_cast<std::size_t>(
         std::count(alive.begin(), alive.end(), char{1}));
     if (res.run.tree.size() + 1 < survivors) {
@@ -409,9 +366,9 @@ TEST(InvariantOracle, LivenessBoundTripsOnceNotPerRound) {
 TEST(InvariantOracle, CleanRunsPassEveryCheckBitIdentically) {
   const sim::Topology topo = chaos_field(128, 0xC1EA2);
   {
-    ghs::SyncGhsOptions plain;
+    sim::RunConfig plain;
     plain.record_breakdown = true;  // exercises the conservation check
-    ghs::SyncGhsOptions checked = plain;
+    sim::RunConfig checked = plain;
     sim::InvariantOracle oracle;
     checked.oracle = &oracle;
     const auto a = ghs::run_sync_ghs(topo, plain);
@@ -421,8 +378,8 @@ TEST(InvariantOracle, CleanRunsPassEveryCheckBitIdentically) {
     EXPECT_EQ(a.run.tree, b.run.tree);
   }
   {
-    ghs::ClassicGhsOptions plain;
-    ghs::ClassicGhsOptions checked = plain;
+    sim::RunConfig plain;
+    sim::RunConfig checked = plain;
     sim::InvariantOracle oracle;
     checked.oracle = &oracle;
     const auto a = ghs::run_classic_ghs(topo, plain);
@@ -433,8 +390,8 @@ TEST(InvariantOracle, CleanRunsPassEveryCheckBitIdentically) {
   }
   {
     // Fault-free Co-NNT with an oracle runs the actor path's hooks.
-    nnt::CoNntOptions plain;
-    nnt::CoNntOptions checked = plain;
+    sim::RunConfig plain;
+    sim::RunConfig checked = plain;
     sim::InvariantOracle oracle;
     checked.oracle = &oracle;
     const auto a = nnt::run_connt_actor(topo, plain);

@@ -136,13 +136,13 @@ TEST(Determinism, FaultAwareEoptIsReproducible) {
   support::Rng rng(913);
   const Topology topo =
       eopt::eopt_topology(geometry::uniform_points(300, rng));
-  eopt::EoptOptions options;
-  options.faults.loss = 0.08;
-  options.faults.use_gilbert = true;
-  options.faults.seed = 0xeeeULL;
-  options.arq.enabled = true;
-  const auto first = eopt::run_eopt(topo, options);
-  const auto second = eopt::run_eopt(topo, options);
+  sim::RunConfig cfg;
+  cfg.faults.loss = 0.08;
+  cfg.faults.use_gilbert = true;
+  cfg.faults.seed = 0xeeeULL;
+  cfg.arq.enabled = true;
+  const auto first = eopt::run_eopt(topo, cfg);
+  const auto second = eopt::run_eopt(topo, cfg);
   EXPECT_TRUE(graph::same_edge_set(first.run.tree, second.run.tree));
   expect_same_accounting(first.run.totals, second.run.totals);
   EXPECT_EQ(first.run.arq.data_sent, second.run.arq.data_sent);

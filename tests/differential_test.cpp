@@ -57,22 +57,22 @@ TEST_P(EveryEngineAgrees, OnTheSameInstance) {
     ghs::ClassicGhsOptions options;
     options.delays = {3, sc.seed ^ 0xd11aULL};
     options.moe = ghs::MoeStrategy::kCachedConfirm;
-    EXPECT_TRUE(
-        graph::same_edge_set(ghs::run_classic_ghs(topo, options).tree, kruskal));
+    EXPECT_TRUE(graph::same_edge_set(
+        ghs::run_classic_ghs(topo, {}, options).tree, kruskal));
   }
   // 3. Phase-sync, probe MOE.
   {
     ghs::SyncGhsOptions options;
     options.neighbor_cache = false;
-    EXPECT_TRUE(
-        graph::same_edge_set(ghs::run_sync_ghs(topo, options).run.tree, kruskal));
+    EXPECT_TRUE(graph::same_edge_set(
+        ghs::run_sync_ghs(topo, {}, options).run.tree, kruskal));
   }
   // 4. Phase-sync, cached MOE with min-power announcements.
   {
     ghs::SyncGhsOptions options;
     options.announce_min_power = true;
-    EXPECT_TRUE(
-        graph::same_edge_set(ghs::run_sync_ghs(topo, options).run.tree, kruskal));
+    EXPECT_TRUE(graph::same_edge_set(
+        ghs::run_sync_ghs(topo, {}, options).run.tree, kruskal));
   }
   // 5. EOPT (only meaningful when the topology radius is the connectivity
   //    radius; at the reduced factor the Step-1 radius may exceed it, which

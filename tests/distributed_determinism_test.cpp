@@ -54,13 +54,15 @@ sim::FaultModel crashy_model() {
   return faults;
 }
 
-template <typename Options>
-void configure(Options& options, std::size_t ranks,
-               sim::Telemetry* telemetry) {
-  options.track_per_node_energy = true;
-  options.record_breakdown = true;
-  options.ranks = ranks;
-  options.telemetry = telemetry;
+/// The shared knobs of every run here: both ledgers, the rank count and
+/// the telemetry hub.
+sim::RunConfig configure(std::size_t ranks, sim::Telemetry* telemetry) {
+  sim::RunConfig cfg;
+  cfg.track_per_node_energy = true;
+  cfg.record_breakdown = true;
+  cfg.ranks = ranks;
+  cfg.telemetry = telemetry;
+  return cfg;
 }
 
 template <typename RunFn>
@@ -106,12 +108,11 @@ TEST(DistributedDeterminism, ClassicGhs) {
     const sim::Topology topo = make_topology(seed, points);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    ghs::ClassicGhsOptions options;
-    configure(options, ranks, &telemetry);
-    const auto run = ghs::run_classic_ghs(topo, options);
+    const auto run =
+        ghs::run_classic_ghs(topo, configure(ranks, &telemetry));
     expect_placement(run.handler_invocations, run.rank_handler_invocations,
                      ranks);
-    return observe(run, sink);
+    return observe(run, sink, topo.node_count());
   });
 }
 
@@ -127,9 +128,9 @@ TEST(DistributedDeterminism, ClassicGhsCachedWithDelays) {
         ghs::ClassicGhsOptions options;
         options.moe = ghs::MoeStrategy::kCachedConfirm;
         options.delays = {3, 0xabc0ULL + seed};
-        configure(options, ranks, &telemetry);
-        const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(run, sink);
+        const auto run = ghs::run_classic_ghs(
+            topo, configure(ranks, &telemetry), options);
+        return observe(run, sink, topo.node_count());
       });
 }
 
@@ -142,12 +143,11 @@ TEST(DistributedDeterminism, ClassicGhsCrashWindows) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        ghs::ClassicGhsOptions options;
-        options.faults = crashy_model();
-        options.faults.seed += seed;
-        configure(options, ranks, &telemetry);
-        const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(run, sink);
+        sim::RunConfig cfg = configure(ranks, &telemetry);
+        cfg.faults = crashy_model();
+        cfg.faults.seed += seed;
+        const auto run = ghs::run_classic_ghs(topo, cfg);
+        return observe(run, sink, topo.node_count());
       });
 }
 
@@ -158,10 +158,8 @@ TEST(DistributedDeterminism, SyncGhsRanksIsNoOp) {
     const sim::Topology topo = make_topology(seed, points);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    ghs::SyncGhsOptions options;
-    configure(options, ranks, &telemetry);
-    const auto run = ghs::run_sync_ghs(topo, options);
-    return observe(run.run, sink);
+    const auto run = ghs::run_sync_ghs(topo, configure(ranks, &telemetry));
+    return observe(run.run, sink, topo.node_count());
   });
 }
 
@@ -172,14 +170,14 @@ TEST(DistributedDeterminism, SyncGhsProbeFaultyArqRanksIsNoOp) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
+        sim::RunConfig cfg = configure(ranks, &telemetry);
+        cfg.faults = faulty_model();
+        cfg.faults.seed += seed;
+        cfg.arq.enabled = true;
         ghs::SyncGhsOptions options;
         options.neighbor_cache = false;
-        options.faults = faulty_model();
-        options.faults.seed += seed;
-        options.arq.enabled = true;
-        configure(options, ranks, &telemetry);
-        const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run.run, sink);
+        const auto run = ghs::run_sync_ghs(topo, cfg, options);
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -190,13 +188,12 @@ TEST(DistributedDeterminism, EoptFaultyArqRanksIsNoOp) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        eopt::EoptOptions options;
-        options.faults = faulty_model();
-        options.faults.seed += seed;
-        options.arq.enabled = true;
-        configure(options, ranks, &telemetry);
-        const auto run = eopt::run_eopt(topo, options);
-        return observe(run.run, sink);
+        sim::RunConfig cfg = configure(ranks, &telemetry);
+        cfg.faults = faulty_model();
+        cfg.faults.seed += seed;
+        cfg.arq.enabled = true;
+        const auto run = eopt::run_eopt(topo, cfg);
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -212,10 +209,8 @@ TEST(DistributedDeterminism, CoNntFacadeDispatch) {
     const sim::Topology topo = make_topology(seed, points);
     auto run_at = [&topo](std::size_t ranks, sim::MemoryTraceSink& sink) {
       sim::Telemetry telemetry(&sink);
-      nnt::CoNntOptions options;
-      configure(options, ranks, &telemetry);
-      const auto run = nnt::run_connt(topo, options);
-      return observe(run, sink);
+      const auto run = nnt::run_connt(topo, configure(ranks, &telemetry));
+      return observe(run, sink, topo.node_count());
     };
     sim::MemoryTraceSink sink0;
     const Observed choreographed = run_at(0, sink0);
@@ -253,12 +248,11 @@ TEST(DistributedDeterminism, CoNntActor) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        nnt::CoNntOptions options;
-        configure(options, ranks, &telemetry);
-        const auto run = nnt::run_connt_actor(topo, options);
+        const auto run =
+            nnt::run_connt_actor(topo, configure(ranks, &telemetry));
         expect_placement(run.handler_invocations, run.rank_handler_invocations,
                          ranks);
-        return observe(run, sink);
+        return observe(run, sink, topo.node_count());
       });
 }
 
@@ -269,12 +263,11 @@ TEST(DistributedDeterminism, CoNntActorCrashWindows) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        nnt::CoNntOptions options;
-        options.faults = crashy_model();
-        options.faults.seed += seed;
-        configure(options, ranks, &telemetry);
-        const auto run = nnt::run_connt_actor(topo, options);
-        return observe(run, sink);
+        sim::RunConfig cfg = configure(ranks, &telemetry);
+        cfg.faults = crashy_model();
+        cfg.faults.seed += seed;
+        const auto run = nnt::run_connt_actor(topo, cfg);
+        return observe(run, sink, topo.node_count());
       });
 }
 
@@ -296,14 +289,13 @@ TEST(DistributedDeterminism, ClassicGhsKillLeaderChaos) {
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
         sim::KillLeader controller;
-        ghs::ClassicGhsOptions options;
-        options.faults.controller = &controller;
-        options.faults.seed = 0xc0a0ULL + seed;
-        configure(options, ranks, &telemetry);
-        const auto run = ghs::run_classic_ghs(topo, options);
+        sim::RunConfig cfg = configure(ranks, &telemetry);
+        cfg.faults.controller = &controller;
+        cfg.faults.seed = 0xc0a0ULL + seed;
+        const auto run = ghs::run_classic_ghs(topo, cfg);
         expect_placement(run.handler_invocations,
                          run.rank_handler_invocations, ranks);
-        return observe(run, sink);
+        return observe(run, sink, topo.node_count());
       });
 }
 
@@ -315,14 +307,13 @@ TEST(DistributedDeterminism, CoNntActorPartitionHalfChaos) {
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
         sim::PartitionHalf controller(/*at_round=*/4);
-        nnt::CoNntOptions options;
-        options.faults.controller = &controller;
-        options.faults.seed = 0x9a17ULL + seed;
-        configure(options, ranks, &telemetry);
-        const auto run = nnt::run_connt_actor(topo, options);
+        sim::RunConfig cfg = configure(ranks, &telemetry);
+        cfg.faults.controller = &controller;
+        cfg.faults.seed = 0x9a17ULL + seed;
+        const auto run = nnt::run_connt_actor(topo, cfg);
         expect_placement(run.handler_invocations,
                          run.rank_handler_invocations, ranks);
-        return observe(run, sink);
+        return observe(run, sink, topo.node_count());
       });
 }
 

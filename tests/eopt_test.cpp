@@ -98,7 +98,7 @@ TEST(Eopt, Step2CheaperThanRestartingFromScratch) {
   const EoptResult eopt = run_eopt(topo);
   ghs::SyncGhsOptions from_scratch;
   from_scratch.radius = topo.max_radius();
-  const auto scratch = ghs::run_sync_ghs(topo, from_scratch);
+  const auto scratch = ghs::run_sync_ghs(topo, {}, from_scratch);
   EXPECT_LT(eopt.step2.energy, scratch.run.totals.energy);
 }
 
@@ -107,8 +107,8 @@ TEST(Eopt, AblationGiantPassivityCostsEnergyWhenOff) {
   EoptOptions passive;
   EoptOptions busy;
   busy.giant_passive = false;
-  const EoptResult with_passive = run_eopt(topo, passive);
-  const EoptResult without = run_eopt(topo, busy);
+  const EoptResult with_passive = run_eopt(topo, {}, passive);
+  const EoptResult without = run_eopt(topo, {}, busy);
   // Both must stay exact.
   const auto reference = reference_msf(topo);
   EXPECT_TRUE(graph::same_edge_set(with_passive.run.tree, reference));
@@ -122,8 +122,8 @@ TEST(Eopt, AblationIdRetention) {
   EoptOptions keep;
   EoptOptions drop;
   drop.giant_keeps_id = false;
-  const EoptResult kept = run_eopt(topo, keep);
-  const EoptResult dropped = run_eopt(topo, drop);
+  const EoptResult kept = run_eopt(topo, {}, keep);
+  const EoptResult dropped = run_eopt(topo, {}, drop);
   const auto reference = reference_msf(topo);
   EXPECT_TRUE(graph::same_edge_set(kept.run.tree, reference));
   EXPECT_TRUE(graph::same_edge_set(dropped.run.tree, reference));
@@ -134,7 +134,7 @@ TEST(Eopt, AblationProbeModeStillExact) {
   const sim::Topology topo = make_topology(1000, 101);
   EoptOptions probe;
   probe.neighbor_cache = false;
-  const EoptResult result = run_eopt(topo, probe);
+  const EoptResult result = run_eopt(topo, {}, probe);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
 }
 
@@ -144,7 +144,7 @@ TEST(Eopt, CustomStepFactors) {
   options.step2_factor = 2.0;
   const std::size_t n = 800;
   const sim::Topology topo = make_topology(n, 103, options);
-  const EoptResult result = run_eopt(topo, options);
+  const EoptResult result = run_eopt(topo, {}, options);
   EXPECT_NEAR(result.radius1, 1.2 * std::sqrt(1.0 / n), 1e-12);
   EXPECT_NEAR(result.radius2, 2.0 * std::sqrt(std::log(n) / n), 1e-12);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
@@ -178,7 +178,7 @@ TEST(Eopt, SeededRunCompletesAPartialForest) {
     for (sim::NodeId u = 0; u < topo.node_count(); ++u)
       seed.leader[u] = dsu.find(u);
   }
-  const EoptResult seeded = run_eopt(topo, {}, &seed);
+  const EoptResult seeded = run_eopt(topo, {}, {}, &seed);
   EXPECT_TRUE(graph::same_edge_set(seeded.run.tree, reference));
   const EoptResult scratch = run_eopt(topo);
   EXPECT_LT(seeded.run.totals.messages(), scratch.run.totals.messages());
@@ -191,7 +191,7 @@ TEST(Eopt, SeededWithCompleteMstIsNearlyFree) {
   ghs::FragmentForest seed;
   seed.leader.assign(topo.node_count(), 0);  // one fragment, leader 0
   seed.tree = reference;
-  const EoptResult result = run_eopt(topo, {}, &seed);
+  const EoptResult result = run_eopt(topo, {}, {}, &seed);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference));
   // Only announcements + census + one no-op phase remain.
   EXPECT_LT(result.run.totals.energy, run_eopt(topo).run.totals.energy);
@@ -201,7 +201,7 @@ TEST(Eopt, MinPowerAnnouncementsStayExact) {
   const sim::Topology topo = make_topology(1000, 337);
   EoptOptions options;
   options.announce_min_power = true;
-  const EoptResult result = run_eopt(topo, options);
+  const EoptResult result = run_eopt(topo, {}, options);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
   const EoptResult plain = run_eopt(topo);
   EXPECT_LT(result.run.totals.energy, plain.run.totals.energy);
@@ -210,9 +210,9 @@ TEST(Eopt, MinPowerAnnouncementsStayExact) {
 
 TEST(Eopt, PerNodeLedgerSumsToTotal) {
   const sim::Topology topo = make_topology(800, 331);
-  EoptOptions options;
-  options.track_per_node_energy = true;
-  const EoptResult result = run_eopt(topo, options);
+  sim::RunConfig cfg;
+  cfg.track_per_node_energy = true;
+  const EoptResult result = run_eopt(topo, cfg);
   ASSERT_EQ(result.run.per_node_energy.size(), topo.node_count());
   double total = 0.0;
   for (const double e : result.run.per_node_energy) total += e;

@@ -398,8 +398,8 @@ void expect_forest_consistent(const sim::Topology& topo,
 
 TEST(SyncGhsFaults, DisabledFaultModelIsByteIdenticalToPlainRun) {
   const sim::Topology topo = random_topology(300, 41);
-  ghs::SyncGhsOptions plain;
-  ghs::SyncGhsOptions with_knobs = plain;
+  sim::RunConfig plain;
+  sim::RunConfig with_knobs = plain;
   with_knobs.faults = sim::FaultModel{};  // loss 0, no crashes: disabled
   with_knobs.arq = sim::ArqOptions{};     // disabled
   const auto a = ghs::run_sync_ghs(topo, plain);
@@ -415,8 +415,8 @@ TEST(SyncGhsFaults, DisabledFaultModelIsByteIdenticalToPlainRun) {
 
 TEST(SyncGhsFaults, ArqOnCleanChannelPaysAcksOnly) {
   const sim::Topology topo = random_topology(256, 43);
-  ghs::SyncGhsOptions plain;
-  ghs::SyncGhsOptions reliable = plain;
+  sim::RunConfig plain;
+  sim::RunConfig reliable = plain;
   reliable.arq.enabled = true;
   const auto base = ghs::run_sync_ghs(topo, plain);
   const auto arq = ghs::run_sync_ghs(topo, reliable);
@@ -443,12 +443,12 @@ TEST(SyncGhsFaults, ClassicArqOnCleanChannelIsExactlyTwiceTheUnicasts) {
   // zero loss is identical to the legacy one, so ARQ costs exactly one ACK
   // per DATA: 2× the unicasts, same broadcasts, same round count.
   const sim::Topology topo = random_topology(200, 43);
-  ghs::SyncGhsOptions plain;
-  plain.neighbor_cache = false;
-  ghs::SyncGhsOptions reliable = plain;
+  ghs::SyncGhsOptions probe;
+  probe.neighbor_cache = false;
+  sim::RunConfig reliable;
   reliable.arq.enabled = true;
-  const auto base = ghs::run_sync_ghs(topo, plain);
-  const auto arq = ghs::run_sync_ghs(topo, reliable);
+  const auto base = ghs::run_sync_ghs(topo, {}, probe);
+  const auto arq = ghs::run_sync_ghs(topo, reliable, probe);
   EXPECT_TRUE(graph::same_edge_set(arq.run.tree, base.run.tree));
   EXPECT_EQ(arq.run.totals.unicasts, 2 * base.run.totals.unicasts);
   EXPECT_EQ(arq.run.totals.broadcasts, base.run.totals.broadcasts);
@@ -459,11 +459,11 @@ TEST(SyncGhsFaults, ClassicArqOnCleanChannelIsExactlyTwiceTheUnicasts) {
 
 TEST(SyncGhsFaults, LossyRunStaysExactWithArq) {
   const sim::Topology topo = random_topology(300, 47);
-  ghs::SyncGhsOptions options;
-  options.faults.loss = 0.1;
-  options.faults.seed = 4711;
-  options.arq.enabled = true;
-  const auto result = ghs::run_sync_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.faults.loss = 0.1;
+  cfg.faults.seed = 4711;
+  cfg.arq.enabled = true;
+  const auto result = ghs::run_sync_ghs(topo, cfg);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
   EXPECT_FALSE(result.run.hit_phase_cap);
   EXPECT_GT(result.run.faults.lost, 0u);
@@ -474,12 +474,13 @@ TEST(SyncGhsFaults, LossyRunStaysExactWithArq) {
 
 TEST(SyncGhsFaults, ClassicProbingAlsoSurvivesLoss) {
   const sim::Topology topo = random_topology(200, 53);
+  sim::RunConfig cfg;
+  cfg.faults.loss = 0.1;
+  cfg.faults.seed = 12;
+  cfg.arq.enabled = true;
   ghs::SyncGhsOptions options;
   options.neighbor_cache = false;
-  options.faults.loss = 0.1;
-  options.faults.seed = 12;
-  options.arq.enabled = true;
-  const auto result = ghs::run_sync_ghs(topo, options);
+  const auto result = ghs::run_sync_ghs(topo, cfg, options);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
   EXPECT_FALSE(result.run.hit_phase_cap);
 }
@@ -493,9 +494,9 @@ TEST(SyncGhsFaults, CrashMidRunLeavesSurvivingForestConsistent) {
   const std::size_t n = 64;
   const sim::Topology topo = random_topology(n, 59);
   const sim::NodeId victim = 7;
-  ghs::SyncGhsOptions options;
-  options.faults.crashes = {{victim, 4, kForever}};
-  const auto result = ghs::run_sync_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.faults.crashes = {{victim, 4, kForever}};
+  const auto result = ghs::run_sync_ghs(topo, cfg);
   expect_forest_consistent(topo, result.final_forest);
   EXPECT_EQ(result.final_forest.leader[victim], victim);  // dead singleton
   for (const graph::Edge& e : result.run.tree) {
@@ -515,9 +516,9 @@ TEST(SyncGhsFaults, LeaderCrashTriggersReElection) {
   const std::size_t n = 48;
   const sim::Topology topo = random_topology(n, 61);
   // Crash two nodes, including node 0 — a frequent early leader.
-  ghs::SyncGhsOptions options;
-  options.faults.crashes = {{0, 4, kForever}, {9, 6, kForever}};
-  const auto result = ghs::run_sync_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.faults.crashes = {{0, 4, kForever}, {9, 6, kForever}};
+  const auto result = ghs::run_sync_ghs(topo, cfg);
   expect_forest_consistent(topo, result.final_forest);
   std::vector<graph::Edge> surviving_edges;
   for (const graph::Edge& e : topo.graph().edges()) {
@@ -534,9 +535,9 @@ TEST(SyncGhsFaults, NodeCrashedAtRoundZeroNeverJoins) {
   const std::size_t n = 48;
   const sim::Topology topo = random_topology(n, 73);
   const sim::NodeId victim = 11;
-  ghs::SyncGhsOptions options;
-  options.faults.crashes = {{victim, 0, kForever}};
-  const auto result = ghs::run_sync_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.faults.crashes = {{victim, 0, kForever}};
+  const auto result = ghs::run_sync_ghs(topo, cfg);
   expect_forest_consistent(topo, result.final_forest);
   EXPECT_EQ(result.final_forest.leader[victim], victim);
   std::vector<graph::Edge> surviving_edges;
@@ -551,9 +552,9 @@ TEST(SyncGhsFaults, NodeCrashedAtRoundZeroNeverJoins) {
 TEST(SyncGhsFaults, TemporaryCrashRecoversToTheExactMst) {
   const std::size_t n = 48;
   const sim::Topology topo = random_topology(n, 67);
-  ghs::SyncGhsOptions options;
-  options.faults.crashes = {{5, 3, 9}};  // down a few rounds, then back
-  const auto result = ghs::run_sync_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.faults.crashes = {{5, 3, 9}};  // down a few rounds, then back
+  const auto result = ghs::run_sync_ghs(topo, cfg);
   // After recovery the node rejoins and the full MST completes.
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
   EXPECT_FALSE(result.run.hit_phase_cap);
@@ -565,10 +566,10 @@ TEST(EoptFaults, SharedSessionReportsStatsAndStaysExact) {
   support::Rng rng(71);
   const sim::Topology topo =
       eopt::eopt_topology(geometry::uniform_points(400, rng));
-  eopt::EoptOptions options;
-  options.faults.loss = 0.05;
-  options.arq.enabled = true;
-  const auto result = eopt::run_eopt(topo, options);
+  sim::RunConfig cfg;
+  cfg.faults.loss = 0.05;
+  cfg.arq.enabled = true;
+  const auto result = eopt::run_eopt(topo, cfg);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)));
   EXPECT_FALSE(result.run.hit_phase_cap);
   EXPECT_GT(result.run.faults.lost, 0u);
@@ -588,11 +589,11 @@ TEST_P(EoptLossyExactness, ExactUnderTenPercentLoss) {
                                                static_cast<std::uint64_t>(seed) * 2 + (n == 1024)));
     const sim::Topology topo =
         eopt::eopt_topology(geometry::uniform_points(n, rng));
-    eopt::EoptOptions options;
-    options.faults.loss = 0.1;
-    options.faults.seed = 0xbadc0deULL + static_cast<std::uint64_t>(seed);
-    options.arq.enabled = true;
-    const auto result = eopt::run_eopt(topo, options);
+    sim::RunConfig cfg;
+    cfg.faults.loss = 0.1;
+    cfg.faults.seed = 0xbadc0deULL + static_cast<std::uint64_t>(seed);
+    cfg.arq.enabled = true;
+    const auto result = eopt::run_eopt(topo, cfg);
     EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo)))
         << "n=" << n << " seed=" << seed;
     EXPECT_FALSE(result.run.hit_phase_cap) << "n=" << n << " seed=" << seed;

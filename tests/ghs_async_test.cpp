@@ -35,7 +35,7 @@ TEST_P(AsyncGhs, DelaysDoNotChangeTheMst) {
   options.delays.max_extra_delay = 5;
   options.delays.seed =
       static_cast<std::uint64_t>(delay_seed) * 0x9e3779b97f4a7c15ULL;
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, {}, options);
   EXPECT_TRUE(graph::same_edge_set(result.tree, reference))
       << "n=" << n << " delay seed " << delay_seed;
 }
@@ -52,7 +52,7 @@ TEST(AsyncGhs, HeavyDelaysStillExact) {
   ClassicGhsOptions options;
   options.delays.max_extra_delay = 20;
   options.delays.seed = 999;
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, {}, options);
   EXPECT_TRUE(graph::same_edge_set(result.tree, reference));
   // The schedule stretches time but never energy or the tree.
   EXPECT_GT(result.totals.rounds, run_classic_ghs(topo).totals.rounds);
@@ -66,7 +66,7 @@ TEST(AsyncGhs, DelaysPreserveEnergyUpToSchedule) {
   const sim::Topology topo = make_topology(400, 17);
   ClassicGhsOptions options;
   options.delays.max_extra_delay = 3;
-  const sim::RunResult delayed = run_classic_ghs(topo, options);
+  const sim::RunResult delayed = run_classic_ghs(topo, {}, options);
   const sim::RunResult sync = run_classic_ghs(topo);
   EXPECT_TRUE(graph::same_edge_set(delayed.tree, sync.tree));
   EXPECT_LT(delayed.totals.energy, 4.0 * sync.totals.energy + 1.0);
@@ -79,7 +79,7 @@ TEST(PartialWakeup, SingleStarterStillBuildsTheMst) {
       << "test needs a connected instance";
   ClassicGhsOptions options;
   options.spontaneous_wakeups = {0};
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, {}, options);
   const auto reference = graph::kruskal_msf(topo.node_count(), topo.graph().edges());
   EXPECT_TRUE(graph::same_edge_set(result.tree, reference));
 }
@@ -89,7 +89,7 @@ TEST(PartialWakeup, FewStartersWithDelays) {
   ClassicGhsOptions options;
   options.spontaneous_wakeups = {3, 77, 201};
   options.delays.max_extra_delay = 4;
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, {}, options);
   const auto reference = graph::kruskal_msf(topo.node_count(), topo.graph().edges());
   EXPECT_TRUE(graph::same_edge_set(result.tree, reference));
 }
@@ -103,7 +103,7 @@ TEST(PartialWakeup, ComponentWithoutStarterSleeps) {
   const sim::Topology topo(std::move(points), 0.05);
   ClassicGhsOptions options;
   options.spontaneous_wakeups = {0};
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, {}, options);
   EXPECT_EQ(result.tree.size(), 2u);  // left cluster spanned, right asleep
   for (const graph::Edge& e : result.tree) {
     EXPECT_LT(e.u, 3u);

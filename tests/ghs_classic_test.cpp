@@ -94,7 +94,7 @@ TEST(ClassicGhs, RadiusRestrictionHonored) {
   const sim::Topology topo = make_topology(n, r_full, 11);
   ClassicGhsOptions options;
   options.radius = r_small;
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, {}, options);
   for (const graph::Edge& e : result.tree) EXPECT_LE(e.w, r_small);
   // Reference: Kruskal over only the short edges.
   std::vector<graph::Edge> short_edges;
@@ -149,7 +149,7 @@ TEST_P(CachedConfirmExactness, ModifiedGhsMatchesKruskal) {
                     static_cast<std::uint64_t>(seed) * 53 + 29);
   ClassicGhsOptions options;
   options.moe = MoeStrategy::kCachedConfirm;
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  const sim::RunResult result = run_classic_ghs(topo, {}, options);
   const auto reference =
       graph::kruskal_msf(topo.node_count(), topo.graph().edges());
   EXPECT_TRUE(graph::same_edge_set(result.tree, reference))
@@ -172,7 +172,7 @@ TEST(CachedConfirm, ExactUnderAsynchronousDelays) {
     options.moe = MoeStrategy::kCachedConfirm;
     options.delays.max_extra_delay = 5;
     options.delays.seed = delay_seed;
-    const sim::RunResult result = run_classic_ghs(topo, options);
+    const sim::RunResult result = run_classic_ghs(topo, {}, options);
     EXPECT_TRUE(graph::same_edge_set(result.tree, reference))
         << "delay seed " << delay_seed;
   }
@@ -186,7 +186,7 @@ TEST(CachedConfirm, SavesTestTraffic) {
   const sim::RunResult plain = run_classic_ghs(topo);
   ClassicGhsOptions options;
   options.moe = MoeStrategy::kCachedConfirm;
-  const sim::RunResult cached = run_classic_ghs(topo, options);
+  const sim::RunResult cached = run_classic_ghs(topo, {}, options);
   EXPECT_TRUE(graph::same_edge_set(plain.tree, cached.tree));
   EXPECT_GT(cached.totals.broadcasts, 0u);
   EXPECT_LT(cached.totals.unicasts, plain.totals.unicasts);
@@ -211,9 +211,9 @@ TEST(ClassicGhs, RunsOnExplicitGabrielTopology) {
 
 TEST(ClassicGhs, PerNodeLedgerSumsToTotal) {
   const sim::Topology topo = make_topology(400, rgg::connectivity_radius(400), 51);
-  ClassicGhsOptions options;
-  options.track_per_node_energy = true;
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.track_per_node_energy = true;
+  const sim::RunResult result = run_classic_ghs(topo, cfg);
   ASSERT_EQ(result.per_node_energy.size(), topo.node_count());
   double total = 0.0;
   for (const double e : result.per_node_energy) total += e;
@@ -223,9 +223,9 @@ TEST(ClassicGhs, PerNodeLedgerSumsToTotal) {
 TEST(ClassicGhs, BreakdownAccountsForEveryMessage) {
   const std::size_t n = 800;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 41);
-  ClassicGhsOptions options;
-  options.record_breakdown = true;
-  const sim::RunResult result = run_classic_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.record_breakdown = true;
+  const sim::RunResult result = run_classic_ghs(topo, cfg);
   ASSERT_TRUE(result.breakdown_recorded);
   std::uint64_t count = 0;
   double energy = 0.0;
@@ -255,11 +255,12 @@ TEST(ClassicGhs, BreakdownAccountsForEveryMessage) {
 TEST(ClassicGhs, CachedBreakdownShiftsTrafficToAnnouncements) {
   const std::size_t n = 800;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 43);
+  sim::RunConfig cfg;
+  cfg.record_breakdown = true;
+  const sim::RunResult plain = run_classic_ghs(topo, cfg);
   ClassicGhsOptions options;
-  options.record_breakdown = true;
-  const sim::RunResult plain = run_classic_ghs(topo, options);
   options.moe = MoeStrategy::kCachedConfirm;
-  const sim::RunResult cached = run_classic_ghs(topo, options);
+  const sim::RunResult cached = run_classic_ghs(topo, cfg, options);
   EXPECT_GT(type_cell(cached, GhsMsgType::kAnnounce).messages, 0u);
   EXPECT_LT(type_cell(cached, GhsMsgType::kReject).messages,
             type_cell(plain, GhsMsgType::kReject).messages);

@@ -40,7 +40,7 @@ TEST_P(SyncGhsExactness, MatchesKruskal) {
                                            static_cast<std::uint64_t>(seed) * 31 + 5);
   SyncGhsOptions options;
   options.neighbor_cache = cache;
-  const SyncGhsResult result = run_sync_ghs(topo, options);
+  const SyncGhsResult result = run_sync_ghs(topo, {}, options);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference_msf(topo, radius)));
 }
 
@@ -55,7 +55,7 @@ TEST(SyncGhs, DisconnectedGraphMakesForest) {
   const double radius = rgg::percolation_radius(n, 1.4);
   const sim::Topology topo = make_topology(n, radius, 29);
   SyncGhsOptions options;
-  const SyncGhsResult result = run_sync_ghs(topo, options);
+  const SyncGhsResult result = run_sync_ghs(topo, {}, options);
   const auto reference = reference_msf(topo, radius);
   EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference));
   EXPECT_EQ(result.run.fragments, n - reference.size());
@@ -81,8 +81,8 @@ TEST(SyncGhs, CacheAndProbeProduceIdenticalTrees) {
     probe.neighbor_cache = false;
     SyncGhsOptions cache;
     cache.neighbor_cache = true;
-    const auto a = run_sync_ghs(topo, probe);
-    const auto b = run_sync_ghs(topo, cache);
+    const auto a = run_sync_ghs(topo, {}, probe);
+    const auto b = run_sync_ghs(topo, {}, cache);
     EXPECT_TRUE(graph::same_edge_set(a.run.tree, b.run.tree));
   }
 }
@@ -97,8 +97,8 @@ TEST(SyncGhs, CacheModeUsesFewerMessagesOnDenseGraphs) {
   probe.neighbor_cache = false;
   SyncGhsOptions cache;
   cache.neighbor_cache = true;
-  const auto a = run_sync_ghs(topo, probe);
-  const auto b = run_sync_ghs(topo, cache);
+  const auto a = run_sync_ghs(topo, {}, probe);
+  const auto b = run_sync_ghs(topo, {}, cache);
   EXPECT_LT(b.run.totals.messages(), a.run.totals.messages());
 }
 
@@ -111,10 +111,10 @@ TEST(SyncGhs, SeededContinuationCompletesTheMst) {
   const sim::Topology topo = make_topology(n, r2, 53);
   SyncGhsOptions step1;
   step1.radius = r1;
-  const auto stage1 = run_sync_ghs(topo, step1);
+  const auto stage1 = run_sync_ghs(topo, {}, step1);
   SyncGhsOptions step2;
   step2.radius = r2;
-  const auto stage2 = run_sync_ghs(topo, step2, stage1.final_forest);
+  const auto stage2 = run_sync_ghs(topo, {}, step2, stage1.final_forest);
   EXPECT_TRUE(graph::same_edge_set(stage2.run.tree, reference_msf(topo, r2)));
 }
 
@@ -127,7 +127,7 @@ TEST(SyncGhs, PassiveFragmentStillAbsorbsNeighbors) {
   const sim::Topology topo = make_topology(n, r2, 59);
   SyncGhsOptions step1;
   step1.radius = r1;
-  const auto stage1 = run_sync_ghs(topo, step1);
+  const auto stage1 = run_sync_ghs(topo, {}, step1);
   // Find the biggest fragment.
   std::unordered_map<sim::NodeId, std::size_t> sizes;
   for (sim::NodeId u = 0; u < n; ++u) ++sizes[stage1.final_forest.leader[u]];
@@ -142,7 +142,7 @@ TEST(SyncGhs, PassiveFragmentStillAbsorbsNeighbors) {
   SyncGhsOptions step2;
   step2.radius = r2;
   step2.passive_fragments = {giant};
-  const auto stage2 = run_sync_ghs(topo, step2, stage1.final_forest);
+  const auto stage2 = run_sync_ghs(topo, {}, step2, stage1.final_forest);
   EXPECT_TRUE(graph::same_edge_set(stage2.run.tree, reference_msf(topo, r2)));
   // With id retention the giant's leader survives.
   EXPECT_EQ(stage2.final_forest.leader[giant], giant);
@@ -155,7 +155,7 @@ TEST(SyncGhs, PassiveIdRetentionReducesAnnouncements) {
   const sim::Topology topo = make_topology(n, r2, 61);
   SyncGhsOptions step1;
   step1.radius = r1;
-  const auto stage1 = run_sync_ghs(topo, step1);
+  const auto stage1 = run_sync_ghs(topo, {}, step1);
   std::unordered_map<sim::NodeId, std::size_t> sizes;
   for (sim::NodeId u = 0; u < n; ++u) ++sizes[stage1.final_forest.leader[u]];
   sim::NodeId giant = 0;
@@ -172,7 +172,7 @@ TEST(SyncGhs, PassiveIdRetentionReducesAnnouncements) {
     step2.radius = r2;
     step2.passive_fragments = {giant};
     step2.retain_passive_id = retain;
-    return run_sync_ghs(topo, step2, stage1.final_forest);
+    return run_sync_ghs(topo, {}, step2, stage1.final_forest);
   };
   const auto with_retention = run_step2(true);
   const auto without = run_step2(false);
@@ -209,7 +209,7 @@ TEST_P(SeededForestFuzz, AnyMstPrefixSeedCompletesToTheMsf) {
   for (const bool cache : {true, false}) {
     SyncGhsOptions options;
     options.neighbor_cache = cache;
-    const auto result = run_sync_ghs(topo, options, forest);
+    const auto result = run_sync_ghs(topo, {}, options, forest);
     EXPECT_TRUE(graph::same_edge_set(result.run.tree, reference))
         << "seed=" << seed << " prefix=" << prefix << " cache=" << cache;
   }
@@ -236,8 +236,8 @@ TEST(SyncGhs, MinPowerAnnouncementsExactAndCheaper) {
   SyncGhsOptions plain;
   SyncGhsOptions min_power;
   min_power.announce_min_power = true;
-  const auto a = run_sync_ghs(topo, plain);
-  const auto b = run_sync_ghs(topo, min_power);
+  const auto a = run_sync_ghs(topo, {}, plain);
+  const auto b = run_sync_ghs(topo, {}, min_power);
   // Identical receiver sets ⇒ identical protocol ⇒ identical tree and
   // message counts; only broadcast energy differs.
   EXPECT_TRUE(graph::same_edge_set(a.run.tree, b.run.tree));
@@ -248,9 +248,9 @@ TEST(SyncGhs, MinPowerAnnouncementsExactAndCheaper) {
 TEST(SyncGhs, PerNodeLedgerMatchesTotal) {
   const std::size_t n = 500;
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 433);
-  SyncGhsOptions options;
-  options.track_per_node_energy = true;
-  const auto result = run_sync_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.track_per_node_energy = true;
+  const auto result = run_sync_ghs(topo, cfg);
   ASSERT_EQ(result.run.per_node_energy.size(), n);
   double total = 0.0;
   for (const double e : result.run.per_node_energy) total += e;
@@ -292,7 +292,7 @@ TEST(SyncGhs, CensusCountsAndCharges) {
   const sim::Topology topo = make_topology(n, rgg::connectivity_radius(n), 71);
   SyncGhsOptions step1;
   step1.radius = r1;
-  const auto stage1 = run_sync_ghs(topo, step1);
+  const auto stage1 = run_sync_ghs(topo, {}, step1);
   sim::EnergyMeter meter;
   const auto sizes = fragment_census(topo, stage1.final_forest, meter);
   // Sizes consistent with the forest.

@@ -32,7 +32,7 @@ TEST(Integration, AllMstAlgorithmsAgreeOnOneInstance) {
   const auto sync_probe = [&] {
     ghs::SyncGhsOptions o;
     o.neighbor_cache = false;
-    return ghs::run_sync_ghs(topo, o);
+    return ghs::run_sync_ghs(topo, {}, o);
   }();
   const auto sync_cache = ghs::run_sync_ghs(topo, {});
   const auto eopt = eopt::run_eopt(topo);

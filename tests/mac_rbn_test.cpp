@@ -158,7 +158,7 @@ TEST(Rbn, ReplayLogCoversAWholeMstRun) {
   ghs::TxLog log;
   ghs::SyncGhsOptions options;
   options.transmission_log = &log;
-  const auto run = ghs::run_sync_ghs(topo, options);
+  const auto run = ghs::run_sync_ghs(topo, {}, options);
   ASSERT_FALSE(log.empty());
   // Invariant: the log's collision-free energy equals the metered energy —
   // every charged message was logged and vice versa.
@@ -194,7 +194,7 @@ TEST(Rbn, ReplayLogDeterministic) {
   ghs::TxLog log;
   ghs::SyncGhsOptions options;
   options.transmission_log = &log;
-  (void)ghs::run_sync_ghs(topo, options);
+  (void)ghs::run_sync_ghs(topo, {}, options);
   const RbnStats a = replay_log(topo, log);
   const RbnStats b = replay_log(topo, log);
   EXPECT_EQ(a.slots, b.slots);
@@ -210,7 +210,7 @@ TEST(Rbn, DistinctPairsAtLeastNLogNScale) {
   ghs::TxLog log;
   ghs::SyncGhsOptions options;
   options.transmission_log = &log;
-  (void)ghs::run_sync_ghs(topo, options);
+  (void)ghs::run_sync_ghs(topo, {}, options);
   const std::size_t pairs = ghs::distinct_pairs_used(topo, log);
   const double n_log_n = static_cast<double>(n) * std::log(static_cast<double>(n));
   EXPECT_GT(static_cast<double>(pairs), 0.5 * n_log_n);
@@ -236,7 +236,7 @@ TEST(Rbn, LoggingDoesNotPerturbTheRun) {
   ghs::TxLog log;
   ghs::SyncGhsOptions with_log;
   with_log.transmission_log = &log;
-  const auto logged = ghs::run_sync_ghs(topo, with_log);
+  const auto logged = ghs::run_sync_ghs(topo, {}, with_log);
   const auto plain = ghs::run_sync_ghs(topo, {});
   EXPECT_DOUBLE_EQ(logged.run.totals.energy, plain.run.totals.energy);
   EXPECT_EQ(logged.run.totals.messages(), plain.run.totals.messages());

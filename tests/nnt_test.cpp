@@ -126,7 +126,7 @@ TEST_P(CoNntExactness, ParentsMatchBruteForce) {
                                            static_cast<std::uint64_t>(seed) * 67);
   CoNntOptions options;
   options.scheme = scheme;
-  const CoNntResult result = run_connt(topo, options);
+  const CoNntResult result = run_connt(topo, {}, options);
   const auto pts = std::span<const geometry::Point2>(topo.points());
   std::size_t roots = 0;
   for (graph::NodeId u = 0; u < topo.node_count(); ++u) {
@@ -209,7 +209,7 @@ TEST(CoNnt, RobustToNEstimateError) {
   for (const double factor : {0.25, 0.5, 2.0, 4.0}) {
     CoNntOptions options;
     options.n_estimate_factor = factor;
-    const CoNntResult result = run_connt(topo, options);
+    const CoNntResult result = run_connt(topo, {}, options);
     EXPECT_TRUE(graph::is_spanning_tree(topo.node_count(), result.tree))
         << "factor " << factor;
   }
@@ -233,8 +233,8 @@ TEST_P(ActorVsChoreographed, IdenticalResultsAndAccounting) {
                                            static_cast<std::uint64_t>(seed) * 97);
   CoNntOptions options;
   options.scheme = scheme;
-  const CoNntResult a = run_connt(topo, options);
-  const CoNntResult b = run_connt_actor(topo, options);
+  const CoNntResult a = run_connt(topo, {}, options);
+  const CoNntResult b = run_connt_actor(topo, {}, options);
   EXPECT_EQ(a.parent, b.parent);
   EXPECT_TRUE(graph::same_edge_set(a.tree, b.tree));
   EXPECT_NEAR(a.totals.energy, b.totals.energy, 1e-9);
@@ -264,8 +264,8 @@ TEST(CoNnt, AxisSchemeUsesMoreEnergyNearRightEdge) {
     d.scheme = RankScheme::kDiagonal;
     CoNntOptions a;
     a.scheme = RankScheme::kAxis;
-    diag += run_connt(topo, d).totals.energy;
-    axis += run_connt(topo, a).totals.energy;
+    diag += run_connt(topo, {}, d).totals.energy;
+    axis += run_connt(topo, {}, a).totals.energy;
   }
   EXPECT_GT(axis, diag);
 }

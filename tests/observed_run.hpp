@@ -6,15 +6,18 @@
 // `sim::RunResult` and telemetry stream, so runs can be compared after
 // their backing results are gone; `expect_observed_equal` asserts equality
 // of every result field, not tolerances, so a single flipped bit anywhere
-// fails.
+// fails, and that each side agrees with itself (`sim::consistent`).
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "emst/sim/fault.hpp"
+#include "emst/sim/oracle.hpp"
 #include "emst/sim/run_config.hpp"
 #include "emst/sim/telemetry.hpp"
 
@@ -23,15 +26,23 @@ namespace emst {
 struct Observed {
   sim::RunResult run;
   std::vector<sim::TelemetryEvent> events;
+  std::size_t n = 0;  ///< node count of the run's topology
 };
 
 /// Sync GHS and EOPT pass their nested `run`; every other driver its result.
 inline Observed observe(const sim::RunResult& run,
-                        const sim::MemoryTraceSink& sink) {
-  return {run, sink.events()};
+                        const sim::MemoryTraceSink& sink, std::size_t n) {
+  return {run, sink.events(), n};
 }
 
-/// Every `sim::RunResult` field, bitwise. The placement witnesses are
+/// `run` agrees with itself over n nodes (sim::consistent).
+inline void expect_consistent(const sim::RunResult& run, std::size_t n) {
+  std::string why;
+  EXPECT_TRUE(sim::consistent(run, n, &why)) << why;
+}
+
+/// Every `sim::RunResult` field, bitwise, after checking that both results
+/// over n nodes agree with themselves. The placement witnesses are
 /// compared as their sum: parent + rank handler executions of the
 /// actor-backed drivers (classic GHS, the Co-NNT actor; 0 for the others).
 /// Both placements dispatch the same deliveries, and both classic-GHS retry
@@ -39,7 +50,9 @@ inline Observed observe(const sim::RunResult& run,
 /// calling the handler, so the sum is placement-free; it differs if one
 /// placement skips a delivery or a stale retry that the other runs.
 inline void expect_same_run(const sim::RunResult& got,
-                            const sim::RunResult& want) {
+                            const sim::RunResult& want, std::size_t n) {
+  expect_consistent(got, n);
+  expect_consistent(want, n);
   ASSERT_EQ(got.tree.size(), want.tree.size());
   for (std::size_t i = 0; i < got.tree.size(); ++i) {
     EXPECT_EQ(got.tree[i].u, want.tree[i].u);
@@ -83,7 +96,8 @@ inline void expect_same_run(const sim::RunResult& got,
 
 /// Callers name the run (driver, seed, knob value) with SCOPED_TRACE.
 inline void expect_observed_equal(const Observed& got, const Observed& want) {
-  expect_same_run(got.run, want.run);
+  ASSERT_EQ(got.n, want.n);
+  expect_same_run(got.run, want.run, want.n);
   ASSERT_EQ(got.events.size(), want.events.size());
   for (std::size_t i = 0; i < got.events.size(); ++i) {
     ASSERT_EQ(got.events[i], want.events[i]) << "event " << i;

@@ -35,13 +35,15 @@ sim::Topology make_topology(std::uint64_t seed,
   return sim::Topology(points, rgg::connectivity_radius(kNodes));
 }
 
-template <typename Options>
-void configure(Options& options, std::size_t threads,
-               sim::Telemetry* telemetry) {
-  options.track_per_node_energy = true;
-  options.record_breakdown = true;
-  options.threads = threads;
-  options.telemetry = telemetry;
+/// The shared knobs of every run here: both ledgers, the thread count and
+/// the telemetry hub.
+sim::RunConfig configure(std::size_t threads, sim::Telemetry* telemetry) {
+  sim::RunConfig cfg;
+  cfg.track_per_node_energy = true;
+  cfg.record_breakdown = true;
+  cfg.threads = threads;
+  cfg.telemetry = telemetry;
+  return cfg;
 }
 
 template <typename RunFn>
@@ -71,10 +73,9 @@ TEST(ParallelDeterminism, ClassicGhs) {
     const sim::Topology topo = make_topology(seed, points);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    ghs::ClassicGhsOptions options;
-    configure(options, threads, &telemetry);
-    const auto run = ghs::run_classic_ghs(topo, options);
-    return observe(run, sink);
+    const auto run =
+        ghs::run_classic_ghs(topo, configure(threads, &telemetry));
+    return observe(run, sink, topo.node_count());
   });
 }
 
@@ -90,9 +91,9 @@ TEST(ParallelDeterminism, ClassicGhsCachedWithDelays) {
         ghs::ClassicGhsOptions options;
         options.moe = ghs::MoeStrategy::kCachedConfirm;
         options.delays = {3, 0xabc0ULL + seed};
-        configure(options, threads, &telemetry);
-        const auto run = ghs::run_classic_ghs(topo, options);
-        return observe(run, sink);
+        const auto run = ghs::run_classic_ghs(
+            topo, configure(threads, &telemetry), options);
+        return observe(run, sink, topo.node_count());
       });
 }
 
@@ -102,10 +103,8 @@ TEST(ParallelDeterminism, SyncGhs) {
     const sim::Topology topo = make_topology(seed, points);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    ghs::SyncGhsOptions options;
-    configure(options, threads, &telemetry);
-    const auto run = ghs::run_sync_ghs(topo, options);
-    return observe(run.run, sink);
+    const auto run = ghs::run_sync_ghs(topo, configure(threads, &telemetry));
+    return observe(run.run, sink, topo.node_count());
   });
 }
 
@@ -116,14 +115,14 @@ TEST(ParallelDeterminism, SyncGhsProbeFaultyArq) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
+        sim::RunConfig cfg = configure(threads, &telemetry);
+        cfg.faults = faulty_model();
+        cfg.faults.seed += seed;
+        cfg.arq.enabled = true;
         ghs::SyncGhsOptions options;
         options.neighbor_cache = false;
-        options.faults = faulty_model();
-        options.faults.seed += seed;
-        options.arq.enabled = true;
-        configure(options, threads, &telemetry);
-        const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run.run, sink);
+        const auto run = ghs::run_sync_ghs(topo, cfg, options);
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -133,10 +132,8 @@ TEST(ParallelDeterminism, Eopt) {
     const sim::Topology topo = make_topology(seed, points);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    eopt::EoptOptions options;
-    configure(options, threads, &telemetry);
-    const auto run = eopt::run_eopt(topo, options);
-    return observe(run.run, sink);
+    const auto run = eopt::run_eopt(topo, configure(threads, &telemetry));
+    return observe(run.run, sink, topo.node_count());
   });
 }
 
@@ -147,13 +144,12 @@ TEST(ParallelDeterminism, EoptFaultyArq) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        eopt::EoptOptions options;
-        options.faults = faulty_model();
-        options.faults.seed += seed;
-        options.arq.enabled = true;
-        configure(options, threads, &telemetry);
-        const auto run = eopt::run_eopt(topo, options);
-        return observe(run.run, sink);
+        sim::RunConfig cfg = configure(threads, &telemetry);
+        cfg.faults = faulty_model();
+        cfg.faults.seed += seed;
+        cfg.arq.enabled = true;
+        const auto run = eopt::run_eopt(topo, cfg);
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -163,10 +159,8 @@ TEST(ParallelDeterminism, CoNnt) {
     const sim::Topology topo = make_topology(seed, points);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    nnt::CoNntOptions options;
-    configure(options, threads, &telemetry);
-    const auto run = nnt::run_connt(topo, options);
-    return observe(run, sink);
+    const auto run = nnt::run_connt(topo, configure(threads, &telemetry));
+    return observe(run, sink, topo.node_count());
   });
 }
 
@@ -177,10 +171,9 @@ TEST(ParallelDeterminism, CoNntActor) {
         const sim::Topology topo = make_topology(seed, points);
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        nnt::CoNntOptions options;
-        configure(options, threads, &telemetry);
-        const auto run = nnt::run_connt_actor(topo, options);
-        return observe(run, sink);
+        const auto run =
+            nnt::run_connt_actor(topo, configure(threads, &telemetry));
+        return observe(run, sink, topo.node_count());
       });
 }
 

@@ -21,9 +21,11 @@ namespace emst {
 namespace {
 
 /// Every field, the placement witnesses one by one: the facade hands back
-/// the driver's own result, so even the placement split must match.
-void expect_same_result(const RunResult& facade, const sim::RunResult& direct) {
-  expect_same_run(facade, direct);
+/// the driver's own result, so even the placement split must match. Both
+/// results over the instance's n nodes must agree with themselves.
+void expect_same_result(const RunResult& facade, const sim::RunResult& direct,
+                        std::size_t n) {
+  expect_same_run(facade, direct, n);
   EXPECT_EQ(facade.handler_invocations, direct.handler_invocations);
   EXPECT_EQ(facade.rank_handler_invocations, direct.rank_handler_invocations);
 }
@@ -38,13 +40,6 @@ void expect_row_matches_totals(const sim::Accounting& row,
   EXPECT_EQ(row.broadcasts, totals.broadcasts);
   EXPECT_EQ(row.deliveries, totals.deliveries);
   EXPECT_EQ(row.rounds, totals.rounds);
-}
-
-/// The direct call's options: the facade's shared knobs plus `tuned`'s own.
-template <typename Options>
-Options direct_options(const RunConfig& cfg, Options tuned = {}) {
-  static_cast<sim::RunConfig&>(tuned) = static_cast<const sim::RunConfig&>(cfg);
-  return tuned;
 }
 
 /// The fault setups of the loss-recovering drivers (sync GHS, EOPT): clean;
@@ -81,6 +76,15 @@ void expect_faults_seen(Faults setup, const RunResult& run) {
   }
 }
 
+/// Both ledgers on, so `expect_same_result` compares them and checks that
+/// they agree with the totals.
+RunConfig with_ledgers(Driver driver) {
+  RunConfig cfg = config_for(driver);
+  cfg.track_per_node_energy = true;
+  cfg.record_breakdown = true;
+  return cfg;
+}
+
 class RunFacadeEquivalence
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
 
@@ -89,8 +93,7 @@ TEST_P(RunFacadeEquivalence, ClassicGhs) {
   const Instance inst = sample_instance(160, seed);
   for (const Driver driver : {Driver::kClassicGhs, Driver::kClassicGhsCached}) {
     SCOPED_TRACE(driver_name(driver));
-    RunConfig cfg;
-    cfg.driver = driver;
+    RunConfig cfg = with_ledgers(driver);
     if (faulty) cfg.faults.crashes = {{.node = 3, .from = 2, .until = 6}};
     const RunResult facade = run(inst, cfg);
 
@@ -98,9 +101,9 @@ TEST_P(RunFacadeEquivalence, ClassicGhs) {
     tuned.moe = driver == Driver::kClassicGhsCached
                     ? ghs::MoeStrategy::kCachedConfirm
                     : ghs::MoeStrategy::kTestAll;
-    const sim::RunResult direct = ghs::run_classic_ghs(
-        facade_topology(inst, cfg), direct_options(cfg, tuned));
-    expect_same_result(facade, direct);
+    const sim::RunResult direct =
+        ghs::run_classic_ghs(facade_topology(inst, cfg), cfg, tuned);
+    expect_same_result(facade, direct, inst.points.size());
   }
 }
 
@@ -112,8 +115,7 @@ TEST_P(RunFacadeEquivalence, SyncGhs) {
       SCOPED_TRACE(testing::Message() << driver_name(driver) << " faults "
                                       << static_cast<int>(setup));
       std::unique_ptr<sim::BudgetedController> adversary;
-      RunConfig cfg;
-      cfg.driver = driver;
+      RunConfig cfg = with_ledgers(driver);
       apply_faults(setup, seed, adversary, cfg);
       const RunResult facade = run(inst, cfg);
       expect_faults_seen(setup, facade);
@@ -121,9 +123,9 @@ TEST_P(RunFacadeEquivalence, SyncGhs) {
       apply_faults(setup, seed, adversary, cfg);
       ghs::SyncGhsOptions tuned;
       tuned.neighbor_cache = driver == Driver::kSyncGhs;
-      const ghs::SyncGhsResult direct = ghs::run_sync_ghs(
-          facade_topology(inst, cfg), direct_options(cfg, tuned));
-      expect_same_result(facade, direct.run);
+      const ghs::SyncGhsResult direct =
+          ghs::run_sync_ghs(facade_topology(inst, cfg), cfg, tuned);
+      expect_same_result(facade, direct.run, inst.points.size());
     }
   }
 }
@@ -134,16 +136,15 @@ TEST_P(RunFacadeEquivalence, Eopt) {
   for (const Faults setup : fault_setups(faulty)) {
     SCOPED_TRACE(testing::Message() << "faults " << static_cast<int>(setup));
     std::unique_ptr<sim::BudgetedController> adversary;
-    RunConfig cfg;
-    cfg.driver = Driver::kEopt;
+    RunConfig cfg = with_ledgers(Driver::kEopt);
     apply_faults(setup, seed, adversary, cfg);
     const RunResult facade = run(inst, cfg);
     expect_faults_seen(setup, facade);
 
     apply_faults(setup, seed, adversary, cfg);
-    const eopt::EoptResult direct = eopt::run_eopt(
-        facade_topology(inst, cfg), direct_options<eopt::EoptOptions>(cfg));
-    expect_same_result(facade, direct.run);
+    const eopt::EoptResult direct =
+        eopt::run_eopt(facade_topology(inst, cfg), cfg);
+    expect_same_result(facade, direct.run, inst.points.size());
   }
 }
 
@@ -152,17 +153,16 @@ TEST_P(RunFacadeEquivalence, CoNnt) {
   const Instance inst = sample_instance(160, seed);
   for (const Driver driver : {Driver::kCoNnt, Driver::kCoNntAxis}) {
     SCOPED_TRACE(driver_name(driver));
-    RunConfig cfg;
-    cfg.driver = driver;
+    RunConfig cfg = with_ledgers(driver);
     if (faulty) cfg.faults.crashes = {{.node = 5, .from = 1, .until = 4}};
     const RunResult facade = run(inst, cfg);
 
     nnt::CoNntOptions tuned;
     tuned.scheme = driver == Driver::kCoNntAxis ? nnt::RankScheme::kAxis
                                                 : nnt::RankScheme::kDiagonal;
-    const nnt::CoNntResult direct = nnt::run_connt(
-        facade_topology(inst, cfg), direct_options(cfg, tuned));
-    expect_same_result(facade, direct);
+    const nnt::CoNntResult direct =
+        nnt::run_connt(facade_topology(inst, cfg), cfg, tuned);
+    expect_same_result(facade, direct, inst.points.size());
   }
 }
 
@@ -185,7 +185,8 @@ TEST(RunFacade, BackendsAgreeThroughInstance) {
         Driver::kCoNntAxis}) {
     SCOPED_TRACE(driver_name(driver));
     const RunConfig cfg = config_for(driver);
-    expect_same_result(run(inst, cfg), run(facade_topology(inst, cfg), cfg));
+    expect_same_result(run(inst, cfg), run(facade_topology(inst, cfg), cfg),
+                       inst.points.size());
   }
 }
 
@@ -279,16 +280,23 @@ TEST(RunFacade, ExplicitRadiusReachesGhsDrivers) {
   // The operating radius must stay within the topology's max radius
   // (the instance builds at radius_factor 1.6), so pick a smaller one.
   const Instance inst = sample_instance(120, 3);
-  RunConfig cfg;
-  cfg.driver = Driver::kClassicGhs;
-  cfg.radius = rgg::connectivity_radius(inst.points.size(), 1.2);
-  const RunResult facade = run(inst, cfg);
+  const std::size_t n = inst.points.size();
+  const double radius = rgg::connectivity_radius(n, 1.2);
+  RunConfig cfg = config_for(Driver::kClassicGhs);
+  cfg.classic.radius = radius;
+  cfg.sync.radius = radius;
+  const sim::Topology topo = facade_topology(inst, cfg);
 
-  ghs::ClassicGhsOptions opt;
-  opt.moe = ghs::MoeStrategy::kTestAll;
-  opt.radius = cfg.radius;
-  expect_same_result(facade,
-                     ghs::run_classic_ghs(facade_topology(inst, cfg), opt));
+  const RunResult classic = run(inst, cfg);
+  expect_same_result(classic, ghs::run_classic_ghs(topo, {}, cfg.classic), n);
+  EXPECT_NE(classic.totals.energy,
+            run(inst, config_for(Driver::kClassicGhs)).totals.energy);
+
+  cfg.driver = Driver::kSyncGhs;
+  const RunResult sync = run(inst, cfg);
+  expect_same_result(sync, ghs::run_sync_ghs(topo, {}, cfg.sync).run, n);
+  EXPECT_NE(sync.totals.energy,
+            run(inst, config_for(Driver::kSyncGhs)).totals.energy);
 }
 
 }  // namespace

@@ -41,22 +41,6 @@ TEST(EnergyMeter, CustomAlphaModel) {
   EXPECT_NEAR(meter.totals().energy, 0.6, 1e-12);
 }
 
-TEST(EnergyMeter, SnapshotDeltaAndAbsorb) {
-  EnergyMeter meter;
-  meter.charge_unicast(1.0);
-  const Accounting snap = meter.snapshot();
-  meter.charge_unicast(2.0);
-  meter.tick_round();
-  const Accounting delta = meter.totals() - snap;
-  EXPECT_DOUBLE_EQ(delta.energy, 4.0);
-  EXPECT_EQ(delta.unicasts, 1u);
-  EXPECT_EQ(delta.rounds, 1u);
-
-  EnergyMeter other;
-  other.absorb(delta);
-  EXPECT_DOUBLE_EQ(other.totals().energy, 4.0);
-}
-
 TEST(Topology, DistancesAndNeighbors) {
   const Topology topo = square_topology();
   EXPECT_EQ(topo.node_count(), 4u);

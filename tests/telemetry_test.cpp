@@ -20,6 +20,7 @@
 #include "emst/rgg/radii.hpp"
 #include "emst/run.hpp"
 #include "emst/sim/meter.hpp"
+#include "emst/sim/oracle.hpp"
 #include "emst/sim/reliable.hpp"
 #include "emst/sim/telemetry.hpp"
 #include "emst/sim/trace_replay.hpp"
@@ -225,10 +226,10 @@ TEST(TelemetryReplay, SyncGhsFaultFreeIsExactAcrossSeeds) {
     const sim::Topology topo = random_topology(72, seed);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    ghs::SyncGhsOptions options;
-    options.telemetry = &telemetry;
-    options.record_breakdown = true;
-    const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, options);
+    sim::RunConfig cfg;
+    cfg.telemetry = &telemetry;
+    cfg.record_breakdown = true;
+    const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, cfg);
 
     const sim::ReplayTotals replay = sim::replay_events(sink.events());
     expect_accounting_eq(replay.totals, result.run.totals);
@@ -244,12 +245,12 @@ TEST(TelemetryReplay, SyncGhsUnderFaultsAndArqIsExactAcrossSeeds) {
     const sim::Topology topo = random_topology(64, seed);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    ghs::SyncGhsOptions options;
-    options.telemetry = &telemetry;
-    options.record_breakdown = true;
-    options.faults = lossy_model(seed * 101);
-    options.arq = arq_on();
-    const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, options);
+    sim::RunConfig cfg;
+    cfg.telemetry = &telemetry;
+    cfg.record_breakdown = true;
+    cfg.faults = lossy_model(seed * 101);
+    cfg.arq = arq_on();
+    const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, cfg);
 
     const sim::ReplayTotals replay = sim::replay_events(sink.events());
     expect_accounting_eq(replay.totals, result.run.totals);
@@ -267,18 +268,17 @@ TEST(TelemetryReplay, EoptIsExactAcrossSeedsWithAndWithoutFaults) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (const bool faulty : {false, true}) {
       support::Rng rng(seed);
-      const eopt::EoptOptions base;
       const sim::Topology topo =
-          eopt::eopt_topology(geometry::uniform_points(80, rng), base);
+          eopt::eopt_topology(geometry::uniform_points(80, rng));
       sim::MemoryTraceSink sink;
       sim::Telemetry telemetry(&sink);
-      eopt::EoptOptions options;
-      options.telemetry = &telemetry;
+      sim::RunConfig cfg;
+      cfg.telemetry = &telemetry;
       if (faulty) {
-        options.faults = lossy_model(seed * 31);
-        options.arq = arq_on();
+        cfg.faults = lossy_model(seed * 31);
+        cfg.arq = arq_on();
       }
-      const eopt::EoptResult result = eopt::run_eopt(topo, options);
+      const eopt::EoptResult result = eopt::run_eopt(topo, cfg);
 
       const sim::ReplayTotals replay = sim::replay_events(sink.events());
       expect_accounting_eq(replay.totals, result.run.totals);
@@ -292,8 +292,7 @@ TEST(TelemetryReplay, EoptIsExactAcrossSeedsWithAndWithoutFaults) {
 
 TEST(TelemetryReplay, EoptStepSharesAreThePhaseRows) {
   const sim::Topology topo = random_topology(90, 5);
-  eopt::EoptOptions options;
-  const eopt::EoptResult result = eopt::run_eopt(topo, options);
+  const eopt::EoptResult result = eopt::run_eopt(topo);
 
   // The Thm 5.3 stage shares ARE phase_total of the recorded matrix — one
   // definition, so any other consumer of the matrix agrees bit-for-bit.
@@ -337,11 +336,12 @@ TEST(TelemetryReplay, ClassicGhsStreamRebuildsTotalsAndBreakdown) {
     const sim::Topology topo = random_topology(48, seed);
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
+    sim::RunConfig cfg;
+    cfg.telemetry = &telemetry;
+    cfg.record_breakdown = true;
     ghs::ClassicGhsOptions options;
     options.moe = ghs::MoeStrategy::kCachedConfirm;
-    options.telemetry = &telemetry;
-    options.record_breakdown = true;
-    const sim::RunResult result = ghs::run_classic_ghs(topo, options);
+    const sim::RunResult result = ghs::run_classic_ghs(topo, cfg, options);
 
     const sim::ReplayTotals replay = sim::replay_events(sink.events());
     expect_accounting_eq(replay.totals, result.totals);
@@ -354,20 +354,23 @@ TEST(TelemetryReplay, ClassicGhsStreamRebuildsTotalsAndBreakdown) {
 
 TEST(TelemetryAggregate, NodeLedgerMatchesTheMeterBitForBit) {
   const sim::Topology topo = random_topology(60, 11);
-  sim::Telemetry telemetry;
-  telemetry.enable_aggregation(topo.node_count());
-  ghs::SyncGhsOptions options;
-  options.telemetry = &telemetry;
-  options.track_per_node_energy = true;
-  const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, options);
+  for (const Driver driver : {Driver::kSyncGhs, Driver::kEopt}) {
+    SCOPED_TRACE(driver_name(driver));
+    sim::Telemetry telemetry;
+    telemetry.enable_aggregation(topo.node_count());
+    RunConfig cfg = config_for(driver);
+    cfg.telemetry = &telemetry;
+    cfg.track_per_node_energy = true;
+    const RunResult result = run(topo, cfg);
 
-  // Both ledgers add the same costs in the same order — bitwise equal.
-  ASSERT_EQ(telemetry.aggregate().node_energy.size(),
-            result.run.per_node_energy.size());
-  for (std::size_t u = 0; u < topo.node_count(); ++u) {
-    EXPECT_EQ(telemetry.aggregate().node_energy[u],
-              result.run.per_node_energy[u])
-        << "node " << u;
+    // Both ledgers add the same costs in the same order — bitwise equal.
+    ASSERT_EQ(telemetry.aggregate().node_energy.size(),
+              result.per_node_energy.size());
+    for (std::size_t u = 0; u < topo.node_count(); ++u) {
+      EXPECT_EQ(telemetry.aggregate().node_energy[u],
+                result.per_node_energy[u])
+          << "node " << u;
+    }
   }
 }
 
@@ -392,20 +395,20 @@ TEST(TelemetryAggregate, AwakeRoundsCountDistinctActiveRounds) {
   EXPECT_EQ(agg.idle_rounds(2), 1u);
 }
 
-TEST(TelemetryAggregate, EoptPerNodeFallsBackToTheAggregate) {
+TEST(TelemetryAggregate, ReusedHubLeavesEachEoptResultConsistent) {
+  // The hub aggregates every run it observes, so its ledger is not any one
+  // run's: with the meter-side ledger off, each result's stays empty.
   const sim::Topology topo = random_topology(70, 13);
   sim::Telemetry telemetry;
   telemetry.enable_aggregation(topo.node_count());
-  eopt::EoptOptions options;
-  options.telemetry = &telemetry;
-  options.track_per_node_energy = false;  // the old silently-empty case
-  const eopt::EoptResult result = eopt::run_eopt(topo, options);
-
-  ASSERT_EQ(result.run.per_node_energy.size(), topo.node_count());
-  double total = 0.0;
-  for (const double e : result.run.per_node_energy) total += e;
-  EXPECT_NEAR(total, result.run.totals.energy,
-              1e-12 * result.run.totals.energy);
+  sim::RunConfig cfg;
+  cfg.telemetry = &telemetry;
+  const eopt::EoptResult first = eopt::run_eopt(topo, cfg);
+  const eopt::EoptResult second = eopt::run_eopt(topo, cfg);
+  std::string why;
+  EXPECT_TRUE(sim::consistent(second.run, topo.node_count(), &why)) << why;
+  EXPECT_TRUE(second.run.per_node_energy.empty());
+  EXPECT_EQ(second.run.totals.energy, first.run.totals.energy);
 }
 
 // ------------------------------------------------------------------- jsonl
@@ -418,14 +421,14 @@ TEST(TelemetryJsonl, OneParseableLinePerEventPlusFraming) {
   // Write the trace while also buffering, to compare counts.
   sim::write_trace_header(out, "sync_ghs", topo.node_count(), 17);
   sim::Telemetry telemetry(&jsonl);
-  ghs::SyncGhsOptions options;
-  options.telemetry = &telemetry;
-  const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, options);
+  sim::RunConfig cfg;
+  cfg.telemetry = &telemetry;
+  const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, cfg);
   sim::write_trace_summary(out, result.run.totals, result.run.faults,
                            result.run.arq);
 
   sim::Telemetry buffered(&memory);
-  ghs::SyncGhsOptions again = options;
+  sim::RunConfig again = cfg;
   again.telemetry = &buffered;
   (void)ghs::run_sync_ghs(topo, again);
 
@@ -494,14 +497,14 @@ TEST(TelemetryJsonl, PinnedBytesOfAFixedRunMix) {
 TEST(TelemetryOff, AttachingTelemetryNeverChangesResults) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const sim::Topology topo = random_topology(56, seed);
-    ghs::SyncGhsOptions plain;
+    sim::RunConfig plain;
     plain.faults = lossy_model(seed);
     plain.arq = arq_on();
     const ghs::SyncGhsResult base = ghs::run_sync_ghs(topo, plain);
 
     sim::MemoryTraceSink sink;
     sim::Telemetry telemetry(&sink);
-    ghs::SyncGhsOptions instrumented = plain;
+    sim::RunConfig instrumented = plain;
     instrumented.telemetry = &telemetry;
     instrumented.record_breakdown = true;
     const ghs::SyncGhsResult traced = ghs::run_sync_ghs(topo, instrumented);

@@ -246,13 +246,15 @@ TEST(TopologyBackends, ReductionsMatchTheSortedSpan) {
 
 // --- Driver-level equivalence --------------------------------------------
 
-template <typename Options>
-void configure(Options& options, std::size_t threads,
-               sim::Telemetry* telemetry) {
-  options.track_per_node_energy = true;
-  options.record_breakdown = true;
-  options.threads = threads;
-  options.telemetry = telemetry;
+/// The shared knobs of every driver run here: both ledgers, the thread
+/// count and the telemetry hub.
+sim::RunConfig configure(std::size_t threads, sim::Telemetry* telemetry) {
+  sim::RunConfig cfg;
+  cfg.track_per_node_energy = true;
+  cfg.record_breakdown = true;
+  cfg.threads = threads;
+  cfg.telemetry = telemetry;
+  return cfg;
 }
 
 /// Runs `run_at(topo, seed, threads)` on both backends over the full seed ×
@@ -297,7 +299,7 @@ void expect_facade_serves_csr(Driver driver, Tune&& tune) {
       cfg.record_breakdown = true;
       cfg.telemetry = &telemetry;
       tune(cfg, seed);
-      return observe(emst::run(topo, cfg), sink);
+      return observe(emst::run(topo, cfg), sink, topo.node_count());
     };
     const Observed want = observe_on(mat);
     EXPECT_FALSE(want.run.tree.empty())
@@ -326,10 +328,9 @@ TEST(BackendDifferential, SyncGhs) {
       "sync", 1.6, [](const auto& topo, std::uint64_t, std::size_t threads) {
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        ghs::SyncGhsOptions options;
-        configure(options, threads, &telemetry);
-        const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run.run, sink);
+        const auto run =
+            ghs::run_sync_ghs(topo, configure(threads, &telemetry));
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -339,14 +340,14 @@ TEST(BackendDifferential, SyncGhsProbeFaultyArq) {
       [](const auto& topo, std::uint64_t seed, std::size_t threads) {
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
+        sim::RunConfig cfg = configure(threads, &telemetry);
+        cfg.faults = faulty_model();
+        cfg.faults.seed += seed;
+        cfg.arq.enabled = true;
         ghs::SyncGhsOptions options;
         options.neighbor_cache = false;
-        options.faults = faulty_model();
-        options.faults.seed += seed;
-        options.arq.enabled = true;
-        configure(options, threads, &telemetry);
-        const auto run = ghs::run_sync_ghs(topo, options);
-        return observe(run.run, sink);
+        const auto run = ghs::run_sync_ghs(topo, cfg, options);
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -355,10 +356,8 @@ TEST(BackendDifferential, Eopt) {
       "eopt", 1.6, [](const auto& topo, std::uint64_t, std::size_t threads) {
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        eopt::EoptOptions options;
-        configure(options, threads, &telemetry);
-        const auto run = eopt::run_eopt(topo, options);
-        return observe(run.run, sink);
+        const auto run = eopt::run_eopt(topo, configure(threads, &telemetry));
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -368,13 +367,12 @@ TEST(BackendDifferential, EoptFaultyArq) {
       [](const auto& topo, std::uint64_t seed, std::size_t threads) {
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        eopt::EoptOptions options;
-        options.faults = faulty_model();
-        options.faults.seed += seed;
-        options.arq.enabled = true;
-        configure(options, threads, &telemetry);
-        const auto run = eopt::run_eopt(topo, options);
-        return observe(run.run, sink);
+        sim::RunConfig cfg = configure(threads, &telemetry);
+        cfg.faults = faulty_model();
+        cfg.faults.seed += seed;
+        cfg.arq.enabled = true;
+        const auto run = eopt::run_eopt(topo, cfg);
+        return observe(run.run, sink, topo.node_count());
       });
 }
 
@@ -383,10 +381,8 @@ TEST(BackendDifferential, CoNnt) {
       "connt", 1.6, [](const auto& topo, std::uint64_t, std::size_t threads) {
         sim::MemoryTraceSink sink;
         sim::Telemetry telemetry(&sink);
-        nnt::CoNntOptions options;
-        configure(options, threads, &telemetry);
-        const auto run = nnt::run_connt(topo, options);
-        return observe(run, sink);
+        const auto run = nnt::run_connt(topo, configure(threads, &telemetry));
+        return observe(run, sink, topo.node_count());
       });
 }
 
