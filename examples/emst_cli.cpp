@@ -225,16 +225,20 @@ int main(int argc, char** argv) {
     telemetry_ptr = &telemetry;
     // Record the driver variant that will actually execute (the Co-NNT
     // drivers silently dispatch to their node-actor implementation under
-    // faults or ranks) so check_trace.py can validate the dispatch.
-    std::string driver_field = algos.front();
+    // faults or ranks) so emst_trace can validate the dispatch.
+    sim::TraceHeader header{.algo = algos.front(),
+                            .n = n,
+                            .seed = seed,
+                            .threads = flags.threads,
+                            .ranks = flags.ranks,
+                            .driver = algos.front()};
     Driver traced_driver;
     if (parse_driver(algos.front(), traced_driver)) {
       emst::RunConfig traced_cfg = emst::config_for(traced_driver);
       flags.apply(traced_cfg);
-      driver_field = resolved_driver_name(traced_driver, traced_cfg);
+      header.driver = resolved_driver_name(traced_driver, traced_cfg);
     }
-    sim::write_trace_header(trace_file, algos.front(), n, seed, flags.threads,
-                            flags.ranks, driver_field);
+    sim::write_trace_header(trace_file, header);
   }
 
   std::vector<Record> records;
@@ -291,6 +295,7 @@ int main(int argc, char** argv) {
       if (run.hit_phase_cap) json.key("hit_phase_cap").value(true);
       if (!run.injected_crashes.empty())
         json.key("injected_crashes").value(run.injected_crashes.size());
+      if (run.epochs > 1) json.key("epochs").value(run.epochs);
       if (flags.oracle != nullptr)
         json.key("oracle_violations").value(flags.oracle->violations().size());
       if (!run.per_node_energy.empty())

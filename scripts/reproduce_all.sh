@@ -113,15 +113,15 @@ for name in "${benches[@]}"; do
 done
 
 # Telemetry trace round-trip: emit a JSONL trace per fault-aware driver and
-# replay-validate it (scripts/check_trace.py re-derives every counter from
-# the events and compares to the summary the live run wrote).
-if [ -x "$BUILD_DIR/examples/emst_cli" ] && command -v python3 >/dev/null 2>&1; then
+# replay-validate it (emst_trace re-derives every counter from the events
+# and compares to the summary the live run wrote).
+if [ -x "$BUILD_DIR/examples/emst_cli" ] && [ -x "$BUILD_DIR/examples/emst_trace" ]; then
   echo "== telemetry traces"
   for algo in sync eopt; do
     "$BUILD_DIR/examples/emst_cli" --algo="$algo" --n=500 --seed=7 \
       --trace="$RESULTS_DIR/trace_$algo.jsonl" --format=json \
       > "$RESULTS_DIR/trace_$algo.run.json"
-    python3 "$REPO_ROOT/scripts/check_trace.py" "$RESULTS_DIR/trace_$algo.jsonl"
+    "$BUILD_DIR/examples/emst_trace" "$RESULTS_DIR/trace_$algo.jsonl"
   done
   # Multi-threaded trace: the same sync-GHS run with its fragment views
   # built on 4 worker threads. The event lines (everything after the
@@ -130,7 +130,7 @@ if [ -x "$BUILD_DIR/examples/emst_cli" ] && command -v python3 >/dev/null 2>&1; 
   "$BUILD_DIR/examples/emst_cli" --algo=sync --n=500 --seed=7 --threads=4 \
     --trace="$RESULTS_DIR/trace_sync_t4.jsonl" --format=json \
     > "$RESULTS_DIR/trace_sync_t4.run.json"
-  python3 "$REPO_ROOT/scripts/check_trace.py" "$RESULTS_DIR/trace_sync_t4.jsonl"
+  "$BUILD_DIR/examples/emst_trace" "$RESULTS_DIR/trace_sync_t4.jsonl"
   if ! diff <(tail -n +2 "$RESULTS_DIR/trace_sync.jsonl") \
             <(tail -n +2 "$RESULTS_DIR/trace_sync_t4.jsonl") > /dev/null; then
     echo "error: 4-thread trace diverged from the single-threaded trace" >&2
@@ -145,7 +145,7 @@ if [ -x "$BUILD_DIR/examples/emst_cli" ] && command -v python3 >/dev/null 2>&1; 
   "$BUILD_DIR/examples/emst_cli" --algo=ghs --n=500 --seed=7 --ranks=4 \
     --trace="$RESULTS_DIR/trace_ghs_r4.jsonl" --format=json \
     > "$RESULTS_DIR/trace_ghs_r4.run.json"
-  python3 "$REPO_ROOT/scripts/check_trace.py" \
+  "$BUILD_DIR/examples/emst_trace" \
     "$RESULTS_DIR/trace_ghs.jsonl" "$RESULTS_DIR/trace_ghs_r4.jsonl"
   if ! diff <(tail -n +2 "$RESULTS_DIR/trace_ghs.jsonl") \
             <(tail -n +2 "$RESULTS_DIR/trace_ghs_r4.jsonl") > /dev/null; then

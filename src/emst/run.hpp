@@ -69,7 +69,7 @@ enum class Driver {
 /// inside `nnt::run_connt`), so the resolved spelling becomes "connt-actor" /
 /// "connt-axis-actor" there; every other driver resolves to its plain
 /// `driver_name` spelling. Trace headers record this so offline tooling can
-/// tell which implementation produced a stream (scripts/check_trace.py).
+/// tell which implementation produced a stream (sim::check_trace).
 [[nodiscard]] const char* resolved_driver_name(Driver driver,
                                                const sim::RunConfig& cfg) noexcept;
 

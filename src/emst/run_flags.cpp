@@ -26,7 +26,7 @@ const std::map<std::string, std::string>& shared_spec() {
       {"breakdown", "1 = per-phase x per-kind energy matrix "
                     "(docs/TELEMETRY.md)"},
       {"trace", "write a JSONL telemetry trace to this path (validate with "
-                "scripts/check_trace.py)"},
+                "emst_trace)"},
       {"threads", "worker threads for the fragment views of "
                   "sync|sync-probe|eopt and the probes of connt|connt-axis "
                   "(default 1); results are bitwise identical for every "

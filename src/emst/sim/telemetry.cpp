@@ -91,7 +91,7 @@ void JsonlTraceSink::on_event(const TelemetryEvent& event) {
   // Literal copies and std::to_chars into one stack line, then one write:
   // optional fields are elided when at their defaults so idle-heavy traces
   // stay small, and doubles print as %.17g would, so they stay exact across
-  // a JSONL round-trip (scripts/check_trace.py replays the file and demands
+  // a JSONL round-trip (sim::check_trace replays the file and demands
   // bitwise-equal energy totals).
   LineBuffer line;
   line.text("{\"ev\":\"");

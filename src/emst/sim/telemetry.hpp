@@ -18,7 +18,7 @@
 // paths pay one predictable null check per charge — measured as noise in
 // bench/telemetry_overhead (tracked in BENCH_telemetry.json).
 //
-// The replay invariant (tests/telemetry_test.cpp, scripts/check_trace.py):
+// The replay invariant (tests/telemetry_test.cpp, sim::check_trace):
 // `replay_events()` (trace_replay.hpp) recomputes `Accounting`,
 // `FaultStats`, `ArqStats` and the per-phase × per-kind energy matrix from
 // the event stream alone, and must match the live counters bit-for-bit —
@@ -133,7 +133,8 @@ class MemoryTraceSink final : public TraceSink {
 /// Streams one compact JSON object per event (the JSONL trace format of
 /// docs/TELEMETRY.md; doubles print with %.17g so replay round-trips
 /// exactly). Header/summary framing lines are written by the caller —
-/// see write_trace_header / write_trace_summary in trace_replay.hpp.
+/// see write_trace_header / write_trace_summary in trace_replay.hpp, whose
+/// parse_event_line reads each event line back.
 class JsonlTraceSink final : public TraceSink {
  public:
   explicit JsonlTraceSink(std::ostream& out) : out_(out) {}

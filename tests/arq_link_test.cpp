@@ -113,6 +113,7 @@ TEST(ArqLink, CrashedReceiverGiveUpsAreFullyAccounted) {
   EXPECT_GT(timeouts, 0u);
 
   const sim::ReplayTotals replay = sim::replay_events(sink.events());
+  EXPECT_EQ(replay.violation, "") << "event " << replay.violation_index;
   EXPECT_EQ(replay.totals.energy, meter.totals().energy);
   EXPECT_EQ(replay.totals.unicasts, meter.totals().unicasts);
   EXPECT_EQ(replay.totals.bits, meter.totals().bits);

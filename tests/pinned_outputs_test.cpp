@@ -20,7 +20,9 @@
 // Classic GHS's handler-invocation count is deliberately not pinned: it
 // measures the simulator's dispatch work, not the protocol's behaviour.
 //
-// Energy goes through std::pow(d, α), so the figures belong to the
+// At α = 2 energy is PathLoss::cost's scale·d·d, with no libm call; libm
+// enters through std::log in rgg::connectivity_radius and
+// rgg::giant_threshold, which set the radii. So the figures belong to the
 // toolchain they were captured with (kToolchain). A mismatch prints the
 // observed row in source form; replacing a row means behaviour changed, and
 // the change that does it has to say why.

@@ -2,13 +2,14 @@
 // meter's event emission and context stamping, the per-phase × per-kind
 // breakdown matrix, and the replay invariant — `replay_events` must rebuild
 // Accounting / FaultStats / ArqStats / the breakdown bit-for-bit from the
-// event stream alone, for every driver, with and without faults + ARQ. Also pins the guarantee that attaching telemetry never
-// perturbs a run's results.
+// event stream alone, for every driver, with and without faults + ARQ, and
+// every event must keep the trace's event rules. Also pins the guarantee
+// that attaching telemetry never perturbs a run's results. The JSONL format
+// and its checker are tested in trace_check_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,15 @@ sim::ArqOptions arq_on() {
   arq.enabled = true;
   arq.max_retries = 6;
   return arq;
+}
+
+// Replays a stream and expects every event to keep the event rules.
+sim::ReplayTotals checked_replay(
+    const std::vector<sim::TelemetryEvent>& events) {
+  sim::ReplayTotals out = sim::replay_events(events);
+  EXPECT_EQ(out.violation, "") << "event " << out.violation_index;
+  EXPECT_EQ(out.events, events.size());
+  return out;
 }
 
 // ------------------------------------------------------------------- meter
@@ -216,7 +226,7 @@ TEST(TelemetryReplay, ManualStreamRebuildsTheMeter) {
     if (i % 13 == 0) meter.tick_round();
   }
 
-  const sim::ReplayTotals replay = sim::replay_events(sink.events());
+  const sim::ReplayTotals replay = checked_replay(sink.events());
   expect_accounting_eq(replay.totals, meter.totals());
   EXPECT_TRUE(replay.breakdown == meter.breakdown());
 }
@@ -231,7 +241,7 @@ TEST(TelemetryReplay, SyncGhsFaultFreeIsExactAcrossSeeds) {
     cfg.record_breakdown = true;
     const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, cfg);
 
-    const sim::ReplayTotals replay = sim::replay_events(sink.events());
+    const sim::ReplayTotals replay = checked_replay(sink.events());
     expect_accounting_eq(replay.totals, result.run.totals);
     expect_faults_eq(replay.faults, result.run.faults);
     expect_arq_eq(replay.arq, result.run.arq);
@@ -252,7 +262,7 @@ TEST(TelemetryReplay, SyncGhsUnderFaultsAndArqIsExactAcrossSeeds) {
     cfg.arq = arq_on();
     const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, cfg);
 
-    const sim::ReplayTotals replay = sim::replay_events(sink.events());
+    const sim::ReplayTotals replay = checked_replay(sink.events());
     expect_accounting_eq(replay.totals, result.run.totals);
     expect_faults_eq(replay.faults, result.run.faults);
     expect_arq_eq(replay.arq, result.run.arq);
@@ -280,7 +290,7 @@ TEST(TelemetryReplay, EoptIsExactAcrossSeedsWithAndWithoutFaults) {
       }
       const eopt::EoptResult result = eopt::run_eopt(topo, cfg);
 
-      const sim::ReplayTotals replay = sim::replay_events(sink.events());
+      const sim::ReplayTotals replay = checked_replay(sink.events());
       expect_accounting_eq(replay.totals, result.run.totals);
       expect_faults_eq(replay.faults, result.run.faults);
       expect_arq_eq(replay.arq, result.run.arq);
@@ -343,7 +353,7 @@ TEST(TelemetryReplay, ClassicGhsStreamRebuildsTotalsAndBreakdown) {
     options.moe = ghs::MoeStrategy::kCachedConfirm;
     const sim::RunResult result = ghs::run_classic_ghs(topo, cfg, options);
 
-    const sim::ReplayTotals replay = sim::replay_events(sink.events());
+    const sim::ReplayTotals replay = checked_replay(sink.events());
     expect_accounting_eq(replay.totals, result.totals);
     ASSERT_TRUE(result.breakdown_recorded);
     EXPECT_TRUE(replay.breakdown == result.breakdown);
@@ -409,87 +419,6 @@ TEST(TelemetryAggregate, ReusedHubLeavesEachEoptResultConsistent) {
   EXPECT_TRUE(sim::consistent(second.run, topo.node_count(), &why)) << why;
   EXPECT_TRUE(second.run.per_node_energy.empty());
   EXPECT_EQ(second.run.totals.energy, first.run.totals.energy);
-}
-
-// ------------------------------------------------------------------- jsonl
-
-TEST(TelemetryJsonl, OneParseableLinePerEventPlusFraming) {
-  const sim::Topology topo = random_topology(40, 17);
-  std::ostringstream out;
-  sim::JsonlTraceSink jsonl(out);
-  sim::MemoryTraceSink memory;
-  // Write the trace while also buffering, to compare counts.
-  sim::write_trace_header(out, "sync_ghs", topo.node_count(), 17);
-  sim::Telemetry telemetry(&jsonl);
-  sim::RunConfig cfg;
-  cfg.telemetry = &telemetry;
-  const ghs::SyncGhsResult result = ghs::run_sync_ghs(topo, cfg);
-  sim::write_trace_summary(out, result.run.totals, result.run.faults,
-                           result.run.arq);
-
-  sim::Telemetry buffered(&memory);
-  sim::RunConfig again = cfg;
-  again.telemetry = &buffered;
-  (void)ghs::run_sync_ghs(topo, again);
-
-  const std::string text = out.str();
-  std::size_t lines = 0;
-  for (const char c : text) lines += c == '\n';
-  EXPECT_EQ(lines, memory.events().size() + 2);  // header + events + summary
-  EXPECT_NE(text.find("{\"trace\":\"emst\""), std::string::npos);
-  EXPECT_NE(text.find("\"algo\":\"sync_ghs\""), std::string::npos);
-  EXPECT_NE(text.find("{\"summary\":"), std::string::npos);
-  EXPECT_NE(text.find("\"ev\":\"uni\""), std::string::npos);
-  EXPECT_NE(text.find("\"ev\":\"bcast\""), std::string::npos);
-  // Every line is a JSON object.
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-  }
-}
-
-// Absolute bytes of the JSONL event lines for a fixed mix of runs: every
-// field the sink can write (optional fields, ARQ flags, round values,
-// fractional reaches and energies) appears in it. The figures belong to the
-// toolchain they were captured with, as in pinned_outputs_test.cpp: energies
-// go through std::pow, and the line format prints them in full.
-constexpr const char* kJsonlToolchain = "GCC 12.2, glibc 2.36, x86-64";
-constexpr std::uint64_t kJsonlBytes = 6014169;
-constexpr std::uint64_t kJsonlFnv1a = 0xd89b9023b47dcf79;
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-TEST(TelemetryJsonl, PinnedBytesOfAFixedRunMix) {
-  std::ostringstream out;
-  sim::JsonlTraceSink jsonl(out);
-  sim::Telemetry telemetry(&jsonl);
-  const Instance inst = sample_instance(300, 11);
-  for (const Driver driver : {Driver::kSyncGhs, Driver::kEopt,
-                              Driver::kClassicGhsCached, Driver::kCoNnt}) {
-    RunConfig cfg = config_for(driver);
-    cfg.telemetry = &telemetry;
-    if (driver == Driver::kEopt) {
-      cfg.faults.loss = 0.1;
-      cfg.faults.seed = 12;
-      cfg.arq.enabled = true;
-    }
-    (void)run(inst, cfg);
-  }
-  const std::string text = out.str();
-  SCOPED_TRACE(testing::Message() << "pinned on " << kJsonlToolchain);
-  EXPECT_EQ(text.size(), kJsonlBytes);
-  EXPECT_EQ(fnv1a(text), kJsonlFnv1a)
-      << std::hex << "observed 0x" << fnv1a(text);
 }
 
 // ----------------------------------------------------------- no-perturbation
