@@ -4,6 +4,9 @@
 // ability to run the large sweeps in reasonable time.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "emst/eopt/eopt.hpp"
 #include "emst/geometry/sampling.hpp"
 #include "emst/ghs/classic.hpp"
@@ -16,6 +19,7 @@
 #include "emst/rgg/rgg.hpp"
 #include "emst/spatial/cell_grid.hpp"
 #include "emst/run.hpp"
+#include "emst/sim/topology.hpp"
 #include "emst/support/rng.hpp"
 
 namespace {
@@ -47,6 +51,41 @@ void BM_RggBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RggBuild)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// Each iteration sorts a shuffled copy of the edge list of n points at r₂
+// (2.13 M edges at n = 5·10⁴, the size of the CSR behind `paper-csr`).
+void BM_SortEdges(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto edges = rgg::geometric_edges_unsorted(bench_points(n, 23),
+                                             rgg::connectivity_radius(n));
+  support::Rng rng(29);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  std::vector<graph::Edge> work;
+  for (auto _ : state) {
+    state.PauseTiming();
+    work = edges;
+    state.ResumeTiming();
+    graph::sort_edges(work);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_SortEdges)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+// The whole CSR-backed topology from points at r₂: pair scan, edge sort,
+// CSR fill, its checks and the nodes_within grid.
+void BM_TopologyBuild(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto points = bench_points(n, 31);
+  const double radius = rgg::connectivity_radius(n);
+  for (auto _ : state) {
+    const sim::Topology topo(points, radius);
+    benchmark::DoNotOptimize(topo.edge_count());
+  }
+}
+BENCHMARK(BM_TopologyBuild)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 void BM_CellGridWithin(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

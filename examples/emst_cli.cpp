@@ -32,6 +32,7 @@
 #include "emst/run_flags.hpp"
 #include "emst/sim/chaos.hpp"
 #include "emst/sim/trace_replay.hpp"
+#include "emst/support/assert.hpp"
 #include "emst/support/cli.hpp"
 #include "emst/support/json.hpp"
 #include "emst/support/rng.hpp"
@@ -49,6 +50,36 @@ struct Record {
   bool exact = false;
 };
 
+/// Whether every name in `algos` can run with `flags`; prints why not (a
+/// fault model a driver cannot take exits 2 in reject_unsupported_faults).
+/// KP-NNT predates the facade's driver set: a comparison-only baseline,
+/// with no faults, telemetry or ledgers.
+bool algos_runnable(const std::vector<std::string>& algos,
+                    const RunFlags& flags) {
+  for (const std::string& algo : algos) {
+    if (algo == "kpnnt") {
+      if (flags.faults.enabled() || flags.arq.enabled) {
+        std::cerr << "kpnnt supports no fault model (crash-only --chaos "
+                     "works everywhere else)\n";
+        return false;
+      }
+      if (!flags.trace_path.empty()) {
+        std::cerr << "--trace is not supported for kpnnt\n";
+        return false;
+      }
+      continue;
+    }
+    Driver driver;
+    if (!parse_driver(algo, driver)) {
+      std::cerr << "unknown algorithm: " << algo << '\n';
+      return false;
+    }
+    reject_unsupported_faults(flags, driver);
+  }
+  return true;
+}
+
+/// Runs one algorithm that algos_runnable accepted.
 Record run_one(const std::string& algo, const sim::Topology& topo,
                const std::vector<geometry::Point2>& points,
                const std::vector<graph::Edge>& reference,
@@ -59,17 +90,6 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
   // (docs/ROBUSTNESS.md).
   std::optional<std::vector<graph::Edge>> survivor_reference;
   if (algo == "kpnnt") {
-    // KP-NNT predates the facade's driver set: comparison-only baseline,
-    // no faults, telemetry, or ledgers.
-    if (flags.faults.enabled() || flags.arq.enabled) {
-      std::cerr << "kpnnt supports no fault model (crash-only --chaos works "
-                   "everywhere else)\n";
-      std::exit(2);
-    }
-    if (telemetry != nullptr) {
-      std::cerr << "--trace is not supported for kpnnt\n";
-      std::exit(2);
-    }
     if (flags.per_node || flags.breakdown) {
       std::cerr << "warning: --per-node/--breakdown not available for kpnnt; "
                    "column omitted\n";
@@ -77,11 +97,8 @@ Record run_one(const std::string& algo, const sim::Topology& topo,
     record.run = nnt::run_kp_nnt(topo);
   } else {
     RunConfig cfg;
-    if (!parse_driver(algo, cfg.driver)) {
-      std::cerr << "unknown algorithm: " << algo << '\n';
-      std::exit(2);
-    }
-    reject_unsupported_faults(flags, cfg.driver);
+    const bool known = parse_driver(algo, cfg.driver);
+    EMST_ASSERT(known);
     flags.apply(cfg);
     cfg.telemetry = telemetry;
     record.run = emst::run(topo, cfg);
@@ -204,6 +221,10 @@ int main(int argc, char** argv) {
                  "run; pass a single --algo\n";
     return 2;
   }
+
+  // Before the topology is built or the trace file is created, so a
+  // rejected invocation runs nothing and leaves no file behind.
+  if (!algos_runnable(algos, flags)) return 2;
 
   support::Rng rng(seed);
   const auto points = geometry::uniform_points(n, rng);

@@ -1,8 +1,10 @@
 // Compressed-sparse-row adjacency for weighted undirected graphs.
 //
-// Built once from an edge list; per-node neighbor ranges are contiguous and
-// sorted by (weight, neighbor id) — the canonical edge order — so the GHS
-// implementations can walk "basic edges in ascending weight" with a cursor.
+// Built once from an edge list: sort_edges puts the list in the canonical
+// edge order, and placing each edge's two entries in that order leaves every
+// per-node neighbor range contiguous and sorted by (weight, neighbor id), so
+// the GHS implementations can walk "basic edges in ascending weight" with a
+// cursor.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +53,9 @@ class AdjacencyList {
   AdjacencyList() = default;
 
   /// Build from an undirected edge list over nodes [0, n). Takes the list
-  /// by value: pass an rvalue to avoid the copy (it is canonicalized and
-  /// kept as the graph's edge store either way).
+  /// by value: pass an rvalue to avoid the copy (it is sorted into the
+  /// canonical order and kept as the graph's edge store either way). The
+  /// sort's second copy of the list is freed before the rows are allocated.
   AdjacencyList(std::size_t n, std::vector<Edge> edges);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return offsets_.empty() ? 0 : offsets_.size() - 1; }

@@ -15,7 +15,10 @@ namespace emst::rgg {
 std::vector<graph::Edge> geometric_edges_unsorted(
     const std::vector<geometry::Point2>& points, double radius) {
   EMST_ASSERT(radius > 0.0);
-  spatial::CellGrid grid(points, radius);
+  // Cells no smaller than r (side ⌊1/r⌋), so each point scans the fewest
+  // cells; the pair scan is exact on whatever grid the clamps leave.
+  const double side = std::max(1.0, std::floor(1.0 / radius));
+  const spatial::CellGrid grid(points, 1.0 / side);
   std::vector<graph::Edge> edges;
   // Expected edge count in the unit square: each unordered pair is an edge
   // with probability ≤ π·r² (boundary effects only lower it), so n²·π·r²/2
@@ -24,15 +27,12 @@ std::vector<graph::Edge> geometric_edges_unsorted(
   const double pair_prob = std::min(1.0, std::numbers::pi * radius * radius);
   const double expected = 0.5 * n * (n - 1.0) * pair_prob;
   edges.reserve(static_cast<std::size_t>(expected) + 16);
-  for (graph::NodeId u = 0; u < points.size(); ++u) {
-    grid.for_each_within(points[u], radius,
-                         [&](spatial::PointIndex v, double d_sq) {
-                           if (v <= u) return;  // each unordered pair once; no self
-                           // distance_sq is bitwise symmetric, so this is
-                           // geometry::distance(points[u], points[v]).
-                           edges.push_back({u, v, std::sqrt(d_sq)});
-                         });
-  }
+  // d² is distance_sq of the pair's coordinates, which is bitwise
+  // symmetric, so w is geometry::distance(points[u], points[v]).
+  grid.for_each_pair_within(
+      radius, [&](spatial::PointIndex u, spatial::PointIndex v, double d_sq) {
+        edges.push_back({u, v, std::sqrt(d_sq)});
+      });
   return edges;
 }
 

@@ -1,8 +1,8 @@
 // Random geometric graphs (paper §II network model).
 //
 // n points in the unit square; edge (u,v) present iff d(u,v) ≤ r, weighted
-// by Euclidean distance. Construction uses the cell grid for expected-O(n)
-// edge enumeration at percolation/connectivity radii.
+// by Euclidean distance. Construction enumerates each pair within r once on
+// the cell grid, in expected O(n + |E|) at percolation/connectivity radii.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +26,12 @@ struct Rgg {
 [[nodiscard]] std::vector<graph::Edge> geometric_edges(
     const std::vector<geometry::Point2>& points, double radius);
 
-/// Same edge set in cell-grid enumeration order (unsorted). For consumers
-/// that impose their own order anyway — kruskal_msf and AdjacencyList both
-/// re-sort their input — sorting here would just be thrown away. Capacity is
-/// reserved up front from the expected-degree estimate n·π·r².
+/// Same edge set, each edge as (min id, max id), in the order of
+/// spatial::CellGrid::for_each_pair_within over a grid of cells no smaller
+/// than r (unsorted). For consumers that impose their own order anyway —
+/// kruskal_msf and AdjacencyList both sort their input — sorting here would
+/// just be thrown away. Capacity is reserved up front from the
+/// expected-degree estimate n·π·r².
 [[nodiscard]] std::vector<graph::Edge> geometric_edges_unsorted(
     const std::vector<geometry::Point2>& points, double radius);
 

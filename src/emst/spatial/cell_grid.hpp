@@ -1,10 +1,11 @@
 // Uniform cell grid over the unit square.
 //
-// The workhorse spatial index: RGG construction, the Co-NNT doubling-radius
-// probes, and the lower-bound experiment's k-nearest-neighbour queries all
-// reduce to "enumerate points within radius r of p", which the grid answers
-// in expected O(points returned) by scanning the O((r/cell)²) overlapping
-// cells.
+// The workhorse spatial index: the Co-NNT doubling-radius probes, the
+// implicit topology's neighbourhoods and the lower-bound experiment's
+// k-nearest-neighbour queries all reduce to "enumerate points within radius
+// r of p", which the grid answers in expected O(points returned) by
+// scanning the O((r/cell)²) overlapping cells. RGG construction instead
+// enumerates every pair within r once (for_each_pair_within).
 //
 // The grid keeps its own copy of every point's coordinates in CSR member
 // order (16 B per point), so a scan reads candidates contiguously instead
@@ -21,6 +22,7 @@
 
 #include "emst/geometry/point.hpp"
 #include "emst/geometry/rect.hpp"
+#include "emst/support/assert.hpp"
 
 namespace emst::spatial {
 
@@ -74,6 +76,51 @@ class CellGrid {
           fn(members_[s], d_sq);
         } else {
           fn(members_[s]);
+        }
+      }
+    }
+  }
+
+  /// Invoke fn(i, j, d²) once for every unordered pair of indexed points
+  /// within distance r of each other, with i < j and d² bitwise equal to
+  /// distance_sq(points[i], points[j]) — the membership test of
+  /// for_each_within, so the pairs are those its queries find. Two points
+  /// within r lie at most reach = ⌈r / cell⌉ cells apart on each axis (the
+  /// clamp into the region only shortens that), so each point scans the
+  /// rest of its cell and the next `reach` cells of its row, one contiguous
+  /// slice, and then the cells cx − reach … cx + reach of the next `reach`
+  /// rows: each pair is seen from exactly one of its points. Exact for any
+  /// cell size; cells no smaller than r (reach 1) scan the least.
+  template <typename Fn>
+  void for_each_pair_within(double r, Fn&& fn) const {
+    EMST_ASSERT(r >= 0.0);
+    const double r_sq = r * r;
+    const double cells = std::ceil(r / cell_);
+    const std::size_t reach = cells < static_cast<double>(side_)
+                                  ? static_cast<std::size_t>(cells)
+                                  : side_;
+    for (std::size_t cy = 0; cy < side_; ++cy) {
+      const std::size_t y_hi = std::min(cy + reach, side_ - 1);
+      for (std::size_t cx = 0; cx < side_; ++cx) {
+        const std::size_t x_lo = cx > reach ? cx - reach : 0;
+        const std::size_t x_hi = std::min(cx + reach, side_ - 1);
+        const std::size_t row_end = offsets_[cy * side_ + x_hi + 1];
+        const std::size_t cell_end = offsets_[cy * side_ + cx + 1];
+        for (std::size_t s = offsets_[cy * side_ + cx]; s < cell_end; ++s) {
+          const geometry::Point2 p = coords_[s];
+          const PointIndex a = members_[s];
+          const auto scan = [&](std::size_t begin, std::size_t end) {
+            for (std::size_t t = begin; t < end; ++t) {
+              const double d_sq = geometry::distance_sq(p, coords_[t]);
+              if (d_sq > r_sq) continue;
+              const PointIndex b = members_[t];
+              fn(std::min(a, b), std::max(a, b), d_sq);
+            }
+          };
+          scan(s + 1, row_end);
+          for (std::size_t ny = cy + 1; ny <= y_hi; ++ny) {
+            scan(offsets_[ny * side_ + x_lo], offsets_[ny * side_ + x_hi + 1]);
+          }
         }
       }
     }

@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "emst/geometry/deployments.hpp"
 #include "emst/geometry/sampling.hpp"
 #include "emst/graph/adjacency.hpp"
 #include "emst/graph/mst.hpp"
 #include "emst/graph/tree_utils.hpp"
 #include "emst/graph/union_find.hpp"
+#include "emst/rgg/radii.hpp"
 #include "emst/rgg/rgg.hpp"
 #include "emst/support/rng.hpp"
 
@@ -95,6 +100,115 @@ TEST(Adjacency, EmptyGraph) {
   EXPECT_EQ(g.node_count(), 4u);
   EXPECT_EQ(g.edge_count(), 0u);
   EXPECT_TRUE(g.neighbors(0).empty());
+}
+
+// 3000 of the 65 × 65 points k/64 of the unit square, ids scrambled: exact
+// coordinates, so many edge weights tie exactly and the ids decide.
+std::vector<geometry::Point2> lattice_points() {
+  std::vector<geometry::Point2> points;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const std::size_t cell = i * 1237 % (65 * 65);
+    points.push_back({static_cast<double>(cell % 65) / 64.0,
+                      static_cast<double>(cell / 65) / 64.0});
+  }
+  return points;
+}
+
+TEST(SortEdges, MatchesTheComparisonSort) {
+  support::Rng rng(71);
+  std::vector<std::pair<const char*, std::vector<Edge>>> inputs;
+  const auto uniform = geometry::uniform_points(5000, rng);
+  const auto uniform_edges =
+      rgg::geometric_edges_unsorted(uniform, rgg::connectivity_radius(5000));
+  inputs.emplace_back("uniform rgg", uniform_edges);
+  const auto clustered = geometry::sample_deployment(
+      geometry::Deployment::kClustered, 3000, rng);
+  inputs.emplace_back("clustered rgg", rgg::geometric_edges_unsorted(
+                                           clustered, rgg::connectivity_radius(3000)));
+  inputs.emplace_back("lattice", rgg::geometric_edges_unsorted(lattice_points(), 0.1));
+  std::vector<Edge> equal;
+  for (NodeId u = 0; u < 60; ++u) {
+    for (NodeId v = u + 1; v < 60; ++v) equal.push_back({u, v, 0.375});
+  }
+  inputs.emplace_back("all-equal weights", equal);
+  std::vector<geometry::Point2> coincident(40, geometry::Point2{0.5, 0.5});
+  inputs.emplace_back("all zero weights", rgg::geometric_edges_unsorted(coincident, 0.1));
+  for (std::size_t i = 0; i < 300; ++i) {
+    coincident.push_back({rng.uniform(), rng.uniform()});
+  }
+  inputs.emplace_back("some zero weights",
+                      rgg::geometric_edges_unsorted(coincident, 0.2));
+  std::vector<Edge> flipped = uniform_edges;
+  for (Edge& e : flipped) std::swap(e.u, e.v);
+  inputs.emplace_back("edges as (v, u)", flipped);
+  inputs.emplace_back("mst", kruskal_msf(uniform.size(), uniform_edges));
+  // Far from the unit square: w_max² underflows, and overflows to infinity.
+  std::vector<Edge> tiny;
+  std::vector<Edge> huge;
+  for (NodeId u = 0; u < 200; ++u) {
+    tiny.push_back({u, u + 1, std::ldexp(rng.uniform(), -600)});
+    huge.push_back({u, u + 1, std::ldexp(1.0 + rng.uniform(), 300 + 2 * static_cast<int>(u))});
+  }
+  huge.push_back({7, 300, std::numeric_limits<double>::infinity()});
+  inputs.emplace_back("w_max² underflows", tiny);
+  inputs.emplace_back("w_max² overflows", huge);
+  for (std::size_t size = 0; size <= 5; ++size) {
+    std::vector<Edge> small;
+    for (NodeId u = 0; u < size; ++u) {
+      small.push_back({u, static_cast<NodeId>(u + 1 + rng.uniform_int(4)),
+                       u % 2 == 0 ? 0.5 : rng.uniform()});
+    }
+    inputs.emplace_back("small", small);
+  }
+  for (auto& [name, edges] : inputs) {
+    std::shuffle(edges.begin(), edges.end(), rng);
+    std::vector<Edge> want = edges;
+    std::sort(want.begin(), want.end(), edge_less);
+    sort_edges(edges);
+    ASSERT_EQ(edges.size(), want.size()) << name;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      ASSERT_EQ(edges[i].u, want[i].u) << name << " at " << i;
+      ASSERT_EQ(edges[i].v, want[i].v) << name << " at " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(edges[i].w),
+                std::bit_cast<std::uint64_t>(want[i].w))
+          << name << " at " << i;
+    }
+  }
+}
+
+TEST(SortEdgesDeathTest, RejectsNegativeAndNaNWeights) {
+  std::vector<Edge> negative = {{0, 1, 0.5}, {1, 2, -0.25}};
+  EXPECT_DEATH(sort_edges(negative), "edge weights must be numbers >= 0");
+  std::vector<Edge> nan = {{0, 1, std::numeric_limits<double>::quiet_NaN()},
+                           {1, 2, 0.25}};
+  EXPECT_DEATH(sort_edges(nan), "edge weights must be numbers >= 0");
+}
+
+TEST(Adjacency, ShuffledInputBuildsTheSameGraph) {
+  support::Rng rng(67);
+  const auto points = geometry::uniform_points(2000, rng);
+  std::vector<Edge> edges =
+      rgg::geometric_edges_unsorted(points, rgg::connectivity_radius(2000));
+  const AdjacencyList g(points.size(), edges);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  const AdjacencyList shuffled(points.size(), edges);
+  ASSERT_EQ(shuffled.edge_count(), g.edge_count());
+  for (std::size_t i = 0; i < g.edge_count(); ++i) {
+    EXPECT_EQ(shuffled.edges()[i].u, g.edges()[i].u);
+    EXPECT_EQ(shuffled.edges()[i].v, g.edges()[i].v);
+    EXPECT_EQ(shuffled.edges()[i].w, g.edges()[i].w);
+  }
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const auto want = g.neighbors(u);
+    const auto got = shuffled.neighbors(u);
+    ASSERT_EQ(got.size(), want.size()) << "row " << u;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(got[j].id, want[j].id);
+      EXPECT_EQ(got[j].w, want[j].w);
+      EXPECT_EQ(got[j].edge_index, want[j].edge_index);
+      EXPECT_EQ(got[j].twin, want[j].twin);
+    }
+  }
 }
 
 TEST(Mst, TriangleChoosesTwoLightest) {

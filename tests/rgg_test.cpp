@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <tuple>
+#include <vector>
 
 #include "emst/geometry/sampling.hpp"
 #include "emst/graph/mst.hpp"
@@ -40,27 +43,75 @@ TEST(Radii, Formulas) {
   EXPECT_LT(connectivity_radius(10000), connectivity_radius(100));
 }
 
-class RggVsBrute : public ::testing::TestWithParam<std::tuple<int, double, int>> {};
+/// n uniform points drawn from `seed`, or (lattice) n of the 65 × 65 points
+/// k/64 of the unit square with scrambled ids: exact coordinates, many
+/// exactly tied distances, and rows and columns on the cell boundaries of
+/// any grid whose side divides 64 (r = 0.25 gives side 4).
+struct RggCase {
+  int n = 0;
+  double radius = 0.0;
+  int seed = 0;
+  bool lattice = false;
+};
+
+// A uniform case prints as the (n, radius, seed) tuple it once was.
+void PrintTo(const RggCase& c, std::ostream* os) {
+  if (c.lattice) {
+    *os << "(lattice, " << c.n << ", " << c.radius << ")";
+  } else {
+    *os << ::testing::PrintToString(std::make_tuple(c.n, c.radius, c.seed));
+  }
+}
+
+std::vector<geometry::Point2> case_points(const RggCase& c) {
+  const auto n = static_cast<std::size_t>(c.n);
+  if (!c.lattice) {
+    support::Rng rng(static_cast<std::uint64_t>(c.seed) * 104729 + 7);
+    return geometry::uniform_points(n, rng);
+  }
+  std::vector<geometry::Point2> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cell = i * 1237 % (65 * 65);
+    points.push_back({static_cast<double>(cell % 65) / 64.0,
+                      static_cast<double>(cell / 65) / 64.0});
+  }
+  return points;
+}
+
+class RggVsBrute : public ::testing::TestWithParam<RggCase> {};
 
 TEST_P(RggVsBrute, EdgesMatchBruteForce) {
-  const auto [n, radius, seed] = GetParam();
-  support::Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 7);
-  const auto points = geometry::uniform_points(static_cast<std::size_t>(n), rng);
-  const auto got = geometric_edges(points, radius);
-  const auto want = brute_edges(points, radius);
+  const RggCase& c = GetParam();
+  const auto points = case_points(c);
+  const auto got = geometric_edges(points, c.radius);
+  const auto want = brute_edges(points, c.radius);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].u, want[i].u);
     EXPECT_EQ(got[i].v, want[i].v);
-    EXPECT_DOUBLE_EQ(got[i].w, want[i].w);
+    EXPECT_EQ(got[i].w, want[i].w);  // bitwise: the same distance_sq, rooted
   }
 }
 
+std::vector<RggCase> sweep_cases() {
+  std::vector<RggCase> cases;
+  for (const int n : {2, 25, 200}) {
+    for (const double radius : {0.05, 0.2, 0.8}) {
+      for (const int seed : {1, 2}) cases.push_back({n, radius, seed});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, RggVsBrute, ::testing::ValuesIn(sweep_cases()));
+
+// Radii whose reciprocal is an integer give cells of side exactly r, and
+// r = 1.5 exceeds the square's side.
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, RggVsBrute,
-    ::testing::Combine(::testing::Values(2, 25, 200),
-                       ::testing::Values(0.05, 0.2, 0.8),
-                       ::testing::Values(1, 2)));
+    Boundaries, RggVsBrute,
+    ::testing::Values(RggCase{3000, 0.25, 0, true}, RggCase{3000, 0.1, 0, true},
+                      RggCase{3000, 0.25, 3}, RggCase{3000, 0.1, 3},
+                      RggCase{600, 1.5, 0, true}, RggCase{200, 1.5, 3}));
 
 TEST(Rgg, EdgeWeightsAreDistances) {
   support::Rng rng(83);

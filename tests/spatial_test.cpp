@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "emst/geometry/deployments.hpp"
 #include "emst/geometry/sampling.hpp"
@@ -165,6 +169,51 @@ TEST(CellGrid, SquaredDistanceCallbackMatchesIndexOnlyScan) {
         });
         EXPECT_EQ(with_d, plain) << "cell " << cell << " r " << r;
       }
+    }
+  }
+}
+
+TEST(CellGrid, PairsWithinMatchBruteForce) {
+  // Every unordered pair within r, against brute force over all pairs, on
+  // grids whose cells are smaller than r (reach 2 and 3), on a size-clamped
+  // grid and with r above the square's side. The brute force applies the
+  // grid's membership test, d² <= r·r.
+  support::Rng rng(89);
+  auto points = geometry::uniform_points(600, rng);
+  points.push_back(points[17]);  // coincident points pair up at d = 0
+  points.push_back(points[17]);
+  const std::vector<geometry::Point2> two = {{0.5, 0.5}, {0.25, 0.75}};
+  struct Case {
+    const std::vector<geometry::Point2>* points;
+    double cell;
+    double r;
+  };
+  const Case cases[] = {{&points, 0.05, 0.075}, {&points, 0.05, 0.125},
+                        {&points, 0.2, 0.1},    {&points, 1e-9, 0.05},
+                        {&two, 1e-9, 0.4},      {&points, 0.1, 1.5}};
+  for (const Case& c : cases) {
+    const std::vector<geometry::Point2>& pts = *c.points;
+    const CellGrid grid(pts, c.cell);
+    std::map<std::pair<PointIndex, PointIndex>, double> want;
+    for (PointIndex i = 0; i < pts.size(); ++i) {
+      for (PointIndex j = i + 1; j < pts.size(); ++j) {
+        const double d_sq = geometry::distance_sq(pts[i], pts[j]);
+        if (d_sq <= c.r * c.r) want[{i, j}] = d_sq;
+      }
+    }
+    std::map<std::pair<PointIndex, PointIndex>, double> got;
+    grid.for_each_pair_within(c.r, [&](PointIndex i, PointIndex j, double d_sq) {
+      EXPECT_LT(i, j);
+      EXPECT_TRUE(got.emplace(std::pair{i, j}, d_sq).second)
+          << "pair (" << i << ", " << j << ") reported twice";
+    });
+    EXPECT_EQ(got.size(), want.size()) << "cell " << c.cell << " r " << c.r;
+    for (const auto& [pair, d_sq] : want) {
+      const auto it = got.find(pair);
+      ASSERT_NE(it, got.end()) << "missing (" << pair.first << ", "
+                               << pair.second << ") cell " << c.cell << " r " << c.r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(it->second),
+                std::bit_cast<std::uint64_t>(d_sq));
     }
   }
 }
